@@ -101,6 +101,7 @@ _EXPORTS = {
     "preset": ".config",
     "preset_names": ".config",
     "RunResult": ".pipeline",
+    "fit_coding": ".pipeline",
     "prepare_data": ".pipeline",
     "execute_run": ".pipeline",
     # cli

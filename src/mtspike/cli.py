@@ -168,15 +168,11 @@ def cmd_encode(args) -> int:
     import numpy as np
 
     from . import pipeline
-    from .datasets import attribute_ranges, encode_dataset
+    from .datasets import encode_dataset
 
     cfg = _resolve_config(args)
     train_raw, test_raw = pipeline.load_raw(cfg)
-    spec = cfg.coding
-    if spec.scheme == "numeric" and spec.ranges is None:
-        from dataclasses import replace
-
-        spec = replace(spec, ranges=attribute_ranges(train_raw.features))
+    spec = pipeline.fit_coding(cfg.coding, train_raw)
     raw = train_raw if args.split == "train" else test_raw
     encoded = encode_dataset(raw, spec)
 

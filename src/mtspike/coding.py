@@ -3,15 +3,22 @@
 Every input neuron emits at most one spike; the stimulus is carried by the
 spike's delay on a grid of ``resolution`` slots of width ``unit`` spanning the
 encoding window.  Strong stimuli fire early (delay 0), weak stimuli late
-(delay up to the full window).  Three encoders are provided:
+(delay up to the full window).  Three encoders are provided, each taking a
+whole dataset at once and returning ``(delays, fired)``: an (N, M) float64
+delay matrix and an (N, M) bool mask, one row per sample.
 
-* :func:`encode_numeric` — one neuron per numeric attribute, delay inversely
-  proportional to the min/max-normalized value.
-* :func:`encode_pixels_1to1` — one neuron per pixel, delay inversely
-  proportional to intensity; an exactly-zero pixel emits no spike.
-* :func:`encode_conv_like` — one neuron per kernel position of a sliding
-  square receptive field; delay counts the binarized zeros inside the field.
-  Trades temporal resolution for a smaller input layer.
+* :func:`encode_numeric` — (N, F) attribute rows, one neuron per attribute,
+  delay inversely proportional to the min/max-normalized value.
+* :func:`encode_pixels_1to1` — (N, P, P) images, one neuron per pixel, delay
+  inversely proportional to intensity; an exactly-zero pixel emits no spike.
+* :func:`encode_conv_like` — (N, P, P) images, one neuron per kernel
+  position of a sliding square receptive field; delay counts the binarized
+  zeros inside the field.  Trades temporal resolution for a smaller input
+  layer.
+
+Image stacks are encoded in blocks of ``_BLOCK`` images written straight
+into the preallocated output, so a uint8 stack is never copied whole into
+float64 and peak memory stays close to the size of the result.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ __all__ = [
     "neuron_count",
 ]
 
+# Images per block.  The per-block overhead is a dozen numpy calls, and the
+# temporaries of a block of 28x28 images stay near 1 MB, so peak memory stays
+# where encoding one image at a time had it.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class CodingParams:
@@ -40,7 +52,9 @@ class CodingParams:
     ``resolution = window / unit`` must be a whole number of slots.  For
     conv-like coding the kernel must satisfy ``kernel**2 == resolution`` so
     that the zero-count inside one kernel position lands exactly on the slot
-    grid (``unit * kernel**2 == window``).
+    grid (``unit * kernel**2 == window``).  ``pad`` names the policy for a
+    kernel grid that runs past the image; the grid never does (see
+    :func:`neuron_count`), so ``"zero"`` is recorded in model files only.
     """
 
     window: float = 16.0
@@ -111,8 +125,8 @@ def encode_numeric(
     values: np.ndarray,
     per_attribute_min_max: np.ndarray,
     p: CodingParams,
-) -> DelayVector:
-    """Encode numeric attributes as one spike delay per attribute.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode (N, F) numeric rows as one spike delay per attribute.
 
     Each value is normalized against its attribute's ``(min, max)`` range and
     mapped to ``unit * round(resolution * (1 - normalized))``, clamped to the
@@ -121,10 +135,12 @@ def encode_numeric(
     fires.  Ties in the rounding follow numpy's round-half-to-even.
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise DataError(f"expected (N, attributes) rows, got shape {values.shape}")
     ranges = np.asarray(per_attribute_min_max, dtype=np.float64)
-    if ranges.shape != (values.shape[0], 2):
+    if ranges.shape != (values.shape[1], 2):
         raise ConfigError(
-            f"expected {values.shape[0]}x2 min/max ranges, got shape {ranges.shape}"
+            f"expected {values.shape[1]}x2 min/max ranges, got shape {ranges.shape}"
         )
     if not np.all(np.isfinite(values)):
         raise DataError("attribute values must be finite")
@@ -135,65 +151,86 @@ def encode_numeric(
     normalized = (values - lo) / (hi - lo)
     delays = p.unit * np.round(p.resolution * (1.0 - normalized))
     delays = np.clip(delays, 0.0, p.window)
-    return DelayVector(delays=delays, fired=np.ones(values.shape[0], dtype=bool))
+    return delays, np.ones(values.shape, dtype=bool)
 
 
 def encode_pixels_1to1(
-    image: np.ndarray, p: CodingParams, p_max: float = 255.0
-) -> DelayVector:
-    """Encode a square grayscale image, one neuron per pixel.
+    images: np.ndarray, p: CodingParams, p_max: float = 255.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode (N, P, P) grayscale images, one neuron per pixel.
 
     Delay is ``unit * round(resolution * (1 - intensity / p_max))``; a pixel
     with intensity exactly zero emits no spike (its delay entry is set to the
-    full window).  Pixels are emitted row-major, so the output has one entry
-    per pixel.
+    full window).  Pixels are emitted row-major, so each row of the output
+    has one entry per pixel.
     """
     if p_max <= 0:
         raise ConfigError("p_max must be positive")
-    grid = _square_image(image)
-    flat = grid.reshape(-1)
-    fired = flat > 0
-    delays = p.unit * np.round(p.resolution * (1.0 - flat / p_max))
-    delays = np.clip(delays, 0.0, p.window)
-    delays[~fired] = p.window
-    return DelayVector(delays=delays, fired=fired)
+    images = _square_images(images)
+    n = images.shape[0]
+    delays = np.empty((n, images.shape[1] * images.shape[2]), dtype=np.float64)
+    fired = np.empty(delays.shape, dtype=bool)
+    for rows in _blocks(n):
+        out, spiked = delays[rows], fired[rows]
+        out[...] = images[rows].reshape(out.shape)
+        np.greater(out, 0, out=spiked)
+        np.divide(out, p_max, out=out)
+        np.subtract(1.0, out, out=out)
+        np.multiply(p.resolution, out, out=out)
+        np.round(out, out=out)
+        np.multiply(p.unit, out, out=out)
+        np.clip(out, 0.0, p.window, out=out)
+        np.copyto(out, p.window, where=~spiked)
+    return delays, fired
 
 
-def encode_conv_like(image: np.ndarray, p: CodingParams) -> DelayVector:
-    """Encode a square grayscale image with a sliding binarizing kernel.
+def encode_conv_like(
+    images: np.ndarray, p: CodingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode (N, P, P) grayscale images with a sliding binarizing kernel.
 
     Pixels at or above ``binarize_threshold`` count as 1, the rest as 0.  For
     each kernel position the delay is ``unit`` times the number of 0s inside
     the kernel; since the kernel holds ``resolution`` cells, delays span the
-    whole window.  The image is zero-padded on the right/bottom edges whenever
-    the kernel grid would otherwise run past it, and every output neuron
-    fires (an all-zero field simply fires at the full window delay).
+    whole window.  Kernel positions start at the top-left corner and step by
+    ``stride``; rows and columns past the last position that fits are
+    ignored.  Every output neuron fires (an all-zero field simply fires at
+    the full window delay).
+
+    Counts come from an integer summed-area table of each binarized block,
+    read at the stride, so they are exact.
     """
     if p.kernel is None:
         raise ConfigError("conv-like coding requires a kernel width")
-    grid = _square_image(image)
-    side = grid.shape[0]
+    images = _square_images(images)
+    n, side = images.shape[0], images.shape[1]
     k, stride = p.kernel, p.stride
     if k > side:
         raise ConfigError(f"kernel width {k} exceeds image width {side}")
     positions = _grid_positions(side, k, stride)
-    binary = (grid >= p.binarize_threshold).astype(np.int64)
-    extent = (positions - 1) * stride + k
-    if extent > side:
-        padded = np.zeros((extent, extent), dtype=np.int64)
-        padded[:side, :side] = binary
-        binary = padded
-    windows = np.lib.stride_tricks.sliding_window_view(binary, (k, k))
-    ones = windows[::stride, ::stride].sum(axis=(2, 3))
-    zeros = k * k - ones[:positions, :positions]
-    delays = (p.unit * zeros).reshape(-1).astype(np.float64)
-    return DelayVector(delays=delays, fired=np.ones(delays.shape[0], dtype=bool))
+    top = slice(0, (positions - 1) * stride + 1, stride)
+    bottom = slice(k, k + (positions - 1) * stride + 1, stride)
+    delays = np.empty((n, positions * positions), dtype=np.float64)
+    table = np.zeros((min(n, _BLOCK), side + 1, side + 1), dtype=np.int32)
+    for rows in _blocks(n):
+        sums = table[: rows.stop - rows.start]
+        inner = sums[:, 1:, 1:]
+        np.cumsum(images[rows] >= p.binarize_threshold, axis=1, dtype=np.int32,
+                  out=inner)
+        np.cumsum(inner, axis=2, out=inner)
+        ones = (sums[:, bottom, bottom] - sums[:, top, bottom]
+                - sums[:, bottom, top] + sums[:, top, top])
+        zeros = k * k - ones
+        np.multiply(p.unit, zeros.reshape(len(zeros), -1), out=delays[rows])
+    return delays, np.ones(delays.shape, dtype=bool)
 
 
 def neuron_count(image_width: int, kernel: int, stride: int) -> int:
     """Number of input neurons produced by conv-like coding.
 
-    ``ceil((P - k + 1) / S) ** 2`` kernel positions for a P-wide image.
+    ``ceil((P - k + 1) / S) ** 2`` kernel positions for a P-wide image.  The
+    last position ends at ``(positions - 1) * S + k <= P``, so the kernel
+    grid never runs past the image.
     """
     if kernel < 1 or kernel > image_width:
         raise ConfigError(
@@ -208,8 +245,16 @@ def _grid_positions(side: int, kernel: int, stride: int) -> int:
     return math.ceil((side - kernel + 1) / stride)
 
 
-def _square_image(image: np.ndarray) -> np.ndarray:
-    grid = np.asarray(image, dtype=np.float64)
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise DataError(f"expected a square 2-D image, got shape {grid.shape}")
-    return grid
+def _blocks(n: int):
+    """Row slices covering ``range(n)`` in steps of ``_BLOCK``."""
+    for start in range(0, n, _BLOCK):
+        yield slice(start, min(start + _BLOCK, n))
+
+
+def _square_images(images: np.ndarray) -> np.ndarray:
+    images = np.asarray(images)
+    if images.ndim != 3 or images.shape[1] != images.shape[2]:
+        raise DataError(
+            f"expected a stack of square 2-D images (N, P, P), got shape {images.shape}"
+        )
+    return images

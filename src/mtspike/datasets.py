@@ -3,9 +3,10 @@
 Two on-disk formats are supported: the classic 5-column iris CSV (four
 numeric attributes plus a class label, header optional) and IDX image/label
 files as distributed for MNIST (big-endian, optionally gzipped).  Loaded
-data lands in a :class:`RawDataset`; :func:`encode_dataset` turns one into
-spike delays via an :class:`EncodingSpec`, which also knows how to snapshot
-itself into a model file so evaluation reuses the exact training encoding.
+data lands in a :class:`RawDataset`; :func:`encode_dataset` turns all of it
+into an (N, M) spike-delay matrix with one call to the batch encoder its
+:class:`EncodingSpec` names.  The spec also knows how to snapshot itself into
+a model file so evaluation reuses the exact training encoding.
 """
 
 from __future__ import annotations
@@ -126,15 +127,6 @@ class EncodingSpec:
                     f"ranges must have shape (attributes, 2), got {ranges.shape}"
                 )
             object.__setattr__(self, "ranges", ranges)
-
-    def encode_sample(self, x: np.ndarray) -> DelayVector:
-        if self.scheme == "numeric":
-            if self.ranges is None:
-                raise ConfigError("numeric coding needs fitted attribute ranges")
-            return encode_numeric(x, self.ranges, self.params)
-        if self.scheme == "one_to_one":
-            return encode_pixels_1to1(x, self.params, self.p_max)
-        return encode_conv_like(x, self.params)
 
     def to_dict(self) -> dict:
         return {
@@ -292,7 +284,9 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
     """Write images and labels back out in (uncompressed) IDX format.
 
     Writing then loading reproduces the arrays byte for byte, which keeps
-    synthetic fixtures honest about the wire format.
+    synthetic fixtures honest about the wire format.  Values must therefore
+    be whole numbers in [0, 255]; anything else raises :class:`DataError`
+    rather than being truncated.  Zero images make a valid, empty file.
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
@@ -300,8 +294,11 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
         raise DataError(f"expected (N, rows, cols) images, got shape {images.shape}")
     if labels.shape != (images.shape[0],):
         raise DataError("one label per image required")
-    if images.min() < 0 or images.max() > 255 or labels.min() < 0 or labels.max() > 255:
-        raise DataError("IDX stores unsigned bytes; values must lie in [0, 255]")
+    for values in (images, labels):
+        if values.size and (values.min() < 0 or values.max() > 255):
+            raise DataError("IDX stores unsigned bytes; values must lie in [0, 255]")
+        if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
+            raise DataError("IDX stores unsigned bytes; values must be whole numbers")
     n, rows, cols = images.shape
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
@@ -380,12 +377,12 @@ def encode_dataset(ds: RawDataset, spec: EncodingSpec) -> EncodedDataset:
     """Encode every sample of a dataset into one delay/fired matrix pair."""
     if len(ds) == 0:
         raise DataError("cannot encode an empty dataset")
-    first = spec.encode_sample(ds.features[0])
-    width = len(first)
-    delays = np.empty((len(ds), width), dtype=np.float64)
-    fired = np.empty((len(ds), width), dtype=bool)
-    delays[0], fired[0] = first.delays, first.fired
-    for i in range(1, len(ds)):
-        vec = spec.encode_sample(ds.features[i])
-        delays[i], fired[i] = vec.delays, vec.fired
+    if spec.scheme == "numeric":
+        if spec.ranges is None:
+            raise ConfigError("numeric coding needs fitted attribute ranges")
+        delays, fired = encode_numeric(ds.features, spec.ranges, spec.params)
+    elif spec.scheme == "one_to_one":
+        delays, fired = encode_pixels_1to1(ds.features, spec.params, spec.p_max)
+    else:
+        delays, fired = encode_conv_like(ds.features, spec.params)
     return EncodedDataset(delays=delays, fired=fired, labels=ds.labels.copy())

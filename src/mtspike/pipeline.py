@@ -40,6 +40,7 @@ __all__ = [
     "RunResult",
     "resolve_mnist_paths",
     "load_raw",
+    "fit_coding",
     "prepare_data",
     "execute_run",
 ]
@@ -101,6 +102,17 @@ def load_raw(cfg: RunConfig) -> tuple[RawDataset, RawDataset]:
     return train_raw, test_raw
 
 
+def fit_coding(spec: EncodingSpec, train_raw: RawDataset) -> EncodingSpec:
+    """The spec to encode with: numeric ranges, if unset, fitted on ``train_raw``.
+
+    Fitting on the training split only means test values outside the seen
+    range clamp to the window edges.
+    """
+    if spec.scheme == "numeric" and spec.ranges is None:
+        return replace(spec, ranges=attribute_ranges(train_raw.features))
+    return spec
+
+
 def prepare_data(cfg: RunConfig) -> tuple[EncodedDataset, EncodedDataset, EncodingSpec]:
     """Encode the configured dataset; numeric ranges are fitted on train only.
 
@@ -109,9 +121,7 @@ def prepare_data(cfg: RunConfig) -> tuple[EncodedDataset, EncodedDataset, Encodi
     if the coding width disagrees with the first network layer.
     """
     train_raw, test_raw = load_raw(cfg)
-    spec = cfg.coding
-    if spec.scheme == "numeric" and spec.ranges is None:
-        spec = replace(spec, ranges=attribute_ranges(train_raw.features))
+    spec = fit_coding(cfg.coding, train_raw)
     train_enc = encode_dataset(train_raw, spec)
     test_enc = encode_dataset(test_raw, spec)
     if train_enc.delays.shape[1] != cfg.layer_sizes[0]:

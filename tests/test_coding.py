@@ -1,11 +1,16 @@
 """Temporal coding: delay grids, the three encoders, and their edge cases."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_coding as ref
+from mtspike import coding
 from mtspike.coding import (
+    _BLOCK,
     CodingParams,
     DelayVector,
     encode_conv_like,
@@ -72,43 +77,44 @@ def test_delay_vector_shape_mismatch():
 
 def test_numeric_known_values():
     p = CodingParams()
-    out = encode_numeric(np.array([2.5]), np.array([[0.0, 10.0]]), p)
-    assert out.delays.tolist() == [12.0]
-    out = encode_numeric(np.array([2.5]), np.array([[0.0, 5.0]]), p)
-    assert out.delays.tolist() == [8.0]
+    delays, _ = encode_numeric(np.array([2.5])[None], np.array([[0.0, 10.0]]), p)
+    assert delays[0].tolist() == [12.0]
+    delays, _ = encode_numeric(np.array([2.5])[None], np.array([[0.0, 5.0]]), p)
+    assert delays[0].tolist() == [8.0]
 
 
 def test_numeric_endpoints_and_all_fire():
     p = CodingParams()
-    out = encode_numeric(np.array([0.0, 5.0]), np.array([[0.0, 5.0]] * 2), p)
-    assert out.delays.tolist() == [16.0, 0.0]  # weakest late, strongest early
-    assert out.fired.all()
-    assert out.spike_count == 2
+    values = np.array([0.0, 5.0])[None]
+    delays, fired = encode_numeric(values, np.array([[0.0, 5.0]] * 2), p)
+    assert delays[0].tolist() == [16.0, 0.0]  # weakest late, strongest early
+    assert fired.all()
+    assert fired.sum() == 2
 
 
 def test_numeric_rounds_half_to_even():
     p = CodingParams()
     ranges = np.array([[0.0, 1.0]] * 2)
     # 16 * (1 - v) lands on 12.5 and 11.5; both round to the even 12
-    out = encode_numeric(np.array([0.21875, 0.28125]), ranges, p)
-    assert out.delays.tolist() == [12.0, 12.0]
+    delays, _ = encode_numeric(np.array([0.21875, 0.28125])[None], ranges, p)
+    assert delays[0].tolist() == [12.0, 12.0]
 
 
 def test_numeric_out_of_range_clamps():
     p = CodingParams()
     ranges = np.array([[0.0, 5.0]] * 2)
-    out = encode_numeric(np.array([-3.0, 9.0]), ranges, p)
-    assert out.delays.tolist() == [16.0, 0.0]
+    delays, _ = encode_numeric(np.array([-3.0, 9.0])[None], ranges, p)
+    assert delays[0].tolist() == [16.0, 0.0]
 
 
 def test_numeric_validation():
     p = CodingParams()
     with pytest.raises(ConfigError, match="ranges"):
-        encode_numeric(np.array([1.0, 2.0]), np.array([[0.0, 1.0]]), p)
+        encode_numeric(np.array([1.0, 2.0])[None], np.array([[0.0, 1.0]]), p)
     with pytest.raises(ConfigError, match="degenerate"):
-        encode_numeric(np.array([1.0]), np.array([[2.0, 2.0]]), p)
+        encode_numeric(np.array([1.0])[None], np.array([[2.0, 2.0]]), p)
     with pytest.raises(DataError, match="finite"):
-        encode_numeric(np.array([np.nan]), np.array([[0.0, 1.0]]), p)
+        encode_numeric(np.array([np.nan])[None], np.array([[0.0, 1.0]]), p)
 
 
 @given(
@@ -118,8 +124,8 @@ def test_numeric_validation():
 @settings(max_examples=60)
 def test_numeric_delays_stay_on_grid(value, unit):
     p = CodingParams(window=16.0, unit=unit)
-    out = encode_numeric(np.array([value]), np.array([[0.0, 1.0]]), p)
-    d = out.delays[0]
+    delays, _ = encode_numeric(np.array([value])[None], np.array([[0.0, 1.0]]), p)
+    d = delays[0, 0]
     assert 0.0 <= d <= p.window
     assert d / p.unit == round(d / p.unit)
 
@@ -131,8 +137,8 @@ def test_numeric_larger_value_never_fires_later(values):
     p = CodingParams()
     vals = np.array(sorted(values))
     ranges = np.array([[0.0, 1.0]] * len(vals))
-    delays = encode_numeric(vals, ranges, p).delays
-    assert np.all(np.diff(delays) <= 0)
+    delays, _ = encode_numeric(vals[None], ranges, p)
+    assert np.all(np.diff(delays[0]) <= 0)
 
 
 # --- one-to-one pixel coding ------------------------------------------------
@@ -141,41 +147,41 @@ def test_numeric_larger_value_never_fires_later(values):
 def test_pixels_known_values():
     img = np.zeros((2, 2))
     img[0, 0], img[0, 1], img[1, 0] = 128.0, 255.0, 1.0
-    out = encode_pixels_1to1(img, CodingParams())
-    assert out.delays.tolist() == [8.0, 0.0, 16.0, 16.0]
-    assert out.fired.tolist() == [True, True, True, False]
-    assert out.spike_count == 3
+    delays, fired = encode_pixels_1to1(img[None], CodingParams())
+    assert delays[0].tolist() == [8.0, 0.0, 16.0, 16.0]
+    assert fired[0].tolist() == [True, True, True, False]
+    assert fired.sum() == 3
 
 
 def test_zero_pixel_emits_no_spike_but_keeps_window_delay():
-    out = encode_pixels_1to1(np.zeros((3, 3)), CodingParams())
-    assert out.spike_count == 0
-    assert np.all(out.delays == 16.0)
-    assert len(out) == 9
+    delays, fired = encode_pixels_1to1(np.zeros((3, 3))[None], CodingParams())
+    assert fired.sum() == 0
+    assert np.all(delays == 16.0)
+    assert delays.shape == (1, 9)
 
 
 def test_pixels_row_major_order():
     img = np.array([[255.0, 0.0], [0.0, 255.0]])
-    out = encode_pixels_1to1(img, CodingParams())
-    assert out.fired.tolist() == [True, False, False, True]
+    _, fired = encode_pixels_1to1(img[None], CodingParams())
+    assert fired[0].tolist() == [True, False, False, True]
 
 
 def test_pixels_validation():
     with pytest.raises(ConfigError):
-        encode_pixels_1to1(np.zeros((2, 2)), CodingParams(), p_max=0.0)
+        encode_pixels_1to1(np.zeros((2, 2))[None], CodingParams(), p_max=0.0)
     with pytest.raises(DataError, match="square"):
-        encode_pixels_1to1(np.zeros((2, 3)), CodingParams())
+        encode_pixels_1to1(np.zeros((2, 3))[None], CodingParams())
     with pytest.raises(DataError, match="square"):
-        encode_pixels_1to1(np.zeros(4), CodingParams())
+        encode_pixels_1to1(np.zeros(4)[None], CodingParams())
 
 
 @given(st.integers(min_value=0, max_value=255))
 @settings(max_examples=60)
 def test_pixel_delay_bounds(intensity):
     img = np.full((1, 1), float(intensity))
-    out = encode_pixels_1to1(img, CodingParams())
-    assert 0.0 <= out.delays[0] <= 16.0
-    assert out.fired[0] == (intensity > 0)
+    delays, fired = encode_pixels_1to1(img[None], CodingParams())
+    assert 0.0 <= delays[0, 0] <= 16.0
+    assert fired[0, 0] == (intensity > 0)
 
 
 # --- conv-like coding -------------------------------------------------------
@@ -185,30 +191,31 @@ def test_conv_handcrafted_zero_counts():
     """A bright 4x4 corner: each kernel position's delay counts its dark cells."""
     img = np.zeros((8, 8))
     img[:4, :4] = 255.0
-    out = encode_conv_like(img, CodingParams(kernel=4, stride=2))
-    assert out.delays.tolist() == [0.0, 8.0, 16.0, 8.0, 12.0, 16.0, 16.0, 16.0, 16.0]
-    assert out.fired.all()
+    delays, fired = encode_conv_like(img[None], CodingParams(kernel=4, stride=2))
+    assert delays[0].tolist() == [0.0, 8.0, 16.0, 8.0, 12.0, 16.0, 16.0, 16.0, 16.0]
+    assert fired.all()
 
 
 def test_conv_all_bright_and_all_dark():
     p = CodingParams(kernel=4, stride=2)
-    assert np.all(encode_conv_like(np.full((8, 8), 255.0), p).delays == 0.0)
-    dark = encode_conv_like(np.zeros((8, 8)), p)
-    assert np.all(dark.delays == 16.0)
-    assert dark.spike_count == len(dark)  # conv neurons always fire
+    assert np.all(encode_conv_like(np.full((8, 8), 255.0)[None], p)[0] == 0.0)
+    delays, fired = encode_conv_like(np.zeros((8, 8))[None], p)
+    assert np.all(delays == 16.0)
+    assert fired.all()  # conv neurons always fire
 
 
 def test_conv_binarize_threshold_is_inclusive():
     p = CodingParams(kernel=4, stride=4)
     img = np.full((4, 4), 128.0)  # exactly at the default threshold
-    assert encode_conv_like(img, p).delays.tolist() == [0.0]
+    assert encode_conv_like(img[None], p)[0][0].tolist() == [0.0]
     img = np.full((4, 4), 127.0)
-    assert encode_conv_like(img, p).delays.tolist() == [16.0]
+    assert encode_conv_like(img[None], p)[0][0].tolist() == [16.0]
 
 
 def test_conv_mnist_geometry():
-    out = encode_conv_like(np.zeros((28, 28)), CodingParams(kernel=4, stride=2))
-    assert len(out) == 169
+    p = CodingParams(kernel=4, stride=2)
+    delays, _ = encode_conv_like(np.zeros((28, 28))[None], p)
+    assert delays.shape == (1, 169)
 
 
 def test_conv_ignores_trailing_remainder():
@@ -216,16 +223,16 @@ def test_conv_ignores_trailing_remainder():
     p = CodingParams(window=4.0, unit=1.0, kernel=2, stride=2)
     img = np.zeros((5, 5))
     img[:, 4] = 255.0  # bright strip the grid never reaches
-    out = encode_conv_like(img, p)
-    assert len(out) == neuron_count(5, 2, 2) == 4
-    assert np.all(out.delays == 4.0)
+    delays, _ = encode_conv_like(img[None], p)
+    assert delays.shape[1] == neuron_count(5, 2, 2) == 4
+    assert np.all(delays == 4.0)
 
 
 def test_conv_requires_kernel_and_fitting_image():
     with pytest.raises(ConfigError, match="kernel"):
-        encode_conv_like(np.zeros((8, 8)), CodingParams())
+        encode_conv_like(np.zeros((8, 8))[None], CodingParams())
     with pytest.raises(ConfigError, match="exceeds"):
-        encode_conv_like(np.zeros((3, 3)), CodingParams(kernel=4, stride=2))
+        encode_conv_like(np.zeros((3, 3))[None], CodingParams(kernel=4, stride=2))
 
 
 @pytest.mark.parametrize(
@@ -254,14 +261,116 @@ def test_neuron_count_validation():
 def test_conv_output_matches_neuron_count_and_grid(side, stride, seed):
     p = CodingParams(kernel=4, stride=stride)
     img = np.random.default_rng(seed).integers(0, 256, (side, side)).astype(float)
-    out = encode_conv_like(img, p)
-    assert len(out) == neuron_count(side, 4, stride)
-    assert np.all((out.delays >= 0.0) & (out.delays <= p.window))
+    delays, _ = encode_conv_like(img[None], p)
+    assert delays.shape[1] == neuron_count(side, 4, stride)
+    assert np.all((delays >= 0.0) & (delays <= p.window))
     # zero counts are integers, so delays sit on the unit grid
-    assert np.all(out.delays == np.round(out.delays))
+    assert np.all(delays == np.round(delays))
 
 
 @given(stride=st.integers(min_value=1, max_value=6))
 @settings(max_examples=20)
 def test_wider_stride_never_adds_neurons(stride):
     assert neuron_count(28, 4, stride + 1) <= neuron_count(28, 4, stride)
+
+
+@given(side=st.integers(min_value=1, max_value=64), data=st.data())
+@settings(max_examples=200)
+def test_kernel_grid_never_runs_past_the_image(side, data):
+    """The last kernel position always fits, so no padding is ever needed."""
+    kernel = data.draw(st.integers(min_value=1, max_value=side))
+    stride = data.draw(st.integers(min_value=1, max_value=side + 2))
+    positions = math.isqrt(neuron_count(side, kernel, stride))
+    assert (positions - 1) * stride + kernel <= side
+    # ...and the grid stops only where one more position would not fit
+    assert positions * stride + kernel > side
+
+
+# --- batch encoders against the per-sample reference ------------------------
+
+# stack sizes on both sides of a block edge
+STACK_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1]
+
+
+def _assert_byte_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _image_stack(rng, n, side, dtype):
+    pixels = rng.integers(0, 256, (n, side, side))
+    pixels[rng.random(pixels.shape) < 0.3] = 0  # silent one-to-one pixels
+    if dtype == "uint8":
+        return pixels.astype(np.uint8)
+    pixels = pixels + rng.choice([0.0, 0.25, 0.5], pixels.shape)
+    pixels[rng.random(pixels.shape) < 0.01] = np.nan  # silent in both codings
+    return pixels
+
+
+@given(
+    side=st.integers(min_value=4, max_value=28),
+    data=st.data(),
+    unit=st.sampled_from([0.5, 1.0, 2.0]),
+    threshold=st.sampled_from([1.0, 100.25, 127.5, 128.0, 255.0]),
+    p_max=st.sampled_from([1.0, 100.0, 255.0, 300.5]),
+    n=st.sampled_from(STACK_SIZES),
+    dtype=st.sampled_from(["uint8", "float64"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_image_encoders_match_reference_bytes(side, data, unit, threshold, p_max,
+                                              n, dtype, seed):
+    kernel = data.draw(st.integers(min_value=1, max_value=min(side, 5)))
+    stride = data.draw(st.integers(min_value=1, max_value=side))
+    p = CodingParams(window=unit * kernel * kernel, unit=unit, kernel=kernel,
+                     stride=stride, binarize_threshold=threshold)
+    images = _image_stack(np.random.default_rng(seed), n, side, dtype)
+    _assert_byte_equal(encode_conv_like(images, p),
+                       ref.encode_each(ref.encode_conv_like, images, p))
+    _assert_byte_equal(encode_pixels_1to1(images, p, p_max),
+                       ref.encode_each(ref.encode_pixels_1to1, images, p, p_max))
+
+
+@given(
+    n=st.sampled_from(STACK_SIZES),
+    attributes=st.integers(min_value=1, max_value=6),
+    unit=st.sampled_from([0.5, 1.0, 2.0]),
+    resolution=st.sampled_from([1, 16, 25]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_numeric_encoder_matches_reference_bytes(n, attributes, unit, resolution, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-10.0, 10.0, attributes)
+    hi = lo + rng.uniform(0.1, 10.0, attributes)
+    # about half the values fall outside the fitted range and clamp
+    values = rng.uniform(2 * lo - hi, 2 * hi - lo, (n, attributes))
+    values[0] = lo
+    ranges = np.stack([lo, hi], axis=1)
+    p = CodingParams(window=unit * resolution, unit=unit)
+    _assert_byte_equal(encode_numeric(values, ranges, p),
+                       ref.encode_each(ref.encode_numeric, values, ranges, p))
+
+
+@pytest.mark.parametrize(
+    "encoder,stack,args,error",
+    [
+        ("encode_numeric", np.array([[np.nan, 1.0]]),
+         (np.array([[0.0, 1.0]] * 2), CodingParams()), DataError),
+        ("encode_numeric", np.ones((2, 3)),
+         (np.array([[0.0, 1.0]] * 2), CodingParams()), ConfigError),
+        ("encode_pixels_1to1", np.zeros((2, 4, 5)), (CodingParams(),), DataError),
+        ("encode_conv_like", np.zeros((2, 4, 5)), (CodingParams(kernel=4),), DataError),
+        ("encode_conv_like", np.zeros((2, 3, 3)), (CodingParams(kernel=4),), ConfigError),
+        ("encode_pixels_1to1", np.zeros((2, 4, 4)), (CodingParams(), 0.0), ConfigError),
+        ("encode_pixels_1to1", np.zeros((2, 4, 4)), (CodingParams(), -1.0), ConfigError),
+    ],
+    ids=["nan-attribute", "ranges-shape", "non-square-pixels", "non-square-conv",
+         "kernel-too-wide", "p_max-zero", "p_max-negative"],
+)
+def test_batch_encoders_raise_the_reference_errors(encoder, stack, args, error):
+    with pytest.raises(error):
+        getattr(ref, encoder)(stack[0], *args)
+    with pytest.raises(error):
+        getattr(coding, encoder)(stack, *args)

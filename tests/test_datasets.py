@@ -231,6 +231,23 @@ def test_save_idx_validation(tmp_path):
     with pytest.raises(DataError):
         save_mnist_idx(np.full((1, 2, 2), 300.0), np.zeros(1),
                        tmp_path / "a", tmp_path / "b")
+    # non-integral values would be truncated on the wire
+    for images, labels in [(np.full((1, 2, 2), 3.7), np.zeros(1)),
+                           (np.full((1, 2, 2), np.nan), np.zeros(1)),
+                           (np.zeros((1, 2, 2)), np.array([3.7]))]:
+        with pytest.raises(DataError, match="whole numbers"):
+            save_mnist_idx(images, labels, tmp_path / "a", tmp_path / "b")
+
+
+def test_idx_round_trip_of_zero_images(tmp_path):
+    save_mnist_idx(np.zeros((0, 28, 28), dtype=np.uint8), np.zeros(0, dtype=np.uint8),
+                   tmp_path / "img", tmp_path / "lbl")
+    ds = load_mnist_idx(tmp_path / "img", tmp_path / "lbl")
+    assert ds.features.shape == (0, 28, 28)
+    assert ds.labels.shape == (0,)
+    save_mnist_idx(ds.features, ds.labels, tmp_path / "img2", tmp_path / "lbl2")
+    assert (tmp_path / "img").read_bytes() == (tmp_path / "img2").read_bytes()
+    assert (tmp_path / "lbl").read_bytes() == (tmp_path / "lbl2").read_bytes()
 
 
 # --- encoding specs and encoded datasets ------------------------------------
@@ -264,8 +281,9 @@ def test_encoding_spec_validation():
 
 def test_numeric_spec_requires_fitted_ranges():
     spec = EncodingSpec(scheme="numeric")
+    ds = RawDataset(features=np.array([1.0, 2.0])[None], labels=np.zeros(1, dtype=int))
     with pytest.raises(ConfigError, match="ranges"):
-        spec.encode_sample(np.array([1.0, 2.0]))
+        encode_dataset(ds, spec)
 
 
 def test_encode_dataset_stacks_samples(iris_path):
