@@ -39,15 +39,11 @@ _EXPORTS = {
     "ForwardTrace": ".network",
     "activation": ".network",
     "activation_derivative": ".network",
-    "adr_neuron": ".network",
     "init_network": ".network",
-    "forward": ".network",
     "forward_batch": ".network",
     # readout
     "TargetScheme": ".readout",
-    "target_vector": ".readout",
     "target_matrix": ".readout",
-    "read_class": ".readout",
     "read_class_batch": ".readout",
     "pre_window_count": ".readout",
     # learning
@@ -55,11 +51,8 @@ _EXPORTS = {
     "UPDATE_GATES": ".learning",
     "BATCH_REDUCTIONS": ".learning",
     "TrainConfig": ".learning",
-    "TemporalError": ".learning",
     "EpochStats": ".learning",
-    "involved_set": ".learning",
-    "output_delta": ".learning",
-    "temporal_error": ".learning",
+    "output_residual": ".learning",
     "backward": ".learning",
     "batch_indices": ".learning",
     "train": ".learning",
@@ -83,7 +76,6 @@ _EXPORTS = {
     # metrics
     "RunMetrics": ".metrics",
     "evaluate": ".metrics",
-    "spike_count": ".metrics",
     "dataset_spike_count": ".metrics",
     "energy": ".metrics",
     "summarize": ".metrics",

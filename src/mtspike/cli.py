@@ -90,10 +90,6 @@ def _resolve_config(args):
     return load_config(args.config)
 
 
-def _weight_count(layer_sizes) -> int:
-    return sum(a * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
-
-
 def _ensure_parent(path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -104,6 +100,7 @@ def cmd_train(args) -> int:
     from . import pipeline
     from .metrics import write_metrics_csv
     from .model_io import save_model
+    from .network import weight_count
 
     cfg = _resolve_config(args)
     if args.seed is not None:
@@ -113,7 +110,7 @@ def cmd_train(args) -> int:
 
     print(f"run: {cfg.name}")
     print(f"layers: {'-'.join(str(s) for s in cfg.layer_sizes)}")
-    print(f"weights: {_weight_count(cfg.layer_sizes)}")
+    print(f"weights: {weight_count(cfg.layer_sizes)}")
     sys.stdout.flush()
 
     result = pipeline.execute_run(cfg)

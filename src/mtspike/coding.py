@@ -115,11 +115,6 @@ class DelayVector:
     def __len__(self) -> int:
         return self.delays.shape[0]
 
-    @property
-    def spike_count(self) -> int:
-        """Number of spikes actually emitted."""
-        return int(np.count_nonzero(self.fired))
-
 
 def encode_numeric(
     values: np.ndarray,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .coding import (
     CodingParams,
-    DelayVector,
     encode_conv_like,
     encode_numeric,
     encode_pixels_1to1,
@@ -94,10 +93,6 @@ class EncodedDataset:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def sample(self, i: int) -> tuple[DelayVector, int]:
-        vec = DelayVector(delays=self.delays[i].copy(), fired=self.fired[i].copy())
-        return vec, int(self.labels[i])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Temporal error backpropagation, the heuristic loss, and batch training.
 
-The learning signal is the per-neuron delay residual ``actual - target``.
-Gradients flow through the averaged delay responses in one of two modes:
+Everything is batch-major, one row per sample.  The learning signal is the
+per-neuron delay residual ``actual - target`` (:func:`output_residual`);
+:func:`backward` turns it into weight gradients in one of two modes:
 
 * ``paper`` — hidden deltas are plain weighted sums of downstream deltas.
   The omitted fan-in factor is absorbable into the learning rate, and
@@ -11,21 +12,22 @@ Gradients flow through the averaged delay responses in one of two modes:
   finite-difference check validates.
 
 The heuristic loss restricts output-layer learning to the "involved" neurons
-of the current class: walking a depth-first path through a binary decision
+of each sample's class: walking a depth-first path through a binary decision
 tree over class labels visits exactly neurons ``0..class_index``, with the
-last one excitatory and the earlier ones inhibitory.  Only the synapses of
-involved neurons are updated, which reduces weight competition between
-classes.
+last one excitatory and the earlier ones inhibitory.  :func:`output_residual`
+alone applies this rule, zeroing every other residual so that only involved
+synapses are updated, which reduces weight competition between classes.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, StructureError
+from .errors import ConfigError, DivergenceError, EvaluationError, StructureError
 from .network import (
     ForwardTrace,
     Network,
@@ -39,11 +41,8 @@ __all__ = [
     "UPDATE_GATES",
     "BATCH_REDUCTIONS",
     "TrainConfig",
-    "TemporalError",
     "EpochStats",
-    "involved_set",
-    "output_delta",
-    "temporal_error",
+    "output_residual",
     "backward",
     "batch_indices",
     "train",
@@ -97,19 +96,6 @@ class TrainConfig:
 
 
 @dataclass
-class TemporalError:
-    """Output-layer learning signal for one sample.
-
-    ``deltas`` holds ``actual - target`` for involved neurons and 0
-    elsewhere; ``error`` is half the sum of squared involved residuals.
-    """
-
-    deltas: np.ndarray
-    error: float
-    involved: np.ndarray
-
-
-@dataclass
 class EpochStats:
     epoch: int
     mse: float
@@ -117,96 +103,54 @@ class EpochStats:
     test_accuracy: float | None = None
 
 
-def involved_set(class_index: int, num_classes: int) -> tuple[np.ndarray, int]:
-    """Output neurons participating in learning for one class.
+def output_residual(
+    outputs: np.ndarray, targets: np.ndarray, labels: np.ndarray, heuristic: bool
+) -> tuple[np.ndarray, int]:
+    """Output-layer residuals ``outputs - targets`` and the number of loss terms.
 
-    The depth-first path for class ``c`` visits neurons ``0..c``; the deepest
-    node ``c`` is the excitatory neuron, every earlier one is inhibitory.
+    Under the heuristic loss, row ``i`` keeps the residuals of neurons
+    ``0..labels[i]`` (its involved set) and zeroes the rest; ``terms`` then
+    counts the kept entries.  Otherwise every entry is a loss term.
     """
-    if not 0 <= class_index < num_classes:
-        raise ConfigError(
-            f"class index {class_index} out of range [0, {num_classes})"
-        )
-    return np.arange(class_index + 1), class_index
-
-
-def output_delta(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Elementwise output-layer delta ``actual - target``."""
-    actual = np.asarray(actual, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if actual.shape != target.shape:
+    if outputs.shape != targets.shape:
         raise StructureError(
-            f"actual shape {actual.shape} does not match target shape {target.shape}"
+            f"outputs shape {outputs.shape} does not match targets shape {targets.shape}"
         )
-    return actual - target
-
-
-def temporal_error(
-    actual: np.ndarray, target: np.ndarray, involved: np.ndarray | None = None
-) -> TemporalError:
-    """Residuals and squared error of one sample, optionally restricted."""
-    deltas = output_delta(actual, target)
-    if involved is None:
-        involved = np.arange(deltas.shape[0])
-    else:
-        involved = np.asarray(involved, dtype=np.int64)
-        keep = np.zeros(deltas.shape[0], dtype=bool)
-        keep[involved] = True
-        deltas = np.where(keep, deltas, 0.0)
-    return TemporalError(
-        deltas=deltas,
-        error=0.5 * float(np.sum(deltas[involved] ** 2)),
-        involved=involved,
-    )
+    resid = outputs - targets
+    if not heuristic:
+        return resid, resid.size
+    mask = np.arange(resid.shape[1])[np.newaxis, :] <= labels[:, np.newaxis]
+    return np.where(mask, resid, 0.0), int(mask.sum())
 
 
 def backward(
-    net: Network,
-    trace: ForwardTrace,
-    delta_out: np.ndarray,
-    involved: np.ndarray | None = None,
-    mode: str = "paper",
+    net: Network, trace: ForwardTrace, delta: np.ndarray, mode: str = "paper"
 ) -> list[np.ndarray]:
-    """Per-layer weight gradients of the squared delay error.
+    """Per-layer weight gradients of the squared delay error over a batch.
 
-    ``delta_out`` is the raw output residual ``actual - target`` (batched or
-    single-sample).  When ``involved`` is given, residuals of all other
-    output neurons are zeroed first, so their weight columns receive no
-    update and upstream deltas sum over involved neurons only.
+    ``delta`` is the ``(batch, output_size)`` output residual, usually from
+    :func:`output_residual`; a zero entry sends no update to that neuron's
+    synapses for that sample.  Returns one gradient per weight matrix,
+    summed over the batch.
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
+    nets, delays = trace.nets, trace.delays
     depth = len(net.weights)
-    if len(trace.nets) != depth or len(trace.delays) != depth + 1:
+    if len(nets) != depth or len(delays) != depth + 1:
         raise StructureError("trace depth does not match the network")
-    nets = [np.atleast_2d(z) for z in trace.nets]
-    delays = [np.atleast_2d(d) for d in trace.delays]
-    for l, d in enumerate(delays):
-        if d.shape[1] != net.layer_sizes[l]:
-            raise StructureError(f"trace layer {l} has width {d.shape[1]}, "
-                                 f"expected {net.layer_sizes[l]}")
-    delta = np.atleast_2d(np.asarray(delta_out, dtype=np.float64))
-    if delta.shape != (delays[0].shape[0], net.layer_sizes[-1]):
-        raise StructureError("delta_out shape does not match the output layer")
-    if involved is not None:
-        keep = np.zeros(net.layer_sizes[-1], dtype=bool)
-        keep[np.asarray(involved, dtype=np.int64)] = True
-        delta = np.where(keep, delta, 0.0)
-    return _gradients(net, nets, delays, delta, mode)
-
-
-def _gradients(
-    net: Network,
-    nets: list[np.ndarray],
-    delays: list[np.ndarray],
-    delta: np.ndarray,
-    mode: str,
-) -> list[np.ndarray]:
-    """Backward sweep; ``delta`` is the masked output residual, batch-major."""
+    batch = delays[0].shape[0]
+    for l, n in enumerate(net.layer_sizes):
+        if delays[l].shape != (batch, n):
+            raise StructureError(
+                f"trace layer {l} has shape {delays[l].shape}, expected ({batch}, {n})"
+            )
+    if delta.shape != delays[-1].shape:
+        raise StructureError("delta shape does not match the output layer")
     if mode == "exact":
         delta = delta * activation_derivative(nets[-1], net.activation)
-    grads: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    for l in reversed(range(len(net.weights))):
+    grads: list[np.ndarray] = [np.empty(0)] * depth
+    for l in reversed(range(depth)):
         fan_in = net.layer_sizes[l]
         grads[l] = delays[l].T @ delta / fan_in
         if l > 0:
@@ -223,6 +167,16 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
+def _read_classes(scheme: TargetScheme, outputs: np.ndarray, epoch: int, batch: int):
+    """Classify during training, where non-finite output delays mean divergence."""
+    try:
+        return read_class_batch(scheme, outputs)
+    except EvaluationError as exc:
+        raise DivergenceError(
+            f"training diverged at epoch {epoch}, batch {batch}: {exc}"
+        ) from exc
+
+
 def train(
     net: Network,
     data,
@@ -236,12 +190,16 @@ def train(
     Per epoch the samples are reshuffled, per-sample gradients are combined
     over each batch (summed or averaged per ``cfg.batch_reduction``), and
     weights move by ``-learning_rate`` times the combined gradient at batch
-    end.  The recorded MSE is the mean squared residual over all samples of
-    the epoch (restricted to involved output neurons when the heuristic loss
-    is active).  ``eval_data`` adds a per-epoch test accuracy.  Fully
+    end; the ``on_misclassification`` gate drops correctly classified
+    samples.  The recorded MSE is the mean squared residual over all samples
+    of the epoch (restricted to involved output neurons when the heuristic
+    loss is active).  ``eval_data`` adds a per-epoch test accuracy.  Fully
     deterministic for a fixed config seed (or caller-supplied generator).
 
-    Raises :class:`DivergenceError` as soon as an epoch's MSE is non-finite.
+    Raises :class:`DivergenceError`, naming the epoch and batch, as soon as
+    a batch's squared error or output delays (training or evaluation) stop
+    being finite; numpy's overflow warnings on the way there are silenced.
+    Raises :class:`ConfigError` for labels beyond the readout's classes.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")
@@ -261,60 +219,70 @@ def train(
         rng = np.random.default_rng(cfg.seed)
 
     labels = data.labels
-    targets = target_matrix(scheme)[labels]
-    neuron_index = np.arange(scheme.output_size)
+    try:
+        targets = target_matrix(scheme)[labels]
+    except IndexError as exc:
+        raise ConfigError(
+            f"training label {labels.max()} is outside the readout's "
+            f"{scheme.num_classes} classes"
+        ) from exc
     history: list[EpochStats] = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        squared_sum = 0.0
-        term_count = 0
-        hit_count = 0
-        for idx in batch_indices(len(data), cfg.batch_size, rng):
-            trace = forward_batch(net, data.delays[idx])
-            resid = trace.outputs - targets[idx]
-            if cfg.heuristic:
-                mask = neuron_index[np.newaxis, :] <= labels[idx, np.newaxis]
-                resid = np.where(mask, resid, 0.0)
-                term_count += int(mask.sum())
-            else:
-                term_count += resid.size
-            squared_sum += float(np.sum(resid * resid))
-            predicted = read_class_batch(scheme, trace.outputs)
-            hit_count += int(np.sum(predicted == labels[idx]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            squared_sum = 0.0
+            term_count = 0
+            hit_count = 0
+            for batch, idx in enumerate(batch_indices(len(data), cfg.batch_size, rng), 1):
+                trace = forward_batch(net, data.delays[idx])
+                batch_labels = labels[idx]
+                resid, terms = output_residual(
+                    trace.outputs, targets[idx], batch_labels, cfg.heuristic
+                )
+                squared = float(np.sum(resid * resid))
+                if not math.isfinite(squared):
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch}, batch {batch}: "
+                        f"squared error is non-finite"
+                    )
+                squared_sum += squared
+                term_count += terms
+                predicted = _read_classes(scheme, trace.outputs, epoch, batch)
+                hits = predicted == batch_labels
+                hit_count += int(hits.sum())
 
-            delta = resid
-            if cfg.update_gate == "on_misclassification":
-                delta = np.where((predicted == labels[idx])[:, np.newaxis], 0.0, delta)
-            grads = _gradients(net, trace.nets, trace.delays, delta, cfg.gradient_mode)
-            scale = cfg.learning_rate
-            if cfg.batch_reduction == "mean":
-                scale /= len(idx)
-            for w, g in zip(net.weights, grads):
-                w -= scale * g
+                if cfg.update_gate == "on_misclassification":
+                    resid = np.where(hits[:, np.newaxis], 0.0, resid)
+                grads = backward(net, trace, resid, mode=cfg.gradient_mode)
+                scale = cfg.learning_rate
+                if cfg.batch_reduction == "mean":
+                    scale /= len(idx)
+                for w, g in zip(net.weights, grads):
+                    w -= scale * g
 
-        mse = squared_sum / term_count
-        if not np.isfinite(mse):
-            raise DivergenceError(f"training MSE became non-finite at epoch {epoch}")
-        test_accuracy = None
-        if eval_data is not None:
-            outputs = forward_batch(net, eval_data.delays).outputs
-            predictions = read_class_batch(scheme, outputs)
-            test_accuracy = float(np.mean(predictions == eval_data.labels))
-        stats = EpochStats(
-            epoch=epoch,
-            mse=mse,
-            train_accuracy=hit_count / len(data),
-            test_accuracy=test_accuracy,
-        )
-        history.append(stats)
-        level = logging.INFO if epoch % max(1, cfg.epochs // 10) == 0 else logging.DEBUG
-        log.log(
-            level,
-            "epoch %d/%d mse=%.6f train_acc=%.4f%s",
-            epoch,
-            cfg.epochs,
-            mse,
-            stats.train_accuracy,
-            "" if test_accuracy is None else f" test_acc={test_accuracy:.4f}",
-        )
+            mse = squared_sum / term_count
+            if not math.isfinite(mse):
+                raise DivergenceError(f"training MSE became non-finite at epoch {epoch}")
+            test_accuracy = None
+            if eval_data is not None:
+                outputs = forward_batch(net, eval_data.delays).outputs
+                predictions = _read_classes(scheme, outputs, epoch, batch)
+                test_accuracy = float(np.mean(predictions == eval_data.labels))
+            stats = EpochStats(
+                epoch=epoch,
+                mse=mse,
+                train_accuracy=hit_count / len(data),
+                test_accuracy=test_accuracy,
+            )
+            history.append(stats)
+            level = logging.INFO if epoch % max(1, cfg.epochs // 10) == 0 else logging.DEBUG
+            log.log(
+                level,
+                "epoch %d/%d mse=%.6f train_acc=%.4f%s",
+                epoch,
+                cfg.epochs,
+                mse,
+                stats.train_accuracy,
+                "" if test_accuracy is None else f" test_acc={test_accuracy:.4f}",
+            )
     return net, history

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import DelayVector
 from .datasets import EncodedDataset
 from .errors import ConfigError, StructureError
 from .learning import EpochStats
@@ -24,7 +23,6 @@ from .readout import TargetScheme, read_class_batch
 __all__ = [
     "RunMetrics",
     "evaluate",
-    "spike_count",
     "dataset_spike_count",
     "energy",
     "summarize",
@@ -59,16 +57,6 @@ def evaluate(
     confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
     np.add.at(confusion, (data.labels, predicted), 1)
     return accuracy, confusion
-
-
-def spike_count(sample: DelayVector, net: Network) -> int:
-    """Spikes emitted by one inference of ``sample`` through ``net``."""
-    if len(sample) != net.layer_sizes[0]:
-        raise StructureError(
-            f"sample has {len(sample)} entries, input layer expects "
-            f"{net.layer_sizes[0]}"
-        )
-    return sample.spike_count + sum(net.layer_sizes[1:])
 
 
 def dataset_spike_count(data: EncodedDataset, net: Network) -> int:

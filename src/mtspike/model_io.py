@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import EncodingSpec
-from .errors import ModelIOError
-from .network import Network
+from .errors import ConfigError, ModelIOError, StructureError
+from .network import Network, weight_count
 from .readout import TargetScheme
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "ModelFile", "save_model", "load_model"]
@@ -80,8 +80,9 @@ def load_model(path) -> ModelFile:
     """Read a container back; weights come out bit-exact.
 
     Raises :class:`ModelIOError` on a bad magic, an unsupported version, a
-    malformed header, or a payload whose length does not match the declared
-    layer sizes exactly.
+    malformed or inconsistent header (invalid network, coding or readout;
+    a readout or numeric coding that does not fit the layer sizes), or a
+    payload whose length does not match the declared layer sizes exactly.
     """
     try:
         with open(path, "rb") as fh:
@@ -121,12 +122,10 @@ def load_model(path) -> ModelFile:
             inhibitory_offset=float(s["inhibitory_offset"]),
         )
         provenance = header["provenance"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ModelIOError(f"{path}: model header is missing or malformed: {exc}") from exc
 
-    expected_weights = sum(
-        a * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:])
-    )
+    expected_weights = weight_count(layer_sizes)
     payload = raw[body_start + header_len:]
     if len(payload) != 8 * expected_weights:
         kind = "truncated" if len(payload) < 8 * expected_weights else "oversized"
@@ -140,6 +139,20 @@ def load_model(path) -> ModelFile:
     for a, b in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(flat[offset:offset + a * b].reshape(a, b).astype(np.float64))
         offset += a * b
-    network = Network(layer_sizes=tuple(layer_sizes), weights=weights,
-                      activation=activation, window=net_window)
+    try:
+        network = Network(layer_sizes=tuple(layer_sizes), weights=weights,
+                          activation=activation, window=net_window)
+    except StructureError as exc:
+        raise ModelIOError(f"{path}: invalid network: {exc}") from exc
+    if scheme.output_size != layer_sizes[-1]:
+        raise ModelIOError(
+            f"{path}: {scheme.mode} readout of {scheme.num_classes} classes needs "
+            f"{scheme.output_size} output neurons, network has {layer_sizes[-1]}"
+        )
+    if (coding.scheme == "numeric" and coding.ranges is not None
+            and coding.ranges.shape[0] != layer_sizes[0]):
+        raise ModelIOError(
+            f"{path}: coding ranges cover {coding.ranges.shape[0]} attributes, "
+            f"input layer has {layer_sizes[0]} neurons"
+        )
     return ModelFile(network=network, coding=coding, scheme=scheme, provenance=provenance)

@@ -4,7 +4,9 @@ Each neuron's output delay is the fan-in-averaged, weight-scaled mean of its
 pre-synaptic delays, passed through a "special ReLU": delays stay
 non-negative and an earlier spike means a stronger response.  There is no
 membrane voltage and no thresholding; layers exchange plain delay values,
-which is what makes the model differentiable end to end.
+which is what makes the model differentiable end to end.  Propagation is
+batch-major only: :func:`forward_batch` takes a ``(batch, input_size)``
+delay matrix, and a single sample is a one-row matrix.
 
 A network may carry a response ``window``: each non-input layer then fires
 that many time units after the pure average-delay term, modelling neurons
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import DelayVector
 from .errors import StructureError
 
 __all__ = [
@@ -29,8 +30,7 @@ __all__ = [
     "Network",
     "ForwardTrace",
     "init_network",
-    "adr_neuron",
-    "forward",
+    "weight_count",
     "forward_batch",
     "activation",
     "activation_derivative",
@@ -102,10 +102,6 @@ class Network:
         if not np.isfinite(self.window) or self.window < 0:
             raise StructureError(f"window must be finite and >= 0, got {self.window}")
 
-    @property
-    def num_weights(self) -> int:
-        return sum(w.size for w in self.weights)
-
     def copy(self) -> "Network":
         return Network(
             layer_sizes=list(self.layer_sizes),
@@ -113,6 +109,11 @@ class Network:
             activation=self.activation,
             window=self.window,
         )
+
+
+def weight_count(layer_sizes) -> int:
+    """Number of synapses of a dense network with these layer sizes."""
+    return sum(a * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
 def init_network(
@@ -136,12 +137,11 @@ def init_network(
 
 @dataclass
 class ForwardTrace:
-    """All intermediate values of one forward pass.
+    """All intermediate values of one forward pass over a batch.
 
-    ``delays[0]`` is the input vector; ``delays[l]`` for ``l >= 1`` is the
-    activated output of layer ``l`` and ``nets[l - 1]`` its pre-activation
-    average.  Arrays are 1-D for a single sample and 2-D ``(batch, size)``
-    for batched propagation.
+    ``delays[0]`` is the ``(batch, input_size)`` input matrix; ``delays[l]``
+    for ``l >= 1`` is the activated output of layer ``l`` and ``nets[l - 1]``
+    its pre-activation average, each ``(batch, layer_sizes[l])``.
     """
 
     nets: list[np.ndarray] = field(default_factory=list)
@@ -152,55 +152,19 @@ class ForwardTrace:
         return self.delays[-1]
 
 
-def adr_neuron(pre_delays: DelayVector, weights_column: np.ndarray,
-               activation_kind: str = "special_relu", window: float = 0.0) -> float:
-    """Output delay of a single neuron: activated mean of weighted input delays.
-
-    With a nonzero ``window`` the neuron responds that many time units after
-    the average-delay term, mirroring :class:`Network.window`.
-    """
-    col = np.asarray(weights_column, dtype=np.float64)
-    n = len(pre_delays)
-    if n == 0:
-        raise StructureError("neuron has zero fan-in")
-    if col.shape != (n,):
-        raise StructureError(
-            f"weight column shape {col.shape} does not match fan-in {n}"
-        )
-    net = float(pre_delays.delays @ col) / n
-    return float(window) + float(activation(np.float64(net), activation_kind))
-
-
-def forward(net: Network, input_delays: DelayVector) -> ForwardTrace:
-    """Propagate one sample through every layer, recording nets and delays."""
-    if len(input_delays) != net.layer_sizes[0]:
-        raise StructureError(
-            f"input length {len(input_delays)} does not match "
-            f"input layer size {net.layer_sizes[0]}"
-        )
-    nets, delays = _forward_arrays(net, input_delays.delays[np.newaxis, :])
-    return ForwardTrace(nets=[z[0] for z in nets], delays=[d[0] for d in delays])
-
-
 def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     """Propagate a ``(batch, input_size)`` delay matrix through every layer."""
-    delay_matrix = np.asarray(delay_matrix, dtype=np.float64)
-    if delay_matrix.ndim != 2 or delay_matrix.shape[1] != net.layer_sizes[0]:
+    x = np.asarray(delay_matrix, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
         raise StructureError(
             f"expected a (batch, {net.layer_sizes[0]}) delay matrix, "
-            f"got shape {delay_matrix.shape}"
+            f"got shape {x.shape}"
         )
-    nets, delays = _forward_arrays(net, delay_matrix)
-    return ForwardTrace(nets=nets, delays=delays)
-
-
-def _forward_arrays(net: Network, inputs: np.ndarray):
     nets: list[np.ndarray] = []
-    delays: list[np.ndarray] = [inputs]
-    x = inputs
+    delays = [x]
     for w in net.weights:
         z = x @ w / w.shape[0]
         x = net.window + activation(z, net.activation)
         nets.append(z)
         delays.append(x)
-    return nets, delays
+    return ForwardTrace(nets=nets, delays=delays)

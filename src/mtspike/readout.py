@@ -7,6 +7,8 @@ With one output neuron per class, the class's neuron gets the short
 (excitatory) target and all others the longer inhibitory one, and readout
 picks the neuron that fires earliest.  All targets sit at or beyond the
 encoding window, and ties always break toward the lowest class index.
+Readout is batch-major: :func:`read_class_batch` classifies a
+``(batch, output_size)`` matrix, one row per sample.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .errors import ConfigError, EvaluationError
 __all__ = [
     "MODES",
     "TargetScheme",
-    "target_vector",
     "target_matrix",
-    "read_class",
     "read_class_batch",
     "pre_window_count",
 ]
@@ -65,27 +65,15 @@ class TargetScheme:
         return self.window + np.arange(self.num_classes) * self.excitatory_offset
 
 
-def target_vector(scheme: TargetScheme, class_index: int) -> np.ndarray:
-    """Target delay of every output neuron for one class."""
-    if not 0 <= class_index < scheme.num_classes:
-        raise ConfigError(
-            f"class index {class_index} out of range [0, {scheme.num_classes})"
-        )
-    if scheme.mode == "single_neuron":
-        return np.array([scheme.window + class_index * scheme.excitatory_offset])
-    targets = np.full(scheme.num_classes, scheme.window + scheme.inhibitory_offset)
-    targets[class_index] = scheme.window + scheme.excitatory_offset
-    return targets
-
-
 def target_matrix(scheme: TargetScheme) -> np.ndarray:
-    """Stacked ``(num_classes, output_size)`` targets, row per class."""
-    return np.stack([target_vector(scheme, c) for c in range(scheme.num_classes)])
-
-
-def read_class(scheme: TargetScheme, actual: np.ndarray) -> int:
-    """Classify one output delay vector; ties break to the lowest class index."""
-    return int(read_class_batch(scheme, np.atleast_2d(np.asarray(actual)))[0])
+    """Target delay of every output neuron, ``(num_classes, output_size)``, row per class."""
+    if scheme.mode == "single_neuron":
+        return scheme.checkpoints[:, np.newaxis]
+    targets = np.full(
+        (scheme.num_classes, scheme.num_classes), scheme.window + scheme.inhibitory_offset
+    )
+    np.fill_diagonal(targets, scheme.window + scheme.excitatory_offset)
+    return targets
 
 
 def read_class_batch(scheme: TargetScheme, actual: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ from mtspike import cli
 from mtspike.coding import CodingParams, neuron_count
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, EncodingSpec, encode_dataset
-from mtspike.learning import TrainConfig, backward, involved_set, train
+from mtspike.learning import TrainConfig, backward, output_residual, train
 from mtspike.metrics import dataset_spike_count, energy
 from mtspike.model_io import load_model, save_model
 from mtspike.network import forward_batch, init_network
 from mtspike.pipeline import execute_run, load_raw
-from mtspike.readout import TargetScheme, read_class, target_vector
+from mtspike.readout import TargetScheme, read_class_batch, target_matrix
 from mtspike.srm import SrmParams, psp_kernel, threshold_crossing
 from test_learning import finite_difference
 
@@ -233,7 +233,11 @@ def test_criterion_07_spike_budget_and_energy(digits_test):
 def test_criterion_08_partial_updates_stay_inside_gamma():
     scheme = TargetScheme(mode="multi_neuron", window=16.0, num_classes=10,
                           excitatory_offset=0.0, inhibitory_offset=4.0)
-    sizes_ok = all(len(involved_set(c, 10)[0]) == c + 1 for c in range(10))
+    # one sample per class, every residual nonzero before masking
+    resid, terms = output_residual(np.full((10, 10), 30.0), target_matrix(scheme),
+                                   np.arange(10), heuristic=True)
+    sizes_ok = (np.count_nonzero(resid, axis=1).tolist() == list(range(1, 11))
+                and terms == 55)
     rng = np.random.default_rng(11)
     cfg = TrainConfig(learning_rate=0.5, batch_size=1, epochs=1, heuristic=True)
     untouched = moved = 0
@@ -275,8 +279,8 @@ def test_criterion_09_readout_identity_and_srm_properties():
                      excitatory_offset=0.0, inhibitory_offset=4.0),
     ]
     identity_ok = all(
-        read_class(s, target_vector(s, c)) == c
-        for s in schemes for c in range(s.num_classes)
+        np.array_equal(read_class_batch(s, target_matrix(s)), np.arange(s.num_classes))
+        for s in schemes
     )
 
     params = SrmParams()

@@ -59,10 +59,9 @@ def test_kernel_must_square_to_resolution():
         CodingParams(window=16.0, unit=0.1, kernel=4)
 
 
-def test_delay_vector_len_and_spike_count():
+def test_delay_vector_len():
     vec = DelayVector(delays=[1.0, 2.0, 3.0], fired=[True, False, True])
     assert len(vec) == 3
-    assert vec.spike_count == 2
 
 
 def test_delay_vector_shape_mismatch():

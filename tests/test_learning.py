@@ -1,7 +1,9 @@
-"""Temporal error backpropagation: deltas, gradients, batching, and training."""
+"""Temporal error backpropagation: residuals, gradients, batching, and training."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtspike.datasets import EncodedDataset
 from mtspike.errors import ConfigError, DivergenceError, StructureError
@@ -9,12 +11,10 @@ from mtspike.learning import (
     TrainConfig,
     backward,
     batch_indices,
-    involved_set,
-    output_delta,
-    temporal_error,
+    output_residual,
     train,
 )
-from mtspike.network import Network, forward, forward_batch, init_network
+from mtspike.network import Network, forward_batch, init_network
 from mtspike.readout import TargetScheme
 
 MULTI3 = TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
@@ -43,40 +43,64 @@ def test_train_config_validation():
 
 
 def test_involved_set_is_path_to_class():
-    gamma, excitatory = involved_set(3, 10)
-    assert gamma.tolist() == [0, 1, 2, 3]
-    assert excitatory == 3
-    gamma, excitatory = involved_set(0, 10)
-    assert gamma.tolist() == [0]
-    assert excitatory == 0
-    with pytest.raises(ConfigError):
-        involved_set(10, 10)
-    with pytest.raises(ConfigError):
-        involved_set(-1, 10)
+    """Class c involves output neurons 0..c; every other residual is zeroed."""
+    outputs = np.full((2, 10), 30.0)
+    targets = np.full((2, 10), 20.0)
+    resid, terms = output_residual(outputs, targets, np.array([3, 0]), heuristic=True)
+    assert np.flatnonzero(resid[0]).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(resid[1]).tolist() == [0]
+    assert terms == 4 + 1
 
 
 def test_involved_set_size_for_every_class():
-    for c in range(10):
-        gamma, _ = involved_set(c, 10)
-        assert len(gamma) == c + 1
+    outputs = np.full((10, 10), 30.0)
+    resid, terms = output_residual(outputs, np.zeros((10, 10)), np.arange(10), heuristic=True)
+    assert np.count_nonzero(resid, axis=1).tolist() == [c + 1 for c in range(10)]
+    assert terms == 55
 
 
 def test_output_delta_and_shape_check():
-    d = output_delta(np.array([20.0, 17.0]), np.array([16.0, 20.0]))
-    assert d.tolist() == [4.0, -3.0]
+    resid, terms = output_residual(np.array([[20.0, 17.0]]), np.array([[16.0, 20.0]]),
+                                   np.array([0]), heuristic=False)
+    assert resid.tolist() == [[4.0, -3.0]]
+    assert terms == 2
     with pytest.raises(StructureError):
-        output_delta(np.zeros(2), np.zeros(3))
+        output_residual(np.zeros((1, 2)), np.zeros((1, 3)), np.array([0]), heuristic=False)
 
 
 def test_temporal_error_full_and_restricted():
-    actual = np.array([18.0, 17.0, 25.0])
-    target = np.array([16.0, 20.0, 20.0])
-    full = temporal_error(actual, target)
-    assert full.deltas.tolist() == [2.0, -3.0, 5.0]
-    assert full.error == pytest.approx(0.5 * (4 + 9 + 25))
-    part = temporal_error(actual, target, involved=np.array([0, 1]))
-    assert part.deltas.tolist() == [2.0, -3.0, 0.0]
-    assert part.error == pytest.approx(0.5 * (4 + 9))
+    actual = np.array([[18.0, 17.0, 25.0]])
+    target = np.array([[16.0, 20.0, 20.0]])
+    full, terms = output_residual(actual, target, np.array([1]), heuristic=False)
+    assert full.tolist() == [[2.0, -3.0, 5.0]]
+    assert (float(np.sum(full * full)), terms) == (4 + 9 + 25, 3)
+    # class 1 involves neurons {0, 1}
+    part, terms = output_residual(actual, target, np.array([1]), heuristic=True)
+    assert part.tolist() == [[2.0, -3.0, 0.0]]
+    assert (float(np.sum(part * part)), terms) == (4 + 9, 2)
+
+
+@given(data=st.data(), batch=st.integers(min_value=1, max_value=12),
+       classes=st.integers(min_value=1, max_value=10), heuristic=st.booleans())
+@settings(max_examples=80)
+def test_output_residual_masks_exactly_the_neurons_above_each_label(
+        data, batch, classes, heuristic):
+    labels = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                         min_size=batch, max_size=batch)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    outputs = rng.uniform(0.0, 30.0, (batch, classes))
+    targets = rng.uniform(16.0, 20.0, (batch, classes))
+    resid, terms = output_residual(outputs, targets, labels, heuristic)
+    raw = outputs - targets
+    above = np.arange(classes)[np.newaxis, :] > labels[:, np.newaxis]
+    if heuristic:
+        assert np.all(resid[above] == 0.0)
+        assert terms == int(np.sum(labels + 1))
+        kept = ~above
+    else:
+        assert terms == resid.size
+        kept = np.ones_like(above)
+    assert resid[kept].tobytes() == raw[kept].tobytes()
 
 
 def test_single_layer_gradient_by_hand():
@@ -104,8 +128,9 @@ def test_backward_zeroes_uninvolved_columns():
     rng = np.random.default_rng(0)
     net = init_network([4, 3], rng=rng)
     trace = forward_batch(net, rng.uniform(0, 16, (1, 4)))
-    delta = np.ones((1, 3))
-    grads = backward(net, trace, delta, involved=np.array([0, 1]))
+    targets = trace.outputs - 1.0  # residual 1 on every neuron
+    delta, _ = output_residual(trace.outputs, targets, np.array([1]), heuristic=True)
+    grads = backward(net, trace, delta)
     assert np.all(grads[0][:, 2] == 0.0)
     assert np.any(grads[0][:, :2] != 0.0)
 
@@ -228,6 +253,13 @@ def test_train_input_validation():
               TrainConfig(heuristic=True))
 
 
+def test_train_rejects_labels_outside_the_readout():
+    rng = np.random.default_rng(0)
+    net = init_network([4, 3], rng=rng)
+    with pytest.raises(ConfigError, match="label 3 is outside the readout's 3 classes"):
+        train(net, encoded(np.zeros((3, 4)), [0, 1, 3]), MULTI3, TrainConfig())
+
+
 def test_divergence_raises_instead_of_looping():
     net = init_network([2, 1], rng=np.random.default_rng(0),
                        activation="identity")
@@ -237,6 +269,16 @@ def test_divergence_raises_instead_of_looping():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             train(net, data, scheme, cfg, rng=np.random.default_rng(0))
+
+
+def test_divergence_hidden_by_the_heuristic_mask_still_raises():
+    """An uninvolved output overflows while the masked squared error stays finite."""
+    w = np.ones((2, 3))
+    w[:, 2] = 1e308
+    net = Network(layer_sizes=[2, 3], weights=[w], window=16.0)
+    cfg = TrainConfig(batch_size=1, epochs=1, heuristic=True)
+    with pytest.raises(DivergenceError, match="epoch 1, batch 1: output delays"):
+        train(net, encoded([[16.0, 16.0]], [0]), MULTI3, cfg, rng=np.random.default_rng(0))
 
 
 def test_heuristic_moves_only_involved_output_columns():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mtspike.coding import DelayVector
 from mtspike.datasets import EncodedDataset
 from mtspike.errors import ConfigError, StructureError
 from mtspike.learning import EpochStats
@@ -11,7 +10,6 @@ from mtspike.metrics import (
     dataset_spike_count,
     energy,
     evaluate,
-    spike_count,
     summarize,
     write_confusion_csv,
     write_metrics_csv,
@@ -54,12 +52,10 @@ def test_evaluate_checks_width():
 
 def test_spike_count_adds_one_per_downstream_neuron():
     net = init_network([4, 25, 1])
-    full = DelayVector(delays=np.zeros(4), fired=np.ones(4, bool))
-    assert spike_count(full, net) == 4 + 25 + 1
-    partial = DelayVector(delays=np.zeros(4), fired=np.array([1, 0, 0, 1], bool))
-    assert spike_count(partial, net) == 2 + 25 + 1
-    with pytest.raises(StructureError):
-        spike_count(DelayVector(delays=np.zeros(3), fired=np.ones(3, bool)), net)
+    fired = np.array([[1, 1, 1, 1], [1, 0, 0, 1]], bool)
+    data = EncodedDataset(delays=np.zeros((2, 4)), fired=fired,
+                          labels=np.zeros(2, dtype=int))
+    assert dataset_spike_count(data, net) == (4 + 25 + 1) + (2 + 25 + 1)
 
 
 def test_dataset_spike_count_matches_per_sample_sum():
@@ -69,7 +65,7 @@ def test_dataset_spike_count_matches_per_sample_sum():
     data = EncodedDataset(delays=np.zeros((10, 5)), fired=fired,
                           labels=np.zeros(10, dtype=int))
     total = dataset_spike_count(data, net)
-    per_sample = sum(spike_count(data.sample(i)[0], net) for i in range(10))
+    per_sample = sum(int(row.sum()) + 3 for row in fired)
     assert total == per_sample
     bad = EncodedDataset(delays=np.zeros((2, 4)), fired=np.ones((2, 4), bool),
                          labels=np.zeros(2, dtype=int))

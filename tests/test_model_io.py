@@ -123,25 +123,55 @@ def test_load_rejects_garbage_header(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_missing_header_field(tmp_path):
-    path = tmp_path / "m"
-    model = sample_model()
-    save_model(model, path)
+def rewrite_header(path, mutate):
+    """Apply ``mutate`` to the saved JSON header, keeping the weight payload."""
     raw = path.read_bytes()
     start = len(MAGIC) + 8
     _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
     header = json.loads(raw[start:start + header_len])
-    del header["window"]
+    mutate(header)
     new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    rebuilt = (
+    path.write_bytes(
         raw[:len(MAGIC)]
         + struct.pack("<II", FORMAT_VERSION, len(new_header))
         + new_header
         + raw[start + header_len:]
     )
-    path.write_bytes(rebuilt)
+
+
+def test_load_rejects_missing_header_field(tmp_path):
+    path = tmp_path / "m"
+    save_model(sample_model(), path)
+    rewrite_header(path, lambda h: h.pop("window"))
     with pytest.raises(ModelIOError, match="missing or malformed"):
         load_model(path)
+
+
+def single_output_model():
+    """A 4-25-1 iris-style model: three classes read off one output neuron."""
+    net = init_network([4, 25, 1], rng=np.random.default_rng(0), window=16.0)
+    coding = EncodingSpec(scheme="numeric", params=CodingParams(window=16.0, unit=1.0),
+                          ranges=np.array([[0.0, 8.0]] * 4))
+    scheme = TargetScheme(mode="single_neuron", window=16.0, num_classes=3,
+                          excitatory_offset=3.0)
+    return ModelFile(network=net, coding=coding, scheme=scheme)
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda h: h.update(activation="tanh"), "invalid network"),
+    (lambda h: h.update(window=-1), "invalid network"),
+    (lambda h: h["scheme"].update(mode="bogus"), "missing or malformed"),
+    (lambda h: h["scheme"].update(mode="multi_neuron"), "output neurons"),
+    (lambda h: h["coding"].update(ranges=[[0.0, 8.0]] * 3), "ranges cover 3 attributes"),
+], ids=["activation", "window", "scheme-mode", "scheme-outputs", "coding-ranges"])
+def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
+    path = tmp_path / "m"
+    save_model(single_output_model(), path)
+    load_model(path)
+    rewrite_header(path, mutate)
+    with pytest.raises(ModelIOError, match=match) as err:
+        load_model(path)
+    assert err.value.code == "E_MODEL"
 
 
 def test_missing_file(tmp_path):

@@ -1,26 +1,32 @@
-"""Average-delay propagation: single neurons, layered passes, the response window."""
+"""Average-delay propagation: single neurons, layered passes, the response window.
+
+Single samples go through ``forward_batch`` as one-row delay matrices.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtspike.coding import DelayVector
 from mtspike.errors import StructureError
 from mtspike.network import (
     Network,
     activation,
     activation_derivative,
-    adr_neuron,
-    forward,
     forward_batch,
     init_network,
+    weight_count,
 )
 
 
-def vec(*delays):
-    return DelayVector(delays=np.array(delays, dtype=float),
-                       fired=np.ones(len(delays), dtype=bool))
+def row(*delays):
+    return np.array([delays], dtype=float)
+
+
+def neuron(weights, window=0.0):
+    """One output neuron with the given input weights."""
+    w = np.array(weights, dtype=float)[:, np.newaxis]
+    return Network(layer_sizes=[w.shape[0], 1], weights=[w], window=window)
 
 
 def test_special_relu_clips_at_zero():
@@ -37,21 +43,23 @@ def test_special_relu_clips_at_zero():
 
 def test_adr_neuron_known_value():
     # (0.5*4 + 1.0*8) / 2 = 5
-    assert adr_neuron(vec(4.0, 8.0), np.array([0.5, 1.0])) == 5.0
-    assert adr_neuron(vec(4.0, 8.0), np.array([0.5, 1.0]), window=16.0) == 21.0
+    assert forward_batch(neuron([0.5, 1.0]), row(4.0, 8.0)).outputs.tolist() == [[5.0]]
+    shifted = forward_batch(neuron([0.5, 1.0], window=16.0), row(4.0, 8.0))
+    assert shifted.outputs.tolist() == [[21.0]]
 
 
 def test_adr_neuron_negative_net_clips_then_offsets():
-    out = adr_neuron(vec(4.0, 8.0), np.array([-1.0, -1.0]), window=16.0)
-    assert out == 16.0  # clipped response fires exactly at the window
+    out = forward_batch(neuron([-1.0, -1.0], window=16.0), row(4.0, 8.0)).outputs
+    assert out.tolist() == [[16.0]]  # clipped response fires exactly at the window
 
 
 def test_adr_neuron_shape_checks():
     with pytest.raises(StructureError):
-        adr_neuron(vec(1.0, 2.0), np.array([1.0]))
-    empty = DelayVector(delays=np.array([]), fired=np.array([], dtype=bool))
+        Network(layer_sizes=[2, 1], weights=[np.ones((1, 1))])
     with pytest.raises(StructureError):
-        adr_neuron(empty, np.array([]))
+        neuron([])  # zero fan-in
+    with pytest.raises(StructureError):
+        forward_batch(neuron([1.0]), row(1.0, 2.0))
 
 
 @given(
@@ -59,8 +67,7 @@ def test_adr_neuron_shape_checks():
 )
 @settings(max_examples=60)
 def test_identity_weights_average_the_delays(delays):
-    d = vec(*delays)
-    out = adr_neuron(d, np.ones(len(delays)))
+    out = forward_batch(neuron(np.ones(len(delays))), row(*delays)).outputs[0, 0]
     assert out == pytest.approx(np.mean(delays))
 
 
@@ -71,8 +78,7 @@ def test_identity_weights_average_the_delays(delays):
 @settings(max_examples=60)
 def test_outputs_bounded_by_scaled_max_delay(delays, scale):
     """With uniform non-negative weight w, the output is at most w * max delay."""
-    d = vec(*delays)
-    out = adr_neuron(d, np.full(len(delays), scale))
+    out = forward_batch(neuron(np.full(len(delays), scale)), row(*delays)).outputs[0, 0]
     assert 0.0 <= out <= scale * max(delays) + 1e-9
 
 
@@ -97,7 +103,8 @@ def test_network_shape_validation():
 
 def test_num_weights_counts_every_entry():
     net = init_network([4, 25, 1])
-    assert net.num_weights == 4 * 25 + 25 * 1 == 125
+    assert weight_count(net.layer_sizes) == sum(w.size for w in net.weights) == 125
+    assert weight_count([169, 500, 10]) == 89500
 
 
 def test_init_network_is_deterministic_and_in_range():
@@ -119,40 +126,47 @@ def test_copy_is_independent():
 def test_forward_records_nets_and_delays():
     w = [np.array([[0.5], [1.0]])]
     net = Network(layer_sizes=[2, 1], weights=w)
-    trace = forward(net, vec(4.0, 8.0))
-    assert trace.nets[0].tolist() == [5.0]
-    assert trace.delays[0].tolist() == [4.0, 8.0]
-    assert trace.outputs.tolist() == [5.0]
+    trace = forward_batch(net, row(4.0, 8.0))
+    assert trace.nets[0].tolist() == [[5.0]]
+    assert trace.delays[0].tolist() == [[4.0, 8.0]]
+    assert trace.outputs.tolist() == [[5.0]]
 
 
 def test_forward_window_shifts_every_layer():
     w = [np.ones((2, 2)), np.ones((2, 1))]
     plain = Network(layer_sizes=[2, 2, 1], weights=[m.copy() for m in w])
     shifted = Network(layer_sizes=[2, 2, 1], weights=[m.copy() for m in w], window=16.0)
-    out0 = forward(plain, vec(2.0, 6.0)).outputs[0]
-    out1 = forward(shifted, vec(2.0, 6.0)).outputs[0]
+    out0 = forward_batch(plain, row(2.0, 6.0)).outputs[0, 0]
+    out1 = forward_batch(shifted, row(2.0, 6.0)).outputs[0, 0]
     # hidden delays gain the window, which then averages straight through,
     # and the output layer adds its own window on top
     assert out0 == pytest.approx(4.0)
     assert out1 == pytest.approx(4.0 + 16.0 + 16.0)
 
 
-def test_forward_batch_matches_single_sample():
-    net = init_network([3, 4, 2], rng=np.random.default_rng(1), window=16.0)
-    rng = np.random.default_rng(2)
-    batch = rng.uniform(0.0, 16.0, size=(5, 3))
-    batched = forward_batch(net, batch)
-    for i in range(5):
-        single = forward(net, DelayVector(delays=batch[i], fired=np.ones(3, bool)))
-        assert np.allclose(single.outputs, batched.outputs[i])
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       batch=st.integers(min_value=1, max_value=8))
+@settings(max_examples=40)
+def test_forward_batch_matches_single_sample(seed, batch):
+    """Row i of a batched pass equals the one-row pass of sample i.
+
+    BLAS may round a one-row product differently, so this is allclose,
+    not byte equality.
+    """
+    rng = np.random.default_rng(seed)
+    net = init_network([3, 4, 2], rng=rng, window=16.0)
+    inputs = rng.uniform(0.0, 16.0, size=(batch, 3))
+    batched = forward_batch(net, inputs)
+    for i in range(batch):
+        single = forward_batch(net, inputs[i:i + 1])
         for l in range(len(net.weights)):
-            assert np.allclose(single.nets[l], batched.nets[l][i])
+            assert single.nets[l].shape == (1, net.layer_sizes[l + 1])
+            assert np.allclose(single.nets[l][0], batched.nets[l][i])
+            assert np.allclose(single.delays[l + 1][0], batched.delays[l + 1][i])
 
 
 def test_forward_input_size_mismatch():
     net = init_network([3, 2])
-    with pytest.raises(StructureError):
-        forward(net, vec(1.0, 2.0))
     with pytest.raises(StructureError):
         forward_batch(net, np.zeros((4, 2)))
     with pytest.raises(StructureError):

@@ -2,12 +2,13 @@
 
 import gzip
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mtspike.config import config_from_dict
-from mtspike.errors import ConfigError, DataError
+from mtspike.config import config_from_dict, preset
+from mtspike.errors import ConfigError, DataError, DivergenceError
 from mtspike.model_io import save_model
 from mtspike.pipeline import execute_run, load_raw, prepare_data, resolve_mnist_paths
 
@@ -140,3 +141,14 @@ def test_hidden_layer_digits_run_learns(idx_dir):
     result = execute_run(cfg)
     assert result.metrics.test_accuracy >= 0.9
     assert result.history[-1].mse < 1.0
+
+
+def test_multi_batch_divergence_raises_diverged(iris_path):
+    """A 4-25-1 iris run that blows up ends in E_DIVERGED, not a readout error."""
+    cfg = preset("mt1_iris")
+    cfg.dataset = replace(cfg.dataset, path=str(iris_path))
+    cfg.train = replace(cfg.train, learning_rate=10.0, batch_reduction="sum",
+                        init_range=(0.0, 5.0), epochs=200)
+    with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+") as err:
+        execute_run(cfg)
+    assert err.value.code == "E_DIVERGED"

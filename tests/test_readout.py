@@ -9,10 +9,8 @@ from mtspike.errors import ConfigError, EvaluationError
 from mtspike.readout import (
     TargetScheme,
     pre_window_count,
-    read_class,
     read_class_batch,
     target_matrix,
-    target_vector,
 )
 
 SINGLE3 = TargetScheme(mode="single_neuron", window=16.0, num_classes=3,
@@ -34,51 +32,58 @@ def test_output_size_per_mode():
 
 
 def test_single_neuron_targets():
-    assert target_vector(SINGLE3, 0).tolist() == [16.0]
-    assert target_vector(SINGLE3, 2).tolist() == [22.0]
+    assert target_matrix(SINGLE3).tolist() == [[16.0], [19.0], [22.0]]
 
 
 def test_multi_neuron_targets():
     # the class's own neuron gets the short target, the rest the long one
-    assert target_vector(MULTI3, 1).tolist() == [20.0, 16.0, 20.0]
-    assert target_vector(MULTI3, 0).tolist() == [16.0, 20.0, 20.0]
+    m = target_matrix(MULTI3)
+    assert m.shape == (3, 3)
+    assert m[1].tolist() == [20.0, 16.0, 20.0]
+    assert m[0].tolist() == [16.0, 20.0, 20.0]
 
 
 def test_target_matrix_stacks_rows():
-    m = target_matrix(MULTI3)
-    assert m.shape == (3, 3)
-    for c in range(3):
-        assert np.array_equal(m[c], target_vector(MULTI3, c))
-    assert target_matrix(SINGLE3).shape == (3, 1)
-
-
-def test_target_vector_range_check():
-    with pytest.raises(ConfigError):
-        target_vector(SINGLE3, 3)
-    with pytest.raises(ConfigError):
-        target_vector(SINGLE3, -1)
+    """Row c is checkpoint c, or the excitatory target on neuron c among inhibitory ones."""
+    schemes = [
+        SINGLE3,
+        MULTI3,
+        TargetScheme(mode="single_neuron", window=16.0, num_classes=10,
+                     excitatory_offset=0.7),
+        TargetScheme(mode="multi_neuron", window=16.0, num_classes=10,
+                     excitatory_offset=0.3, inhibitory_offset=4.1),
+    ]
+    for scheme in schemes:
+        m = target_matrix(scheme)
+        assert m.shape == (scheme.num_classes, scheme.output_size)
+        for c in range(scheme.num_classes):
+            if scheme.mode == "single_neuron":
+                want = [scheme.window + c * scheme.excitatory_offset]
+            else:
+                want = [scheme.window + scheme.inhibitory_offset] * scheme.num_classes
+                want[c] = scheme.window + scheme.excitatory_offset
+            assert m[c].tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("scheme", [SINGLE3, MULTI3])
 def test_reading_a_target_returns_its_class(scheme):
-    for c in range(scheme.num_classes):
-        assert read_class(scheme, target_vector(scheme, c)) == c
+    got = read_class_batch(scheme, target_matrix(scheme))
+    assert got.tolist() == list(range(scheme.num_classes))
 
 
 def test_single_neuron_picks_nearest_checkpoint():
-    assert read_class(SINGLE3, np.array([17.2])) == 0
-    assert read_class(SINGLE3, np.array([18.0])) == 1  # 17.5 is the midpoint
-    assert read_class(SINGLE3, np.array([40.0])) == 2
-    assert read_class(SINGLE3, np.array([0.0])) == 0
+    # 17.5 is the midpoint between the first two checkpoints
+    got = read_class_batch(SINGLE3, np.array([[17.2], [18.0], [40.0], [0.0]]))
+    assert got.tolist() == [0, 1, 2, 0]
 
 
 def test_single_neuron_midpoint_tie_breaks_low():
-    assert read_class(SINGLE3, np.array([17.5])) == 0
+    assert read_class_batch(SINGLE3, np.array([[17.5]])).tolist() == [0]
 
 
 def test_multi_neuron_picks_earliest_spike():
-    assert read_class(MULTI3, np.array([19.0, 16.5, 21.0])) == 1
-    assert read_class(MULTI3, np.array([16.0, 16.0, 21.0])) == 0  # tie to low index
+    got = read_class_batch(MULTI3, np.array([[19.0, 16.5, 21.0], [16.0, 16.0, 21.0]]))
+    assert got.tolist() == [1, 0]  # the tie goes to the low index
 
 
 def test_multi_neuron_readout_ignores_common_shift():
@@ -142,7 +147,7 @@ def test_nearest_checkpoint_survives_small_jitter(num_classes, offset, jitter, c
                           num_classes=num_classes, excitatory_offset=offset)
     cls = c.draw(st.integers(min_value=0, max_value=num_classes - 1))
     actual = scheme.checkpoints[cls] + jitter * offset
-    assert read_class(scheme, np.array([actual])) == cls
+    assert read_class_batch(scheme, np.array([[actual]])).tolist() == [cls]
 
 
 def test_all_targets_sit_at_or_after_the_window():
