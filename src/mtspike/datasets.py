@@ -79,7 +79,11 @@ class RawDataset:
 
 @dataclass
 class EncodedDataset:
-    """Spike-delay matrix (N, M) plus fired mask and labels."""
+    """Spike-delay matrix (N, M) plus fired mask and labels.
+
+    Labels are a 1-D array of non-negative integers, one per row; anything
+    else raises ``DataError``.
+    """
 
     delays: np.ndarray
     fired: np.ndarray
@@ -88,6 +92,14 @@ class EncodedDataset:
     def __post_init__(self):
         if self.delays.shape != self.fired.shape:
             raise DataError("delay and fired matrices must have the same shape")
+        labels = np.asarray(self.labels)
+        if labels.size == 0:
+            labels = labels.astype(np.int64)  # an empty list carries no dtype
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise DataError("labels must be a 1-D integer array")
+        if labels.size and labels.min() < 0:
+            raise DataError("labels must be non-negative")
+        self.labels = labels
         if self.delays.shape[0] != self.labels.shape[0]:
             raise DataError("sample count mismatch between delays and labels")
 

@@ -45,7 +45,10 @@ class RunMetrics:
 def evaluate(
     net: Network, data: EncodedDataset, scheme: TargetScheme
 ) -> tuple[float, np.ndarray]:
-    """Accuracy and confusion matrix (rows true class, columns predicted)."""
+    """Accuracy and confusion matrix (rows true class, columns predicted).
+
+    A label at or above ``scheme.num_classes`` raises ``ConfigError``.
+    """
     if data.delays.shape[1] != net.layer_sizes[0]:
         raise StructureError(
             f"encoded width {data.delays.shape[1]} does not match "
@@ -55,7 +58,13 @@ def evaluate(
     predicted = read_class_batch(scheme, outputs)
     accuracy = float(np.mean(predicted == data.labels))
     confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
-    np.add.at(confusion, (data.labels, predicted), 1)
+    try:
+        np.add.at(confusion, (data.labels, predicted), 1)
+    except IndexError as exc:
+        raise ConfigError(
+            f"label {data.labels.max()} is outside the readout's "
+            f"{scheme.num_classes} classes"
+        ) from exc
     return accuracy, confusion
 
 

@@ -170,6 +170,12 @@ def test_srm_demo_validates_lengths(capsys):
     assert "mtspike: error [E_CONFIG]" in err
 
 
+def test_srm_demo_rejects_non_finite_delays(capsys):
+    rc, _, err = run_cli(capsys, "srm-demo", "--delays", "0,nan")
+    assert rc == 2
+    assert "mtspike: error [E_CONFIG]" in err
+
+
 def test_presets_lists_all_runs(capsys):
     rc, out, _ = run_cli(capsys, "presets")
     assert rc == 0

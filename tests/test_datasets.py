@@ -309,3 +309,15 @@ def test_encoded_dataset_validation():
     with pytest.raises(DataError):
         EncodedDataset(delays=np.zeros((2, 3)), fired=np.ones((2, 3), bool),
                        labels=np.zeros(3, dtype=int))
+
+
+@pytest.mark.parametrize("labels", [
+    [0, -1, 2],
+    np.array([0.0, 1.0, 2.0]),
+    np.array([True, False, True]),
+    np.zeros((3, 1), dtype=int),
+])
+def test_encoded_dataset_rejects_bad_labels(labels):
+    with pytest.raises(DataError, match="labels"):
+        EncodedDataset(delays=np.zeros((3, 2)), fired=np.ones((3, 2), bool),
+                       labels=labels)

@@ -42,6 +42,16 @@ def test_evaluate_accuracy_and_confusion():
     assert confusion.sum() == len(data)
 
 
+def test_evaluate_rejects_labels_outside_the_readout():
+    scheme = TargetScheme(mode="multi_neuron", window=16.0, num_classes=2,
+                          excitatory_offset=0.0, inhibitory_offset=4.0)
+    delays = np.array([[1.0, 5.0], [5.0, 1.0], [1.0, 5.0]])
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
+                          labels=np.array([0, 1, 2]))
+    with pytest.raises(ConfigError, match="label 2 is outside the readout's 2 classes"):
+        evaluate(identity_net(2), data, scheme)
+
+
 def test_evaluate_checks_width():
     net = init_network([4, 3])
     data = EncodedDataset(delays=np.zeros((2, 3)), fired=np.ones((2, 3), bool),

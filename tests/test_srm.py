@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _reference_srm as reference
 from mtspike.coding import DelayVector
 from mtspike.errors import ConfigError
 from mtspike.srm import (
@@ -30,6 +33,9 @@ def test_params_validation():
         {"tau_decay": 0.5, "tau_rise": 1.0},
         {"dt": 0.0},
         {"horizon": 0.0},
+        {"horizon": np.inf},
+        {"tau_decay": np.inf},
+        {"v_threshold": np.nan},
     ):
         with pytest.raises(ConfigError):
             SrmParams(**kwargs)
@@ -131,3 +137,67 @@ def test_later_inputs_push_the_crossing_later():
     late = threshold_crossing(inputs([0.0, 4.0]), weights, P)
     assert early is not None and late is not None
     assert late > early
+
+
+@pytest.mark.parametrize("delay, weight", [
+    (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.nan), (1.0, np.inf),
+])
+def test_non_finite_fired_inputs_raise(delay, weight):
+    drive = inputs([0.0, delay])
+    weights = np.array([1.5, weight])
+    with pytest.raises(ConfigError, match="finite"):
+        voltage_trace(drive, weights, P)
+    with pytest.raises(ConfigError, match="finite"):
+        threshold_crossing(drive, weights, P)
+
+
+def test_unfired_inputs_may_carry_any_delay():
+    drive = inputs([0.0, np.nan], fired=[True, False])
+    _, v = voltage_trace(drive, np.array([1.5, 1.0]), P)
+    _, alone = voltage_trace(inputs([0.0]), np.array([1.5]), P)
+    assert np.array_equal(v, alone)
+
+
+@given(
+    fan_in=st.integers(min_value=1, max_value=500),
+    tau_rise=st.floats(min_value=0.05, max_value=4.0),
+    decay_ratio=st.floats(min_value=1.05, max_value=10.0),
+    horizon_ratio=st.floats(min_value=1.0, max_value=2000.0),
+    steps=st.integers(min_value=1, max_value=3000),
+    threshold=st.floats(min_value=-2.0, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(fan_in=300, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=2000.0,
+         steps=2000, threshold=1.0, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_trace_matches_the_per_input_sum(
+    fan_in, tau_rise, decay_ratio, horizon_ratio, steps, threshold, seed
+):
+    horizon = tau_rise * horizon_ratio
+    params = SrmParams(tau_decay=tau_rise * decay_ratio, tau_rise=tau_rise,
+                       v_threshold=threshold, dt=horizon / steps, horizon=horizon)
+    rng = np.random.default_rng(seed)
+    # delays before 0, on grid points, repeated, and past the horizon
+    delays = rng.uniform(-0.1 * horizon, 1.2 * horizon, fan_in)
+    on_grid = rng.random(fan_in) < 0.3
+    delays[on_grid] = np.round(delays[on_grid] / params.dt) * params.dt
+    repeated = rng.random(fan_in) < 0.2
+    delays[repeated] = rng.choice(delays, int(repeated.sum()))
+    fired = rng.random(fan_in) < rng.uniform(0.2, 1.0)
+    weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
+    drive = inputs(delays, fired)
+
+    times, v = voltage_trace(drive, weights, params)
+    ref_times, v_ref = reference.voltage_trace(drive, weights, params)
+    assert np.array_equal(times, ref_times)
+    assert np.all(np.isfinite(v))
+    tolerance = 1e-9 * (1.0 + np.abs(weights[fired]).sum())
+    assert np.max(np.abs(v - v_ref)) <= tolerance
+
+    crossing = threshold_crossing(drive, weights, params)
+    ref_crossing = reference.threshold_crossing(drive, weights, params)
+    if crossing != ref_crossing:
+        # only a grid point the two sums put on either side of threshold
+        first = min(c for c in (crossing, ref_crossing) if c is not None)
+        at = np.nonzero(times == first)[0][0]
+        assert abs(v_ref[at] - threshold) <= 1e-9
