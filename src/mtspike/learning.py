@@ -120,18 +120,24 @@ def output_residual(
     if not heuristic:
         return resid, resid.size
     mask = np.arange(resid.shape[1])[np.newaxis, :] <= labels[:, np.newaxis]
-    return np.where(mask, resid, 0.0), int(mask.sum())
+    return np.where(mask, resid, 0.0), int(np.count_nonzero(mask))
 
 
 def backward(
-    net: Network, trace: ForwardTrace, delta: np.ndarray, mode: str = "paper"
+    net: Network,
+    trace: ForwardTrace,
+    delta: np.ndarray,
+    mode: str = "paper",
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Per-layer weight gradients of the squared delay error over a batch.
 
     ``delta`` is the ``(batch, output_size)`` output residual, usually from
     :func:`output_residual`; a zero entry sends no update to that neuron's
     synapses for that sample.  Returns one gradient per weight matrix,
-    summed over the batch.
+    summed over the batch.  With ``out`` (one float64 buffer shaped like
+    each weight matrix) the gradients are written there and ``out`` is
+    returned.
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -147,12 +153,24 @@ def backward(
             )
     if delta.shape != delays[-1].shape:
         raise StructureError("delta shape does not match the output layer")
+    if out is not None and len(out) != depth:
+        raise StructureError("gradient buffer count does not match the network")
+    grads = [None] * depth if out is None else out
     if mode == "exact":
         delta = delta * activation_derivative(nets[-1], net.activation)
-    grads: list[np.ndarray] = [np.empty(0)] * depth
     for l in reversed(range(depth)):
         fan_in = net.layer_sizes[l]
-        grads[l] = delays[l].T @ delta / fan_in
+        g = None  # without buffers matmul allocates it
+        if out is not None:
+            g = out[l]
+            if g.shape != net.weights[l].shape or g.dtype != np.float64:
+                raise StructureError(
+                    f"gradient buffer {l} is {g.dtype} {g.shape}, "
+                    f"expected float64 {net.weights[l].shape}"
+                )
+        g = np.matmul(delays[l].T, delta, out=g)
+        g /= fan_in
+        grads[l] = g
         if l > 0:
             delta = delta @ net.weights[l].T
             if mode == "exact":
@@ -177,6 +195,17 @@ def _read_classes(scheme: TargetScheme, outputs: np.ndarray, epoch: int, batch: 
         ) from exc
 
 
+def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
+    """Warn when a layer's every pre-activation in ``trace`` is clipped to zero."""
+    clipped = [l + 1 for l, z in enumerate(trace.nets) if not z.max() > 0.0]
+    if clipped:
+        log.warning(
+            "epoch %d: every pre-activation of layer(s) %s in the last batch is <= 0, "
+            "so the special ReLU clips the whole layer; the run has likely collapsed",
+            epoch, ", ".join(map(str, clipped)),
+        )
+
+
 def train(
     net: Network,
     data,
@@ -195,14 +224,23 @@ def train(
     of the epoch (restricted to involved output neurons when the heuristic
     loss is active).  ``eval_data`` adds a per-epoch test accuracy.  Fully
     deterministic for a fixed config seed (or caller-supplied generator).
+    One forward workspace and one set of gradient buffers, allocated per
+    call, serve every batch; the weights are updated in place.
+
+    Logs one warning at the end when every pre-activation of a layer in the
+    last batch is <= 0: the special ReLU then clips the whole layer, and a
+    run that "finishes" this way has collapsed.
 
     Raises :class:`DivergenceError`, naming the epoch and batch, as soon as
     a batch's squared error or output delays (training or evaluation) stop
     being finite; numpy's overflow warnings on the way there are silenced.
-    Raises :class:`ConfigError` for labels beyond the readout's classes.
+    Raises :class:`ConfigError` for labels beyond the readout's classes and
+    for an empty training or evaluation set.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")
+    if eval_data is not None and len(eval_data) == 0:
+        raise ConfigError("evaluation dataset is empty")
     if scheme.output_size != net.layer_sizes[-1]:
         raise ConfigError(
             f"readout expects {scheme.output_size} output neurons, "
@@ -227,19 +265,27 @@ def train(
             f"{scheme.num_classes} classes"
         ) from exc
     history: list[EpochStats] = []
+    n = len(data)
+    heuristic, mode = cfg.heuristic, cfg.gradient_mode
+    gated = cfg.update_gate == "on_misclassification"
+    mean = cfg.batch_reduction == "mean"
+    workspace = ForwardTrace.empty(net, min(cfg.batch_size, n))
+    grads = [np.empty(w.shape) for w in net.weights]
+    trace = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             squared_sum = 0.0
             term_count = 0
             hit_count = 0
-            for batch, idx in enumerate(batch_indices(len(data), cfg.batch_size, rng), 1):
-                trace = forward_batch(net, data.delays[idx])
+            for batch, idx in enumerate(batch_indices(n, cfg.batch_size, rng), 1):
+                trace = forward_batch(net, data.delays[idx], out=workspace)
+                outputs = trace.outputs
                 batch_labels = labels[idx]
                 resid, terms = output_residual(
-                    trace.outputs, targets[idx], batch_labels, cfg.heuristic
+                    outputs, targets[idx], batch_labels, heuristic
                 )
-                squared = float(np.sum(resid * resid))
+                squared = float((resid * resid).sum())
                 if not math.isfinite(squared):
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}, batch {batch}: "
@@ -247,18 +293,19 @@ def train(
                     )
                 squared_sum += squared
                 term_count += terms
-                predicted = _read_classes(scheme, trace.outputs, epoch, batch)
+                predicted = _read_classes(scheme, outputs, epoch, batch)
                 hits = predicted == batch_labels
-                hit_count += int(hits.sum())
+                hit_count += int(np.count_nonzero(hits))
 
-                if cfg.update_gate == "on_misclassification":
+                if gated:
                     resid = np.where(hits[:, np.newaxis], 0.0, resid)
-                grads = backward(net, trace, resid, mode=cfg.gradient_mode)
+                backward(net, trace, resid, mode=mode, out=grads)
                 scale = cfg.learning_rate
-                if cfg.batch_reduction == "mean":
+                if mean:
                     scale /= len(idx)
                 for w, g in zip(net.weights, grads):
-                    w -= scale * g
+                    g *= scale
+                    w -= g
 
             mse = squared_sum / term_count
             if not math.isfinite(mse):
@@ -267,11 +314,12 @@ def train(
             if eval_data is not None:
                 outputs = forward_batch(net, eval_data.delays).outputs
                 predictions = _read_classes(scheme, outputs, epoch, batch)
-                test_accuracy = float(np.mean(predictions == eval_data.labels))
+                correct = int(np.count_nonzero(predictions == eval_data.labels))
+                test_accuracy = correct / len(eval_data)
             stats = EpochStats(
                 epoch=epoch,
                 mse=mse,
-                train_accuracy=hit_count / len(data),
+                train_accuracy=hit_count / n,
                 test_accuracy=test_accuracy,
             )
             history.append(stats)
@@ -285,4 +333,6 @@ def train(
                 stats.train_accuracy,
                 "" if test_accuracy is None else f" test_acc={test_accuracy:.4f}",
             )
+    if trace is not None and net.activation == "special_relu":
+        _warn_if_collapsed(trace, cfg.epochs)
     return net, history

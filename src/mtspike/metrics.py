@@ -47,8 +47,11 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """Accuracy and confusion matrix (rows true class, columns predicted).
 
-    A label at or above ``scheme.num_classes`` raises ``ConfigError``.
+    A label at or above ``scheme.num_classes``, or an empty ``data``, raises
+    ``ConfigError``.
     """
+    if len(data) == 0:
+        raise ConfigError("evaluation dataset is empty")
     if data.delays.shape[1] != net.layer_sizes[0]:
         raise StructureError(
             f"encoded width {data.delays.shape[1]} does not match "
@@ -56,7 +59,7 @@ def evaluate(
         )
     outputs = forward_batch(net, data.delays).outputs
     predicted = read_class_batch(scheme, outputs)
-    accuracy = float(np.mean(predicted == data.labels))
+    accuracy = int(np.count_nonzero(predicted == data.labels)) / len(data)
     confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
     try:
         np.add.at(confusion, (data.labels, predicted), 1)

@@ -14,6 +14,7 @@ Readout is batch-major: :func:`read_class_batch` classifies a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +60,12 @@ class TargetScheme:
         """Required size of the network's output layer."""
         return 1 if self.mode == "single_neuron" else self.num_classes
 
-    @property
+    @cached_property
     def checkpoints(self) -> np.ndarray:
-        """Per-class target delays of the single-neuron regime."""
-        return self.window + np.arange(self.num_classes) * self.excitatory_offset
+        """Per-class target delays of the single-neuron regime (read-only)."""
+        checkpoints = self.window + np.arange(self.num_classes) * self.excitatory_offset
+        checkpoints.flags.writeable = False
+        return checkpoints
 
 
 def target_matrix(scheme: TargetScheme) -> np.ndarray:
@@ -84,12 +87,11 @@ def read_class_batch(scheme: TargetScheme, actual: np.ndarray) -> np.ndarray:
             f"expected (batch, {scheme.output_size}) output delays, "
             f"got shape {actual.shape}"
         )
-    if not np.all(np.isfinite(actual)):
+    if not np.isfinite(actual).all():
         raise EvaluationError("output delays contain non-finite values")
     if scheme.mode == "single_neuron":
-        distances = np.abs(actual - scheme.checkpoints[np.newaxis, :])
-        return np.argmin(distances, axis=1)
-    return np.argmin(actual, axis=1)
+        return np.abs(actual - scheme.checkpoints).argmin(axis=1)
+    return actual.argmin(axis=1)
 
 
 def pre_window_count(scheme: TargetScheme, actual: np.ndarray) -> int:
@@ -100,4 +102,4 @@ def pre_window_count(scheme: TargetScheme, actual: np.ndarray) -> int:
     earliest spike); this diagnostic just counts them.
     """
     actual = np.asarray(actual, dtype=np.float64)
-    return int(np.sum(actual < scheme.window))
+    return int(np.count_nonzero(actual < scheme.window))

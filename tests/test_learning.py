@@ -1,11 +1,16 @@
 """Temporal error backpropagation: residuals, gradients, batching, and training."""
 
+import tracemalloc
+
+import _reference_train
 import numpy as np
 import pytest
+from conftest import make_digits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtspike.datasets import EncodedDataset
+from mtspike.config import preset
+from mtspike.datasets import EncodedDataset, encode_dataset
 from mtspike.errors import ConfigError, DivergenceError, StructureError
 from mtspike.learning import (
     TrainConfig,
@@ -14,11 +19,14 @@ from mtspike.learning import (
     output_residual,
     train,
 )
-from mtspike.network import Network, forward_batch, init_network
+from mtspike.network import ForwardTrace, Network, forward_batch, init_network
 from mtspike.readout import TargetScheme
 
 MULTI3 = TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
                       excitatory_offset=0.0, inhibitory_offset=4.0)
+SINGLE3 = TargetScheme(mode="single_neuron", window=16.0, num_classes=3,
+                       excitatory_offset=3.0)
+MNIST = preset("mt10_mnist_noheu")
 
 
 def encoded(delays, labels):
@@ -148,6 +156,41 @@ def test_backward_validates_trace_and_delta():
         backward(net, short, np.zeros((2, 2)))
 
 
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=4),
+       batch=st.integers(min_value=1, max_value=6),
+       spare=st.integers(min_value=0, max_value=3),
+       mode=st.sampled_from(["paper", "exact"]))
+@settings(max_examples=60)
+def test_backward_into_buffers_is_byte_equal(seed, sizes, batch, spare, mode):
+    """Gradients written into buffers, from a workspace trace, match the allocating call."""
+    rng = np.random.default_rng(seed)
+    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=16.0)
+    x = rng.uniform(0.0, 16.0, size=(batch, sizes[0]))
+    trace = forward_batch(net, x, out=ForwardTrace.empty(net, batch + spare))
+    delta = rng.normal(size=trace.outputs.shape)
+    fresh = backward(net, forward_batch(net, x), delta, mode=mode)
+    buffers = [np.full(w.shape, np.nan) for w in net.weights]
+    assert backward(net, trace, delta, mode=mode, out=buffers) is buffers
+    for a, b in zip(fresh, buffers, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_backward_rejects_buffers_that_do_not_fit():
+    rng = np.random.default_rng(0)
+    net = init_network([4, 3, 2], rng=rng)
+    trace = forward_batch(net, rng.uniform(0, 16, (2, 4)))
+    delta = np.zeros((2, 2))
+    for buffers in (
+        [np.empty((4, 3))],  # one buffer for two matrices
+        [np.empty((4, 3)), np.empty((3, 3))],
+        [np.empty((3, 4)), np.empty((3, 2))],
+        [np.empty((4, 3), dtype=np.float32), np.empty((3, 2))],
+    ):
+        with pytest.raises(StructureError, match="gradient buffer"):
+            backward(net, trace, delta, out=buffers)
+
+
 def finite_difference(net, delays, targets, step=1e-4):
     """Central-difference gradient of sum((out - target)**2)."""
 
@@ -241,6 +284,8 @@ def test_train_input_validation():
     data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
     with pytest.raises(ConfigError, match="empty"):
         train(net, encoded(np.zeros((0, 4)), []), MULTI3, TrainConfig())
+    with pytest.raises(ConfigError, match="evaluation dataset is empty"):
+        train(net, data, MULTI3, TrainConfig(), eval_data=encoded(np.zeros((0, 4)), []))
     single = TargetScheme(mode="single_neuron", window=16.0, num_classes=3,
                           excitatory_offset=3.0)
     with pytest.raises(ConfigError, match="output neurons"):
@@ -347,3 +392,97 @@ def test_xor_shaped_delays_are_learnable_with_a_hidden_layer():
     first_perfect = next(h.epoch for h in history if h.train_accuracy == 1.0)
     assert first_perfect <= 150
     assert all(h.train_accuracy == 1.0 for h in history[first_perfect - 1:])
+
+
+def digits(n_per_class, seed):
+    """Synthetic digits through the 169-input conv coding of ``mt10_mnist_noheu``."""
+    return encode_dataset(make_digits(n_per_class, seed=seed), MNIST.coding)
+
+
+def random_data(seed, n, width, classes):
+    rng = np.random.default_rng(seed)
+    return encoded(rng.uniform(0.0, 16.0, (n, width)), rng.integers(0, classes, n))
+
+
+# (layer sizes, activation, scheme, train data, eval data, TrainConfig fields)
+REFERENCE_CASES = {
+    "paper_169_500_10": ([169, 500, 10], "special_relu", MNIST.scheme,
+                         lambda: digits(32, 5), lambda: digits(10, 6),
+                         {"learning_rate": 1.0, "batch_size": 32,
+                          "batch_reduction": "mean"}),
+    "exact_169_500_10": ([169, 500, 10], "special_relu", MNIST.scheme,
+                         lambda: digits(32, 5), lambda: digits(10, 6),
+                         {"learning_rate": 1.0, "batch_size": 32,
+                          "batch_reduction": "mean", "gradient_mode": "exact"}),
+    "heuristic": ([6, 5, 3], "special_relu", MULTI3,
+                  lambda: random_data(1, 40, 6, 3), lambda: random_data(2, 12, 6, 3),
+                  {"learning_rate": 0.2, "batch_size": 8, "heuristic": True,
+                   "batch_reduction": "mean"}),
+    "on_misclassification": ([6, 5, 3], "special_relu", MULTI3,
+                             lambda: random_data(3, 40, 6, 3), lambda: None,
+                             {"learning_rate": 0.02, "batch_size": 8,
+                              "update_gate": "on_misclassification"}),
+    "sum_exact": ([6, 5, 3], "special_relu", MULTI3,
+                  lambda: random_data(4, 40, 6, 3), lambda: random_data(5, 12, 6, 3),
+                  {"learning_rate": 0.02, "batch_size": 8, "gradient_mode": "exact"}),
+    "identity_single_neuron": ([4, 5, 1], "identity", SINGLE3,
+                               lambda: random_data(6, 30, 4, 3),
+                               lambda: random_data(7, 9, 4, 3),
+                               {"learning_rate": 0.001, "batch_size": 10}),
+    "ragged_last_batch": ([6, 5, 3], "special_relu", MULTI3,
+                          lambda: random_data(8, 50, 6, 3), lambda: None,
+                          {"learning_rate": 0.2, "batch_size": 16,
+                           "batch_reduction": "mean"}),
+    "batch_larger_than_data": ([6, 3], "special_relu", MULTI3,
+                               lambda: random_data(9, 20, 6, 3),
+                               lambda: random_data(10, 6, 6, 3),
+                               {"learning_rate": 0.2, "batch_size": 64,
+                                "batch_reduction": "mean"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_training_matches_the_allocating_reference_bit_for_bit(case):
+    sizes, kind, scheme, make_train, make_eval, fields = REFERENCE_CASES[case]
+    data, eval_data = make_train(), make_eval()
+    cfg = TrainConfig(epochs=3, **fields)
+    runs = []
+    for trainer in (train, _reference_train.train):
+        rng = np.random.default_rng(11)
+        net = init_network(sizes, rng=rng, activation=kind, window=16.0)
+        runs.append(trainer(net, data, scheme, cfg, eval_data=eval_data, rng=rng))
+    (net, history), (ref_net, ref_history) = runs
+    for w, ref in zip(net.weights, ref_net.weights, strict=True):
+        assert w.tobytes() == ref.tobytes()
+    assert history == ref_history
+    for stats in history:
+        assert type(stats.epoch) is int
+        assert type(stats.mse) is float
+        assert type(stats.train_accuracy) is float
+        assert stats.test_accuracy is None if eval_data is None \
+            else type(stats.test_accuracy) is float
+
+
+def test_train_peak_allocation_stays_below_two_weight_matrices():
+    """One train call allocates its buffers once, whatever the epoch count.
+
+    The parent of the workspace trainer peaked at ~2.8x the 169x500 matrix
+    (gradient, its fan-in quotient and its scaled copy alive at once).  The
+    epoch counts may differ by interpreter bookkeeping, far below one array.
+    """
+    data = digits(32, 5)
+    cfg = dict(learning_rate=1.0, batch_size=32, batch_reduction="mean")
+    peaks = {}
+    for epochs in (1, 3):
+        net = init_network([169, 500, 10], rng=np.random.default_rng(1), window=16.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(net, data, MNIST.scheme, TrainConfig(epochs=epochs, **cfg),
+                  rng=np.random.default_rng(2))
+            peaks[epochs] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    limit = 2 * net.weights[0].nbytes
+    assert peaks[1] <= limit and peaks[3] <= limit, (peaks, limit)
+    assert abs(peaks[3] - peaks[1]) < 8192, peaks

@@ -52,6 +52,15 @@ def test_evaluate_rejects_labels_outside_the_readout():
         evaluate(identity_net(2), data, scheme)
 
 
+def test_evaluate_rejects_an_empty_set():
+    scheme = TargetScheme(mode="multi_neuron", window=16.0, num_classes=2,
+                          excitatory_offset=0.0, inhibitory_offset=4.0)
+    empty = EncodedDataset(delays=np.zeros((0, 2)), fired=np.zeros((0, 2), bool),
+                           labels=[])
+    with pytest.raises(ConfigError, match="evaluation dataset is empty"):
+        evaluate(identity_net(2), empty, scheme)
+
+
 def test_evaluate_checks_width():
     net = init_network([4, 3])
     data = EncodedDataset(delays=np.zeros((2, 3)), fired=np.ones((2, 3), bool),

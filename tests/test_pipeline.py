@@ -1,6 +1,7 @@
 """End-to-end runs: loading, encoding, training, and reproducibility."""
 
 import gzip
+import logging
 import shutil
 from dataclasses import replace
 
@@ -152,3 +153,35 @@ def test_multi_batch_divergence_raises_diverged(iris_path):
     with pytest.raises(DivergenceError, match=r"epoch \d+, batch \d+") as err:
         execute_run(cfg)
     assert err.value.code == "E_DIVERGED"
+
+
+def iris_preset(iris_path, **train):
+    cfg = preset("mt1_iris")
+    cfg.dataset = replace(cfg.dataset, path=str(iris_path))
+    cfg.train = replace(cfg.train, **train)
+    return cfg
+
+
+def test_collapsed_run_warns_once_naming_epoch_and_layers(iris_path, caplog):
+    """A 4-25-1 iris run whose every neuron is clipped ends with one warning.
+
+    This run finishes "ok" with MSE 15.0 and chance accuracy: all 25 hidden
+    and the output pre-activations are <= 0 on train and test data.
+    """
+    cfg = iris_preset(iris_path, learning_rate=1.0, batch_reduction="sum",
+                      init_range=(0.0, 5.0), epochs=200)
+    with caplog.at_level(logging.WARNING, logger="mtspike.learning"):
+        result = execute_run(cfg)
+    assert result.history[-1].mse == 15.0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("epoch 200: ")
+    assert "layer(s) 1, 2" in warnings[0]
+
+
+def test_healthy_iris_run_does_not_warn(iris_path, caplog):
+    """The mt1_iris preset clips many neurons (61% hidden on test) but no whole layer."""
+    with caplog.at_level(logging.WARNING, logger="mtspike.learning"):
+        result = execute_run(iris_preset(iris_path))
+    assert result.metrics.test_accuracy >= 0.9
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
