@@ -6,6 +6,8 @@ JSON document (see ``CONFIG_SCHEMA`` below for the shape) or from a named
 preset covering each benchmark network: iris with one hidden layer or a
 bare single layer, and the MNIST-style variants with one output neuron, ten
 output neurons (with and without the heuristic loss), and no hidden layer.
+Presets are documents in the same schema, read by the same parser, which
+raises ``ConfigError`` on an unknown key or a wrongly typed value.
 
 Dataset locations in presets resolve against ``MTSPIKE_DATA_DIR`` when set,
 else ``./data``.
@@ -14,16 +16,17 @@ else ``./data``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coding import CodingParams
-from .datasets import SCHEMES, EncodingSpec
+from .datasets import EncodingSpec
 from .errors import ConfigError
 from .learning import TrainConfig
 from .readout import TargetScheme
+from .schema import checked, from_json
 
 __all__ = [
     "DatasetConfig",
@@ -36,6 +39,9 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA = """\
+// Presets are documents of this shape.  Fields marked int take only a JSON
+// integer (not 16.0, not true); other numbers take an integer or a decimal,
+// never NaN or Infinity.  Values are checked, never coerced.
 {
   "name": "run label",
   "dataset": {
@@ -43,27 +49,29 @@ CONFIG_SCHEMA = """\
     "path": "iris CSV path (iris only)",
     "dir": "directory holding the four standard IDX files (mnist only)",
     "train_fraction": 0.8,          // iris only; mnist ships its own split
-    "split_seed": 0,
-    "train_subset": null | N,       // optional stratified subsample
-    "test_subset": null | N,
-    "subset_seed": 0
+    "split_seed": 0,                // int >= 0
+    "train_subset": null | N,       // int >= 1: optional stratified subsample
+    "test_subset": null | N,        // int >= 1
+    "subset_seed": 0                // int >= 0
   },
   "coding": {
     "scheme": "numeric" | "one_to_one" | "conv",
     "window": 16.0, "unit": 1.0,
-    "kernel": 4, "stride": 2,       // conv only
+    "kernel": 4, "stride": 2,       // ints; conv only
     "binarize_threshold": 128.0,    // conv only
     "p_max": 255.0                  // one_to_one only
   },
-  "layers": [169, 500, 10],
+  "layers": [169, 500, 10],         // ints
   "readout": {
     "mode": "single_neuron" | "multi_neuron",
-    "num_classes": 10,
+    "num_classes": 10,              // int
+    "window": 16.0,                 // optional; defaults to the coding window
     "excitatory_offset": 0.0,
     "inhibitory_offset": 4.0
   },
   "train": {
-    "learning_rate": 0.01, "batch_size": 256, "epochs": 50, "seed": 0,
+    "learning_rate": 0.01,
+    "batch_size": 256, "epochs": 50, "seed": 0,   // ints; seed >= 0
     "gradient_mode": "paper" | "exact",
     "heuristic": false,
     "update_gate": "always" | "on_misclassification",
@@ -109,6 +117,8 @@ class DatasetConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1 when given")
+        if self.split_seed < 0 or self.subset_seed < 0:
+            raise ConfigError("split_seed and subset_seed must be non-negative")
 
 
 @dataclass
@@ -124,7 +134,7 @@ class RunConfig:
     metrics_path: str | None = None
 
     def __post_init__(self):
-        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        self.layer_sizes = tuple(self.layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ConfigError("layers must list at least input and output sizes")
         if self.scheme.output_size != self.layer_sizes[-1]:
@@ -140,25 +150,6 @@ class RunConfig:
             raise ConfigError("alpha must be positive")
 
 
-def _take(d: dict, cls, what: str) -> dict:
-    """Keyword arguments for dataclass ``cls``, rejecting unknown keys."""
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} option(s): {', '.join(sorted(unknown))}")
-    return d
-
-
-def _coding_from_dict(d: dict) -> EncodingSpec:
-    d = dict(d)
-    scheme = d.pop("scheme", None)
-    if scheme not in SCHEMES:
-        raise ConfigError(f"coding scheme must be one of {SCHEMES}, got {scheme!r}")
-    p_max = d.pop("p_max", 255.0)
-    params = CodingParams(**_take(d, CodingParams, "coding"))
-    return EncodingSpec(scheme=scheme, params=params, p_max=p_max)
-
-
 def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
@@ -169,28 +160,21 @@ def config_from_dict(d: dict) -> RunConfig:
     unknown = set(d) - required - {"name", "train", "alpha", "output"}
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
-    output = dict(d.get("output", {}))
-    if set(output) - {"model", "metrics"}:
+    output = d.get("output", {})
+    if not isinstance(output, dict) or set(output) - {"model", "metrics"}:
         raise ConfigError("output section accepts only 'model' and 'metrics' paths")
-    dataset = DatasetConfig(**_take(dict(d["dataset"]), DatasetConfig, "dataset"))
-    coding = _coding_from_dict(dict(d["coding"]))
-    readout = dict(d["readout"])
-    readout.setdefault("window", coding.params.window)
-    scheme = TargetScheme(**_take(readout, TargetScheme, "readout"))
-    train_dict = dict(d.get("train", {}))
-    if "init_range" in train_dict:
-        train_dict["init_range"] = tuple(train_dict["init_range"])
-    train = TrainConfig(**_take(train_dict, TrainConfig, "train"))
+    coding = EncodingSpec.from_dict(d["coding"], snapshot=False)
     return RunConfig(
-        name=d.get("name", "run"),
-        dataset=dataset,
+        name=checked(d.get("name", "run"), str, "name"),
+        dataset=from_json(DatasetConfig, d["dataset"], "dataset"),
         coding=coding,
-        layer_sizes=tuple(d["layers"]),
-        scheme=scheme,
-        train=train,
-        alpha=d.get("alpha", 1.0),
-        model_path=output.get("model"),
-        metrics_path=output.get("metrics"),
+        layer_sizes=checked(d["layers"], tuple[int, ...], "layers"),
+        scheme=from_json(TargetScheme, d["readout"], "readout",
+                         window=coding.params.window),
+        train=from_json(TrainConfig, d.get("train", {}), "train"),
+        alpha=checked(d.get("alpha", 1.0), float, "alpha"),
+        model_path=checked(output.get("model"), str | None, "output model"),
+        metrics_path=checked(output.get("metrics"), str | None, "output metrics"),
     )
 
 
@@ -205,121 +189,29 @@ def load_config(path) -> RunConfig:
     return config_from_dict(document)
 
 
-def _iris_dataset() -> DatasetConfig:
-    return DatasetConfig(
-        kind="iris",
-        path=str(default_data_dir() / "iris.csv"),
-        train_fraction=0.8,
-        split_seed=0,
-    )
-
-
-def _mnist_dataset() -> DatasetConfig:
-    return DatasetConfig(kind="mnist", dir=str(default_data_dir() / "mnist"))
-
-
-def _numeric_coding() -> EncodingSpec:
-    return EncodingSpec(scheme="numeric", params=CodingParams(window=16.0, unit=1.0))
-
-
-def _conv_coding() -> EncodingSpec:
-    return EncodingSpec(
-        scheme="conv",
-        params=CodingParams(window=16.0, unit=1.0, kernel=4, stride=2),
-    )
-
-
-def _preset_mt1_iris() -> RunConfig:
-    return RunConfig(
-        name="mt1_iris",
-        dataset=_iris_dataset(),
-        coding=_numeric_coding(),
-        layer_sizes=(4, 25, 1),
-        scheme=TargetScheme(
-            mode="single_neuron", window=16.0, num_classes=3, excitatory_offset=3.0
-        ),
-        train=TrainConfig(
-            learning_rate=0.01, batch_size=30, epochs=2000, seed=0,
-            batch_reduction="mean",
-        ),
-    )
-
-
-def _preset_slmt3_iris() -> RunConfig:
-    return RunConfig(
-        name="slmt3_iris",
-        dataset=_iris_dataset(),
-        coding=_numeric_coding(),
-        layer_sizes=(4, 3),
-        scheme=TargetScheme(
-            mode="multi_neuron", window=16.0, num_classes=3,
-            excitatory_offset=0.0, inhibitory_offset=4.0,
-        ),
-        train=TrainConfig(
-            learning_rate=0.01, batch_size=30, epochs=2000, seed=0,
-            batch_reduction="sum",
-        ),
-    )
-
-
-def _preset_mt1_mnist() -> RunConfig:
-    return RunConfig(
-        name="mt1_mnist",
-        dataset=_mnist_dataset(),
-        coding=_conv_coding(),
-        layer_sizes=(169, 500, 1),
-        scheme=TargetScheme(
-            mode="single_neuron", window=16.0, num_classes=10, excitatory_offset=1.0
-        ),
-        train=TrainConfig(
-            learning_rate=1.0, batch_size=32, epochs=50, seed=0,
-            gradient_mode="exact", batch_reduction="mean",
-        ),
-    )
-
-
-def _preset_mt10_mnist(heuristic: bool) -> RunConfig:
-    return RunConfig(
-        name="mt10_mnist_heu" if heuristic else "mt10_mnist_noheu",
-        dataset=_mnist_dataset(),
-        coding=_conv_coding(),
-        layer_sizes=(169, 500, 10),
-        scheme=TargetScheme(
-            mode="multi_neuron", window=16.0, num_classes=10,
-            excitatory_offset=0.0, inhibitory_offset=4.0,
-        ),
-        train=TrainConfig(
-            learning_rate=1.0, batch_size=32, epochs=50, seed=0,
-            heuristic=heuristic, batch_reduction="mean",
-        ),
-    )
-
-
-def _preset_slmt10_mnist(heuristic: bool) -> RunConfig:
-    return RunConfig(
-        name="slmt10_mnist_heu" if heuristic else "slmt10_mnist_noheu",
-        dataset=_mnist_dataset(),
-        coding=_conv_coding(),
-        layer_sizes=(169, 10),
-        scheme=TargetScheme(
-            mode="multi_neuron", window=16.0, num_classes=10,
-            excitatory_offset=0.0, inhibitory_offset=4.0,
-        ),
-        train=TrainConfig(
-            learning_rate=1.0, batch_size=32, epochs=50, seed=0,
-            heuristic=heuristic, batch_reduction="mean",
-        ),
-    )
-
-
+# Preset documents; dataset locations are relative to default_data_dir().
+_IRIS = {"dataset": {"kind": "iris", "path": "iris.csv"},
+         "coding": {"scheme": "numeric", "window": 16.0, "unit": 1.0}}
+_MNIST = {"dataset": {"kind": "mnist", "dir": "mnist"},
+          "coding": {"scheme": "conv", "window": 16.0, "unit": 1.0, "kernel": 4, "stride": 2}}
+_MULTI = {"mode": "multi_neuron", "excitatory_offset": 0.0, "inhibitory_offset": 4.0}
+_MULTI10 = {**_MULTI, "num_classes": 10}
+_IRIS_TRAIN = {"learning_rate": 0.01, "batch_size": 30, "epochs": 2000}
+_NOHEU = {"learning_rate": 1.0, "batch_size": 32, "epochs": 50, "batch_reduction": "mean"}
+_HEU = {**_NOHEU, "heuristic": True}
 _PRESETS = {
-    "mt1_iris": _preset_mt1_iris,
-    "slmt3_iris": _preset_slmt3_iris,
-    "mt1_mnist": _preset_mt1_mnist,
-    "mt10_mnist_heu": lambda: _preset_mt10_mnist(True),
-    "mt10_mnist_noheu": lambda: _preset_mt10_mnist(False),
-    "slmt10_mnist_heu": lambda: _preset_slmt10_mnist(True),
-    "slmt10_mnist_noheu": lambda: _preset_slmt10_mnist(False),
+    "mt1_iris": {**_IRIS, "layers": [4, 25, 1],
+                 "readout": {"mode": "single_neuron", "num_classes": 3, "excitatory_offset": 3.0},
+                 "train": {**_IRIS_TRAIN, "batch_reduction": "mean"}},
+    "slmt3_iris": {**_IRIS, "layers": [4, 3], "readout": {**_MULTI, "num_classes": 3},
+                   "train": _IRIS_TRAIN},
+    "mt1_mnist": {**_MNIST, "layers": [169, 500, 1],
+                  "readout": {"mode": "single_neuron", "num_classes": 10, "excitatory_offset": 1.0},
+                  "train": {**_NOHEU, "gradient_mode": "exact"}},
+    "mt10_mnist_heu": {**_MNIST, "layers": [169, 500, 10], "readout": _MULTI10, "train": _HEU},
+    "mt10_mnist_noheu": {**_MNIST, "layers": [169, 500, 10], "readout": _MULTI10, "train": _NOHEU},
+    "slmt10_mnist_heu": {**_MNIST, "layers": [169, 10], "readout": _MULTI10, "train": _HEU},
+    "slmt10_mnist_noheu": {**_MNIST, "layers": [169, 10], "readout": _MULTI10, "train": _NOHEU},
 }
 
 
@@ -327,11 +219,23 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
+@functools.cache
+def _parsed_preset(name: str, data_dir: str) -> RunConfig:
+    doc = _PRESETS[name]
+    dataset = {k: str(Path(data_dir) / v) if k in ("path", "dir") else v
+               for k, v in doc["dataset"].items()}
+    return config_from_dict({**doc, "name": name, "dataset": dataset})
+
+
 def preset(name: str) -> RunConfig:
-    try:
-        factory = _PRESETS[name]
-    except KeyError:
+    """The named preset, parsed once per data directory (set-ups call this in loops).
+
+    Each call returns its own ``RunConfig`` and ``DatasetConfig``; the
+    other sections are frozen and shared.
+    """
+    if name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-    return factory()
+        )
+    cfg = _parsed_preset(name, str(default_data_dir()))
+    return dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset))

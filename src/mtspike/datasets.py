@@ -11,6 +11,7 @@ a model file so evaluation reuses the exact training encoding.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import logging
 import struct
@@ -25,6 +26,7 @@ from .coding import (
     encode_pixels_1to1,
 )
 from .errors import ConfigError, DataError
+from .schema import from_json
 
 __all__ = [
     "SCHEMES",
@@ -48,6 +50,18 @@ IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
 
+def _checked_labels(labels) -> np.ndarray:
+    """``labels`` as an array, if it is 1-D and holds non-negative integers."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        labels = labels.astype(np.int64)  # an empty list carries no dtype
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise DataError("labels must be a 1-D integer array")
+    if labels.size and labels.min() < 0:
+        raise DataError("labels must be non-negative")
+    return labels
+
+
 @dataclass
 class RawDataset:
     """Unencoded samples: numeric rows (N, F) or grayscale images (N, H, W)."""
@@ -57,15 +71,11 @@ class RawDataset:
     class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise DataError("labels must be a 1-D array")
+        self.labels = _checked_labels(self.labels).astype(np.int64, copy=False)
         if self.features.shape[0] != self.labels.shape[0]:
             raise DataError(
                 f"{self.features.shape[0]} samples but {self.labels.shape[0]} labels"
             )
-        if self.labels.size and self.labels.min() < 0:
-            raise DataError("labels must be non-negative")
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -92,14 +102,7 @@ class EncodedDataset:
     def __post_init__(self):
         if self.delays.shape != self.fired.shape:
             raise DataError("delay and fired matrices must have the same shape")
-        labels = np.asarray(self.labels)
-        if labels.size == 0:
-            labels = labels.astype(np.int64)  # an empty list carries no dtype
-        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-            raise DataError("labels must be a 1-D integer array")
-        if labels.size and labels.min() < 0:
-            raise DataError("labels must be non-negative")
-        self.labels = labels
+        self.labels = _checked_labels(self.labels)
         if self.delays.shape[0] != self.labels.shape[0]:
             raise DataError("sample count mismatch between delays and labels")
 
@@ -136,38 +139,23 @@ class EncodingSpec:
             object.__setattr__(self, "ranges", ranges)
 
     def to_dict(self) -> dict:
+        """The JSON block a model header stores; :meth:`from_dict` reads it back."""
         return {
             "scheme": self.scheme,
-            "window": self.params.window,
-            "unit": self.params.unit,
-            "kernel": self.params.kernel,
-            "stride": self.params.stride,
-            "binarize_threshold": self.params.binarize_threshold,
-            "pad": self.params.pad,
+            **dataclasses.asdict(self.params),
             "p_max": self.p_max,
             "ranges": None if self.ranges is None else self.ranges.tolist(),
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EncodingSpec":
-        try:
-            params = CodingParams(
-                window=d["window"],
-                unit=d["unit"],
-                kernel=d["kernel"],
-                stride=d["stride"],
-                binarize_threshold=d["binarize_threshold"],
-                pad=d["pad"],
-            )
-            ranges = d["ranges"]
-            return cls(
-                scheme=d["scheme"],
-                params=params,
-                ranges=None if ranges is None else np.asarray(ranges, dtype=np.float64),
-                p_max=d["p_max"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"coding snapshot is missing field {exc}") from exc
+    def from_dict(cls, d: dict, snapshot: bool = True) -> "EncodingSpec":
+        """Inverse of :meth:`to_dict`, or with ``snapshot=False`` a run config's
+        block, which may leave fields at their defaults and has no ``ranges``."""
+        own = ("scheme", "p_max", "ranges") if snapshot else ("scheme", "p_max")
+        rest = {k: v for k, v in d.items() if k not in own} if isinstance(d, dict) else d
+        params = from_json(CodingParams, rest, "coding", snapshot)
+        spec = {k: d[k] for k in own if k in d}
+        return from_json(cls, {**spec, "params": params}, "coding", snapshot)
 
 
 def load_iris(path) -> RawDataset:

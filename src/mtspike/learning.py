@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("batch size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ConfigError(f"unknown gradient mode {self.gradient_mode!r}")
         if self.update_gate not in UPDATE_GATES:

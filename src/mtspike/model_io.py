@@ -29,6 +29,7 @@ from .datasets import EncodingSpec
 from .errors import ConfigError, ModelIOError, StructureError
 from .network import Network, weight_count
 from .readout import TargetScheme
+from .schema import checked, from_json
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "ModelFile", "save_model", "load_model"]
 
@@ -80,9 +81,10 @@ def load_model(path) -> ModelFile:
     """Read a container back; weights come out bit-exact.
 
     Raises :class:`ModelIOError` on a bad magic, an unsupported version, a
-    malformed or inconsistent header (invalid network, coding or readout;
-    a readout or numeric coding that does not fit the layer sizes), or a
-    payload whose length does not match the declared layer sizes exactly.
+    malformed or inconsistent header (a missing field or one of the wrong
+    JSON type; invalid network, coding or readout; a readout or numeric
+    coding that does not fit the layer sizes), or a payload whose length
+    does not match the declared layer sizes exactly.
     """
     try:
         with open(path, "rb") as fh:
@@ -109,20 +111,13 @@ def load_model(path) -> ModelFile:
         raise ModelIOError(f"{path}: corrupt model header: {exc}") from exc
 
     try:
-        layer_sizes = [int(s) for s in header["layer_sizes"]]
-        activation = header["activation"]
-        net_window = float(header["window"])
+        layer_sizes = checked(header["layer_sizes"], tuple[int, ...], "layer_sizes")
+        activation = checked(header["activation"], str, "activation")
+        net_window = checked(header["window"], float, "window")
         coding = EncodingSpec.from_dict(header["coding"])
-        s = header["scheme"]
-        scheme = TargetScheme(
-            mode=s["mode"],
-            window=float(s["window"]),
-            num_classes=int(s["num_classes"]),
-            excitatory_offset=float(s["excitatory_offset"]),
-            inhibitory_offset=float(s["inhibitory_offset"]),
-        )
-        provenance = header["provenance"]
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        scheme = from_json(TargetScheme, header["scheme"], "scheme", complete=True)
+        provenance = checked(header["provenance"], dict, "provenance")
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ModelIOError(f"{path}: model header is missing or malformed: {exc}") from exc
 
     expected_weights = weight_count(layer_sizes)
@@ -140,7 +135,7 @@ def load_model(path) -> ModelFile:
         weights.append(flat[offset:offset + a * b].reshape(a, b).astype(np.float64))
         offset += a * b
     try:
-        network = Network(layer_sizes=tuple(layer_sizes), weights=weights,
+        network = Network(layer_sizes=layer_sizes, weights=weights,
                           activation=activation, window=net_window)
     except StructureError as exc:
         raise ModelIOError(f"{path}: invalid network: {exc}") from exc

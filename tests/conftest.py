@@ -8,15 +8,39 @@ same codings and networks as the real thing.
 
 from __future__ import annotations
 
+import copy
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mtspike.datasets import RawDataset, save_mnist_idx
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Any parsed JSON value; values that break naive casts come up often, not
+# only by chance.
+JSON_VALUES = st.recursive(
+    st.sampled_from([float("inf"), float("nan"), -1, 0, 2**70, 0.5, "3", True])
+    | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+DELETE = object()
+
+
+def set_at(doc, path, value):
+    """Set the entry of nested JSON ``doc`` at key ``path``; ``DELETE`` removes it."""
+    *outer, key = path
+    for k in outer:
+        doc = doc[k]
+    if value is DELETE:
+        del doc[key]
+    else:
+        doc[key] = copy.deepcopy(value)
 
 
 @pytest.fixture(scope="session")

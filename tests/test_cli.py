@@ -9,6 +9,7 @@ from mtspike import cli
 from mtspike.model_io import load_model
 
 from conftest import REPO_ROOT
+from test_model_io import rewrite_header
 
 
 def write_iris_config(tmp_path, iris_path, **overrides):
@@ -191,6 +192,24 @@ def test_missing_config_file_error_line(tmp_path, capsys):
                          str(tmp_path / "ghost.json"), "--out", str(tmp_path))
     assert rc == 2
     assert err.strip().startswith("mtspike: error [E_CONFIG]")
+
+
+def test_wrongly_typed_config_value_error_line(tmp_path, iris_path, capsys):
+    cfg = write_iris_config(tmp_path, iris_path, train={"batch_size": 2.5})
+    rc, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]") and "batch_size" in err
+
+
+def test_malformed_model_header_error_line(tmp_path, iris_path, capsys):
+    cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 1})
+    run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    model = tmp_path / "cli_iris.mtspike"
+    rewrite_header(model, lambda h: h["scheme"].update(num_classes=float("inf")))
+    rc, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--model", str(model),
+                         "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_MODEL]")
 
 
 def test_unknown_preset_error_line(tmp_path, capsys):

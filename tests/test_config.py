@@ -1,11 +1,18 @@
 """Run configuration: JSON parsing, validation, and the shipped presets."""
 
+import copy
+import dataclasses
 import json
+import types
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtspike.config import (
     DatasetConfig,
+    RunConfig,
     config_from_dict,
     default_data_dir,
     load_config,
@@ -13,6 +20,8 @@ from mtspike.config import (
     preset_names,
 )
 from mtspike.errors import ConfigError
+
+from conftest import DELETE, JSON_VALUES, set_at
 
 
 def minimal_dict(**overrides):
@@ -73,6 +82,7 @@ def test_train_section_and_output_paths():
         (lambda d: d.update(train={"optimizer": "sgd"}), "unknown train option"),
         (lambda d: d.update(output={"log": "x"}), "output section"),
         (lambda d: d["coding"].update(scheme="dct"), "coding scheme"),
+        (lambda d: d["coding"].update(ranges=[[0, 1]] * 4), "option\\(s\\): ranges"),
     ],
 )
 def test_unknown_keys_are_rejected(mutate, message):
@@ -80,6 +90,103 @@ def test_unknown_keys_are_rejected(mutate, message):
     mutate(doc)
     with pytest.raises(ConfigError, match=message):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["readout"].update(num_classes="3"),
+    lambda d: d.update(train={"learning_rate": "x"}),
+    lambda d: d.update(layers=5),
+    lambda d: d.update(train={"init_range": [0, 1, 2]}),
+    lambda d: d.update(train={"batch_size": 2.5}),
+    lambda d: d.update(alpha="a"),
+    lambda d: d["coding"].update(kernel="4"),
+    lambda d: d["dataset"].update(train_fraction="0.5"),
+    lambda d: d.update(train={"seed": 1.5}),
+    lambda d: d.update(layers=[4, 25.5, 1]),
+    lambda d: d.update(train={"heuristic": "yes"}),
+    lambda d: d.update(train={"init_range": [0.0, float("inf")]}),
+    lambda d: d.update(train={"seed": -1}),
+    lambda d: d.update(dataset=5),
+    lambda d: d.update(output="m.bin"),
+], ids=[
+    "num_classes-string", "learning_rate-string", "layers-number",
+    "init_range-triple", "batch_size-fraction", "alpha-string", "kernel-string",
+    "train_fraction-string", "seed-fraction", "layers-fraction", "heuristic-string",
+    "init_range-infinite", "seed-negative", "dataset-number", "output-string",
+])
+def test_wrongly_typed_values_are_config_errors(mutate):
+    doc = minimal_dict()
+    mutate(doc)
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
+def test_values_are_not_coerced():
+    doc = minimal_dict(coding={"scheme": "numeric", "window": 16, "unit": 1.0})
+    cfg = config_from_dict(doc)
+    assert type(cfg.coding.params.window) is int
+    assert type(cfg.scheme.window) is int  # the readout window defaults to it
+
+
+# Every key of every section, so that a mutation can reach every field.
+FULL_DOC = {
+    "name": "full",
+    "dataset": {"kind": "iris", "path": "data/iris.csv", "dir": None,
+                "train_fraction": 0.8, "split_seed": 0, "train_subset": None,
+                "test_subset": None, "subset_seed": 0},
+    "coding": {"scheme": "numeric", "window": 16.0, "unit": 1.0, "kernel": None,
+               "stride": 1, "binarize_threshold": 128.0, "pad": "zero", "p_max": 255.0},
+    "layers": [4, 3],
+    "readout": {"mode": "multi_neuron", "window": 16.0, "num_classes": 3,
+                "excitatory_offset": 0.0, "inhibitory_offset": 4.0},
+    "train": {"learning_rate": 0.01, "batch_size": 30, "epochs": 100, "seed": 0,
+              "gradient_mode": "paper", "heuristic": False, "update_gate": "always",
+              "batch_reduction": "sum", "init_range": [0.0, 1.0]},
+    "alpha": 1.0,
+    "output": {"model": "m.bin", "metrics": "m.csv"},
+}
+FIELD_PATHS = [(key,) for key in FULL_DOC] + [
+    (section, key) for section, block in FULL_DOC.items()
+    if isinstance(block, dict) for key in block
+] + [("layers", 1), ("train", "init_range", 1)]
+
+
+def has_annotated_types(value, tp) -> bool:
+    """``value`` is of builtin type ``tp``; a float field may hold an int."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(has_annotated_types(value, arm) for arm in args)
+    if origin is tuple:
+        arms = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return (type(value) is tuple and len(value) == len(arms)
+                and all(map(has_annotated_types, value, arms)))
+    if tp is float:
+        return type(value) in (int, float)
+    if tp in (int, str, bool, type(None)):
+        return type(value) is tp
+    if not dataclasses.is_dataclass(tp):
+        return isinstance(value, tp)
+    hints = typing.get_type_hints(tp)
+    return type(value) is tp and all(
+        has_annotated_types(getattr(value, f.name), hints[f.name])
+        for f in dataclasses.fields(tp)
+    )
+
+
+def test_full_document_parses_with_annotated_types():
+    assert has_annotated_types(config_from_dict(FULL_DOC), RunConfig)
+
+
+@settings(max_examples=400)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES | st.just(DELETE))
+def test_any_json_value_in_any_field_parses_or_raises_config_error(path, value):
+    doc = copy.deepcopy(FULL_DOC)
+    set_at(doc, path, value)
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert has_annotated_types(cfg, RunConfig)
 
 
 def test_cross_field_validation():
@@ -165,6 +272,18 @@ def test_benchmark_preset_shapes():
     assert not preset("mt10_mnist_noheu").train.heuristic
     conv = preset("mt1_mnist").coding.params
     assert (conv.kernel, conv.stride) == (4, 2)
+
+
+def test_each_preset_call_returns_its_own_config(monkeypatch):
+    monkeypatch.delenv("MTSPIKE_DATA_DIR", raising=False)
+    a = preset("mt1_iris")
+    a.dataset.path = "elsewhere.csv"
+    a.name = "changed"
+    b = preset("mt1_iris")
+    assert (b.name, b.dataset.path) == ("mt1_iris", "data/iris.csv")
+    monkeypatch.setenv("MTSPIKE_DATA_DIR", "/somewhere")
+    assert preset("mt1_iris").dataset.path == "/somewhere/iris.csv"
+    assert preset("mt10_mnist_heu").dataset.dir == "/somewhere/mnist"
 
 
 def test_iris_presets_share_their_split():

@@ -316,8 +316,11 @@ def test_encoded_dataset_validation():
     np.array([0.0, 1.0, 2.0]),
     np.array([True, False, True]),
     np.zeros((3, 1), dtype=int),
+    np.array([0.5, 1.7, 2.2]),
 ])
 def test_encoded_dataset_rejects_bad_labels(labels):
     with pytest.raises(DataError, match="labels"):
         EncodedDataset(delays=np.zeros((3, 2)), fired=np.ones((3, 2), bool),
                        labels=labels)
+    with pytest.raises(DataError, match="labels"):
+        RawDataset(features=np.zeros((3, 2)), labels=labels)

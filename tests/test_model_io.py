@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtspike.coding import CodingParams
 from mtspike.datasets import EncodingSpec
@@ -12,6 +14,8 @@ from mtspike.errors import ModelIOError
 from mtspike.model_io import FORMAT_VERSION, MAGIC, ModelFile, load_model, save_model
 from mtspike.network import init_network
 from mtspike.readout import TargetScheme
+
+from conftest import DELETE, JSON_VALUES, set_at
 
 
 def sample_model(seed=0):
@@ -163,7 +167,14 @@ def single_output_model():
     (lambda h: h["scheme"].update(mode="bogus"), "missing or malformed"),
     (lambda h: h["scheme"].update(mode="multi_neuron"), "output neurons"),
     (lambda h: h["coding"].update(ranges=[[0.0, 8.0]] * 3), "ranges cover 3 attributes"),
-], ids=["activation", "window", "scheme-mode", "scheme-outputs", "coding-ranges"])
+    (lambda h: h.update(layer_sizes=[4, float("inf"), 1]), "missing or malformed"),
+    (lambda h: h["scheme"].update(num_classes=float("inf")), "missing or malformed"),
+    (lambda h: h["coding"].update(p_max="x"), "missing or malformed"),
+    (lambda h: h["coding"].update(stride=float("inf")), "missing or malformed"),
+    (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
+], ids=["activation", "window", "scheme-mode", "scheme-outputs", "coding-ranges",
+        "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
+        "stride-infinite", "excitatory_offset-string"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
     save_model(single_output_model(), path)
@@ -172,6 +183,70 @@ def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, mat
     with pytest.raises(ModelIOError, match=match) as err:
         load_model(path)
     assert err.value.code == "E_MODEL"
+
+
+def test_load_then_save_is_byte_identical(tmp_path):
+    path = tmp_path / "m"
+    save_model(single_output_model(), path)
+    save_model(load_model(path), tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == path.read_bytes()
+
+
+HEADER_KEYS = ["layer_sizes", "activation", "window", "coding", "scheme", "provenance"]
+CODING_KEYS = ["scheme", "window", "unit", "kernel", "stride", "binarize_threshold",
+               "pad", "p_max", "ranges"]
+SCHEME_KEYS = ["mode", "window", "num_classes", "excitatory_offset", "inhibitory_offset"]
+HEADER_PATHS = ([(k,) for k in HEADER_KEYS] + [("coding", k) for k in CODING_KEYS]
+                + [("scheme", k) for k in SCHEME_KEYS]
+                + [("layer_sizes", 1), ("coding", "ranges", 0), ("coding", "ranges", 0, 1)])
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m"
+    save_model(single_output_model(), path)
+    return path
+
+
+def loads_or_raises_model_error(path):
+    try:
+        load_model(path)
+    except ModelIOError as exc:
+        assert exc.code == "E_MODEL"
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(HEADER_PATHS), value=JSON_VALUES | st.just(DELETE))
+def test_any_header_mutation_loads_or_raises_model_error(saved_model, tmp_path,
+                                                         path, value):
+    target = tmp_path / "mutated"
+    target.write_bytes(saved_model.read_bytes())
+    rewrite_header(target, lambda header: set_at(header, path, value))
+    loads_or_raises_model_error(target)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_truncated_or_bit_flipped_files_raise_only_model_errors(saved_model, tmp_path,
+                                                                data):
+    raw = saved_model.read_bytes()
+    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
+    header_end = len(MAGIC) + 8 + header_len
+    target = tmp_path / "damaged"
+    cut = data.draw(st.integers(0, len(raw) - 1), label="truncate at")
+    target.write_bytes(raw[:cut])
+    with pytest.raises(ModelIOError):
+        load_model(target)
+    # most flips should land where they can change the parse, not the weights
+    bit = data.draw(st.integers(0, 8 * header_end - 1) | st.integers(0, 8 * len(raw) - 1),
+                    label="flip bit")
+    flipped = bytearray(raw)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    target.write_bytes(bytes(flipped))
+    loads_or_raises_model_error(target)
+    # arbitrary bytes behind a valid magic and version
+    target.write_bytes(raw[:len(MAGIC) + 4] + data.draw(st.binary(max_size=64)))
+    loads_or_raises_model_error(target)
 
 
 def test_missing_file(tmp_path):
