@@ -34,11 +34,8 @@ _EXPORTS = {
     "encode_conv_like": ".coding",
     "neuron_count": ".coding",
     # network
-    "ACTIVATIONS": ".network",
     "Network": ".network",
     "ForwardTrace": ".network",
-    "activation": ".network",
-    "activation_derivative": ".network",
     "init_network": ".network",
     "forward_batch": ".network",
     # readout

@@ -22,9 +22,12 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import EncodingSpec
 from .errors import ConfigError
 from .learning import TrainConfig
+from .network import weight_count
 from .readout import TargetScheme
 from .schema import checked, from_json
 
@@ -137,6 +140,13 @@ class RunConfig:
         self.layer_sizes = tuple(self.layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ConfigError("layers must list at least input and output sizes")
+        if min(self.layer_sizes) < 1:
+            raise ConfigError("every layer must contain at least one neuron")
+        if weight_count(self.layer_sizes) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(
+                f"layers {list(self.layer_sizes)} need more float64 weights "
+                f"than numpy can address"
+            )
         if self.scheme.output_size != self.layer_sizes[-1]:
             raise ConfigError(
                 f"readout produces {self.scheme.output_size} output delays but "

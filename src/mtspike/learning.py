@@ -8,8 +8,8 @@ per-neuron delay residual ``actual - target`` (:func:`output_residual`);
   The omitted fan-in factor is absorbable into the learning rate, and
   gradients also pass through clipped neurons.  Default for training.
 * ``exact`` — the strict chain rule, including the fan-in average and the
-  activation derivative at every layer.  This is the mode the
-  finite-difference check validates.
+  special ReLU's derivative (0 at and below the kink) at every layer.
+  This is the mode the finite-difference check validates.
 
 The heuristic loss restricts output-layer learning to the "involved" neurons
 of each sample's class: walking a depth-first path through a binary decision
@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, EvaluationError, StructureError
-from .network import (
-    ForwardTrace,
-    Network,
-    activation_derivative,
-    forward_batch,
-)
+from .network import ForwardTrace, Network, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
 
 __all__ = [
@@ -158,8 +153,8 @@ def backward(
     if out is not None and len(out) != depth:
         raise StructureError("gradient buffer count does not match the network")
     grads = [None] * depth if out is None else out
-    if mode == "exact":
-        delta = delta * activation_derivative(nets[-1], net.activation)
+    if mode == "exact":  # the special ReLU's derivative, 0 at the kink
+        delta = delta * (nets[-1] > 0)
     for l in reversed(range(depth)):
         fan_in = net.layer_sizes[l]
         g = None  # without buffers matmul allocates it
@@ -176,7 +171,7 @@ def backward(
         if l > 0:
             delta = delta @ net.weights[l].T
             if mode == "exact":
-                delta = delta / fan_in * activation_derivative(nets[l - 1], net.activation)
+                delta = delta / fan_in * (nets[l - 1] > 0)
     return grads
 
 
@@ -335,6 +330,6 @@ def train(
                 stats.train_accuracy,
                 "" if test_accuracy is None else f" test_acc={test_accuracy:.4f}",
             )
-    if trace is not None and net.activation == "special_relu":
+    if trace is not None:
         _warn_if_collapsed(trace, cfg.epochs)
     return net, history

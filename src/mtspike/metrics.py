@@ -10,13 +10,12 @@ and independent of the physical per-spike cost.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import EncodedDataset
 from .errors import ConfigError, StructureError
-from .learning import EpochStats
 from .network import Network, forward_batch
 from .readout import TargetScheme, read_class_batch
 
@@ -39,7 +38,6 @@ class RunMetrics:
     confusion: np.ndarray
     total_spikes: int
     energy: float
-    history: list[EpochStats] = field(default_factory=list)
 
 
 def evaluate(
@@ -92,7 +90,6 @@ def summarize(
     net: Network,
     data: EncodedDataset,
     scheme: TargetScheme,
-    history: list[EpochStats] | None = None,
     alpha: float = 1.0,
 ) -> RunMetrics:
     accuracy, confusion = evaluate(net, data, scheme)
@@ -102,12 +99,11 @@ def summarize(
         confusion=confusion,
         total_spikes=spikes,
         energy=energy(spikes, alpha),
-        history=list(history) if history else [],
     )
 
 
-def write_metrics_csv(path, history: list[EpochStats]):
-    """One row per epoch: epoch, mse, train_accuracy, test_accuracy."""
+def write_metrics_csv(path, history):
+    """One row per ``EpochStats`` of ``history``: epoch, mse, train and test accuracy."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mse", "train_accuracy", "test_accuracy"])

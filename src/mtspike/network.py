@@ -26,35 +26,12 @@ import numpy as np
 from .errors import StructureError
 
 __all__ = [
-    "ACTIVATIONS",
     "Network",
     "ForwardTrace",
     "init_network",
     "weight_count",
     "forward_batch",
-    "activation",
-    "activation_derivative",
 ]
-
-ACTIVATIONS = ("special_relu", "identity")
-
-
-def activation(x: np.ndarray, kind: str = "special_relu") -> np.ndarray:
-    """Apply the layer activation: max(0, x) for special_relu, x unchanged for identity."""
-    if kind == "special_relu":
-        return np.maximum(x, 0.0)
-    if kind == "identity":
-        return np.asarray(x, dtype=np.float64)
-    raise StructureError(f"unknown activation {kind!r}")
-
-
-def activation_derivative(x: np.ndarray, kind: str = "special_relu") -> np.ndarray:
-    """Derivative of :func:`activation`; the special_relu kink uses subgradient 0."""
-    if kind == "special_relu":
-        return (np.asarray(x) > 0).astype(np.float64)
-    if kind == "identity":
-        return np.ones_like(np.asarray(x, dtype=np.float64))
-    raise StructureError(f"unknown activation {kind!r}")
 
 
 @dataclass
@@ -68,7 +45,8 @@ class Network:
     ``window`` is the per-layer response offset described in the module
     docstring; it is part of the model (persisted alongside the weights)
     because the same weights produce different spike times under a
-    different window.
+    different window.  ``activation`` names the neuron rule for the model
+    header; the special ReLU is the only one.
     """
 
     layer_sizes: list[int]
@@ -96,7 +74,7 @@ class Network:
                 )
             if not np.all(np.isfinite(w)):
                 raise StructureError(f"weight matrix {l} contains non-finite values")
-        if self.activation not in ACTIVATIONS:
+        if self.activation != "special_relu":
             raise StructureError(f"unknown activation {self.activation!r}")
         self.window = float(self.window)
         if not np.isfinite(self.window) or self.window < 0:
@@ -106,7 +84,6 @@ class Network:
         return Network(
             layer_sizes=list(self.layer_sizes),
             weights=[w.copy() for w in self.weights],
-            activation=self.activation,
             window=self.window,
         )
 
@@ -120,7 +97,6 @@ def init_network(
     layer_sizes: list[int],
     rng: np.random.Generator | None = None,
     init_range: tuple[float, float] = (0.0, 1.0),
-    activation: str = "special_relu",
     window: float = 0.0,
 ) -> Network:
     """Build a network with uniformly random weights drawn from ``init_range``."""
@@ -131,8 +107,7 @@ def init_network(
         rng.uniform(low, high, size=(layer_sizes[l], layer_sizes[l + 1]))
         for l in range(len(layer_sizes) - 1)
     ]
-    return Network(layer_sizes=list(layer_sizes), weights=weights,
-                   activation=activation, window=window)
+    return Network(layer_sizes=list(layer_sizes), weights=weights, window=window)
 
 
 @dataclass
@@ -183,9 +158,6 @@ def forward_batch(
     if out is not None and (len(out.nets) != len(net.weights)
                             or len(out.delays) != len(net.weights) + 1):
         raise StructureError("workspace depth does not match the network")
-    if net.activation not in ACTIVATIONS:
-        raise StructureError(f"unknown activation {net.activation!r}")
-    relu = net.activation == "special_relu"
     nets: list[np.ndarray] = []
     delays = [x]
     for l, w in enumerate(net.weights):
@@ -202,13 +174,10 @@ def forward_batch(
                 )
         z = np.matmul(x, w, out=z)
         z /= w.shape[0]
-        # d never shares z's buffer, not even for identity: backward's
+        # the special ReLU; d never shares z's buffer, because backward's
         # exact mode reads z as the pre-activation
-        if relu:
-            d = np.maximum(z, 0.0, out=d)
-            d += net.window
-        else:
-            d = np.add(z, net.window, out=d)
+        d = np.maximum(z, 0.0, out=d)
+        d += net.window
         nets.append(z)
         delays.append(d)
         x = d

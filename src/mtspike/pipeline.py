@@ -147,7 +147,7 @@ def execute_run(cfg: RunConfig) -> RunResult:
     net, history = train(
         net, train_enc, cfg.scheme, cfg.train, eval_data=test_enc, rng=rng
     )
-    metrics = summarize(net, test_enc, cfg.scheme, history, cfg.alpha)
+    metrics = summarize(net, test_enc, cfg.scheme, cfg.alpha)
     provenance = {
         "run": cfg.name,
         "seed": cfg.train.seed,

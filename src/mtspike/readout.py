@@ -46,6 +46,11 @@ class TargetScheme:
             raise ConfigError(f"unknown readout mode {self.mode!r}")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
+        if self.num_classes * self.output_size > np.iinfo(np.intp).max // 8:
+            raise ConfigError(
+                f"{self.num_classes} classes need a target matrix larger than "
+                f"numpy can address"
+            )
         if self.window < 0:
             raise ConfigError("encoding window must be non-negative")
         if self.excitatory_offset < 0:

@@ -1,10 +1,11 @@
 """Allocating reference trainer: the workspace trainer must match it bit for bit.
 
 These are the original ``forward_batch``, ``backward``, ``_read_classes`` and
-``train``, kept unchanged except for imports.  Every layer array, gradient
-and weight step is a fresh allocation here; tests train this and
-``mtspike.learning.train`` from the same generator and compare the weights
-and the epoch history byte for byte.
+``train``, kept unchanged except for imports; the special ReLU and its
+derivative, which the package no longer exports, are copied in below.
+Every layer array, gradient and weight step is a fresh allocation here;
+tests train this and ``mtspike.learning.train`` from the same generator and
+compare the weights and the epoch history byte for byte.
 """
 
 import logging
@@ -20,10 +21,20 @@ from mtspike.learning import (
     batch_indices,
     output_residual,
 )
-from mtspike.network import ForwardTrace, Network, activation, activation_derivative
+from mtspike.network import ForwardTrace, Network
 from mtspike.readout import TargetScheme, read_class_batch, target_matrix
 
 log = logging.getLogger(__name__)
+
+
+def activation(x: np.ndarray, kind: str = "special_relu") -> np.ndarray:
+    """The special ReLU, max(0, x); ``kind`` is always ``special_relu``."""
+    return np.maximum(x, 0.0)
+
+
+def activation_derivative(x: np.ndarray, kind: str = "special_relu") -> np.ndarray:
+    """Derivative of :func:`activation`; the kink uses subgradient 0."""
+    return (np.asarray(x) > 0).astype(np.float64)
 
 
 def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:

@@ -201,6 +201,21 @@ def test_wrongly_typed_config_value_error_line(tmp_path, iris_path, capsys):
     assert err.strip().startswith("mtspike: error [E_CONFIG]") and "batch_size" in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"layers": [4, 1], "readout": {"mode": "single_neuron", "num_classes": 10**30,
+                                   "excitatory_offset": 3.0}},
+    {"layers": [4, 10**30, 3]},
+    {"layers": [4, -1, 3]},
+], ids=["num_classes", "hidden-layer", "negative-layer"])
+def test_unbuildable_sizes_error_line(tmp_path, iris_path, capsys, overrides):
+    """Sizes numpy rejects before allocating are config errors, not internal ones."""
+    cfg = write_iris_config(tmp_path, iris_path, **overrides)
+    rc, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]")
+    assert out == ""
+
+
 def test_malformed_model_header_error_line(tmp_path, iris_path, capsys):
     cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 1})
     run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))

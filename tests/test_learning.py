@@ -306,14 +306,15 @@ def test_train_rejects_labels_outside_the_readout():
 
 
 def test_divergence_raises_instead_of_looping():
-    net = init_network([2, 1], rng=np.random.default_rng(0),
-                       activation="identity")
-    data = encoded([[16.0, 16.0]], [0])
-    scheme = TargetScheme(mode="single_neuron", window=0.0, num_classes=1)
+    """Huge steps grow the special-ReLU net's weights until the outputs overflow."""
+    net = init_network([2, 3, 1], rng=np.random.default_rng(0), init_range=(0.0, 5.0),
+                       window=16.0)
+    data = encoded([[16.0, 16.0]], [1])
+    scheme = TargetScheme(mode="single_neuron", window=16.0, num_classes=2,
+                          excitatory_offset=3.0)
     cfg = TrainConfig(learning_rate=1e8, batch_size=1, epochs=200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError):
-            train(net, data, scheme, cfg, rng=np.random.default_rng(0))
+    with pytest.raises(DivergenceError, match="epoch 180, batch 1"):
+        train(net, data, scheme, cfg, rng=np.random.default_rng(0))
 
 
 def test_divergence_hidden_by_the_heuristic_mask_still_raises():
@@ -404,36 +405,35 @@ def random_data(seed, n, width, classes):
     return encoded(rng.uniform(0.0, 16.0, (n, width)), rng.integers(0, classes, n))
 
 
-# (layer sizes, activation, scheme, train data, eval data, TrainConfig fields)
+# (layer sizes, scheme, train data, eval data, TrainConfig fields)
 REFERENCE_CASES = {
-    "paper_169_500_10": ([169, 500, 10], "special_relu", MNIST.scheme,
+    "paper_169_500_10": ([169, 500, 10], MNIST.scheme,
                          lambda: digits(32, 5), lambda: digits(10, 6),
                          {"learning_rate": 1.0, "batch_size": 32,
                           "batch_reduction": "mean"}),
-    "exact_169_500_10": ([169, 500, 10], "special_relu", MNIST.scheme,
+    "exact_169_500_10": ([169, 500, 10], MNIST.scheme,
                          lambda: digits(32, 5), lambda: digits(10, 6),
                          {"learning_rate": 1.0, "batch_size": 32,
                           "batch_reduction": "mean", "gradient_mode": "exact"}),
-    "heuristic": ([6, 5, 3], "special_relu", MULTI3,
+    "heuristic": ([6, 5, 3], MULTI3,
                   lambda: random_data(1, 40, 6, 3), lambda: random_data(2, 12, 6, 3),
                   {"learning_rate": 0.2, "batch_size": 8, "heuristic": True,
                    "batch_reduction": "mean"}),
-    "on_misclassification": ([6, 5, 3], "special_relu", MULTI3,
+    "on_misclassification": ([6, 5, 3], MULTI3,
                              lambda: random_data(3, 40, 6, 3), lambda: None,
                              {"learning_rate": 0.02, "batch_size": 8,
                               "update_gate": "on_misclassification"}),
-    "sum_exact": ([6, 5, 3], "special_relu", MULTI3,
+    "sum_exact": ([6, 5, 3], MULTI3,
                   lambda: random_data(4, 40, 6, 3), lambda: random_data(5, 12, 6, 3),
                   {"learning_rate": 0.02, "batch_size": 8, "gradient_mode": "exact"}),
-    "identity_single_neuron": ([4, 5, 1], "identity", SINGLE3,
-                               lambda: random_data(6, 30, 4, 3),
-                               lambda: random_data(7, 9, 4, 3),
-                               {"learning_rate": 0.001, "batch_size": 10}),
-    "ragged_last_batch": ([6, 5, 3], "special_relu", MULTI3,
+    "single_neuron": ([4, 5, 1], SINGLE3,
+                      lambda: random_data(6, 30, 4, 3), lambda: random_data(7, 9, 4, 3),
+                      {"learning_rate": 0.001, "batch_size": 10}),
+    "ragged_last_batch": ([6, 5, 3], MULTI3,
                           lambda: random_data(8, 50, 6, 3), lambda: None,
                           {"learning_rate": 0.2, "batch_size": 16,
                            "batch_reduction": "mean"}),
-    "batch_larger_than_data": ([6, 3], "special_relu", MULTI3,
+    "batch_larger_than_data": ([6, 3], MULTI3,
                                lambda: random_data(9, 20, 6, 3),
                                lambda: random_data(10, 6, 6, 3),
                                {"learning_rate": 0.2, "batch_size": 64,
@@ -443,13 +443,13 @@ REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_training_matches_the_allocating_reference_bit_for_bit(case):
-    sizes, kind, scheme, make_train, make_eval, fields = REFERENCE_CASES[case]
+    sizes, scheme, make_train, make_eval, fields = REFERENCE_CASES[case]
     data, eval_data = make_train(), make_eval()
     cfg = TrainConfig(epochs=3, **fields)
     runs = []
     for trainer in (train, _reference_train.train):
         rng = np.random.default_rng(11)
-        net = init_network(sizes, rng=rng, activation=kind, window=16.0)
+        net = init_network(sizes, rng=rng, window=16.0)
         runs.append(trainer(net, data, scheme, cfg, eval_data=eval_data, rng=rng))
     (net, history), (ref_net, ref_history) = runs
     for w, ref in zip(net.weights, ref_net.weights, strict=True):

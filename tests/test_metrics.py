@@ -106,12 +106,10 @@ def test_summarize_bundles_everything():
     delays = np.array([[1.0, 5.0, 5.0], [5.0, 1.0, 5.0]])
     data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
                           labels=np.array([0, 1]))
-    history = [EpochStats(epoch=1, mse=2.0, train_accuracy=0.5)]
-    result = summarize(net, data, MULTI3, history, alpha=2.0)
+    result = summarize(net, data, MULTI3, alpha=2.0)
     assert result.test_accuracy == 1.0
     assert result.total_spikes == 2 * (3 + 3)
     assert result.energy == 2.0 * result.total_spikes
-    assert result.history == history
 
 
 def test_metrics_csv_layout(tmp_path):

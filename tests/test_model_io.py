@@ -163,6 +163,7 @@ def single_output_model():
 
 @pytest.mark.parametrize("mutate, match", [
     (lambda h: h.update(activation="tanh"), "invalid network"),
+    (lambda h: h.update(activation="identity"), "invalid network"),
     (lambda h: h.update(window=-1), "invalid network"),
     (lambda h: h["scheme"].update(mode="bogus"), "missing or malformed"),
     (lambda h: h["scheme"].update(mode="multi_neuron"), "output neurons"),
@@ -172,8 +173,8 @@ def single_output_model():
     (lambda h: h["coding"].update(p_max="x"), "missing or malformed"),
     (lambda h: h["coding"].update(stride=float("inf")), "missing or malformed"),
     (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
-], ids=["activation", "window", "scheme-mode", "scheme-outputs", "coding-ranges",
-        "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
+], ids=["activation", "activation-identity", "window", "scheme-mode", "scheme-outputs",
+        "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
         "stride-infinite", "excitatory_offset-string"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"

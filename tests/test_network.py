@@ -12,8 +12,6 @@ from mtspike.errors import StructureError
 from mtspike.network import (
     ForwardTrace,
     Network,
-    activation,
-    activation_derivative,
     forward_batch,
     init_network,
     weight_count,
@@ -31,15 +29,11 @@ def neuron(weights, window=0.0):
 
 
 def test_special_relu_clips_at_zero():
-    x = np.array([-2.0, 0.0, 3.5])
-    assert activation(x).tolist() == [0.0, 0.0, 3.5]
-    assert activation(x, "identity").tolist() == [-2.0, 0.0, 3.5]
-    assert activation_derivative(x).tolist() == [0.0, 0.0, 1.0]
-    assert activation_derivative(x, "identity").tolist() == [1.0, 1.0, 1.0]
-    with pytest.raises(StructureError):
-        activation(x, "tanh")
-    with pytest.raises(StructureError):
-        activation_derivative(x, "tanh")
+    """Through one unit weight, each output is its pre-activation floored at 0."""
+    net = Network(layer_sizes=[1, 1], weights=[np.ones((1, 1))])
+    trace = forward_batch(net, np.array([[-2.0], [0.0], [3.5]]))
+    assert trace.nets[0].ravel().tolist() == [-2.0, 0.0, 3.5]
+    assert trace.outputs.ravel().tolist() == [0.0, 0.0, 3.5]
 
 
 def test_adr_neuron_known_value():
@@ -201,14 +195,12 @@ def test_plain_rule_outputs_are_non_negative(seed):
        sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=4),
        batch=st.integers(min_value=0, max_value=6),
        spare=st.integers(min_value=0, max_value=3),
-       kind=st.sampled_from(["special_relu", "identity"]),
        window=st.sampled_from([0.0, 16.0]))
 @settings(max_examples=60)
-def test_forward_into_a_workspace_is_byte_equal(seed, sizes, batch, spare, kind, window):
+def test_forward_into_a_workspace_is_byte_equal(seed, sizes, batch, spare, window):
     """Writing into a workspace with spare rows gives the allocating pass's bytes."""
     rng = np.random.default_rng(seed)
-    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), activation=kind,
-                       window=window)
+    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
     x = rng.uniform(0.0, 16.0, size=(batch, sizes[0]))
     workspace = ForwardTrace.empty(net, batch + spare)
     fresh = forward_batch(net, x)
