@@ -14,7 +14,9 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import logging
+import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,17 +217,24 @@ def load_iris(path) -> RawDataset:
     )
 
 
-def _read_file(path) -> bytes:
-    """Read a file fully, transparently gunzipping if it starts with 1f 8b."""
+def _read_file(path) -> bytearray:
+    """Read a file fully, transparently gunzipping if it starts with 1f 8b.
+
+    A plain file is read with one ``readinto`` into a buffer sized by
+    ``os.fstat``, never by counts in the file's header.  The buffer is
+    writable, so arrays wrapped around it need no copy.
+    """
     try:
         with open(path, "rb") as fh:
             head = fh.read(2)
             fh.seek(0)
             if head == b"\x1f\x8b":
                 with gzip.open(fh) as gz:
-                    return gz.read()
-            return fh.read()
-    except OSError as exc:
+                    return bytearray(gz.read())
+            buf = bytearray(os.fstat(fh.fileno()).st_size)
+            del buf[fh.readinto(buf):]  # the file shrank since fstat
+            return buf
+    except (OSError, EOFError, zlib.error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -269,7 +278,7 @@ def load_mnist_idx(images_path, labels_path) -> RawDataset:
             f"image count {count} does not match label count {label_count}"
         )
     return RawDataset(
-        features=images.copy(),
+        features=images,
         labels=labels,
         class_names=tuple(str(d) for d in range(10)),
     )

@@ -1,6 +1,8 @@
 """Command-line behaviour: output contracts, files written, error lines."""
 
+import gzip
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -251,6 +253,21 @@ def test_mnist_preset_without_data_fails_after_reporting_shape(
     assert rc == 2
     assert "weights: 89500" in out  # structure reported before data loading
     assert "[E_DATA]" in err and "missing IDX files" in err
+
+
+def test_truncated_gzip_idx_file_error_line(tmp_path, idx_dir, monkeypatch, capsys):
+    data = tmp_path / "mnist"
+    shutil.copytree(idx_dir, data)
+    plain = data / "train-images-idx3-ubyte"
+    packed = gzip.compress(plain.read_bytes())
+    plain.with_suffix(".gz").write_bytes(packed[: len(packed) // 2])
+    plain.unlink()
+    monkeypatch.setenv("MTSPIKE_DATA_DIR", str(tmp_path))
+    rc, _, err = run_cli(capsys, "train", "--preset", "slmt10_mnist_noheu",
+                         "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_DATA]")
+    assert "train-images-idx3-ubyte.gz" in err
 
 
 def test_usage_error_line(capsys):

@@ -1,6 +1,7 @@
 """Temporal coding: delay grids, the three encoders, and their edge cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,7 +321,8 @@ def _image_stack(rng, n, side, dtype):
 @settings(max_examples=30, deadline=None)
 def test_image_encoders_match_reference_bytes(side, data, unit, threshold, p_max,
                                               n, dtype, seed):
-    kernel = data.draw(st.integers(min_value=1, max_value=min(side, 5)))
+    # kernels up to the full side: kernel**2 passes 255, so counts need uint16
+    kernel = data.draw(st.integers(min_value=1, max_value=side))
     stride = data.draw(st.integers(min_value=1, max_value=side))
     p = CodingParams(window=unit * kernel * kernel, unit=unit, kernel=kernel,
                      stride=stride, binarize_threshold=threshold)
@@ -329,6 +331,37 @@ def test_image_encoders_match_reference_bytes(side, data, unit, threshold, p_max
                        ref.encode_each(ref.encode_conv_like, images, p))
     _assert_byte_equal(encode_pixels_1to1(images, p, p_max),
                        ref.encode_each(ref.encode_pixels_1to1, images, p, p_max))
+
+
+@pytest.mark.parametrize("kernel", [15, 16, 17, 28])
+@pytest.mark.parametrize("fill", ["dark", "bright", "random"])
+def test_conv_counts_past_one_byte_match_reference(kernel, fill):
+    """kernel**2 of 256 and more still counts every cell of the field."""
+    rng = np.random.default_rng(kernel)
+    images = {"dark": np.zeros((3, 28, 28), dtype=np.uint8),
+              "bright": np.full((3, 28, 28), 255, dtype=np.uint8),
+              "random": _image_stack(rng, 3, 28, "uint8")}[fill]
+    for stride in (1, 2, kernel + 1):
+        p = CodingParams(window=kernel * kernel, kernel=kernel, stride=stride)
+        delays, _ = encode_conv_like(images, p)
+        _assert_byte_equal((delays,), ref.encode_each(ref.encode_conv_like, images, p))
+        if fill != "random":
+            assert np.all(delays == (p.window if fill == "dark" else 0.0))
+
+
+def test_conv_peak_allocation_stays_near_its_result():
+    """Blocks keep the working set small: the peak is the result plus < 1 MB."""
+    images = _image_stack(np.random.default_rng(3), 2000, 28, "uint8")
+    p = CodingParams(kernel=4, stride=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        delays, fired = encode_conv_like(images, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    result = delays.nbytes + fired.nbytes
+    assert peak <= result + 2**20, (peak, result)
 
 
 @given(

@@ -2,9 +2,14 @@
 
 import gzip
 import shutil
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtspike.coding import CodingParams
 from mtspike.datasets import (
@@ -221,6 +226,89 @@ def test_idx_error_cases(tmp_path):
                    np.zeros(3, dtype=np.uint8), tmp_path / "img3", tmp_path / "lbl3")
     with pytest.raises(DataError, match="does not match label count"):
         load_mnist_idx(good_img, tmp_path / "lbl3")
+
+
+def test_idx_load_allocates_one_image_file(tmp_path):
+    """Pixels are read once into one buffer and wrapped, not copied."""
+    rng = np.random.default_rng(4)
+    images = rng.integers(0, 256, (5000, 28, 28)).astype(np.uint8)
+    save_mnist_idx(images, rng.integers(0, 10, 5000), tmp_path / "img", tmp_path / "lbl")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = load_mnist_idx(tmp_path / "img", tmp_path / "lbl")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "img").stat().st_size
+    assert peak <= 1.1 * size, (peak, size)
+    assert np.array_equal(ds.features, images) and ds.features.flags.writeable
+
+
+def _idx_files(images, labels, gz):
+    """The bytes of an IDX image file and label file, optionally gzipped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_mnist_idx(images, labels, tmp / "img", tmp / "lbl")
+        blobs = [(tmp / name).read_bytes() for name in ("img", "lbl")]
+    return [gzip.compress(b, mtime=0) if gz else b for b in blobs]
+
+
+def _load_idx_bytes(image_bytes, label_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "img").write_bytes(image_bytes)
+        (tmp / "lbl").write_bytes(label_bytes)
+        return load_mnist_idx(tmp / "img", tmp / "lbl")
+
+
+@given(
+    side=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_plain_and_gzipped_idx_load_identically(side, n, seed):
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, (n, side, side)).astype(np.uint8)
+    labels = rng.integers(0, 10, n).astype(np.uint8)
+    plain = _load_idx_bytes(*_idx_files(images, labels, gz=False))
+    packed = _load_idx_bytes(*_idx_files(images, labels, gz=True))
+    for ds in (plain, packed):
+        assert ds.features.dtype == np.uint8 and ds.features.shape == images.shape
+        assert ds.features.tobytes() == images.tobytes()
+        assert ds.features.flags.writeable
+        assert np.array_equal(ds.labels, labels)
+
+
+@given(
+    gz=st.booleans(),
+    target=st.sampled_from([0, 1]),
+    damage=st.sampled_from(["truncate", "extend", "flip"]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_damaged_idx_files_raise_only_data_error(gz, target, damage, data):
+    """Truncated, extended or byte-flipped files load or raise ``DataError``."""
+    rng = np.random.default_rng(0)
+    files = _idx_files(rng.integers(0, 256, (3, 4, 4)).astype(np.uint8),
+                       np.array([0, 7, 9], dtype=np.uint8), gz)
+    blob = files[target]
+    if damage == "truncate":
+        blob = blob[: data.draw(st.integers(min_value=0, max_value=len(blob) - 1))]
+    elif damage == "extend":
+        blob = blob + data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        at = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        bits = data.draw(st.integers(min_value=1, max_value=255))
+        blob = blob[:at] + bytes([blob[at] ^ bits]) + blob[at + 1:]
+    files[target] = blob
+    try:
+        ds = _load_idx_bytes(*files)
+    except DataError:
+        return
+    assert ds.features.dtype == np.uint8 and ds.features.shape == (3, 4, 4)
+    assert ds.labels.shape == (3,)
 
 
 def test_save_idx_validation(tmp_path):
