@@ -19,6 +19,8 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 from .errors import ConfigError, MTSpikeError
@@ -90,8 +92,14 @@ def _resolve_config(args):
     return load_config(args.config)
 
 
-def _ensure_parent(path: Path):
-    path.parent.mkdir(parents=True, exist_ok=True)
+@contextmanager
+def _writing(path: Path):
+    """Create the directory of output ``path``; failing to write it is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -120,10 +128,9 @@ def cmd_train(args) -> int:
     metrics_path = (
         Path(cfg.metrics_path) if cfg.metrics_path else out / f"{cfg.name}_metrics.csv"
     )
-    _ensure_parent(model_path)
-    _ensure_parent(metrics_path)
-    save_model(result.model, model_path)
-    write_metrics_csv(metrics_path, result.history)
+    with _writing(model_path), _writing(metrics_path):
+        save_model(result.model, model_path)
+        write_metrics_csv(metrics_path, result.history)
 
     print(f"final_test_accuracy: {result.metrics.test_accuracy:.6f}")
     print(f"model_file: {model_path}")
@@ -147,8 +154,8 @@ def cmd_eval(args) -> int:
 
     out = Path(args.out)
     confusion_path = out / f"{cfg.name}_{args.split}_confusion.csv"
-    _ensure_parent(confusion_path)
-    write_confusion_csv(confusion_path, result.confusion)
+    with _writing(confusion_path):
+        write_confusion_csv(confusion_path, result.confusion)
 
     print(f"run: {cfg.name} ({args.split} split, {len(encoded)} samples)")
     print(f"accuracy: {result.test_accuracy:.6f}")
@@ -176,10 +183,11 @@ def cmd_encode(args) -> int:
     out = Path(args.out)
     delays_path = out / f"{cfg.name}_{args.split}_delays.csv"
     histogram_path = out / f"{cfg.name}_{args.split}_histogram.csv"
-    _ensure_parent(delays_path)
 
     width = encoded.delays.shape[1]
-    with open(delays_path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(delays_path), open(
+        delays_path, "w", newline="", encoding="utf-8"
+    ) as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"n{i}" for i in range(width)])
         for i in range(len(encoded)):
@@ -191,7 +199,9 @@ def cmd_encode(args) -> int:
     resolution = spec.params.resolution
     bins = np.round(encoded.delays[encoded.fired] / spec.params.unit).astype(np.int64)
     counts = np.bincount(bins, minlength=resolution + 1)
-    with open(histogram_path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(histogram_path), open(
+        histogram_path, "w", newline="", encoding="utf-8"
+    ) as fh:
         writer = csv.writer(fh)
         writer.writerow(["delay_units", "count"])
         for unit_delay in range(resolution + 1):
@@ -242,17 +252,18 @@ def cmd_srm_demo(args) -> int:
     times, voltage = voltage_trace(inputs, weights, params)
     crossing = threshold_crossing(inputs, weights, params)
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        sink.write("t,v\n")
-        for t, v in zip(times, voltage):
-            sink.write(f"{t:.6g},{v:.8g}\n")
-        sink.write(f"# crossing,{'none' if crossing is None else f'{crossing:.6g}'}\n")
-    finally:
-        if args.out:
-            sink.close()
-    if args.out:
-        print(f"trace_file: {args.out}")
+    lines = chain(
+        ["t,v\n"],
+        (f"{t:.6g},{v:.8g}\n" for t, v in zip(times, voltage)),
+        [f"# crossing,{'none' if crossing is None else f'{crossing:.6g}'}\n"],
+    )
+    if not args.out:
+        sys.stdout.writelines(lines)
+        return 0
+    out = Path(args.out)
+    with _writing(out), open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    print(f"trace_file: {out}")
     return 0
 
 

@@ -4,6 +4,16 @@ Every error carries a short machine-greppable code; the CLI prints it as a
 single-line ``mtspike: error [CODE] message`` before exiting nonzero.
 """
 
+__all__ = [
+    "MTSpikeError",
+    "ConfigError",
+    "DataError",
+    "StructureError",
+    "ModelIOError",
+    "DivergenceError",
+    "EvaluationError",
+]
+
 
 class MTSpikeError(Exception):
     """Base class for all package errors."""

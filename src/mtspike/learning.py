@@ -182,16 +182,6 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def _read_classes(scheme: TargetScheme, outputs: np.ndarray, epoch: int, batch: int):
-    """Classify during training, where non-finite output delays mean divergence."""
-    try:
-        return read_class_batch(scheme, outputs)
-    except EvaluationError as exc:
-        raise DivergenceError(
-            f"training diverged at epoch {epoch}, batch {batch}: {exc}"
-        ) from exc
-
-
 def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
     """Warn when a layer's every pre-activation in ``trace`` is clipped to zero."""
     clipped = [l + 1 for l, z in enumerate(trace.nets) if not z.max() > 0.0]
@@ -203,6 +193,7 @@ def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     net: Network,
     data,
@@ -229,8 +220,9 @@ def train(
     run that "finishes" this way has collapsed.
 
     Raises :class:`DivergenceError`, naming the epoch and batch, as soon as
-    a batch's squared error or output delays (training or evaluation) stop
-    being finite; numpy's overflow warnings on the way there are silenced.
+    the epoch's running squared error or a batch's output delays (training
+    or evaluation) stop being finite; numpy's overflow warnings on the way
+    there are silenced.
     Raises :class:`ConfigError` for labels beyond the readout's classes and
     for an empty training or evaluation set.
     """
@@ -268,9 +260,8 @@ def train(
     mean = cfg.batch_reduction == "mean"
     workspace = ForwardTrace.empty(net, min(cfg.batch_size, n))
     grads = [np.empty(w.shape) for w in net.weights]
-    trace = None
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         for epoch in range(1, cfg.epochs + 1):
             squared_sum = 0.0
             term_count = 0
@@ -282,16 +273,14 @@ def train(
                 resid, terms = output_residual(
                     outputs, targets[idx], batch_labels, heuristic
                 )
-                squared = float((resid * resid).sum())
-                if not math.isfinite(squared):
+                squared_sum += float((resid * resid).sum())
+                if not math.isfinite(squared_sum):
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}, batch {batch}: "
                         f"squared error is non-finite"
                     )
-                squared_sum += squared
                 term_count += terms
-                predicted = _read_classes(scheme, outputs, epoch, batch)
-                hits = predicted == batch_labels
+                hits = read_class_batch(scheme, outputs) == batch_labels
                 hit_count += int(np.count_nonzero(hits))
 
                 if gated:
@@ -304,13 +293,11 @@ def train(
                     g *= scale
                     w -= g
 
-            mse = squared_sum / term_count
-            if not math.isfinite(mse):
-                raise DivergenceError(f"training MSE became non-finite at epoch {epoch}")
+            mse = squared_sum / term_count  # finite: term_count >= 1
             test_accuracy = None
             if eval_data is not None:
                 outputs = forward_batch(net, eval_data.delays).outputs
-                predictions = _read_classes(scheme, outputs, epoch, batch)
+                predictions = read_class_batch(scheme, outputs)
                 correct = int(np.count_nonzero(predictions == eval_data.labels))
                 test_accuracy = correct / len(eval_data)
             stats = EpochStats(
@@ -330,6 +317,10 @@ def train(
                 stats.train_accuracy,
                 "" if test_accuracy is None else f" test_acc={test_accuracy:.4f}",
             )
-    if trace is not None:
+    except EvaluationError as exc:  # non-finite output delays, training or evaluation
+        raise DivergenceError(
+            f"training diverged at epoch {epoch}, batch {batch}: {exc}"
+        ) from exc
+    if history:  # at least one batch ran, so trace holds the last one
         _warn_if_collapsed(trace, cfg.epochs)
     return net, history

@@ -59,6 +59,8 @@ class SrmParams:
             raise ConfigError("dt must be positive")
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
+        if not self.horizon / self.dt <= np.iinfo(np.intp).max // 8:
+            raise ConfigError("horizon / dt is more grid steps than numpy can address")
 
 
 def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
@@ -92,7 +94,7 @@ def voltage_trace(
     Returns ``(times, voltage)`` with ``times = 0, dt, ..., horizon``.  Only
     fired inputs contribute; an input that never spiked adds nothing
     regardless of its delay slot.  Fired delays and all weights must be
-    finite (``ConfigError`` otherwise).
+    finite and the grid must fit in memory (``ConfigError`` otherwise).
 
     The potential is evaluated in closed form, not one kernel per input.
     With the acting inputs sorted by delay, a grid point ``t`` between the
@@ -125,27 +127,30 @@ def voltage_trace(
     if not np.all(np.isfinite(delays)):
         raise ConfigError("fired input delays must be finite")
     steps = int(round(params.horizon / params.dt))
-    times = np.arange(steps + 1, dtype=np.float64) * params.dt
-    voltage = np.zeros_like(times)
-    # a zero weight adds nothing and has no logarithm
-    acting = (delays < times[-1]) & (w != 0.0)
-    if not np.any(acting):
-        return times, voltage
-    order = np.argsort(delays[acting])
-    delays, w = delays[acting][order], w[acting][order]
-    # inputs acting at each grid point, and the time since the latest of them
-    began = np.searchsorted(delays, times, side="left")
-    since = times - np.concatenate([[0.0], delays])[began]
-    scale = np.max(np.abs(w))
-    log_w = np.log(np.abs(w)) - np.log(scale)
-    signs = np.stack([w > 0, w < 0])
-    for tau, kernel_sign in ((params.tau_decay, 1.0), (params.tau_rise, -1.0)):
-        at_input = delays / tau
-        prefix = np.logaddexp.accumulate(np.where(signs, log_w + at_input, -np.inf), axis=1)
-        rebased = np.exp(prefix[0] - at_input) - np.exp(prefix[1] - at_input)
-        rebased = np.concatenate([[0.0], rebased])
-        voltage += kernel_sign * rebased[began] * np.exp(-since / tau)
-    return times, scale * voltage
+    try:
+        times = np.arange(steps + 1, dtype=np.float64) * params.dt
+        voltage = np.zeros_like(times)
+        # a zero weight adds nothing and has no logarithm
+        acting = (delays < times[-1]) & (w != 0.0)
+        if not np.any(acting):
+            return times, voltage
+        order = np.argsort(delays[acting])
+        delays, w = delays[acting][order], w[acting][order]
+        # inputs acting at each grid point, and the time since the latest of them
+        began = np.searchsorted(delays, times, side="left")
+        since = times - np.concatenate([[0.0], delays])[began]
+        scale = np.max(np.abs(w))
+        log_w = np.log(np.abs(w)) - np.log(scale)
+        signs = np.stack([w > 0, w < 0])
+        for tau, kernel_sign in ((params.tau_decay, 1.0), (params.tau_rise, -1.0)):
+            at_input = delays / tau
+            prefix = np.logaddexp.accumulate(np.where(signs, log_w + at_input, -np.inf), axis=1)
+            rebased = np.exp(prefix[0] - at_input) - np.exp(prefix[1] - at_input)
+            rebased = np.concatenate([[0.0], rebased])
+            voltage += kernel_sign * rebased[began] * np.exp(-since / tau)
+        return times, scale * voltage
+    except MemoryError as exc:
+        raise ConfigError(f"cannot allocate the {steps + 1}-point SRM grid") from exc
 
 
 def threshold_crossing(

@@ -179,6 +179,41 @@ def test_srm_demo_rejects_non_finite_delays(capsys):
     assert "mtspike: error [E_CONFIG]" in err
 
 
+@pytest.mark.parametrize("grid", [
+    ["--horizon", "1e300", "--dt", "1e-10"],
+    ["--dt", "1e-12"],
+], ids=["overflowing-steps", "unallocatable"])
+def test_srm_demo_rejects_unbuildable_grid(capsys, grid):
+    """A grid too large to index or to allocate is a config error, not an internal one."""
+    rc, out, err = run_cli(capsys, "srm-demo", *grid)
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "encode"])
+def test_out_that_is_a_file_error_line(tmp_path, iris_path, capsys, command):
+    cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 1})
+    assert run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))[0] == 0
+    blocker = tmp_path / "afile"
+    blocker.touch()
+    extra = ["--model", str(tmp_path / "cli_iris.mtspike")] if command == "eval" else []
+    rc, _, err = run_cli(capsys, command, "--config", str(cfg), *extra,
+                         "--out", str(blocker))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]") and str(blocker) in err
+
+
+@pytest.mark.parametrize("target", ["afile/x.csv", "."], ids=["under-a-file", "a-directory"])
+def test_srm_demo_unwritable_out_error_line(tmp_path, capsys, target):
+    (tmp_path / "afile").touch()
+    path = tmp_path / target
+    rc, out, err = run_cli(capsys, "srm-demo", "--out", str(path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]") and str(path) in err
+    assert out == ""
+
+
 def test_presets_lists_all_runs(capsys):
     rc, out, _ = run_cli(capsys, "presets")
     assert rc == 0

@@ -327,6 +327,17 @@ def test_divergence_hidden_by_the_heuristic_mask_still_raises():
         train(net, encoded([[16.0, 16.0]], [0]), MULTI3, cfg, rng=np.random.default_rng(0))
 
 
+def test_overflowing_error_sum_names_its_batch():
+    """Each batch's squared error is finite, but their running sum overflows."""
+    net = Network(layer_sizes=[2, 1], weights=[np.full((2, 1), 6.25e152)], window=16.0)
+    scheme = TargetScheme(mode="single_neuron", window=16.0, num_classes=2,
+                          excitatory_offset=3.0)
+    cfg = TrainConfig(learning_rate=0.0, batch_size=1, epochs=1)
+    with pytest.raises(DivergenceError, match="epoch 1, batch 2: squared error"):
+        train(net, encoded([[16.0, 16.0]] * 2, [0, 1]), scheme, cfg,
+              rng=np.random.default_rng(0))
+
+
 def test_heuristic_moves_only_involved_output_columns():
     rng = np.random.default_rng(8)
     net = init_network([5, 4, 3], rng=rng, window=16.0)

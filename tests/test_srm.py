@@ -36,6 +36,8 @@ def test_params_validation():
         {"horizon": np.inf},
         {"tau_decay": np.inf},
         {"v_threshold": np.nan},
+        {"horizon": 1e300, "dt": 1e-10},  # horizon / dt overflows to inf
+        {"dt": 1e-300},  # more grid points than numpy can index
     ):
         with pytest.raises(ConfigError):
             SrmParams(**kwargs)
