@@ -179,6 +179,12 @@ def cmd_encode(args) -> int:
     spec = pipeline.fit_coding(cfg.coding, train_raw)
     raw = train_raw if args.split == "train" else test_raw
     encoded = encode_dataset(raw, spec)
+    resolution = spec.params.resolution
+    bins = np.round(encoded.delays[encoded.fired] / spec.params.unit).astype(np.int64)
+    try:
+        counts = np.bincount(bins, minlength=resolution + 1)
+    except MemoryError as exc:
+        raise ConfigError(f"cannot allocate a {resolution + 1}-slot delay histogram") from exc
 
     out = Path(args.out)
     delays_path = out / f"{cfg.name}_{args.split}_delays.csv"
@@ -196,9 +202,6 @@ def cmd_encode(args) -> int:
                 row.append(f"{d:g}" if f else "-")
             writer.writerow(row)
 
-    resolution = spec.params.resolution
-    bins = np.round(encoded.delays[encoded.fired] / spec.params.unit).astype(np.int64)
-    counts = np.bincount(bins, minlength=resolution + 1)
     with _writing(histogram_path), open(
         histogram_path, "w", newline="", encoding="utf-8"
     ) as fh:
@@ -228,7 +231,7 @@ def cmd_srm_demo(args) -> int:
     import numpy as np
 
     from .coding import DelayVector
-    from .srm import SrmParams, threshold_crossing, voltage_trace
+    from .srm import SrmParams, _first_crossing, voltage_trace
 
     delays = np.array(_parse_floats(args.delays, "--delays"))
     weights = np.array(_parse_floats(args.weights, "--weights"))
@@ -250,7 +253,7 @@ def cmd_srm_demo(args) -> int:
     )
     inputs = DelayVector(delays=delays, fired=fired)
     times, voltage = voltage_trace(inputs, weights, params)
-    crossing = threshold_crossing(inputs, weights, params)
+    crossing = _first_crossing(inputs, times, voltage, params)
 
     lines = chain(
         ["t,v\n"],

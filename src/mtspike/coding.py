@@ -73,6 +73,8 @@ class CodingParams:
             raise ConfigError(
                 f"window/unit must be a positive integer, got {ratio!r}"
             )
+        if self.resolution > np.iinfo(np.intp).max // 8:
+            raise ConfigError("window / unit is more delay slots than numpy can address")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
         if self.kernel is not None:

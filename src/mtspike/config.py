@@ -32,6 +32,7 @@ from .readout import TargetScheme
 from .schema import checked, from_json
 
 __all__ = [
+    "CONFIG_SCHEMA",
     "DatasetConfig",
     "RunConfig",
     "load_config",

@@ -88,8 +88,8 @@ class TrainConfig:
         if self.batch_reduction not in BATCH_REDUCTIONS:
             raise ConfigError(f"unknown batch reduction {self.batch_reduction!r}")
         low, high = self.init_range
-        if not low < high:
-            raise ConfigError("init_range must be an increasing (low, high) pair")
+        if not (low < high and math.isfinite(high - low)):
+            raise ConfigError("init_range must be an increasing pair of finite width")
 
 
 @dataclass
@@ -121,20 +121,14 @@ def output_residual(
 
 
 def backward(
-    net: Network,
-    trace: ForwardTrace,
-    delta: np.ndarray,
-    mode: str = "paper",
-    out: list[np.ndarray] | None = None,
+    net: Network, trace: ForwardTrace, delta: np.ndarray, mode: str = "paper"
 ) -> list[np.ndarray]:
     """Per-layer weight gradients of the squared delay error over a batch.
 
     ``delta`` is the ``(batch, output_size)`` output residual, usually from
     :func:`output_residual`; a zero entry sends no update to that neuron's
     synapses for that sample.  Returns one gradient per weight matrix,
-    summed over the batch.  With ``out`` (one float64 buffer shaped like
-    each weight matrix) the gradients are written there and ``out`` is
-    returned.
+    summed over the batch, each a freshly allocated array.
     """
     if mode not in GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -150,22 +144,12 @@ def backward(
             )
     if delta.shape != delays[-1].shape:
         raise StructureError("delta shape does not match the output layer")
-    if out is not None and len(out) != depth:
-        raise StructureError("gradient buffer count does not match the network")
-    grads = [None] * depth if out is None else out
+    grads = [None] * depth
     if mode == "exact":  # the special ReLU's derivative, 0 at the kink
         delta = delta * (nets[-1] > 0)
     for l in reversed(range(depth)):
         fan_in = net.layer_sizes[l]
-        g = None  # without buffers matmul allocates it
-        if out is not None:
-            g = out[l]
-            if g.shape != net.weights[l].shape or g.dtype != np.float64:
-                raise StructureError(
-                    f"gradient buffer {l} is {g.dtype} {g.shape}, "
-                    f"expected float64 {net.weights[l].shape}"
-                )
-        g = np.matmul(delays[l].T, delta, out=g)
+        g = delays[l].T @ delta
         g /= fan_in
         grads[l] = g
         if l > 0:
@@ -212,8 +196,8 @@ def train(
     of the epoch (restricted to involved output neurons when the heuristic
     loss is active).  ``eval_data`` adds a per-epoch test accuracy.  Fully
     deterministic for a fixed config seed (or caller-supplied generator).
-    One forward workspace and one set of gradient buffers, allocated per
-    call, serve every batch; the weights are updated in place.
+    Each batch allocates its own trace and gradients, which are scaled and
+    subtracted from the weights in place.
 
     Logs one warning at the end when every pre-activation of a layer in the
     last batch is <= 0: the special ReLU then clips the whole layer, and a
@@ -258,8 +242,6 @@ def train(
     heuristic, mode = cfg.heuristic, cfg.gradient_mode
     gated = cfg.update_gate == "on_misclassification"
     mean = cfg.batch_reduction == "mean"
-    workspace = ForwardTrace.empty(net, min(cfg.batch_size, n))
-    grads = [np.empty(w.shape) for w in net.weights]
 
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -267,7 +249,10 @@ def train(
             term_count = 0
             hit_count = 0
             for batch, idx in enumerate(batch_indices(n, cfg.batch_size, rng), 1):
-                trace = forward_batch(net, data.delays[idx], out=workspace)
+                # free the last batch's trace and gradients before this batch
+                # allocates: held over, they add a weight matrix to peak memory
+                trace = grads = None
+                trace = forward_batch(net, data.delays[idx])
                 outputs = trace.outputs
                 batch_labels = labels[idx]
                 resid, terms = output_residual(
@@ -285,10 +270,8 @@ def train(
 
                 if gated:
                     resid = np.where(hits[:, np.newaxis], 0.0, resid)
-                backward(net, trace, resid, mode=mode, out=grads)
-                scale = cfg.learning_rate
-                if mean:
-                    scale /= len(idx)
+                grads = backward(net, trace, resid, mode=mode)
+                scale = cfg.learning_rate / len(idx) if mean else cfg.learning_rate
                 for w, g in zip(net.weights, grads):
                     g *= scale
                     w -= g
@@ -300,12 +283,8 @@ def train(
                 predictions = read_class_batch(scheme, outputs)
                 correct = int(np.count_nonzero(predictions == eval_data.labels))
                 test_accuracy = correct / len(eval_data)
-            stats = EpochStats(
-                epoch=epoch,
-                mse=mse,
-                train_accuracy=hit_count / n,
-                test_accuracy=test_accuracy,
-            )
+            stats = EpochStats(epoch=epoch, mse=mse, train_accuracy=hit_count / n,
+                               test_accuracy=test_accuracy)
             history.append(stats)
             level = logging.INFO if epoch % max(1, cfg.epochs // 10) == 0 else logging.DEBUG
             log.log(

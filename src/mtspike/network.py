@@ -126,27 +126,12 @@ class ForwardTrace:
     def outputs(self) -> np.ndarray:
         return self.delays[-1]
 
-    @classmethod
-    def empty(cls, net: Network, rows: int) -> "ForwardTrace":
-        """Uninitialised ``(rows, size)`` buffers for ``forward_batch(..., out=)``."""
-        return cls(
-            nets=[np.empty((rows, n)) for n in net.layer_sizes[1:]],
-            delays=[np.empty((rows, n)) for n in net.layer_sizes],
-        )
 
-
-def forward_batch(
-    net: Network, delay_matrix: np.ndarray, out: ForwardTrace | None = None
-) -> ForwardTrace:
+def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     """Propagate a ``(batch, input_size)`` delay matrix through every layer.
 
-    With ``out`` (a workspace such as :meth:`ForwardTrace.empty` returns,
-    with at least ``batch`` rows per buffer) the pass writes the first
-    ``batch`` rows of ``out.nets[l]`` and ``out.delays[l + 1]`` and
-    allocates no layer arrays.  The returned trace then aliases the
-    workspace, so the next call with the same ``out`` overwrites it; its
-    ``delays[0]`` is the input matrix either way, and ``out.delays[0]`` is
-    never written.
+    Every call allocates its own pre-activation and delay array per layer;
+    the returned trace's ``delays[0]`` is the input matrix.
     """
     x = np.asarray(delay_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
@@ -154,31 +139,15 @@ def forward_batch(
             f"expected a (batch, {net.layer_sizes[0]}) delay matrix, "
             f"got shape {x.shape}"
         )
-    batch = x.shape[0]
-    if out is not None and (len(out.nets) != len(net.weights)
-                            or len(out.delays) != len(net.weights) + 1):
-        raise StructureError("workspace depth does not match the network")
     nets: list[np.ndarray] = []
     delays = [x]
-    for l, w in enumerate(net.weights):
-        z = d = None  # without a workspace the ufuncs allocate them
-        if out is not None:
-            shape = (batch, w.shape[1])
-            z = out.nets[l][:batch]
-            d = out.delays[l + 1][:batch]
-            if z.shape != shape or d.shape != shape \
-                    or z.dtype != np.float64 or d.dtype != np.float64:
-                raise StructureError(
-                    f"workspace layer {l + 1} gives {z.dtype} {z.shape} and "
-                    f"{d.dtype} {d.shape} slices, expected float64 {shape}"
-                )
-        z = np.matmul(x, w, out=z)
+    for w in net.weights:
+        z = x @ w
         z /= w.shape[0]
-        # the special ReLU; d never shares z's buffer, because backward's
-        # exact mode reads z as the pre-activation
-        d = np.maximum(z, 0.0, out=d)
-        d += net.window
+        # the special ReLU, never in z's buffer: backward's exact mode reads
+        # z as the pre-activation
+        x = np.maximum(z, 0.0)
+        x += net.window
         nets.append(z)
-        delays.append(d)
-        x = d
+        delays.append(x)
     return ForwardTrace(nets=nets, delays=delays)

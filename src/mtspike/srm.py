@@ -163,7 +163,11 @@ def threshold_crossing(
     meaningfully cross before any input has begun to act.  This also keeps a
     zero threshold from reporting a phantom crossing at t = 0.
     """
-    times, voltage = voltage_trace(inputs, weights, params)
+    return _first_crossing(inputs, *voltage_trace(inputs, weights, params), params)
+
+
+def _first_crossing(inputs, times, voltage, params) -> float | None:
+    """:func:`threshold_crossing` on the trace :func:`voltage_trace` returned for ``inputs``."""
     if not np.any(inputs.fired):
         return None
     earliest = float(np.min(inputs.delays[inputs.fired]))

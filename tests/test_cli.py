@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mtspike import cli
+from mtspike import cli, srm
 from mtspike.model_io import load_model
 
 from conftest import REPO_ROOT
@@ -157,6 +157,19 @@ def test_srm_demo_prints_trace_and_crossing(capsys):
     assert lines[-1] != "# crossing,none"
 
 
+def test_srm_demo_computes_the_trace_once(monkeypatch, capsys):
+    original, calls = srm.voltage_trace, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(srm, "voltage_trace", counting)
+    assert cli.main(["srm-demo"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("# crossing,")
+    assert len(calls) == 1
+
+
 def test_srm_demo_writes_file(tmp_path, capsys):
     path = tmp_path / "trace.csv"
     rc, out, _ = run_cli(capsys, "srm-demo", "--weights", "0.01,0.01",
@@ -189,6 +202,18 @@ def test_srm_demo_rejects_unbuildable_grid(capsys, grid):
     assert rc == 2
     assert err.strip().startswith("mtspike: error [E_CONFIG]")
     assert out == ""
+
+
+@pytest.mark.parametrize("window", [1e300, 1e12], ids=["overflowing-slots", "unallocatable"])
+def test_encode_rejects_unbuildable_histogram(tmp_path, iris_path, capsys, window):
+    """A delay grid too fine to index or to allocate is a config error, not an internal one."""
+    cfg = write_iris_config(tmp_path, iris_path,
+                            coding={"scheme": "numeric", "window": window, "unit": 1.0})
+    rc, out, err = run_cli(capsys, "encode", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]")
+    assert out == ""
+    assert not list(tmp_path.glob("*.csv"))  # no delays file without its histogram
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "encode"])
@@ -243,7 +268,8 @@ def test_wrongly_typed_config_value_error_line(tmp_path, iris_path, capsys):
                                    "excitatory_offset": 3.0}},
     {"layers": [4, 10**30, 3]},
     {"layers": [4, -1, 3]},
-], ids=["num_classes", "hidden-layer", "negative-layer"])
+    {"train": {"init_range": [-1e308, 1e308], "epochs": 1}},
+], ids=["num_classes", "hidden-layer", "negative-layer", "init_range-width"])
 def test_unbuildable_sizes_error_line(tmp_path, iris_path, capsys, overrides):
     """Sizes numpy rejects before allocating are config errors, not internal ones."""
     cfg = write_iris_config(tmp_path, iris_path, **overrides)

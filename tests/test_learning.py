@@ -19,7 +19,7 @@ from mtspike.learning import (
     output_residual,
     train,
 )
-from mtspike.network import ForwardTrace, Network, forward_batch, init_network
+from mtspike.network import Network, forward_batch, init_network
 from mtspike.readout import TargetScheme
 
 MULTI3 = TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
@@ -45,6 +45,7 @@ def test_train_config_validation():
         {"update_gate": "sometimes"},
         {"batch_reduction": "median"},
         {"init_range": (1.0, 1.0)},
+        {"init_range": (-1e308, 1e308)},  # width overflows float64
     ):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
@@ -154,41 +155,6 @@ def test_backward_validates_trace_and_delta():
     short = forward_batch(init_network([4, 2], rng=rng), np.zeros((2, 4)))
     with pytest.raises(StructureError):
         backward(net, short, np.zeros((2, 2)))
-
-
-@given(seed=st.integers(min_value=0, max_value=2**31),
-       sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=4),
-       batch=st.integers(min_value=1, max_value=6),
-       spare=st.integers(min_value=0, max_value=3),
-       mode=st.sampled_from(["paper", "exact"]))
-@settings(max_examples=60)
-def test_backward_into_buffers_is_byte_equal(seed, sizes, batch, spare, mode):
-    """Gradients written into buffers, from a workspace trace, match the allocating call."""
-    rng = np.random.default_rng(seed)
-    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=16.0)
-    x = rng.uniform(0.0, 16.0, size=(batch, sizes[0]))
-    trace = forward_batch(net, x, out=ForwardTrace.empty(net, batch + spare))
-    delta = rng.normal(size=trace.outputs.shape)
-    fresh = backward(net, forward_batch(net, x), delta, mode=mode)
-    buffers = [np.full(w.shape, np.nan) for w in net.weights]
-    assert backward(net, trace, delta, mode=mode, out=buffers) is buffers
-    for a, b in zip(fresh, buffers, strict=True):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_backward_rejects_buffers_that_do_not_fit():
-    rng = np.random.default_rng(0)
-    net = init_network([4, 3, 2], rng=rng)
-    trace = forward_batch(net, rng.uniform(0, 16, (2, 4)))
-    delta = np.zeros((2, 2))
-    for buffers in (
-        [np.empty((4, 3))],  # one buffer for two matrices
-        [np.empty((4, 3)), np.empty((3, 3))],
-        [np.empty((3, 4)), np.empty((3, 2))],
-        [np.empty((4, 3), dtype=np.float32), np.empty((3, 2))],
-    ):
-        with pytest.raises(StructureError, match="gradient buffer"):
-            backward(net, trace, delta, out=buffers)
 
 
 def finite_difference(net, delays, targets, step=1e-4):
@@ -475,25 +441,30 @@ def test_training_matches_the_allocating_reference_bit_for_bit(case):
 
 
 def test_train_peak_allocation_stays_below_two_weight_matrices():
-    """One train call allocates its buffers once, whatever the epoch count.
+    """One batch's trace and gradients are alive at a time, in either gradient mode.
 
-    The parent of the workspace trainer peaked at ~2.8x the 169x500 matrix
-    (gradient, its fan-in quotient and its scaled copy alive at once).  The
-    epoch counts may differ by interpreter bookkeeping, far below one array.
+    A trainer that copies the 169x500 gradient for its fan-in quotient and
+    scaled step peaked at ~2.8x that matrix, and one that keeps the previous
+    batch's gradients alive while the next batch allocates at ~2.8x too.
+    Exact mode's extra hidden-delta temporaries must fit the same bound.
+    The epoch counts may differ by interpreter bookkeeping, far below one
+    array.
     """
     data = digits(32, 5)
-    cfg = dict(learning_rate=1.0, batch_size=32, batch_reduction="mean")
-    peaks = {}
-    for epochs in (1, 3):
-        net = init_network([169, 500, 10], rng=np.random.default_rng(1), window=16.0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            train(net, data, MNIST.scheme, TrainConfig(epochs=epochs, **cfg),
-                  rng=np.random.default_rng(2))
-            peaks[epochs] = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-    limit = 2 * net.weights[0].nbytes
-    assert peaks[1] <= limit and peaks[3] <= limit, (peaks, limit)
-    assert abs(peaks[3] - peaks[1]) < 8192, peaks
+    for mode in ("paper", "exact"):
+        cfg = dict(learning_rate=1.0, batch_size=32, batch_reduction="mean",
+                   gradient_mode=mode)
+        peaks = {}
+        for epochs in (1, 3):
+            net = init_network([169, 500, 10], rng=np.random.default_rng(1), window=16.0)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(net, data, MNIST.scheme, TrainConfig(epochs=epochs, **cfg),
+                      rng=np.random.default_rng(2))
+                peaks[epochs] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        limit = 2 * net.weights[0].nbytes
+        assert peaks[1] <= limit and peaks[3] <= limit, (mode, peaks, limit)
+        assert abs(peaks[3] - peaks[1]) < 8192, (mode, peaks)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mtspike.errors import StructureError
 from mtspike.network import (
-    ForwardTrace,
     Network,
     forward_batch,
     init_network,
@@ -189,40 +188,3 @@ def test_plain_rule_outputs_are_non_negative(seed):
     trace = forward_batch(net, batch)
     for layer in trace.delays[1:]:
         assert np.all(layer >= 0.0)
-
-
-@given(seed=st.integers(min_value=0, max_value=2**31),
-       sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=4),
-       batch=st.integers(min_value=0, max_value=6),
-       spare=st.integers(min_value=0, max_value=3),
-       window=st.sampled_from([0.0, 16.0]))
-@settings(max_examples=60)
-def test_forward_into_a_workspace_is_byte_equal(seed, sizes, batch, spare, window):
-    """Writing into a workspace with spare rows gives the allocating pass's bytes."""
-    rng = np.random.default_rng(seed)
-    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
-    x = rng.uniform(0.0, 16.0, size=(batch, sizes[0]))
-    workspace = ForwardTrace.empty(net, batch + spare)
-    fresh = forward_batch(net, x)
-    into = forward_batch(net, x, out=workspace)
-    for a, b in zip(fresh.nets + fresh.delays, into.nets + into.delays, strict=True):
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-    assert batch == 0 or np.shares_memory(into.outputs, workspace.delays[-1])
-    assert into.delays[0] is x
-
-
-def test_forward_rejects_a_workspace_that_does_not_fit():
-    net = init_network([3, 4, 2], rng=np.random.default_rng(0))
-    x = np.zeros((5, 3))
-    float32 = ForwardTrace.empty(net, 5)
-    float32.nets[1] = float32.nets[1].astype(np.float32)
-    for workspace in (
-        ForwardTrace.empty(net, 4),  # too few rows
-        ForwardTrace.empty(init_network([3, 5, 2]), 5),  # hidden layer too wide
-        ForwardTrace.empty(init_network([3, 4, 3]), 5),  # output layer too wide
-        ForwardTrace.empty(init_network([3, 4]), 5),  # too shallow
-        float32,
-    ):
-        with pytest.raises(StructureError, match="workspace"):
-            forward_batch(net, x, out=workspace)

@@ -4,6 +4,7 @@ the package or the CLI loads no numpy."""
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import mtspike
+
+from conftest import REPO_ROOT
 
 MODULES = [info.name for info in pkgutil.iter_modules(mtspike.__path__)]
 
@@ -23,6 +26,21 @@ def test_every_export_resolves():
         assert module.__all__, name
         for export in module.__all__:
             assert hasattr(module, export), f"mtspike.{name}.{export}"
+
+
+def test_names_in_the_readme_are_exported():
+    """``mtspike.<module>.<name>`` and ``from mtspike.<module> import <name>``
+    in README.md name only what that module's ``__all__`` lists."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bmtspike\.(\w+)\.(\w+)", text))
+    for module, names in re.findall(
+        r"\bfrom\s+mtspike\.(\w+)\s+import\s+(\w+(?:\s*,\s*\w+)*)", text
+    ):
+        named.update((module, name) for name in re.split(r"\s*,\s*", names))
+    assert named
+    for module, name in sorted(named):
+        exports = importlib.import_module(f"mtspike.{module}").__all__
+        assert name in exports, f"mtspike.{module}.{name}"
 
 
 def test_unknown_name_raises_attribute_error():
