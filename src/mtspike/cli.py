@@ -257,7 +257,8 @@ def cmd_srm_demo(args) -> int:
 
     lines = chain(
         ["t,v\n"],
-        (f"{t:.6g},{v:.8g}\n" for t, v in zip(times, voltage)),
+        # Python floats format about twice as fast as numpy scalars, same text
+        (f"{t:.6g},{v:.8g}\n" for t, v in zip(times.tolist(), voltage.tolist())),
         [f"# crossing,{'none' if crossing is None else f'{crossing:.6g}'}\n"],
     )
     if not args.out:

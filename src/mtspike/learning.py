@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, EvaluationError, StructureError
+from .metrics import predict
 from .network import ForwardTrace, Network, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
 
@@ -194,7 +195,8 @@ def train(
     end; the ``on_misclassification`` gate drops correctly classified
     samples.  The recorded MSE is the mean squared residual over all samples
     of the epoch (restricted to involved output neurons when the heuristic
-    loss is active).  ``eval_data`` adds a per-epoch test accuracy.  Fully
+    loss is active).  ``eval_data`` adds a per-epoch test accuracy, classified
+    by ``metrics.predict`` (the path ``evaluate`` takes).  Fully
     deterministic for a fixed config seed (or caller-supplied generator).
     Each batch allocates its own trace and gradients, which are scaled and
     subtracted from the weights in place.
@@ -279,8 +281,7 @@ def train(
             mse = squared_sum / term_count  # finite: term_count >= 1
             test_accuracy = None
             if eval_data is not None:
-                outputs = forward_batch(net, eval_data.delays).outputs
-                predictions = read_class_batch(scheme, outputs)
+                predictions = predict(net, eval_data, scheme)
                 correct = int(np.count_nonzero(predictions == eval_data.labels))
                 test_accuracy = correct / len(eval_data)
             stats = EpochStats(epoch=epoch, mse=mse, train_accuracy=hit_count / n,

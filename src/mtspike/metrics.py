@@ -1,4 +1,13 @@
-"""Accuracy, confusion matrices, spike counting, and energy accounting.
+"""Prediction, accuracy, confusion matrices, spike counting, and energy accounting.
+
+:func:`predict` is the one evaluation path: :func:`evaluate` and
+``learning.train``'s per-epoch test accuracy both classify through it.  It
+runs ``forward_batch`` and ``read_class_batch`` on consecutive blocks of
+128 to 255 rows, so each block's hidden arrays stay in cache between the
+layer steps instead of streaming a whole-set array through memory.  A set
+of fewer than 256 rows makes exactly one call of each; a larger set's
+outputs can differ from a single whole-set pass by one ulp, because BLAS
+rounds products of different row counts differently.
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -21,6 +30,7 @@ from .readout import TargetScheme, read_class_batch
 
 __all__ = [
     "RunMetrics",
+    "predict",
     "evaluate",
     "dataset_spike_count",
     "energy",
@@ -40,6 +50,35 @@ class RunMetrics:
     energy: float
 
 
+# Fewest rows per forward pass in ``predict``: a set of n rows runs as
+# n // PREDICT_BLOCK near-equal blocks, so one of fewer than two blocks is a
+# single pass.  Stored 169-500-10 model, conv-coded digits, 2-vCPU x86-64,
+# numpy 2.4, one BLAS thread: 10k rows took ~94 ms in one pass and ~57-65 ms
+# in blocks of 128-192 rows, whose 500-wide hidden arrays stay in the 2 MB
+# L2 beside the 169x500 weights (224-320 rows: 4-7% slower); 200 rows took
+# 5-10% longer as 128 + 72 rows than as one pass.
+PREDICT_BLOCK = 128
+
+
+def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndarray:
+    """One class per row of ``data.delays``, read out block by block.
+
+    Each block goes through ``forward_batch`` and ``read_class_batch``, so
+    non-finite outputs in any block raise ``EvaluationError``.  An empty
+    ``data`` raises ``ConfigError``.
+    """
+    if len(data) == 0:
+        raise ConfigError("evaluation dataset is empty")
+    x = data.delays
+    blocks = len(x) // PREDICT_BLOCK
+    if blocks < 2:
+        return read_class_batch(scheme, forward_batch(net, x).outputs)
+    return np.concatenate([
+        read_class_batch(scheme, forward_batch(net, block).outputs)
+        for block in np.array_split(x, blocks)
+    ])
+
+
 def evaluate(
     net: Network, data: EncodedDataset, scheme: TargetScheme
 ) -> tuple[float, np.ndarray]:
@@ -48,15 +87,7 @@ def evaluate(
     A label at or above ``scheme.num_classes``, or an empty ``data``, raises
     ``ConfigError``.
     """
-    if len(data) == 0:
-        raise ConfigError("evaluation dataset is empty")
-    if data.delays.shape[1] != net.layer_sizes[0]:
-        raise StructureError(
-            f"encoded width {data.delays.shape[1]} does not match "
-            f"input layer size {net.layer_sizes[0]}"
-        )
-    outputs = forward_batch(net, data.delays).outputs
-    predicted = read_class_batch(scheme, outputs)
+    predicted = predict(net, data, scheme)
     accuracy = int(np.count_nonzero(predicted == data.labels)) / len(data)
     confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
     try:

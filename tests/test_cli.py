@@ -179,6 +179,30 @@ def test_srm_demo_writes_file(tmp_path, capsys):
     assert path.read_text().splitlines()[-1] == "# crossing,none"
 
 
+def test_srm_demo_csv_bytes_are_pinned(tmp_path, capsys):
+    """Exponent, negative and crossing formats of a small grid, byte for byte."""
+    path = tmp_path / "trace.csv"
+    rc, _, _ = run_cli(capsys, "srm-demo", "--delays", "0,5e-5", "--weights", "1,-3",
+                       "--horizon", "1e-4", "--dt", "1e-5", "--threshold", "2e-5",
+                       "--out", str(path))
+    assert rc == 0
+    assert path.read_bytes() == (
+        b"t,v\n"
+        b"0,0\n"
+        b"1e-05,7.4999531e-06\n"
+        b"2e-05,1.4999813e-05\n"
+        b"3e-05,2.2499578e-05\n"
+        b"4e-05,2.999925e-05\n"
+        b"5e-05,3.7498828e-05\n"
+        b"6e-05,2.2498453e-05\n"
+        b"7e-05,7.4982657e-06\n"
+        b"8e-05,-7.5017343e-06\n"
+        b"9e-05,-2.2501547e-05\n"
+        b"0.0001,-3.7501172e-05\n"
+        b"# crossing,3e-05\n"
+    )
+
+
 def test_srm_demo_validates_lengths(capsys):
     rc, _, err = run_cli(capsys, "srm-demo", "--delays", "0,1,2",
                          "--weights", "1.0")

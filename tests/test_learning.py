@@ -19,6 +19,7 @@ from mtspike.learning import (
     output_residual,
     train,
 )
+from mtspike.metrics import PREDICT_BLOCK, predict
 from mtspike.network import Network, forward_batch, init_network
 from mtspike.readout import TargetScheme
 
@@ -291,6 +292,22 @@ def test_divergence_hidden_by_the_heuristic_mask_still_raises():
     cfg = TrainConfig(batch_size=1, epochs=1, heuristic=True)
     with pytest.raises(DivergenceError, match="epoch 1, batch 1: output delays"):
         train(net, encoded([[16.0, 16.0]], [0]), MULTI3, cfg, rng=np.random.default_rng(0))
+
+
+def test_divergence_in_the_last_eval_block_names_the_epoch():
+    """Every evaluation block is checked, not only the first ones."""
+    w = np.ones((2, 3))
+    w[:, 2] = 1e308
+    net = Network(layer_sizes=[2, 3], weights=[w], window=16.0)
+    rows = 3 * PREDICT_BLOCK + 5
+    delays = np.zeros((rows, 2))
+    delays[-5:] = 16.0  # 16 * 1e308 overflows, 0 * 1e308 does not
+    eval_data = encoded(delays, [0] * rows)
+    predict(net, encoded(delays[:-5], [0] * (rows - 5)), MULTI3)  # finite blocks
+    cfg = TrainConfig(learning_rate=0.0, batch_size=1, epochs=2)
+    with pytest.raises(DivergenceError, match="epoch 1, batch 1: output delays"):
+        train(net, encoded([[0.0, 0.0]], [0]), MULTI3, cfg, eval_data=eval_data,
+              rng=np.random.default_rng(0))
 
 
 def test_overflowing_error_sum_names_its_batch():

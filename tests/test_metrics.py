@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtspike.datasets import EncodedDataset
 from mtspike.errors import ConfigError, StructureError
 from mtspike.learning import EpochStats
 from mtspike.metrics import (
+    PREDICT_BLOCK,
     dataset_spike_count,
     energy,
     evaluate,
+    predict,
     summarize,
     write_confusion_csv,
     write_metrics_csv,
 )
-from mtspike.network import Network, init_network
-from mtspike.readout import TargetScheme
+from mtspike.network import Network, forward_batch, init_network
+from mtspike.readout import TargetScheme, read_class_batch
 
 MULTI3 = TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
                       excitatory_offset=0.0, inhibitory_offset=4.0)
@@ -67,6 +71,62 @@ def test_evaluate_checks_width():
                           labels=np.zeros(2, dtype=int))
     with pytest.raises(StructureError):
         evaluate(net, data, MULTI3)
+
+
+def test_evaluate_rejects_a_bad_label_in_the_last_block_only():
+    rows = 3 * PREDICT_BLOCK + 5
+    delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
+    labels = np.zeros(rows, dtype=int)
+    labels[-1] = 3
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool), labels=labels)
+    with pytest.raises(ConfigError, match="label 3 is outside") as caught:
+        evaluate(identity_net(3), data, MULTI3)
+    assert caught.value.code == "E_CONFIG"
+
+
+SCHEMES = {
+    "multi_neuron": lambda classes: TargetScheme(
+        mode="multi_neuron", window=16.0, num_classes=classes,
+        excitatory_offset=0.0, inhibitory_offset=4.0),
+    "single_neuron": lambda classes: TargetScheme(
+        mode="single_neuron", window=16.0, num_classes=classes, excitatory_offset=3.0),
+}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    depth=st.integers(min_value=2, max_value=4),
+    rows=st.sampled_from([1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1,
+                          2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK, 3 * PREDICT_BLOCK + 5]),
+    mode=st.sampled_from(sorted(SCHEMES)),
+    classes=st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
+    """Blocked prediction classifies like one ``forward_batch`` over the set.
+
+    Larger sets may round each output by an ulp, which can only flip a row
+    whose two best scores (delays, or distances to the checkpoints) nearly
+    tie; below two blocks, the calls are the same and so is every class.
+    """
+    rng = np.random.default_rng(seed)
+    scheme = SCHEMES[mode](classes)
+    sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [scheme.output_size]
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=16.0)
+    delays = rng.uniform(0.0, 16.0, (rows, sizes[0]))
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
+                          labels=rng.integers(0, classes, rows))
+    predicted = predict(net, data, scheme)
+    outputs = forward_batch(net, delays).outputs
+    whole = read_class_batch(scheme, outputs)
+    assert predicted.shape == (rows,)
+    if rows < 2 * PREDICT_BLOCK:
+        assert predicted.tolist() == whole.tolist()
+        return
+    scores = outputs if mode == "multi_neuron" else np.abs(outputs - scheme.checkpoints)
+    best_two = np.sort(scores, axis=1)[:, :2]
+    clear = best_two[:, 1] - best_two[:, 0] > 1e-9
+    assert (predicted[clear] == whole[clear]).all()
 
 
 def test_spike_count_adds_one_per_downstream_neuron():
