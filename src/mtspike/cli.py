@@ -34,9 +34,6 @@ _LOG_LEVELS = {
     "error": logging.ERROR,
 }
 
-_THREAD_LIMITER = None
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors match the CLI error-line format."""
 
@@ -59,8 +56,11 @@ def _setup_logging():
 
 
 def _limit_threads(n: int):
-    """Cap numeric worker threads, before or after numpy has been imported."""
-    global _THREAD_LIMITER
+    """Cap numeric worker threads through the BLAS/OpenMP environment variables.
+
+    numpy reads them only when it is first imported, so a caller that has
+    already loaded numpy gets a warning instead.
+    """
     if n < 1:
         raise ConfigError("--threads must be >= 1")
     for var in (
@@ -72,16 +72,7 @@ def _limit_threads(n: int):
     ):
         os.environ[var] = str(n)
     if "numpy" in sys.modules:
-        # env vars are read at numpy import; too late here, so ask the pools
-        try:
-            import threadpoolctl
-        except ImportError:
-            log.warning(
-                "numpy already loaded and threadpoolctl missing; "
-                "--threads may not take effect"
-            )
-        else:
-            _THREAD_LIMITER = threadpoolctl.threadpool_limits(limits=n)
+        log.warning("numpy already loaded; --threads may not take effect")
 
 
 def _resolve_config(args):
@@ -277,12 +268,7 @@ def cmd_presets(args) -> int:
     for name in preset_names():
         cfg = preset(name)
         shape = "-".join(str(s) for s in cfg.layer_sizes)
-        extras = []
-        if cfg.train.heuristic:
-            extras.append("heuristic")
-        if cfg.train.update_gate != "always":
-            extras.append(cfg.train.update_gate)
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = " (heuristic)" if cfg.train.heuristic else ""
         print(f"{name}: {cfg.dataset.kind} {shape} {cfg.scheme.mode}{suffix}")
     return 0
 

@@ -82,12 +82,6 @@ class RawDataset:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        if self.class_names is not None:
-            return len(self.class_names)
-        return int(self.labels.max()) + 1 if len(self) else 0
-
 
 @dataclass
 class EncodedDataset:
@@ -171,7 +165,8 @@ def load_iris(path) -> RawDataset:
     rows: list[tuple[float, float, float, float]] = []
     names: list[str] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a spreadsheet's byte-order mark must not hide the first row
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

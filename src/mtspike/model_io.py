@@ -119,6 +119,8 @@ def load_model(path) -> ModelFile:
         provenance = checked(header["provenance"], dict, "provenance")
     except (KeyError, TypeError, ConfigError) as exc:
         raise ModelIOError(f"{path}: model header is missing or malformed: {exc}") from exc
+    if any(size < 1 for size in layer_sizes):
+        raise ModelIOError(f"{path}: invalid network: layer sizes {list(layer_sizes)}")
 
     expected_weights = weight_count(layer_sizes)
     payload = raw[body_start + header_len:]

@@ -80,13 +80,6 @@ class Network:
         if not np.isfinite(self.window) or self.window < 0:
             raise StructureError(f"window must be finite and >= 0, got {self.window}")
 
-    def copy(self) -> "Network":
-        return Network(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            window=self.window,
-        )
-
 
 def weight_count(layer_sizes) -> int:
     """Number of synapses of a dense network with these layer sizes."""
@@ -95,13 +88,11 @@ def weight_count(layer_sizes) -> int:
 
 def init_network(
     layer_sizes: list[int],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     init_range: tuple[float, float] = (0.0, 1.0),
     window: float = 0.0,
 ) -> Network:
     """Build a network with uniformly random weights drawn from ``init_range``."""
-    if rng is None:
-        rng = np.random.default_rng()
     low, high = init_range
     weights = [
         rng.uniform(low, high, size=(layer_sizes[l], layer_sizes[l + 1]))

@@ -60,7 +60,6 @@ class RunResult:
     model: ModelFile
     history: list[EpochStats]
     metrics: RunMetrics
-    train_data: EncodedDataset
     test_data: EncodedDataset
 
 
@@ -168,6 +167,5 @@ def execute_run(cfg: RunConfig) -> RunResult:
         model=model,
         history=history,
         metrics=metrics,
-        train_data=train_enc,
         test_data=test_enc,
     )

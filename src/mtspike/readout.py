@@ -25,7 +25,6 @@ __all__ = [
     "TargetScheme",
     "target_matrix",
     "read_class_batch",
-    "pre_window_count",
 ]
 
 MODES = ("single_neuron", "multi_neuron")
@@ -98,13 +97,3 @@ def read_class_batch(scheme: TargetScheme, actual: np.ndarray) -> np.ndarray:
         return np.abs(actual - scheme.checkpoints).argmin(axis=1)
     return actual.argmin(axis=1)
 
-
-def pre_window_count(scheme: TargetScheme, actual: np.ndarray) -> int:
-    """How many output delays fall before the encoding window ends.
-
-    Every legal target is at or after the window, so delays below it are
-    early firings.  They still classify normally (nearest checkpoint or
-    earliest spike); this diagnostic just counts them.
-    """
-    actual = np.asarray(actual, dtype=np.float64)
-    return int(np.count_nonzero(actual < scheme.window))

@@ -14,14 +14,15 @@ threshold.  It is not summed kernel by kernel: between two consecutive
 input delays every kernel decays by the same two exponentials, so the whole
 trace follows from one prefix sum per time constant over the inputs sorted
 by delay (see ``voltage_trace``), kept in log space so that long horizons
-or short time constants cannot overflow.  ``psp_kernel`` is the single
-kernel, kept for the properties checked on it.
+or short time constants cannot overflow while ``horizon / tau_rise`` and
+``|d| / tau_rise`` stay finite; larger ratios are rejected.  ``psp_kernel``
+is the single kernel, kept for the properties checked on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
+from math import isfinite
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .errors import ConfigError
 __all__ = [
     "SrmParams",
     "psp_kernel",
-    "kernel_peak_time",
     "voltage_trace",
     "threshold_crossing",
 ]
@@ -59,6 +59,8 @@ class SrmParams:
             raise ConfigError("dt must be positive")
         if not self.horizon > 0:
             raise ConfigError("horizon must be positive")
+        if not isfinite(self.horizon / self.tau_rise):
+            raise ConfigError("horizon / tau_rise must be finite")
         if not self.horizon / self.dt <= np.iinfo(np.intp).max // 8:
             raise ConfigError("horizon / dt is more grid steps than numpy can address")
 
@@ -78,14 +80,6 @@ def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
     return np.where(active, value, 0.0)
 
 
-def kernel_peak_time(params: SrmParams) -> float:
-    """Offset after the input delay at which a single kernel peaks."""
-    ratio = params.tau_decay / params.tau_rise
-    return log(ratio) * params.tau_decay * params.tau_rise / (
-        params.tau_decay - params.tau_rise
-    )
-
-
 def voltage_trace(
     inputs: DelayVector, weights: np.ndarray, params: SrmParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,8 +87,9 @@ def voltage_trace(
 
     Returns ``(times, voltage)`` with ``times = 0, dt, ..., horizon``.  Only
     fired inputs contribute; an input that never spiked adds nothing
-    regardless of its delay slot.  Fired delays and all weights must be
-    finite and the grid must fit in memory (``ConfigError`` otherwise).
+    regardless of its delay slot.  Fired delays, their ratio to ``tau_rise``
+    and all weights must be finite and the grid must fit in memory
+    (``ConfigError`` otherwise).
 
     The potential is evaluated in closed form, not one kernel per input.
     With the acting inputs sorted by delay, a grid point ``t`` between the
@@ -136,6 +131,8 @@ def voltage_trace(
             return times, voltage
         order = np.argsort(delays[acting])
         delays, w = delays[acting][order], w[acting][order]
+        if not isfinite(float(max(-delays[0], delays[-1])) / params.tau_rise):
+            raise ConfigError("fired delay / tau_rise must be finite")
         # inputs acting at each grid point, and the time since the latest of them
         began = np.searchsorted(delays, times, side="left")
         since = times - np.concatenate([[0.0], delays])[began]

@@ -5,6 +5,7 @@ terminal summary) and then asserts.  The two MNIST benchmarks need the real
 IDX files; without them those checks skip loudly rather than pretending.
 """
 
+import copy
 import os
 import statistics
 import time
@@ -245,7 +246,7 @@ def test_criterion_08_partial_updates_stay_inside_gamma():
     for i in range(1000):
         if i % 100 == 0:
             base = init_network([12, 8, 10], rng=rng, window=16.0)
-        net = base.copy()
+        net = copy.deepcopy(base)
         delays = rng.uniform(0.0, 16.0, size=(1, 12))
         label = int(rng.integers(10))
         data = EncodedDataset(delays=delays, fired=np.ones((1, 12), bool),

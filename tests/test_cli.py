@@ -2,6 +2,8 @@
 
 import gzip
 import json
+import logging
+import os
 import shutil
 
 import numpy as np
@@ -219,9 +221,13 @@ def test_srm_demo_rejects_non_finite_delays(capsys):
 @pytest.mark.parametrize("grid", [
     ["--horizon", "1e300", "--dt", "1e-10"],
     ["--dt", "1e-12"],
-], ids=["overflowing-steps", "unallocatable"])
+    ["--tau-rise", "1e-308", "--horizon", "4", "--dt", "1"],
+    ["--delays=-1e308,0", "--tau-rise", "0.5"],
+], ids=["overflowing-steps", "unallocatable", "overflowing-tau-rise", "overflowing-delay"])
 def test_srm_demo_rejects_unbuildable_grid(capsys, grid):
-    """A grid too large to index or to allocate is a config error, not an internal one."""
+    """A grid too large to index or to allocate, or one whose time or delays
+    overflow in units of ``tau_rise``, is a config error, not NaN or an
+    internal error."""
     rc, out, err = run_cli(capsys, "srm-demo", *grid)
     assert rc == 2
     assert err.strip().startswith("mtspike: error [E_CONFIG]")
@@ -314,6 +320,23 @@ def test_malformed_model_header_error_line(tmp_path, iris_path, capsys):
     assert err.strip().startswith("mtspike: error [E_MODEL]")
 
 
+@pytest.mark.parametrize("sizes, payload_bytes", [
+    ([-1, -1], 8), ([-2, -3], 48), ([-1, 3], 24),
+])
+def test_negative_layer_sizes_in_model_header_error_line(tmp_path, iris_path, capsys,
+                                                         sizes, payload_bytes):
+    cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 1})
+    run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    model = tmp_path / "cli_iris.mtspike"
+    rewrite_header(model, lambda h: h.update(layer_sizes=sizes))
+    raw = model.read_bytes()
+    model.write_bytes(raw[:-8 * 12] + bytes(payload_bytes))  # 4-3 net: 12 weights
+    rc, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--model", str(model),
+                         "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_MODEL]") and "layer sizes" in err
+
+
 def test_unknown_preset_error_line(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "train", "--preset", "resnet",
                          "--out", str(tmp_path))
@@ -369,6 +392,20 @@ def test_threads_flag_validates(capsys):
                          "--preset", "mt1_iris")
     assert rc == 2
     assert "[E_CONFIG]" in err and "--threads" in err
+
+
+def test_threads_flag_sets_the_environment_caps(monkeypatch, caplog, capsys):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "7")  # restored after the test
+    with caplog.at_level(logging.WARNING, logger="mtspike.cli"):
+        rc, _, _ = run_cli(capsys, "srm-demo", "--threads", "2", "--horizon", "1")
+    assert rc == 0
+    assert [os.environ[name] for name in names] == ["2"] * 5
+    # numpy is loaded in this process, so the caps come too late for it
+    warned = [r for r in caplog.records if "numpy already loaded" in r.getMessage()]
+    assert len(warned) == 1 and warned[0].levelno == logging.WARNING
 
 
 def test_repo_data_layout_matches_presets():

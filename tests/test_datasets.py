@@ -35,7 +35,16 @@ def test_load_repo_iris(iris_path):
     assert ds.features.shape == (150, 4)
     assert ds.class_names == ("setosa", "versicolor", "virginica")
     assert np.bincount(ds.labels).tolist() == [50, 50, 50]
-    assert ds.num_classes == 3
+
+
+def test_byte_order_mark_does_not_hide_the_first_row(iris_path, tmp_path):
+    # spreadsheets save "CSV UTF-8" with a BOM before the first field
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + iris_path.read_bytes())
+    plain, marked = load_iris(iris_path), load_iris(bom)
+    assert np.array_equal(marked.features, plain.features)
+    assert np.array_equal(marked.labels, plain.labels)
+    assert marked.class_names == plain.class_names
 
 
 def test_header_row_is_skipped(tmp_path):

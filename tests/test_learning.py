@@ -1,5 +1,6 @@
 """Temporal error backpropagation: residuals, gradients, batching, and training."""
 
+import copy
 import tracemalloc
 
 import _reference_train
@@ -235,7 +236,7 @@ def test_mean_reduction_scales_the_sum_step():
     data = encoded(np.random.default_rng(1).uniform(0, 16, (6, 4)), [0, 1, 2] * 2)
     nets = {}
     for reduction in ("sum", "mean"):
-        net = init.copy()
+        net = copy.deepcopy(init)
         cfg = TrainConfig(learning_rate=0.01, batch_size=6, epochs=1,
                           batch_reduction=reduction)
         train(net, data, MULTI3, cfg, rng=np.random.default_rng(0))

@@ -66,7 +66,7 @@ def test_evaluate_rejects_an_empty_set():
 
 
 def test_evaluate_checks_width():
-    net = init_network([4, 3])
+    net = init_network([4, 3], rng=np.random.default_rng(0))
     data = EncodedDataset(delays=np.zeros((2, 3)), fired=np.ones((2, 3), bool),
                           labels=np.zeros(2, dtype=int))
     with pytest.raises(StructureError):
@@ -130,7 +130,7 @@ def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
 
 
 def test_spike_count_adds_one_per_downstream_neuron():
-    net = init_network([4, 25, 1])
+    net = init_network([4, 25, 1], rng=np.random.default_rng(0))
     fired = np.array([[1, 1, 1, 1], [1, 0, 0, 1]], bool)
     data = EncodedDataset(delays=np.zeros((2, 4)), fired=fired,
                           labels=np.zeros(2, dtype=int))

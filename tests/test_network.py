@@ -96,7 +96,7 @@ def test_network_shape_validation():
 
 
 def test_num_weights_counts_every_entry():
-    net = init_network([4, 25, 1])
+    net = init_network([4, 25, 1], rng=np.random.default_rng(0))
     assert weight_count(net.layer_sizes) == sum(w.size for w in net.weights) == 125
     assert weight_count([169, 500, 10]) == 89500
 
@@ -107,14 +107,6 @@ def test_init_network_is_deterministic_and_in_range():
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
         assert wa.min() >= 0.2 and wa.max() <= 0.4
-
-
-def test_copy_is_independent():
-    net = init_network([2, 3], rng=np.random.default_rng(0), window=16.0)
-    clone = net.copy()
-    assert clone.window == 16.0
-    clone.weights[0][0, 0] += 1.0
-    assert net.weights[0][0, 0] != clone.weights[0][0, 0]
 
 
 def test_forward_records_nets_and_delays():
@@ -160,7 +152,7 @@ def test_forward_batch_matches_single_sample(seed, batch):
 
 
 def test_forward_input_size_mismatch():
-    net = init_network([3, 2])
+    net = init_network([3, 2], rng=np.random.default_rng(0))
     with pytest.raises(StructureError):
         forward_batch(net, np.zeros((4, 2)))
     with pytest.raises(StructureError):

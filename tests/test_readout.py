@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mtspike.errors import ConfigError, EvaluationError
 from mtspike.readout import (
     TargetScheme,
-    pre_window_count,
     read_class_batch,
     target_matrix,
 )
@@ -102,11 +101,6 @@ def test_batch_readout_shape_and_errors():
         read_class_batch(SINGLE3, np.zeros(3))
     with pytest.raises(EvaluationError):
         read_class_batch(MULTI3, np.full((1, 3), np.nan))
-
-
-def test_pre_window_count():
-    outs = np.array([[15.0, 16.0, 17.0], [2.0, 30.0, 15.9]])
-    assert pre_window_count(MULTI3, outs) == 3
 
 
 def test_scheme_validation():

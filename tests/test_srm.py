@@ -10,7 +10,6 @@ from mtspike.coding import DelayVector
 from mtspike.errors import ConfigError
 from mtspike.srm import (
     SrmParams,
-    kernel_peak_time,
     psp_kernel,
     threshold_crossing,
     voltage_trace,
@@ -38,6 +37,7 @@ def test_params_validation():
         {"v_threshold": np.nan},
         {"horizon": 1e300, "dt": 1e-10},  # horizon / dt overflows to inf
         {"dt": 1e-300},  # more grid points than numpy can index
+        {"tau_rise": 1e-308, "horizon": 4.0, "dt": 1.0},  # horizon / tau_rise overflows
     ):
         with pytest.raises(ConfigError):
             SrmParams(**kwargs)
@@ -62,10 +62,9 @@ def test_kernel_positive_after_onset_then_decays():
 def test_kernel_peak_time_matches_calculus():
     # d/dt of the double exponential vanishes at ln(ratio) * tau_d tau_r / (tau_d - tau_r)
     expected = np.log(4.0) * 4.0 * 1.0 / 3.0
-    assert kernel_peak_time(P) == pytest.approx(expected)
     t = np.arange(0.0, 20.0, 0.0005)
     k = psp_kernel(t, 0.0, P)
-    assert t[np.argmax(k)] == pytest.approx(kernel_peak_time(P), abs=0.002)
+    assert t[np.argmax(k)] == pytest.approx(expected, abs=0.002)
 
 
 def test_voltage_trace_is_weighted_kernel_sum():
