@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -83,12 +82,20 @@ def _resolve_config(args):
     return load_config(args.config)
 
 
-@contextmanager
-def _writing(path: Path):
-    """Create the directory of output ``path``; failing to write it is a ConfigError."""
+def _write_lines(path: Path | None, lines) -> None:
+    """Write text ``lines`` as UTF-8 to ``path``, creating its directory.
+
+    ``None`` is stdout.  Lines carry their own ends: ``\\r\\n`` in the CSV
+    files, as ``csv.writer`` wrote them.  Failing to create or write the
+    file is a ConfigError naming ``path``.
+    """
+    if path is None:
+        sys.stdout.writelines(lines)
+        return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        yield
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(lines)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -97,7 +104,6 @@ def cmd_train(args) -> int:
     from dataclasses import replace
 
     from . import pipeline
-    from .metrics import write_metrics_csv
     from .model_io import save_model
     from .network import weight_count
 
@@ -115,13 +121,19 @@ def cmd_train(args) -> int:
     result = pipeline.execute_run(cfg)
 
     out = Path(args.out)
-    model_path = Path(cfg.model_path) if cfg.model_path else out / f"{cfg.name}.mtspike"
-    metrics_path = (
-        Path(cfg.metrics_path) if cfg.metrics_path else out / f"{cfg.name}_metrics.csv"
-    )
-    with _writing(model_path), _writing(metrics_path):
-        save_model(result.model, model_path)
-        write_metrics_csv(metrics_path, result.history)
+    model_path = Path(cfg.model_path or out / f"{cfg.name}.mtspike")
+    metrics_path = Path(cfg.metrics_path or out / f"{cfg.name}_metrics.csv")
+    try:  # save_model opens the model file; its directory is made here
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {model_path}: {exc}") from exc
+    save_model(result.model, model_path)
+    # execute_run always evaluates, so every epoch has a test accuracy
+    _write_lines(metrics_path, chain(
+        ["epoch,mse,train_accuracy,test_accuracy\r\n"],
+        (f"{row.epoch},{row.mse!r},{row.train_accuracy!r},{row.test_accuracy!r}\r\n"
+         for row in result.history),
+    ))
 
     print(f"final_test_accuracy: {result.metrics.test_accuracy:.6f}")
     print(f"model_file: {model_path}")
@@ -132,7 +144,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from . import pipeline
     from .datasets import encode_dataset
-    from .metrics import summarize, write_confusion_csv
+    from .metrics import summarize
     from .model_io import load_model
 
     cfg = _resolve_config(args)
@@ -145,8 +157,11 @@ def cmd_eval(args) -> int:
 
     out = Path(args.out)
     confusion_path = out / f"{cfg.name}_{args.split}_confusion.csv"
-    with _writing(confusion_path):
-        write_confusion_csv(confusion_path, result.confusion)
+    _write_lines(confusion_path, chain(
+        [",".join(["true\\pred", *map(str, range(len(result.confusion)))]) + "\r\n"],
+        (",".join(map(str, [i, *row])) + "\r\n"
+         for i, row in enumerate(result.confusion.tolist())),
+    ))
 
     print(f"run: {cfg.name} ({args.split} split, {len(encoded)} samples)")
     print(f"accuracy: {result.test_accuracy:.6f}")
@@ -158,8 +173,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    import csv
-
     import numpy as np
 
     from . import pipeline
@@ -182,24 +195,16 @@ def cmd_encode(args) -> int:
     histogram_path = out / f"{cfg.name}_{args.split}_histogram.csv"
 
     width = encoded.delays.shape[1]
-    with _writing(delays_path), open(
-        delays_path, "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"n{i}" for i in range(width)])
-        for i in range(len(encoded)):
-            row = [str(int(encoded.labels[i]))]
-            for d, f in zip(encoded.delays[i], encoded.fired[i]):
-                row.append(f"{d:g}" if f else "-")
-            writer.writerow(row)
-
-    with _writing(histogram_path), open(
-        histogram_path, "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delay_units", "count"])
-        for unit_delay in range(resolution + 1):
-            writer.writerow([unit_delay, int(counts[unit_delay])])
+    rows = zip(encoded.labels.tolist(), encoded.delays.tolist(), encoded.fired.tolist())
+    _write_lines(delays_path, chain(
+        [",".join(["label", *(f"n{i}" for i in range(width))]) + "\r\n"],
+        (",".join([str(label), *(f"{d:g}" if f else "-" for d, f in zip(ds, fs))]) + "\r\n"
+         for label, ds, fs in rows),
+    ))
+    _write_lines(histogram_path, chain(
+        ["delay_units,count\r\n"],
+        (f"{unit_delay},{count}\r\n" for unit_delay, count in enumerate(counts.tolist())),
+    ))
 
     print(f"samples: {len(encoded)}")
     print(f"columns: {width + 1}")
@@ -252,13 +257,9 @@ def cmd_srm_demo(args) -> int:
         (f"{t:.6g},{v:.8g}\n" for t, v in zip(times.tolist(), voltage.tolist())),
         [f"# crossing,{'none' if crossing is None else f'{crossing:.6g}'}\n"],
     )
-    if not args.out:
-        sys.stdout.writelines(lines)
-        return 0
-    out = Path(args.out)
-    with _writing(out), open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-    print(f"trace_file: {out}")
+    _write_lines(Path(args.out) if args.out else None, lines)
+    if args.out:
+        print(f"trace_file: {Path(args.out)}")
     return 0
 
 

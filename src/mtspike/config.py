@@ -195,7 +195,7 @@ def load_config(path) -> RunConfig:
             document = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return config_from_dict(document)
 

@@ -168,7 +168,7 @@ def load_iris(path) -> RawDataset:
         # utf-8-sig: a spreadsheet's byte-order mark must not hide the first row
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     first_data_line = True

@@ -18,7 +18,6 @@ and independent of the physical per-spike cost.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ __all__ = [
     "dataset_spike_count",
     "energy",
     "summarize",
-    "write_metrics_csv",
-    "write_confusion_csv",
 ]
 
 
@@ -132,28 +129,3 @@ def summarize(
         energy=energy(spikes, alpha),
     )
 
-
-def write_metrics_csv(path, history):
-    """One row per ``EpochStats`` of ``history``: epoch, mse, train and test accuracy."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mse", "train_accuracy", "test_accuracy"])
-        for row in history:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.mse),
-                    repr(row.train_accuracy),
-                    "" if row.test_accuracy is None else repr(row.test_accuracy),
-                ]
-            )
-
-
-def write_confusion_csv(path, confusion: np.ndarray):
-    """Confusion matrix with a header row; first column is the true class."""
-    confusion = np.asarray(confusion)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred"] + [str(i) for i in range(confusion.shape[1])])
-        for i, row in enumerate(confusion):
-            writer.writerow([str(i)] + [str(int(v)) for v in row])

@@ -107,7 +107,7 @@ def load_model(path) -> ModelFile:
         raise ModelIOError(f"{path}: truncated model header")
     try:
         header = json.loads(raw[body_start:body_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelIOError(f"{path}: corrupt model header: {exc}") from exc
 
     try:

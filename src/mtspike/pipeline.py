@@ -60,7 +60,6 @@ class RunResult:
     model: ModelFile
     history: list[EpochStats]
     metrics: RunMetrics
-    test_data: EncodedDataset
 
 
 def resolve_mnist_paths(directory) -> dict[str, Path]:
@@ -163,9 +162,4 @@ def execute_run(cfg: RunConfig) -> RunResult:
     model = ModelFile(
         network=net, coding=spec, scheme=cfg.scheme, provenance=provenance
     )
-    return RunResult(
-        model=model,
-        history=history,
-        metrics=metrics,
-        test_data=test_enc,
-    )
+    return RunResult(model=model, history=history, metrics=metrics)

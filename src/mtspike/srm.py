@@ -63,6 +63,8 @@ class SrmParams:
             raise ConfigError("horizon / tau_rise must be finite")
         if not self.horizon / self.dt <= np.iinfo(np.intp).max // 8:
             raise ConfigError("horizon / dt is more grid steps than numpy can address")
+        if not isfinite(round(self.horizon / self.dt) * self.dt):
+            raise ConfigError("the last grid time round(horizon / dt) * dt must be finite")
 
 
 def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:

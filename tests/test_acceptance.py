@@ -60,7 +60,7 @@ def iris_runs(iris_path):
         results = [run_preset(name, iris_path, seed) for seed in SEEDS]
         out[name] = {
             "accuracies": [r.metrics.test_accuracy for r in results],
-            "test_size": len(results[0].test_data),
+            "test_size": int(results[0].metrics.confusion.sum()),
             "elapsed": time.perf_counter() - start,
         }
     return out

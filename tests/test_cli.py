@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from mtspike import cli, srm
+from mtspike.config import load_config
 from mtspike.model_io import load_model
+from mtspike.pipeline import execute_run
 
 from conftest import REPO_ROOT
 from test_model_io import rewrite_header
@@ -110,6 +112,45 @@ def test_eval_reports_accuracy_and_energy(tmp_path, iris_path, capsys):
     assert spikes == 120 * (4 + 3)  # numeric coding always fires, plus outputs
     assert any(l.startswith("energy_alpha_units: ") for l in lines)
     assert (tmp_path / "cli_iris_train_confusion.csv").is_file()
+
+
+def metrics_rows(tmp_path, iris_path, capsys):
+    """Train a 3-epoch run through the CLI; its metrics CSV lines and history."""
+    cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 3})
+    assert run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))[0] == 0
+    text = (tmp_path / "cli_iris_metrics.csv").read_bytes().decode("utf-8")
+    assert text.endswith("\r\n")
+    return text.split("\r\n")[:-1], execute_run(load_config(cfg)).history
+
+
+def test_train_metrics_csv_layout(tmp_path, iris_path, capsys):
+    """A header, then one row per epoch with csv.writer line ends."""
+    lines, history = metrics_rows(tmp_path, iris_path, capsys)
+    assert lines == ["epoch,mse,train_accuracy,test_accuracy"] + [
+        f"{h.epoch},{h.mse!r},{h.train_accuracy!r},{h.test_accuracy!r}" for h in history
+    ]
+    assert [h.epoch for h in history] == [1, 2, 3]
+
+
+def test_train_metrics_csv_preserves_float_precision(tmp_path, iris_path, capsys):
+    """Every float cell parses back to exactly the trainer's value."""
+    lines, history = metrics_rows(tmp_path, iris_path, capsys)
+    cells = [[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]]
+    assert cells == [[h.mse, h.train_accuracy, h.test_accuracy] for h in history]
+
+
+def test_eval_confusion_csv_layout(tmp_path, iris_path, capsys):
+    """A ``true\\pred`` header, then one row per true class of the test split."""
+    cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 3})
+    run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    rc, _, _ = run_cli(capsys, "eval", "--config", str(cfg),
+                       "--model", str(tmp_path / "cli_iris.mtspike"), "--out", str(tmp_path))
+    assert rc == 0
+    confusion = execute_run(load_config(cfg)).metrics.confusion
+    assert confusion.shape == (3, 3) and confusion.sum() == 30
+    rows = [f"{i},{a},{b},{c}\r\n" for i, (a, b, c) in enumerate(confusion.tolist())]
+    text = (tmp_path / "cli_iris_test_confusion.csv").read_bytes().decode("utf-8")
+    assert text == "true\\pred,0,1,2\r\n" + "".join(rows)
 
 
 def test_encode_writes_delays_and_histogram(tmp_path, iris_path, capsys):
@@ -223,11 +264,13 @@ def test_srm_demo_rejects_non_finite_delays(capsys):
     ["--dt", "1e-12"],
     ["--tau-rise", "1e-308", "--horizon", "4", "--dt", "1"],
     ["--delays=-1e308,0", "--tau-rise", "0.5"],
-], ids=["overflowing-steps", "unallocatable", "overflowing-tau-rise", "overflowing-delay"])
+    ["--horizon", "1.7e308", "--dt", "1e308", "--delays=0,1.6e308", "--tau-rise", "0.99"],
+], ids=["overflowing-steps", "unallocatable", "overflowing-tau-rise", "overflowing-delay",
+        "overflowing-last-time"])
 def test_srm_demo_rejects_unbuildable_grid(capsys, grid):
-    """A grid too large to index or to allocate, or one whose time or delays
-    overflow in units of ``tau_rise``, is a config error, not NaN or an
-    internal error."""
+    """A grid too large to index or to allocate, one whose last time
+    overflows, or one whose time or delays overflow in units of ``tau_rise``,
+    is a config error, not NaN or an internal error."""
     rc, out, err = run_cli(capsys, "srm-demo", *grid)
     assert rc == 2
     assert err.strip().startswith("mtspike: error [E_CONFIG]")

@@ -235,6 +235,20 @@ def test_load_config_from_file(tmp_path):
         load_config(path)
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_bytes(json.dumps(minimal_dict()).encode().replace(b'"t"', b'"\xff"'))
+    with pytest.raises(ConfigError, match="not valid JSON.*0xff"):
+        load_config(path)
+
+
+def test_deeply_nested_config_is_a_config_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+
+
 def test_default_data_dir_env_override(monkeypatch):
     monkeypatch.delenv("MTSPIKE_DATA_DIR", raising=False)
     assert str(default_data_dir()) == "data"

@@ -84,6 +84,13 @@ def test_malformed_rows_report_line_numbers(tmp_path):
         load_iris(path)
 
 
+def test_non_utf8_iris_file_is_a_data_error(iris_path, tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(iris_path.read_bytes().replace(b"setosa", b"s\xe9tosa", 1))
+    with pytest.raises(DataError, match=r"cannot read .*latin1\.csv.*0xe9"):
+        load_iris(latin1)
+
+
 def test_missing_or_empty_iris_file(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_iris(tmp_path / "nope.csv")

@@ -1,4 +1,4 @@
-"""Accuracy, spike counting, abstract energy, and the CSV reports."""
+"""Accuracy, spike counting, and abstract energy."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mtspike.datasets import EncodedDataset
 from mtspike.errors import ConfigError, StructureError
-from mtspike.learning import EpochStats
 from mtspike.metrics import (
     PREDICT_BLOCK,
     dataset_spike_count,
@@ -15,8 +14,6 @@ from mtspike.metrics import (
     evaluate,
     predict,
     summarize,
-    write_confusion_csv,
-    write_metrics_csv,
 )
 from mtspike.network import Network, forward_batch, init_network
 from mtspike.readout import TargetScheme, read_class_batch
@@ -171,33 +168,3 @@ def test_summarize_bundles_everything():
     assert result.total_spikes == 2 * (3 + 3)
     assert result.energy == 2.0 * result.total_spikes
 
-
-def test_metrics_csv_layout(tmp_path):
-    history = [
-        EpochStats(epoch=1, mse=0.25, train_accuracy=0.5, test_accuracy=None),
-        EpochStats(epoch=2, mse=0.125, train_accuracy=1.0, test_accuracy=0.875),
-    ]
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, history)
-    lines = path.read_text().splitlines()
-    assert lines == [
-        "epoch,mse,train_accuracy,test_accuracy",
-        "1,0.25,0.5,",
-        "2,0.125,1.0,0.875",
-    ]
-
-
-def test_metrics_csv_preserves_float_precision(tmp_path):
-    mse = 1.0 / 3.0
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [EpochStats(epoch=1, mse=mse, train_accuracy=0.0)])
-    cell = path.read_text().splitlines()[1].split(",")[1]
-    assert float(cell) == mse
-
-
-def test_confusion_csv_layout(tmp_path):
-    confusion = np.array([[5, 1], [0, 4]])
-    path = tmp_path / "confusion.csv"
-    write_confusion_csv(path, confusion)
-    lines = path.read_text().splitlines()
-    assert lines == ["true\\pred,0,1", "0,5,1", "1,0,4"]

@@ -127,6 +127,20 @@ def test_load_rejects_garbage_header(tmp_path):
         load_model(path)
 
 
+def test_deeply_nested_provenance_is_a_model_error(tmp_path):
+    path = tmp_path / "m"
+    save_model(sample_model(), path)
+    raw = path.read_bytes()
+    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
+    start = len(MAGIC) + 8
+    deep = b"[" * 100_000 + b"]" * 100_000
+    header = raw[start:start + header_len].replace(b'"run":"sample"', b'"run":' + deep)
+    path.write_bytes(raw[:len(MAGIC)] + struct.pack("<II", FORMAT_VERSION, len(header))
+                     + header + raw[start + header_len:])
+    with pytest.raises(ModelIOError, match="corrupt model header"):
+        load_model(path)
+
+
 def rewrite_header(path, mutate):
     """Apply ``mutate`` to the saved JSON header, keeping the weight payload."""
     raw = path.read_bytes()

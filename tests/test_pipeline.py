@@ -110,7 +110,7 @@ def test_execute_run_returns_consistent_result(iris_path):
     assert result.model.network.layer_sizes == [4, 3]
     assert result.model.network.window == 16.0
     assert result.metrics.test_accuracy == result.history[-1].test_accuracy
-    assert result.metrics.confusion.sum() == len(result.test_data)
+    assert result.metrics.confusion.sum() == len(prepare_data(cfg)[1])
     prov = result.model.provenance
     assert prov["run"] == "iris_smoke"
     assert prov["seed"] == 0
@@ -133,7 +133,7 @@ def test_single_layer_digits_run_learns(idx_dir):
     result = execute_run(cfg)
     assert result.metrics.test_accuracy >= 0.9
     # conv coding always fires every input neuron
-    assert result.metrics.total_spikes == len(result.test_data) * (169 + 10)
+    assert result.metrics.total_spikes == result.metrics.confusion.sum() * (169 + 10)
 
 
 def test_hidden_layer_digits_run_learns(idx_dir):
