@@ -20,6 +20,9 @@ Image stacks are encoded in blocks of ``_BLOCK`` images written straight
 into the preallocated output, so a stack is never copied whole into float64
 and a block's temporaries (binarized pixels, small-integer window counts)
 stay a few hundred kB: peak memory stays close to the size of the result.
+One-to-one coding of a uint8 stack computes the delays of the 256 byte
+values once and gathers them per pixel; other dtypes run the delay formula
+on each block of pixels.
 """
 
 from __future__ import annotations
@@ -160,26 +163,49 @@ def encode_pixels_1to1(
     Delay is ``unit * round(resolution * (1 - intensity / p_max))``; a pixel
     with intensity exactly zero emits no spike (its delay entry is set to the
     full window).  Pixels are emitted row-major, so each row of the output
-    has one entry per pixel.
+    has one entry per pixel.  A ``p_max`` so small that ``intensity / p_max``
+    overflows encodes those pixels at delay 0, the limit of the formula.
     """
-    if p_max <= 0:
-        raise ConfigError("p_max must be positive")
+    if not 0 < p_max < math.inf:
+        raise ConfigError(f"p_max must be finite and positive, got {p_max!r}")
     images = _square_images(images)
     n = images.shape[0]
     delays = np.empty((n, images.shape[1] * images.shape[2]), dtype=np.float64)
     fired = np.empty(delays.shape, dtype=bool)
+    if images.dtype == np.uint8:
+        table = np.arange(256, dtype=np.float64)
+        _pixel_delays(table, np.empty(table.shape, dtype=bool), p, p_max)
+        # take copies the byte indices into intp, 8 bytes each: steps of an
+        # eighth of a block keep that copy as small as a block's bool mask.
+        # "clip" cannot move a byte index and, unlike "raise", writes
+        # straight into ``out``.
+        for rows in _blocks(n, _BLOCK // 8):
+            out = delays[rows]
+            block = images[rows].reshape(out.shape)
+            np.take(table, block, out=out, mode="clip")
+            np.greater(block, 0, out=fired[rows])
+        return delays, fired
     for rows in _blocks(n):
-        out, spiked = delays[rows], fired[rows]
+        out = delays[rows]
         out[...] = images[rows].reshape(out.shape)
-        np.greater(out, 0, out=spiked)
+        _pixel_delays(out, fired[rows], p, p_max)
+    return delays, fired
+
+
+def _pixel_delays(out: np.ndarray, spiked: np.ndarray, p: CodingParams,
+                  p_max: float) -> None:
+    """Overwrite float64 intensities ``out`` with their one-to-one delays and
+    ``spiked`` with ``out > 0``.  Every step is elementwise, so a value's
+    delay does not depend on the array it sits in."""
+    np.greater(out, 0, out=spiked)
+    with np.errstate(over="ignore"):  # an overflow is ±inf: the clip takes it to an edge
         np.divide(out, p_max, out=out)
         np.subtract(1.0, out, out=out)
         np.multiply(p.resolution, out, out=out)
         np.round(out, out=out)
         np.multiply(p.unit, out, out=out)
-        np.clip(out, 0.0, p.window, out=out)
-        np.copyto(out, p.window, where=~spiked)
-    return delays, fired
+    np.clip(out, 0.0, p.window, out=out)
+    np.copyto(out, p.window, where=~spiked)
 
 
 def encode_conv_like(
@@ -244,10 +270,10 @@ def _grid_positions(side: int, kernel: int, stride: int) -> int:
     return math.ceil((side - kernel + 1) / stride)
 
 
-def _blocks(n: int):
-    """Row slices covering ``range(n)`` in steps of ``_BLOCK``."""
-    for start in range(0, n, _BLOCK):
-        yield slice(start, min(start + _BLOCK, n))
+def _blocks(n: int, step: int = _BLOCK):
+    """Row slices covering ``range(n)`` in steps of ``step`` rows."""
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def _square_images(images: np.ndarray) -> np.ndarray:

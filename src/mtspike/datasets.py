@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import logging
+import math
 import os
 import struct
 import zlib
@@ -113,7 +114,7 @@ class EncodingSpec:
     ``ranges`` (per-attribute min/max, shape (F, 2)) is required for numeric
     coding and is normally fitted on the training split, so test values
     outside the seen range clamp to the window edges.  ``p_max`` is the
-    intensity ceiling for one-to-one pixel coding.
+    intensity ceiling for one-to-one pixel coding, finite and positive.
     """
 
     scheme: str
@@ -126,6 +127,8 @@ class EncodingSpec:
             raise ConfigError(f"unknown coding scheme {self.scheme!r}")
         if self.scheme == "conv" and self.params.kernel is None:
             raise ConfigError("conv coding requires a kernel width")
+        if not 0 < self.p_max < math.inf:
+            raise ConfigError(f"p_max must be finite and positive, got {self.p_max!r}")
         if self.ranges is not None:
             ranges = np.asarray(self.ranges, dtype=np.float64)
             if ranges.ndim != 2 or ranges.shape[1] != 2:

@@ -102,7 +102,7 @@ def dataset_spike_count(data: EncodedDataset, net: Network) -> int:
     if data.fired.shape[1] != net.layer_sizes[0]:
         raise StructureError("encoded width does not match the input layer")
     per_inference_overhead = sum(net.layer_sizes[1:])
-    return int(data.fired.sum()) + per_inference_overhead * len(data)
+    return int(np.count_nonzero(data.fired)) + per_inference_overhead * len(data)
 
 
 def energy(total_spikes: int, alpha: float = 1.0) -> float:

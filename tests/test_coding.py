@@ -19,6 +19,7 @@ from mtspike.coding import (
     encode_pixels_1to1,
     neuron_count,
 )
+from mtspike.datasets import EncodingSpec
 from mtspike.errors import ConfigError, DataError
 
 
@@ -184,6 +185,28 @@ def test_pixel_delay_bounds(intensity):
     assert fired[0, 0] == (intensity > 0)
 
 
+EVERY_BYTE = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+
+
+@pytest.mark.parametrize("p_max", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_p_max_must_be_finite_and_positive(p_max):
+    with pytest.raises(ConfigError, match="p_max"):
+        EncodingSpec(scheme="one_to_one", p_max=p_max)
+    for images in (np.full((1, 4, 4), 200, dtype=np.uint8), np.full((1, 4, 4), 200.0)):
+        with pytest.raises(ConfigError, match="p_max"):
+            encode_pixels_1to1(images, CodingParams(), p_max)
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "float64"])
+def test_tiny_p_max_fires_every_lit_pixel_at_once_without_warnings(dtype):
+    """intensity / p_max overflows to inf: the formula's limit, delay 0."""
+    images = EVERY_BYTE.astype(dtype)
+    with np.errstate(all="raise"):
+        delays, fired = encode_pixels_1to1(images, CodingParams(), p_max=1e-310)
+    assert delays[0, 0] == 16.0 and not fired[0, 0]
+    assert np.all(delays[0, 1:] == 0.0) and np.all(fired[0, 1:])
+
+
 # --- conv-like coding -------------------------------------------------------
 
 
@@ -333,6 +356,27 @@ def test_image_encoders_match_reference_bytes(side, data, unit, threshold, p_max
                        ref.encode_each(ref.encode_pixels_1to1, images, p, p_max))
 
 
+@pytest.mark.parametrize("p_max", [100.0, 255.0, 300.5])
+@pytest.mark.parametrize("params", [
+    CodingParams(unit=0.5), CodingParams(unit=1.0), CodingParams(unit=2.0),
+    CodingParams(window=0.3, unit=0.1),  # unit * resolution != window in float64
+], ids=["unit-0.5", "unit-1", "unit-2", "window-0.3"])
+def test_every_intensity_encodes_as_its_float(p_max, params):
+    """The uint8 delay table holds the float path's bytes for all 256 values."""
+    _assert_byte_equal(encode_pixels_1to1(EVERY_BYTE, params, p_max),
+                       encode_pixels_1to1(EVERY_BYTE.astype(np.float64), params, p_max))
+
+
+def test_strided_and_empty_byte_stacks_encode_as_floats():
+    images = _image_stack(np.random.default_rng(5), 2 * _BLOCK + 3, 28, "uint8")
+    view = images[::2, :, ::-1]
+    _assert_byte_equal(encode_pixels_1to1(view, CodingParams()),
+                       encode_pixels_1to1(view.astype(np.float64), CodingParams()))
+    empty = np.zeros((0, 28, 28), dtype=np.uint8)
+    _assert_byte_equal(encode_pixels_1to1(empty, CodingParams()),
+                       encode_pixels_1to1(empty.astype(np.float64), CodingParams()))
+
+
 @pytest.mark.parametrize("kernel", [15, 16, 17, 28])
 @pytest.mark.parametrize("fill", ["dark", "bright", "random"])
 def test_conv_counts_past_one_byte_match_reference(kernel, fill):
@@ -357,6 +401,22 @@ def test_conv_peak_allocation_stays_near_its_result():
     try:
         base = tracemalloc.get_traced_memory()[0]
         delays, fired = encode_conv_like(images, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    result = delays.nbytes + fired.nbytes
+    assert peak <= result + 2**20, (peak, result)
+
+
+def test_pixels_peak_allocation_stays_near_its_result():
+    """A byte stack is gathered through its delay table a part of a block at a
+    time: the peak is the result plus < 1 MB, where a whole-stack gather
+    would add an index and a delay copy of the stack."""
+    images = _image_stack(np.random.default_rng(3), 2000, 28, "uint8")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        delays, fired = encode_pixels_1to1(images, CodingParams())
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -185,10 +185,13 @@ def single_output_model():
     (lambda h: h.update(layer_sizes=[4, float("inf"), 1]), "missing or malformed"),
     (lambda h: h["scheme"].update(num_classes=float("inf")), "missing or malformed"),
     (lambda h: h["coding"].update(p_max="x"), "missing or malformed"),
+    (lambda h: h["coding"].update(p_max=-1.0), "p_max must be finite and positive"),
+    (lambda h: h["coding"].update(p_max=0), "p_max must be finite and positive"),
     (lambda h: h["coding"].update(stride=float("inf")), "missing or malformed"),
     (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
 ], ids=["activation", "activation-identity", "window", "scheme-mode", "scheme-outputs",
         "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
+        "p_max-negative", "p_max-zero",
         "stride-infinite", "excitatory_offset-string"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
