@@ -10,8 +10,8 @@ spike-response-model neuron is included as a behavioural reference, and
 spike counts double as an abstract energy measure.
 
 Import names from the submodules, e.g. ``from mtspike.pipeline import
-execute_run``.  ``import mtspike`` loads none of them, so the CLI can cap
-numeric thread pools before numpy loads.
+execute_run``.  ``import mtspike`` loads none of them, so the CLI starts
+without numpy until a command needs it.
 """
 
 __version__ = "0.1.0"

@@ -8,9 +8,10 @@ Subcommands: ``train``, ``eval``, ``encode``, ``srm-demo``, ``presets``.
 Every failure prints one machine-greppable line of the form
 ``mtspike: error [E_CODE] message`` to stderr and exits nonzero.
 
-Numeric imports happen inside the command handlers, after ``--threads`` has
-set the BLAS/OpenMP environment caps; that ordering is the whole reason this
-module keeps its imports lazy.
+Numeric imports happen inside the command handlers: loading numpy and the
+numeric modules up front would at least double the start-up time of
+``--help`` and of usage errors.  BLAS/OpenMP worker threads are capped by
+their own environment variables, set when the process starts.
 """
 
 from __future__ import annotations
@@ -52,26 +53,6 @@ def _setup_logging():
     )
     if name and name not in _LOG_LEVELS:
         log.warning("unknown MTSPIKE_LOG level %r, using warning", name)
-
-
-def _limit_threads(n: int):
-    """Cap numeric worker threads through the BLAS/OpenMP environment variables.
-
-    numpy reads them only when it is first imported, so a caller that has
-    already loaded numpy gets a warning instead.
-    """
-    if n < 1:
-        raise ConfigError("--threads must be >= 1")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ[var] = str(n)
-    if "numpy" in sys.modules:
-        log.warning("numpy already loaded; --threads may not take effect")
 
 
 def _resolve_config(args):
@@ -234,9 +215,10 @@ def cmd_srm_demo(args) -> int:
     if args.fired is None:
         fired = np.ones(delays.shape[0], dtype=bool)
     else:
-        fired = np.array(
-            [v != 0 for v in _parse_floats(args.fired, "--fired")], dtype=bool
-        )
+        flags = _parse_floats(args.fired, "--fired")
+        if any(v not in (0.0, 1.0) for v in flags):
+            raise ConfigError(f"--fired expects 0/1 flags, got {args.fired!r}")
+        fired = np.array(flags, dtype=bool)
     if weights.shape != delays.shape or fired.shape != delays.shape:
         raise ConfigError("--delays, --weights, and --fired must have equal lengths")
 
@@ -279,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mtspike",
         description="Single-spike delay-coded network training and evaluation.",
     )
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument(
-        "--threads", type=int, metavar="N", default=None,
-        help="cap BLAS/OpenMP worker threads",
-    )
     with_config = argparse.ArgumentParser(add_help=False)
     group = with_config.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", metavar="PATH", help="JSON run config")
@@ -296,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_train = sub.add_parser(
-        "train", parents=[threads, with_config, with_out],
+        "train", parents=[with_config, with_out],
         help="train a network and write model + metrics files",
     )
     p_train.add_argument("--seed", type=int, default=None, help="override training seed")
@@ -304,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser(
-        "eval", parents=[threads, with_config, with_out],
+        "eval", parents=[with_config, with_out],
         help="evaluate a saved model on a dataset split",
     )
     p_eval.add_argument("--model", metavar="PATH", required=True, help="model file")
@@ -315,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_encode = sub.add_parser(
-        "encode", parents=[threads, with_config, with_out],
+        "encode", parents=[with_config, with_out],
         help="write encoded spike delays and a delay histogram as CSV",
     )
     p_encode.add_argument(
@@ -325,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.set_defaults(func=cmd_encode)
 
     p_srm = sub.add_parser(
-        "srm-demo", parents=[threads],
-        help="print a reference SRM voltage trace and its crossing time",
+        "srm-demo", help="print a reference SRM voltage trace and its crossing time",
     )
     p_srm.add_argument("--delays", default="0,2", help="input spike delays, comma-separated")
     p_srm.add_argument("--weights", default="1.0,0.8", help="synaptic weights, comma-separated")
@@ -350,8 +326,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _setup_logging()
     try:
-        if getattr(args, "threads", None) is not None:
-            _limit_threads(args.threads)
         return args.func(args)
     except MTSpikeError as exc:
         log.debug("command failed", exc_info=True)

@@ -71,7 +71,6 @@ class RawDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.labels = _checked_labels(self.labels).astype(np.int64, copy=False)
@@ -208,11 +207,7 @@ def load_iris(path) -> RawDataset:
         log.warning("%s: found %d classes, expected 3", path, len(class_names))
     index = {name: i for i, name in enumerate(class_names)}
     labels = np.array([index[name] for name in names], dtype=np.int64)
-    return RawDataset(
-        features=np.asarray(rows, dtype=np.float64),
-        labels=labels,
-        class_names=class_names,
-    )
+    return RawDataset(features=np.asarray(rows, dtype=np.float64), labels=labels)
 
 
 def _read_file(path) -> bytearray:
@@ -275,11 +270,7 @@ def load_mnist_idx(images_path, labels_path) -> RawDataset:
         raise DataError(
             f"image count {count} does not match label count {label_count}"
         )
-    return RawDataset(
-        features=images,
-        labels=labels,
-        class_names=tuple(str(d) for d in range(10)),
-    )
+    return RawDataset(features=images, labels=labels)
 
 
 def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path):
@@ -356,9 +347,7 @@ def split_dataset(
     target = min(max(target, 1), len(ds) - 1)
     rng = np.random.default_rng(seed)
     train_idx, test_idx = _stratified_pick(ds.labels, target, rng)
-    make = lambda idx: RawDataset(
-        features=ds.features[idx], labels=ds.labels[idx], class_names=ds.class_names
-    )
+    make = lambda idx: RawDataset(features=ds.features[idx], labels=ds.labels[idx])
     return make(train_idx), make(test_idx)
 
 
@@ -370,9 +359,7 @@ def stratified_subset(ds: RawDataset, size: int, seed: int) -> RawDataset:
         return ds
     rng = np.random.default_rng(seed)
     idx, _ = _stratified_pick(ds.labels, size, rng)
-    return RawDataset(
-        features=ds.features[idx], labels=ds.labels[idx], class_names=ds.class_names
-    )
+    return RawDataset(features=ds.features[idx], labels=ds.labels[idx])
 
 
 def encode_dataset(ds: RawDataset, spec: EncodingSpec) -> EncodedDataset:

@@ -63,8 +63,19 @@ def _header_bytes(model: ModelFile) -> bytes:
     return text.encode("utf-8")
 
 
+def _check_windows(model: ModelFile, path):
+    """The network responds one coding window after its input, as every run sets it."""
+    if model.network.window != model.coding.params.window:
+        raise ModelIOError(
+            f"{path}: network window {model.network.window!r} differs from "
+            f"coding window {model.coding.params.window!r}"
+        )
+
+
 def save_model(model: ModelFile, path):
-    """Write the container; see the module docstring for the layout."""
+    """Write the container (see the module docstring); refuses, as
+    :func:`load_model` does, a network window other than the coding window."""
+    _check_windows(model, path)
     header = _header_bytes(model)
     try:
         with open(path, "wb") as fh:
@@ -81,9 +92,10 @@ def load_model(path) -> ModelFile:
     """Read a container back; weights come out bit-exact.
 
     Raises :class:`ModelIOError` on a bad magic, an unsupported version, a
-    malformed or inconsistent header (a missing field or one of the wrong
-    JSON type; invalid network, coding or readout; a readout or numeric
-    coding that does not fit the layer sizes), or a payload whose length
+    malformed or inconsistent header (a missing or unknown field or one of
+    the wrong JSON type; invalid network, coding or readout; a readout or
+    numeric coding that does not fit the layer sizes; a network window that
+    differs from the coding window), or a payload whose length
     does not match the declared layer sizes exactly.
     """
     try:
@@ -119,6 +131,10 @@ def load_model(path) -> ModelFile:
         provenance = checked(header["provenance"], dict, "provenance")
     except (KeyError, TypeError, ConfigError) as exc:
         raise ModelIOError(f"{path}: model header is missing or malformed: {exc}") from exc
+    unknown = header.keys() - {"layer_sizes", "activation", "window", "coding",
+                               "scheme", "provenance"}
+    if unknown:
+        raise ModelIOError(f"{path}: unknown model header key(s): {', '.join(sorted(unknown))}")
     if any(size < 1 for size in layer_sizes):
         raise ModelIOError(f"{path}: invalid network: layer sizes {list(layer_sizes)}")
 
@@ -152,4 +168,6 @@ def load_model(path) -> ModelFile:
             f"{path}: coding ranges cover {coding.ranges.shape[0]} attributes, "
             f"input layer has {layer_sizes[0]} neurons"
         )
-    return ModelFile(network=network, coding=coding, scheme=scheme, provenance=provenance)
+    model = ModelFile(network=network, coding=coding, scheme=scheme, provenance=provenance)
+    _check_windows(model, path)
+    return model

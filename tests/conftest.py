@@ -68,7 +68,6 @@ def make_digits(n_per_class: int, seed: int, side: int = 28,
     return RawDataset(
         features=np.array(feats, dtype=np.float64)[order],
         labels=np.array(labels)[order],
-        class_names=tuple(str(i) for i in range(10)),
     )
 
 

@@ -3,7 +3,6 @@
 import gzip
 import json
 import logging
-import os
 import shutil
 
 import numpy as np
@@ -259,6 +258,37 @@ def test_srm_demo_rejects_non_finite_delays(capsys):
     assert "mtspike: error [E_CONFIG]" in err
 
 
+def test_srm_demo_fired_flags_silence_inputs(capsys):
+    rc, gated, _ = run_cli(capsys, "srm-demo", "--delays", "0,2", "--weights", "1.0,0.8",
+                           "--fired", "1,0")
+    assert rc == 0
+    rc, alone, _ = run_cli(capsys, "srm-demo", "--delays", "0", "--weights", "1.0")
+    assert rc == 0
+    assert gated == alone
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fired=2,1"],
+    ["--fired=0.5,nan"],
+    ["--delays", "abc"],
+    ["--delays", ","],
+], ids=["fired-two", "fired-fraction-nan", "delays-not-a-number", "delays-empty"])
+def test_srm_demo_rejects_malformed_lists(capsys, argv):
+    rc, out, err = run_cli(capsys, "srm-demo", *argv)
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_CONFIG]")
+    assert out == ""
+
+
+def test_unknown_log_level_warns_once(monkeypatch, caplog, capsys):
+    monkeypatch.setenv("MTSPIKE_LOG", "loud")
+    with caplog.at_level(logging.WARNING, logger="mtspike.cli"):
+        rc, _, _ = run_cli(capsys, "presets")
+    assert rc == 0
+    warned = [r for r in caplog.records if "unknown MTSPIKE_LOG level" in r.getMessage()]
+    assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+
+
 @pytest.mark.parametrize("grid", [
     ["--horizon", "1e300", "--dt", "1e-10"],
     ["--dt", "1e-12"],
@@ -426,29 +456,6 @@ def test_usage_error_line(capsys):
         cli.main(["train"])
     assert exc.value.code == 2
     assert "mtspike: error [E_USAGE]" in capsys.readouterr().err
-
-
-def test_threads_flag_validates(capsys):
-    rc, _, err = run_cli(capsys, "presets")
-    assert rc == 0
-    rc, _, err = run_cli(capsys, "train", "--threads", "0",
-                         "--preset", "mt1_iris")
-    assert rc == 2
-    assert "[E_CONFIG]" in err and "--threads" in err
-
-
-def test_threads_flag_sets_the_environment_caps(monkeypatch, caplog, capsys):
-    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-    for name in names:
-        monkeypatch.setenv(name, "7")  # restored after the test
-    with caplog.at_level(logging.WARNING, logger="mtspike.cli"):
-        rc, _, _ = run_cli(capsys, "srm-demo", "--threads", "2", "--horizon", "1")
-    assert rc == 0
-    assert [os.environ[name] for name in names] == ["2"] * 5
-    # numpy is loaded in this process, so the caps come too late for it
-    warned = [r for r in caplog.records if "numpy already loaded" in r.getMessage()]
-    assert len(warned) == 1 and warned[0].levelno == logging.WARNING
 
 
 def test_repo_data_layout_matches_presets():

@@ -116,6 +116,8 @@ def test_numeric_validation():
         encode_numeric(np.array([1.0])[None], np.array([[2.0, 2.0]]), p)
     with pytest.raises(DataError, match="finite"):
         encode_numeric(np.array([np.nan])[None], np.array([[0.0, 1.0]]), p)
+    with pytest.raises(DataError, match="rows"):
+        encode_numeric(np.array([1.0]), np.array([[0.0, 1.0]]), p)
 
 
 @given(

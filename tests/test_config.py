@@ -108,11 +108,14 @@ def test_unknown_keys_are_rejected(mutate, message):
     lambda d: d.update(train={"seed": -1}),
     lambda d: d.update(dataset=5),
     lambda d: d.update(output="m.bin"),
+    lambda d: d["dataset"].update(split_seed=-1),
+    lambda d: d["dataset"].update(subset_seed=-1),
 ], ids=[
     "num_classes-string", "learning_rate-string", "layers-number",
     "init_range-triple", "batch_size-fraction", "alpha-string", "kernel-string",
     "train_fraction-string", "seed-fraction", "layers-fraction", "heuristic-string",
     "init_range-infinite", "seed-negative", "dataset-number", "output-string",
+    "split_seed-negative", "subset_seed-negative",
 ])
 def test_wrongly_typed_values_are_config_errors(mutate):
     doc = minimal_dict()

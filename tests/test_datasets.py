@@ -33,7 +33,7 @@ from mtspike.errors import ConfigError, DataError
 def test_load_repo_iris(iris_path):
     ds = load_iris(iris_path)
     assert ds.features.shape == (150, 4)
-    assert ds.class_names == ("setosa", "versicolor", "virginica")
+    assert ds.labels[0] == 0  # the file opens with setosa, first alphabetically
     assert np.bincount(ds.labels).tolist() == [50, 50, 50]
 
 
@@ -44,19 +44,19 @@ def test_byte_order_mark_does_not_hide_the_first_row(iris_path, tmp_path):
     plain, marked = load_iris(iris_path), load_iris(bom)
     assert np.array_equal(marked.features, plain.features)
     assert np.array_equal(marked.labels, plain.labels)
-    assert marked.class_names == plain.class_names
 
 
 def test_header_row_is_skipped(tmp_path):
     path = tmp_path / "flowers.csv"
     path.write_text(
+        "\n"  # blank lines are skipped, before the header too
         "sepal_l,sepal_w,petal_l,petal_w,species\n"
         "5.1,3.5,1.4,0.2,Iris-setosa\n"
+        "  \n"
         "6.0,2.9,4.5,1.5,Iris-versicolor\n"
     )
     ds = load_iris(path)
-    assert len(ds) == 2
-    assert ds.class_names == ("setosa", "versicolor")
+    assert ds.labels.tolist() == [0, 1]
 
 
 def test_label_normalization_and_alphabetical_order(tmp_path):
@@ -67,7 +67,6 @@ def test_label_normalization_and_alphabetical_order(tmp_path):
         "3,3,3,3,iris-setosa\n"
     )
     ds = load_iris(path)
-    assert ds.class_names == ("setosa", "virginica")
     assert ds.labels.tolist() == [1, 0, 0]
 
 
@@ -188,7 +187,6 @@ def test_idx_round_trip_is_byte_exact(tmp_path):
     ds = load_mnist_idx(tmp_path / "img", tmp_path / "lbl")
     assert np.array_equal(ds.features, images)
     assert np.array_equal(ds.labels, labels)
-    assert ds.class_names == tuple(str(d) for d in range(10))
     # a second save of the loaded data reproduces the files bit for bit
     save_mnist_idx(ds.features, ds.labels, tmp_path / "img2", tmp_path / "lbl2")
     assert (tmp_path / "img").read_bytes() == (tmp_path / "img2").read_bytes()

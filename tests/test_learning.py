@@ -157,6 +157,9 @@ def test_backward_validates_trace_and_delta():
     short = forward_batch(init_network([4, 2], rng=rng), np.zeros((2, 4)))
     with pytest.raises(StructureError):
         backward(net, short, np.zeros((2, 2)))
+    wide = forward_batch(init_network([4, 5, 2], rng=rng), np.zeros((2, 4)))
+    with pytest.raises(StructureError, match="trace layer 1"):
+        backward(net, wide, np.zeros((2, 2)))
 
 
 def finite_difference(net, delays, targets, step=1e-4):

