@@ -196,19 +196,16 @@ def cmd_encode(args) -> int:
 
 def _parse_floats(text: str, flag: str):
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{flag} expects comma-separated numbers: {exc}") from exc
-    if not values:
-        raise ConfigError(f"{flag} expects at least one value")
-    return values
 
 
 def cmd_srm_demo(args) -> int:
     import numpy as np
 
     from .coding import DelayVector
-    from .srm import SrmParams, _first_crossing, voltage_trace
+    from .srm import SrmParams, threshold_crossing, voltage_trace
 
     delays = np.array(_parse_floats(args.delays, "--delays"))
     weights = np.array(_parse_floats(args.weights, "--weights"))
@@ -231,7 +228,7 @@ def cmd_srm_demo(args) -> int:
     )
     inputs = DelayVector(delays=delays, fired=fired)
     times, voltage = voltage_trace(inputs, weights, params)
-    crossing = _first_crossing(inputs, times, voltage, params)
+    crossing = threshold_crossing(inputs, weights, params)
 
     lines = chain(
         ["t,v\n"],

@@ -272,7 +272,10 @@ def test_srm_demo_fired_flags_silence_inputs(capsys):
     ["--fired=0.5,nan"],
     ["--delays", "abc"],
     ["--delays", ","],
-], ids=["fired-two", "fired-fraction-nan", "delays-not-a-number", "delays-empty"])
+    ["--delays", "0,,2", "--weights", "1,0.8"],
+    ["--delays", "0,2,"],
+], ids=["fired-two", "fired-fraction-nan", "delays-not-a-number", "delays-empty",
+        "delays-empty-field", "delays-trailing-comma"])
 def test_srm_demo_rejects_malformed_lists(capsys, argv):
     rc, out, err = run_cli(capsys, "srm-demo", *argv)
     assert rc == 2

@@ -1,11 +1,14 @@
 """Reference SRM neuron: kernel shape, voltage traces, threshold crossings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_srm as reference
+from mtspike import srm
 from mtspike.coding import DelayVector
 from mtspike.errors import ConfigError
 from mtspike.srm import (
@@ -170,6 +173,8 @@ def test_unfired_inputs_may_carry_any_delay():
 )
 @example(fan_in=300, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=2000.0,
          steps=2000, threshold=1.0, seed=0)
+@example(fan_in=40, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=64.0,
+         steps=640, threshold=0.0, seed=1)
 @settings(max_examples=60, deadline=None)
 def test_closed_form_trace_matches_the_per_input_sum(
     fan_in, tau_rise, decay_ratio, horizon_ratio, steps, threshold, seed
@@ -184,8 +189,13 @@ def test_closed_form_trace_matches_the_per_input_sum(
     delays[on_grid] = np.round(delays[on_grid] / params.dt) * params.dt
     repeated = rng.random(fan_in) < 0.2
     delays[repeated] = rng.choice(delays, int(repeated.sum()))
+    delays[rng.random(fan_in) < 0.05] = steps * params.dt  # the grid's last point
     fired = rng.random(fan_in) < rng.uniform(0.2, 1.0)
     weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
+    # pairs of fired inputs at one delay whose weights cancel
+    pairs = rng.permutation(fan_in)[: 2 * (fan_in // 8)].reshape(2, -1)
+    delays[pairs[1]], weights[pairs[1]] = delays[pairs[0]], -weights[pairs[0]]
+    fired[pairs[1]] = fired[pairs[0]] = True
     drive = inputs(delays, fired)
 
     times, v = voltage_trace(drive, weights, params)
@@ -195,10 +205,36 @@ def test_closed_form_trace_matches_the_per_input_sum(
     tolerance = 1e-9 * (1.0 + np.abs(weights[fired]).sum())
     assert np.max(np.abs(v - v_ref)) <= tolerance
 
+    # the crossing is exactly the first qualifying point of the trace itself
     crossing = threshold_crossing(drive, weights, params)
+    qualifying = np.nonzero((times > delays[fired].min()) & (v >= threshold))[0] \
+        if fired.any() else []
+    assert crossing == (float(times[qualifying[0]]) if len(qualifying) else None)
+
     ref_crossing = reference.threshold_crossing(drive, weights, params)
     if crossing != ref_crossing:
         # only a grid point the two sums put on either side of threshold
         first = min(c for c in (crossing, ref_crossing) if c is not None)
         at = np.nonzero(times == first)[0][0]
         assert abs(v_ref[at] - threshold) <= 1e-9
+
+
+def test_crossing_memory_is_bounded_by_fan_in_and_scan_chunk():
+    """A 1.28M-point grid is searched, never built: the crossing matches a
+    20x coarser grid's to within its step, in memory set by fan-in and the
+    scan chunk, not by the grid."""
+    rng = np.random.default_rng(0)
+    fan_in = 169
+    drive = inputs(rng.uniform(0.0, 20.0, fan_in))
+    weights = rng.uniform(0.0, 0.2, fan_in)
+    coarse = threshold_crossing(drive, weights, SrmParams(dt=1e-3))
+    fine = SrmParams(dt=5e-5)
+    tracemalloc.start()
+    try:
+        crossing = threshold_crossing(drive, weights, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coarse is not None and crossing is not None
+    assert abs(crossing - coarse) <= 1e-3
+    assert peak < 8 * (32 * fan_in + 8 * srm._SCAN_CHUNK)
