@@ -69,8 +69,8 @@ class CodingParams:
     pad: str = "zero"
 
     def __post_init__(self):
-        if not (self.window > 0 and self.unit > 0):
-            raise ConfigError("window and unit must be positive")
+        if not (0 < self.window < math.inf and 0 < self.unit < math.inf):
+            raise ConfigError("window and unit must be finite and positive")
         ratio = self.window / self.unit
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(

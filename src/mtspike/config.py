@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,8 +158,8 @@ class RunConfig:
             raise ConfigError("iris data uses numeric coding")
         if self.dataset.kind == "mnist" and self.coding.scheme == "numeric":
             raise ConfigError("image data needs one_to_one or conv coding")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError("alpha must be finite and positive")
 
 
 def config_from_dict(d: dict) -> RunConfig:

@@ -279,7 +279,8 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
     Writing then loading reproduces the arrays byte for byte, which keeps
     synthetic fixtures honest about the wire format.  Values must therefore
     be whole numbers in [0, 255]; anything else raises :class:`DataError`
-    rather than being truncated.  Zero images make a valid, empty file.
+    rather than being truncated, as does a path that cannot be written.
+    Zero images make a valid, empty file.
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
@@ -293,12 +294,16 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
         if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
             raise DataError("IDX stores unsigned bytes; values must be whole numbers")
     n, rows, cols = images.shape
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        fh.write(labels.astype(np.uint8).tobytes())
+    for path, header, values in (
+        (images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols), images),
+        (labels_path, struct.pack(">II", IDX_LABEL_MAGIC, n), labels),
+    ):
+        try:
+            with open(path, "wb") as fh:
+                fh.write(header)
+                fh.write(values.astype(np.uint8).tobytes())
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def attribute_ranges(features: np.ndarray) -> np.ndarray:

@@ -74,8 +74,8 @@ class TrainConfig:
     init_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError("learning rate must be finite and non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if self.epochs < 0:

@@ -18,6 +18,7 @@ and independent of the physical per-spike cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,8 @@ def dataset_spike_count(data: EncodedDataset, net: Network) -> int:
 
 def energy(total_spikes: int, alpha: float = 1.0) -> float:
     """Abstract energy of a spike total: ``alpha`` units per spike."""
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError("alpha must be finite and positive")
     if total_spikes < 0:
         raise ConfigError("spike count cannot be negative")
     return alpha * total_spikes

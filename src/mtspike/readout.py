@@ -13,6 +13,7 @@ Readout is batch-major: :func:`read_class_batch` classifies a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,9 @@ class TargetScheme:
                 f"{self.num_classes} classes need a target matrix larger than "
                 f"numpy can address"
             )
+        if not all(map(math.isfinite, (self.window, self.excitatory_offset,
+                                       self.inhibitory_offset))):
+            raise ConfigError("readout window and offsets must be finite")
         if self.window < 0:
             raise ConfigError("encoding window must be non-negative")
         if self.excitatory_offset < 0:

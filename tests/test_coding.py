@@ -47,6 +47,7 @@ def test_resolution_is_window_over_unit(window, unit, resolution):
         {"kernel": 3},  # 3**2 != 16
         {"pad": "reflect"},
         {"binarize_threshold": 0.0},
+        {"window": float("inf")},  # round(inf) would raise a raw OverflowError
     ],
 )
 def test_bad_params_rejected(kwargs):

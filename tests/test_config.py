@@ -205,6 +205,11 @@ def test_cross_field_validation():
         config_from_dict(doc)
     with pytest.raises(ConfigError, match="root"):
         config_from_dict([1, 2, 3])
+    # the JSON reader never yields NaN or infinity; the Python API can
+    cfg = config_from_dict(minimal_dict())
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="alpha"):
+            dataclasses.replace(cfg, alpha=alpha)
 
 
 def test_mnist_dataset_needs_image_coding():

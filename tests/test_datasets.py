@@ -241,6 +241,11 @@ def test_idx_error_cases(tmp_path):
     with pytest.raises(DataError, match="does not match label count"):
         load_mnist_idx(good_img, tmp_path / "lbl3")
 
+    # a path that cannot be written is named in the error
+    with pytest.raises(DataError, match="cannot write") as excinfo:
+        save_mnist_idx(images, labels, tmp_path, good_lbl)
+    assert str(tmp_path) in str(excinfo.value)
+
 
 def test_idx_load_allocates_one_image_file(tmp_path):
     """Pixels are read once into one buffer and wrapped, not copied."""

@@ -41,6 +41,8 @@ def encoded(delays, labels):
 def test_train_config_validation():
     for kwargs in (
         {"learning_rate": -0.1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
         {"batch_size": 0},
         {"epochs": -1},
         {"gradient_mode": "adam"},

@@ -154,6 +154,9 @@ def test_energy_scales_with_alpha():
     assert energy(100, alpha=0.25) == 25.0
     with pytest.raises(ConfigError):
         energy(100, alpha=0.0)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="alpha"):
+            energy(100, alpha=alpha)
     with pytest.raises(ConfigError):
         energy(-1)
 

@@ -122,6 +122,15 @@ def test_scheme_validation():
     with pytest.raises(ConfigError):
         TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
                      excitatory_offset=4.0, inhibitory_offset=4.0)
+    # targets must be finite numbers
+    for kwargs in (
+        {"mode": "multi_neuron", "window": np.nan},
+        {"mode": "multi_neuron", "window": np.inf},
+        {"mode": "multi_neuron", "window": 16.0, "inhibitory_offset": np.inf},
+        {"mode": "single_neuron", "window": 16.0, "excitatory_offset": np.nan},
+    ):
+        with pytest.raises(ConfigError, match="finite"):
+            TargetScheme(num_classes=3, **kwargs)
 
 
 def test_single_class_single_neuron_allows_zero_offset():

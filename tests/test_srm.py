@@ -170,32 +170,60 @@ def test_unfired_inputs_may_carry_any_delay():
     steps=st.integers(min_value=1, max_value=3000),
     threshold=st.floats(min_value=-2.0, max_value=4.0),
     seed=st.integers(min_value=0, max_value=2**31),
+    digit_like=st.booleans(),
 )
 @example(fan_in=300, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=2000.0,
-         steps=2000, threshold=1.0, seed=0)
+         steps=2000, threshold=1.0, seed=0, digit_like=False)
 @example(fan_in=40, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=64.0,
-         steps=640, threshold=0.0, seed=1)
+         steps=640, threshold=0.0, seed=1, digit_like=False)
+# the crossing scan evaluates a segment in chunks of 64, 128, 256, ... points
+# from its start; with one fired input, these thresholds are the potential at
+# the last point before and the first point past its segment's 64-, 192- and
+# 448-point chunk boundaries, where the first hit then lies
+@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
+         steps=3000, threshold=0.6358858683102664, seed=0, digit_like=False)
+@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
+         steps=3000, threshold=0.644035471006844, seed=0, digit_like=False)
+@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
+         steps=3000, threshold=1.3543709860563886, seed=0, digit_like=False)
+@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
+         steps=3000, threshold=1.3579378897857215, seed=0, digit_like=False)
+@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
+         steps=3000, threshold=1.7345353212702523, seed=0, digit_like=False)
+@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
+         steps=3000, threshold=1.7347054558899164, seed=0, digit_like=False)
 @settings(max_examples=60, deadline=None)
 def test_closed_form_trace_matches_the_per_input_sum(
-    fan_in, tau_rise, decay_ratio, horizon_ratio, steps, threshold, seed
+    fan_in, tau_rise, decay_ratio, horizon_ratio, steps, threshold, seed, digit_like
 ):
     horizon = tau_rise * horizon_ratio
     params = SrmParams(tau_decay=tau_rise * decay_ratio, tau_rise=tau_rise,
                        v_threshold=threshold, dt=horizon / steps, horizon=horizon)
     rng = np.random.default_rng(seed)
-    # delays before 0, on grid points, repeated, and past the horizon
-    delays = rng.uniform(-0.1 * horizon, 1.2 * horizon, fan_in)
-    on_grid = rng.random(fan_in) < 0.3
-    delays[on_grid] = np.round(delays[on_grid] / params.dt) * params.dt
-    repeated = rng.random(fan_in) < 0.2
-    delays[repeated] = rng.choice(delays, int(repeated.sum()))
-    delays[rng.random(fan_in) < 0.05] = steps * params.dt  # the grid's last point
-    fired = rng.random(fan_in) < rng.uniform(0.2, 1.0)
-    weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
-    # pairs of fired inputs at one delay whose weights cancel
-    pairs = rng.permutation(fan_in)[: 2 * (fan_in // 8)].reshape(2, -1)
-    delays[pairs[1]], weights[pairs[1]] = delays[pairs[0]], -weights[pairs[0]]
-    fired[pairs[1]] = fired[pairs[0]] = True
+    if digit_like:
+        # like encoded digits: fan-in 169 or 500, delays on at most 16 of the
+        # 17 slots of a 16-unit window (a 64-unit horizon's first quarter),
+        # most inputs at one slot
+        fan_in = 169 if fan_in <= 250 else 500
+        fired = rng.random(fan_in) < rng.uniform(0.2, 1.0)
+        slots = rng.choice(17, int(rng.integers(1, 17)), replace=False) * (horizon / 64.0)
+        delays = np.where(rng.random(fan_in) < rng.uniform(0.5, 1.0), slots[0],
+                          rng.choice(slots, fan_in))
+        weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
+    else:
+        # delays before 0, on grid points, repeated, and past the horizon
+        delays = rng.uniform(-0.1 * horizon, 1.2 * horizon, fan_in)
+        on_grid = rng.random(fan_in) < 0.3
+        delays[on_grid] = np.round(delays[on_grid] / params.dt) * params.dt
+        repeated = rng.random(fan_in) < 0.2
+        delays[repeated] = rng.choice(delays, int(repeated.sum()))
+        delays[rng.random(fan_in) < 0.05] = steps * params.dt  # the grid's last point
+        fired = rng.random(fan_in) < rng.uniform(0.2, 1.0)
+        weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
+        # pairs of fired inputs at one delay whose weights cancel
+        pairs = rng.permutation(fan_in)[: 2 * (fan_in // 8)].reshape(2, -1)
+        delays[pairs[1]], weights[pairs[1]] = delays[pairs[0]], -weights[pairs[0]]
+        fired[pairs[1]] = fired[pairs[0]] = True
     drive = inputs(delays, fired)
 
     times, v = voltage_trace(drive, weights, params)
