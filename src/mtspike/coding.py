@@ -90,8 +90,10 @@ class CodingParams:
                 )
         if self.pad != "zero":
             raise ConfigError(f"unknown padding policy {self.pad!r}")
-        if not self.binarize_threshold > 0:
-            raise ConfigError("binarize_threshold must be positive")
+        # the images are bytes: above 255 no pixel would binarize and every
+        # conv-coded image would become the same input
+        if not 0 < self.binarize_threshold <= 255:
+            raise ConfigError("binarize_threshold must lie in (0, 255]")
 
     @property
     def resolution(self) -> int:

@@ -63,7 +63,7 @@ CONFIG_SCHEMA = """\
     "scheme": "numeric" | "one_to_one" | "conv",
     "window": 16.0, "unit": 1.0,
     "kernel": 4, "stride": 2,       // ints; conv only
-    "binarize_threshold": 128.0,    // conv only
+    "binarize_threshold": 128.0,    // conv only; 0 < t <= 255
     "p_max": 255.0                  // one_to_one only
   },
   "layers": [169, 500, 10],         // ints

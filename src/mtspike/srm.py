@@ -20,24 +20,29 @@ prefix sum per time constant over the merged inputs sorted by delay (see
 constants cannot overflow while ``horizon / tau_rise`` and
 ``|d| / tau_rise`` stay finite; larger ratios are rejected.
 
-``voltage_trace`` evaluates every grid point from those coefficients.
+Both entry points run in two stages.  The first is numpy work over the
+fan-in: validation, the fired and acting inputs, the stable sort and merge
+of equal delays, and the log-space prefix sums that give every segment's
+``A`` and ``B``.  The merge pays because real drives have few distinct
+delays: for the benchmark model's neurons on encoded digits, fan-in 169
+inputs arrive at a median of 10 distinct delays (at most 13) and fan-in 500
+inputs at a median of 7 (at most 9, 98.9% of them at the window edge
+t = 16).  The second stage walks those few segments in Python floats: on
+ten elements a numpy call costs more overhead than the scalar arithmetic.
+``voltage_trace`` spreads the coefficients over every grid point.
 ``threshold_crossing`` never builds the grid: a segment's potential has at
-most one extremum, so its peak over the segment is known in closed form and
-most segments are skipped outright; each of the rest is scanned from its
-first grid point in bounded chunks until the potential reaches threshold.
-Both evaluate a grid point with the same arithmetic, so the crossing is
-exactly the first qualifying point of the trace.  The merge pays because
-real drives have few distinct delays: for the benchmark model's neurons on
-encoded digits, fan-in 169 inputs arrive at a median of 10 distinct delays
-(at most 13) and fan-in 500 inputs at a median of 7 (at most 9, with 98.9%
-of them at the window edge t = 16).
+most one extremum, so its peak is known in closed form and most segments
+are skipped outright; each of the rest is scanned from its first grid
+point in bounded numpy chunks until the potential reaches threshold.  Both
+evaluate a grid point with the same numpy arithmetic, so the crossing is
+exactly the first qualifying point of the trace.
 ``psp_kernel`` is the single kernel, kept for the properties checked on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
+from math import exp, floor, isfinite, log
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +80,8 @@ class SrmParams:
             raise ConfigError("SRM parameters must be finite")
         if not self.tau_rise > 0:
             raise ConfigError("tau_rise must be positive")
-        if not self.tau_decay > self.tau_rise:
-            raise ConfigError("tau_decay must exceed tau_rise")
+        if not self.tau_decay > self.tau_rise or not 1.0 / self.tau_decay < 1.0 / self.tau_rise:
+            raise ConfigError("tau_decay must exceed tau_rise, also after taking reciprocals")
         if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if not self.horizon > 0:
@@ -105,29 +110,27 @@ def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
 
 
 class _Segments(NamedTuple):
-    """The potential between consecutive distinct input delays.
+    """The merged inputs in delay order, as Python floats.
 
-    Segment ``k`` holds the grid indices ``starts[k] <= j < ends[k]``; there
-    the potential is ``_potential(decay[k], rise[k], t_j - onsets[k])`` with
-    ``t_j = j * dt``.  Segment 0 lies before the first acting input and has
-    zero coefficients, so its potential is exactly 0.
+    Input ``i`` acts from the first grid point past ``onsets[i]`` up to, not
+    including, the first grid point past ``onsets[i + 1]`` (or through the
+    grid's last point ``steps``); there the potential is
+    ``_potential(decay[i], rise[i], t_j - onsets[i])`` with ``t_j = j * dt``.
+    Before the first input acts the potential is exactly 0.
     """
 
-    onsets: np.ndarray
-    decay: np.ndarray
-    rise: np.ndarray
+    onsets: list[float]
+    decay: list[float]
+    rise: list[float]
     scale: float
-    starts: np.ndarray
-    ends: np.ndarray
+    steps: int
 
 
 def _segments(inputs: DelayVector, weights: np.ndarray, params: SrmParams) -> _Segments:
-    """Validate the drive and reduce it to one closed form per segment."""
+    """Validate the drive and reduce it to one closed form per merged input."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(inputs),):
-        raise ConfigError(
-            f"expected {len(inputs)} weights, got shape {weights.shape}"
-        )
+        raise ConfigError(f"expected {len(inputs)} weights, got shape {weights.shape}")
     if not np.isfinite(weights).all():
         raise ConfigError("SRM weights must be finite")
     delays, w = inputs.delays[inputs.fired], weights[inputs.fired]
@@ -159,26 +162,23 @@ def _segments(inputs: DelayVector, weights: np.ndarray, params: SrmParams) -> _S
     positive = w > 0
     signed = np.where(np.array((positive, ~positive)), (log_w + at_input)[:, np.newaxis], -np.inf)
     prefix = np.logaddexp.accumulate(signed, axis=2)
-    coefficients = np.zeros((2, delays.size + 1))
-    coefficients[:, 1:] = np.exp(prefix[:, 0] - at_input) - np.exp(prefix[:, 1] - at_input)
-    bounds = _index_after(delays, params.dt, steps)
-    return _Segments(np.concatenate(([0.0], delays)), *coefficients, scale,
-                     np.concatenate(([0], bounds)), np.concatenate((bounds, [steps + 1])))
+    decay, rise = (np.exp(prefix[:, 0] - at_input) - np.exp(prefix[:, 1] - at_input)).tolist()
+    return _Segments(delays.tolist(), decay, rise, scale, steps)
 
 
-def _index_after(x: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Smallest ``j`` in ``0..steps + 1`` with ``j * dt > x``, elementwise,
-    on the same float products as the grid, for ``x < steps * dt``.
+def _index_after(x: float, dt: float) -> int:
+    """Smallest ``j >= 0`` with ``j * dt > x``, on the same float products as
+    the grid: ``0..steps + 1`` for ``x <= steps * dt``.
 
     While ``x / dt`` is far below ``2**52`` (true of every grid that fits in
     memory) the quotient and the products round by much less than a step,
     so the answer is ``floor(x / dt) + 1`` or one step to either side.
     """
-    x = np.maximum(x, -dt)
-    j = np.floor(x / dt) + 1.0
-    j -= (j - 1.0) * dt > x
-    j += j * dt <= x
-    return j.astype(np.int64)
+    x = max(x, -dt)
+    j = floor(x / dt) + 1
+    if (j - 1) * dt > x:
+        return j - 1
+    return j + 1 if j * dt <= x else j
 
 
 def _potential(decay, rise, since, params: SrmParams, scale: float):
@@ -221,13 +221,13 @@ def voltage_trace(
     tests hold it to 1e-9 of the total absolute weight.
     """
     seg = _segments(inputs, weights, params)
-    steps = int(seg.ends[-1]) - 1
+    steps, dt = seg.steps, params.dt
     try:
-        times = np.arange(steps + 1, dtype=np.float64) * params.dt
-        counts = seg.ends - seg.starts
-        since = times - np.repeat(seg.onsets, counts)
-        voltage = _potential(np.repeat(seg.decay, counts), np.repeat(seg.rise, counts),
-                             since, params, seg.scale)
+        times = np.arange(steps + 1, dtype=np.float64) * dt
+        counts = np.diff([0] + [_index_after(d, dt) for d in seg.onsets] + [steps + 1])
+        since = times - np.repeat([0.0] + seg.onsets, counts)
+        voltage = _potential(np.repeat([0.0] + seg.decay, counts),
+                             np.repeat([0.0] + seg.rise, counts), since, params, seg.scale)
         return times, voltage
     except MemoryError as exc:
         raise ConfigError(f"cannot allocate the {steps + 1}-point SRM grid") from exc
@@ -246,53 +246,52 @@ def threshold_crossing(
 
     The result is exactly the first grid point of ``voltage_trace``'s trace
     past that spike with ``v >= v_threshold``, but the grid is never built.
-    On a segment the potential has at most one extremum, at
-    ``s* = tau_d tau_r / (tau_d - tau_r) ln(B tau_d / (A tau_r))``, so the
-    segment's peak is the largest of the potential at the span's two ends
-    and at ``s*`` clipped to the span.  Segments whose peak falls short of
-    threshold by more than a rounding slack (proportional to
-    ``scale (|A| + |B|)``) are skipped.  The rest are taken in time order and
-    scanned from their first grid point in chunks of 64 points that double
-    up to 4,096, so time is linear in the points between a reached
-    segment's start and its hit (or its end, when the peak lies within the
-    slack but short of threshold), while memory stays bounded by fan-in and
-    chunk size, not by the grid.  On the benchmark's digit drives 93% of
-    hits lie within the first chunk of their segment.
+    After the numpy stage shared with :func:`voltage_trace`, the merged
+    segments are walked in time order as Python floats.  On a segment the
+    potential has at most one extremum, at
+    ``s* = tau_d tau_r / (tau_d - tau_r) ln(B tau_d / (A tau_r))``, so its
+    peak is the largest of the potential at the span's two ends and at
+    ``s*`` clipped to the span, found with ``math``.  Segments whose peak
+    falls short of threshold by more than a rounding slack (proportional to
+    ``scale (|A| + |B|)``, far above any gap between ``math`` and numpy) are
+    skipped.  The rest are scanned with numpy from their first grid point in
+    chunks of 64 points doubling up to 4,096, so time is linear in the points
+    between a reached segment's start and its hit (or its end), while memory
+    stays bounded by fan-in and chunk size, not by the grid.  On the
+    benchmark's digit drives 93% of hits lie within the first chunk of their
+    segment.
     """
     seg = _segments(inputs, weights, params)
+    onsets, steps, scale = seg.onsets, seg.steps, seg.scale
     dt, threshold = params.dt, params.v_threshold
+    end = _index_after(onsets[0], dt) if onsets else steps + 1
     if threshold <= 0.0 and inputs.fired.any():
-        # segment 0 holds an exact 0: its first point past the earliest spike
-        # crosses; clamped, a spike at or past the grid's end finds no point
-        steps = int(seg.ends[-1]) - 1
-        earliest = min(float(inputs.delays[inputs.fired].min()), steps * dt)
-        hit = int(_index_after(np.float64(earliest), dt, steps))
-        if hit < seg.ends[0]:
-            return float(hit * dt)
-    # every later segment starts after the earliest fired spike
-    onsets, decay, rise = seg.onsets[1:], seg.decay[1:], seg.rise[1:]
-    lo, hi = seg.starts[1:], seg.ends[1:] - 1
-    first = lo * dt - onsets
-    # an empty span's last point precedes its onset; 0 keeps exp finite there
-    last = np.maximum(hi * dt - onsets, 0.0)
-    # the derivative vanishes once, at s*, when A and B share a sign; elsewhere
-    # the potential is monotone and the span's end stands in for s*
-    extremum = (np.sign(decay) == np.sign(rise)) & (decay != 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        stationary = ((np.log(rise / decay) + log(params.tau_decay / params.tau_rise))
-                      / np.float64(1.0 / params.tau_rise - 1.0 / params.tau_decay))
-    peak = np.where(extremum, np.fmin(np.fmax(stationary, first), last), last)
-    bound = _potential(decay, rise, np.array((first, last, peak)), params, seg.scale).max(axis=0)
-    slack = _SLACK * seg.scale * (np.abs(decay) + np.abs(rise))
-    reach = ((lo <= hi) & (bound >= threshold - 2.0 * slack)).nonzero()[0]
-    for k in reach.tolist():
-        # a hit is usually near the segment's start: begin with a small chunk
-        a, end, size = int(lo[k]), int(hi[k]) + 1, 64
-        while a < end:
-            since = np.arange(a, min(a + size, end), dtype=np.float64) * dt - onsets[k]
-            hits = (_potential(decay[k], rise[k], since, params, seg.scale)
-                    >= threshold).nonzero()[0]
+        # before any input acts the potential is an exact 0: the first point past the
+        # earliest spike crosses; clamped, a spike at or past the grid's end finds none
+        hit = _index_after(min(float(inputs.delays[inputs.fired].min()), steps * dt), dt)
+        if hit < end:
+            return hit * dt
+    tau_decay, tau_rise = params.tau_decay, params.tau_rise
+    log_ratio, rate = log(tau_decay / tau_rise), 1.0 / tau_rise - 1.0 / tau_decay
+    # every input's span starts after the earliest fired spike
+    for onset, after, a, b in zip(onsets, onsets[1:] + [steps * dt], seg.decay, seg.rise):
+        begin, end = end, _index_after(after, dt)
+        if begin == end:
+            continue
+        first, last = begin * dt - onset, (end - 1) * dt - onset
+        # the derivative vanishes at most once, at s*, when A and B share a sign;
+        # otherwise s* is some point of the span, which leaves the bound valid
+        stationary = (log(abs(b)) - log(abs(a)) + log_ratio) / rate if a and b else last
+        bound = max(scale * (a * exp(-s / tau_decay) - b * exp(-s / tau_rise))
+                    for s in (first, last, min(last, max(first, stationary))))
+        if bound < threshold - 2.0 * _SLACK * scale * (abs(a) + abs(b)):
+            continue
+        # a hit is usually near the span's start: begin with a small chunk
+        size = 64
+        while begin < end:
+            since = np.arange(begin, min(begin + size, end), dtype=np.float64) * dt - onset
+            hits = (_potential(a, b, since, params, scale) >= threshold).nonzero()[0]
             if hits.size:
-                return float((a + int(hits[0])) * dt)
-            a, size = a + size, min(2 * size, _SCAN_CHUNK)
+                return (begin + int(hits[0])) * dt
+            begin, size = begin + size, min(2 * size, _SCAN_CHUNK)
     return None

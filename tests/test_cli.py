@@ -396,6 +396,28 @@ def test_malformed_model_header_error_line(tmp_path, iris_path, capsys):
     assert err.strip().startswith("mtspike: error [E_MODEL]")
 
 
+@pytest.mark.parametrize("threshold", [255.5, 300.0, float("inf")])
+def test_binarize_threshold_past_the_byte_range_error_line(tmp_path, iris_path, capsys,
+                                                           threshold):
+    """No byte pixel reaches such a threshold, so conv coding would map every
+    image to one input: a config file or a model header that sets it fails."""
+    coding = {"scheme": "numeric", "window": 16.0, "unit": 1.0,
+              "binarize_threshold": threshold}
+    cfg = write_iris_config(tmp_path, iris_path, coding=coding)
+    rc, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2 and out == ""
+    assert err.strip().startswith("mtspike: error [E_CONFIG]") and "binarize_threshold" in err
+
+    cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 1})
+    run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    model = tmp_path / "cli_iris.mtspike"
+    rewrite_header(model, lambda h: h["coding"].update(binarize_threshold=threshold))
+    rc, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--model", str(model),
+                         "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip().startswith("mtspike: error [E_MODEL]") and "binarize_threshold" in err
+
+
 @pytest.mark.parametrize("sizes, payload_bytes", [
     ([-1, -1], 8), ([-2, -3], 48), ([-1, 3], 24),
 ])

@@ -48,6 +48,9 @@ def test_resolution_is_window_over_unit(window, unit, resolution):
         {"pad": "reflect"},
         {"binarize_threshold": 0.0},
         {"window": float("inf")},  # round(inf) would raise a raw OverflowError
+        {"binarize_threshold": 255.5},  # byte pixels: none would binarize
+        {"binarize_threshold": float("inf")},
+        {"binarize_threshold": float("nan")},
     ],
 )
 def test_bad_params_rejected(kwargs):

@@ -188,14 +188,15 @@ def single_output_model():
     (lambda h: h["coding"].update(p_max=-1.0), "p_max must be finite and positive"),
     (lambda h: h["coding"].update(p_max=0), "p_max must be finite and positive"),
     (lambda h: h["coding"].update(stride=float("inf")), "missing or malformed"),
+    (lambda h: h["coding"].update(binarize_threshold=300.0), "binarize_threshold"),
     (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
     (lambda h: h.update(window=3.0), "network window 3.0 differs from coding window 16.0"),
     (lambda h: h.update(layer_sizez=[1]), "unknown model header key\\(s\\): layer_sizez"),
 ], ids=["activation", "activation-identity", "window", "scheme-mode", "scheme-outputs",
         "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
         "p_max-negative", "p_max-zero",
-        "stride-infinite", "excitatory_offset-string", "window-not-coding-window",
-        "unknown-key"])
+        "stride-infinite", "binarize_threshold-above-255", "excitatory_offset-string",
+        "window-not-coding-window", "unknown-key"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
     save_model(single_output_model(), path)

@@ -1,5 +1,8 @@
 """Reference SRM neuron: kernel shape, voltage traces, threshold crossings."""
 
+import dataclasses
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -41,6 +44,8 @@ def test_params_validation():
         {"horizon": 1e300, "dt": 1e-10},  # horizon / dt overflows to inf
         {"dt": 1e-300},  # more grid points than numpy can index
         {"tau_rise": 1e-308, "horizon": 4.0, "dt": 1.0},  # horizon / tau_rise overflows
+        # the reciprocals round to one value: the two exponentials cannot be told apart
+        {"tau_rise": 1e308, "tau_decay": float(np.nextafter(1e308, np.inf))},
     ):
         with pytest.raises(ConfigError):
             SrmParams(**kwargs)
@@ -266,3 +271,87 @@ def test_crossing_memory_is_bounded_by_fan_in_and_scan_chunk():
     assert coarse is not None and crossing is not None
     assert abs(crossing - coarse) <= 1e-3
     assert peak < 8 * (32 * fan_in + 8 * srm._SCAN_CHUNK)
+
+
+@given(dt=st.floats(min_value=1e-6, max_value=10.0),
+       steps=st.integers(min_value=1, max_value=5000), data=st.data())
+@example(dt=0.01, steps=6400, data=None)
+@example(dt=0.1, steps=30, data=None)
+@settings(max_examples=200, deadline=None)
+def test_index_after_is_the_first_grid_point_past_x(dt, steps, data):
+    """The scalar lookup that places every segment on the grid, against a
+    brute-force search over the grid's own products ``j * dt``."""
+    grid = np.arange(steps + 2) * dt
+    last = steps * dt
+    # below the grid, and just below its last point
+    xs = [-dt, -5.0 * dt, -1e300, np.nextafter(-dt, np.inf), np.nextafter(last, -np.inf),
+          last - dt / 2, last - 1e-9 * dt]
+    for j in (0, 1, steps // 3, steps - 1, steps):
+        xs += [grid[j], np.nextafter(grid[j], -np.inf), np.nextafter(grid[j], np.inf)]
+    if data is not None:
+        j = data.draw(st.integers(min_value=0, max_value=steps))
+        xs += [grid[j], np.nextafter(grid[j], -np.inf), np.nextafter(grid[j], np.inf),
+               data.draw(st.floats(min_value=-2.0 * dt, max_value=last, exclude_max=True))]
+    for x in map(float, xs):
+        assert srm._index_after(x, dt) == int(np.argmax(grid > x)), x
+
+
+# (drive, weights, params, k): merged input k's segment peaks inside its span;
+# in the first, the kernel's peak time (ln 4 * 4/3 for tau 4 and 1) is a grid point
+PEAKED_SEGMENTS = [
+    (inputs([0.0]), np.array([1.0]), SrmParams(dt=math.log(4.0) * 4.0 / 3.0 / 185), 0),
+    (inputs([0.0, 3.0]), np.array([0.6, 0.9]), P, 0),
+    (inputs([0.0, 3.0]), np.array([0.6, 0.9]), P, 1),
+    (inputs([2.0, 2.0, 9.5, 9.5]), np.array([0.7, -0.2, 1.1, 0.05]), P, 1),
+]
+
+
+@pytest.mark.parametrize("drive, weights, params, k", PEAKED_SEGMENTS)
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("level", ["closed_form", "grid"])
+def test_crossing_at_a_segment_peak_matches_the_trace(drive, weights, params, k, ulps, level):
+    """Thresholds at one segment's closed-form peak or its largest grid
+    value, and one ulp to either side: the crossing scan's skip bound is
+    within its slack of threshold, and the crossing must still be the
+    trace's first qualifying point."""
+    seg = srm._segments(drive, weights, params)
+    a, b, onset = seg.decay[k], seg.rise[k], seg.onsets[k]
+    td, tr = params.tau_decay, params.tau_rise
+    s_star = td * tr / (td - tr) * math.log(b * td / (a * tr))
+    end = seg.onsets[k + 1] if k + 1 < len(seg.onsets) else params.horizon
+    assert 0.0 < s_star < end - onset  # the peak lies inside the segment
+    times, v = voltage_trace(drive, weights, params)
+    if level == "closed_form":
+        peak = seg.scale * (a * math.exp(-s_star / td) - b * math.exp(-s_star / tr))
+    else:
+        peak = float(v[(times > onset) & (times <= end)].max())
+    threshold = float(np.nextafter(peak, np.inf * ulps)) if ulps else peak
+    params = dataclasses.replace(params, v_threshold=threshold)
+    qualifying = np.nonzero((times > drive.delays.min()) & (v >= threshold))[0]
+    expected = float(times[qualifying[0]]) if qualifying.size else None
+    assert threshold_crossing(drive, weights, params) == expected
+    if level == "grid" and ulps <= 0:
+        assert expected is not None
+
+
+def _digit_like_drive(seed):
+    """Fan-in 169 or 500, delays on a few of the 17 slots of a 16-unit
+    window with most inputs at one slot, weights of either sign."""
+    rng = np.random.default_rng([seed, 18])
+    fan_in = (169, 500)[seed % 2]
+    fired = rng.random(fan_in) < rng.uniform(0.2, 1.0)
+    slots = rng.choice(17, int(rng.integers(1, 17)), replace=False).astype(float)
+    delays = np.where(rng.random(fan_in) < rng.uniform(0.5, 1.0), slots[0],
+                      rng.choice(slots, fan_in))
+    weights = rng.normal(rng.uniform(-0.05, 0.1), rng.uniform(0.01, 0.3), fan_in)
+    return inputs(delays, fired), weights
+
+
+def test_digit_like_crossings_are_pinned():
+    """200 seeded drives (111 cross, at 108 distinct times): a change that
+    moves any crossing by one grid step changes the digest."""
+    crossings = [threshold_crossing(*_digit_like_drive(seed), P) for seed in range(200)]
+    assert sum(c is not None for c in crossings) == 111
+    text = "\n".join(repr(c) for c in crossings)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5a4f82d9720ecc262031713c59abdb3175eb5bc1655b931db38715f8357e1e69")
