@@ -63,19 +63,40 @@ def _header_bytes(model: ModelFile) -> bytes:
     return text.encode("utf-8")
 
 
-def _check_windows(model: ModelFile, path):
-    """The network responds one coding window after its input, as every run sets it."""
-    if model.network.window != model.coding.params.window:
+def _check_consistent(model: ModelFile, path):
+    """The parts fit together as every run makes them: the readout fits the
+    output layer, a numeric coding has one range with max above min per input
+    neuron, and the network responds one coding window after its input."""
+    sizes, coding, scheme = model.network.layer_sizes, model.coding, model.scheme
+    if scheme.output_size != sizes[-1]:
+        raise ModelIOError(
+            f"{path}: {scheme.mode} readout of {scheme.num_classes} classes needs "
+            f"{scheme.output_size} output neurons, network has {sizes[-1]}"
+        )
+    if coding.scheme == "numeric":
+        if coding.ranges is None:
+            raise ModelIOError(f"{path}: numeric coding has no attribute ranges")
+        if coding.ranges.shape[0] != sizes[0]:
+            raise ModelIOError(
+                f"{path}: coding ranges cover {coding.ranges.shape[0]} attributes, "
+                f"input layer has {sizes[0]} neurons"
+            )
+        lo, hi = coding.ranges.T
+        if not np.all(hi > lo):
+            raise ModelIOError(f"{path}: degenerate range for attribute "
+                               f"{int(np.argmin(hi - lo))}: max must exceed min")
+    if model.network.window != coding.params.window:
         raise ModelIOError(
             f"{path}: network window {model.network.window!r} differs from "
-            f"coding window {model.coding.params.window!r}"
+            f"coding window {coding.params.window!r}"
         )
 
 
 def save_model(model: ModelFile, path):
     """Write the container (see the module docstring); refuses, as
-    :func:`load_model` does, a network window other than the coding window."""
-    _check_windows(model, path)
+    :func:`load_model` does, a model whose parts do not fit together, so a
+    written file always loads."""
+    _check_consistent(model, path)
     header = _header_bytes(model)
     try:
         with open(path, "wb") as fh:
@@ -94,8 +115,9 @@ def load_model(path) -> ModelFile:
     Raises :class:`ModelIOError` on a bad magic, an unsupported version, a
     malformed or inconsistent header (a missing or unknown field or one of
     the wrong JSON type; invalid network, coding or readout; a readout or
-    numeric coding that does not fit the layer sizes; a network window that
-    differs from the coding window), or a payload whose length
+    numeric coding that does not fit the layer sizes; numeric coding without
+    ranges or with a range whose max does not exceed its min; a network
+    window that differs from the coding window), or a payload whose length
     does not match the declared layer sizes exactly.
     """
     try:
@@ -157,17 +179,6 @@ def load_model(path) -> ModelFile:
                           activation=activation, window=net_window)
     except StructureError as exc:
         raise ModelIOError(f"{path}: invalid network: {exc}") from exc
-    if scheme.output_size != layer_sizes[-1]:
-        raise ModelIOError(
-            f"{path}: {scheme.mode} readout of {scheme.num_classes} classes needs "
-            f"{scheme.output_size} output neurons, network has {layer_sizes[-1]}"
-        )
-    if (coding.scheme == "numeric" and coding.ranges is not None
-            and coding.ranges.shape[0] != layer_sizes[0]):
-        raise ModelIOError(
-            f"{path}: coding ranges cover {coding.ranges.shape[0]} attributes, "
-            f"input layer has {layer_sizes[0]} neurons"
-        )
     model = ModelFile(network=network, coding=coding, scheme=scheme, provenance=provenance)
-    _check_windows(model, path)
+    _check_consistent(model, path)
     return model

@@ -11,39 +11,42 @@ spike later) can be checked against the real dynamics.
 The potential lives on a fixed grid ``0, dt, ..., horizon`` and a crossing
 is the first grid point after the earliest fired input where it reaches
 threshold.  It is not summed kernel by kernel.  Inputs that share a delay
-act as one input with their summed weight, and between two consecutive
-distinct delays every kernel decays by the same two exponentials, so on
-each such segment the potential is ``A e^{-s/tau_decay} - B e^{-s/tau_rise}``
-in the time ``s`` since the segment's onset.  ``A`` and ``B`` come from one
-prefix sum per time constant over the merged inputs sorted by delay (see
-``voltage_trace``), kept in log space so that long horizons or short time
-constants cannot overflow while ``horizon / tau_rise`` and
-``|d| / tau_rise`` stay finite; larger ratios are rejected.
+act as one input with their summed weight (zero sums drop out).  With the
+merged inputs sorted by delay, a point ``t`` between the k-th and the next
+delay sees exactly inputs ``0..k`` (a kernel is zero at its own onset), and
+for each time constant ``tau``
 
-Both entry points run in two stages.  The first is numpy work over the
-fan-in: validation, the fired and acting inputs, the stable sort and merge
-of equal delays, and the log-space prefix sums that give every segment's
-``A`` and ``B``.  The merge pays because real drives have few distinct
-delays: for the benchmark model's neurons on encoded digits, fan-in 169
-inputs arrive at a median of 10 distinct delays (at most 13) and fan-in 500
-inputs at a median of 7 (at most 9, 98.9% of them at the window edge
-t = 16).  The second stage walks those few segments in Python floats: on
-ten elements a numpy call costs more overhead than the scalar arithmetic.
-``voltage_trace`` spreads the coefficients over every grid point.
-``threshold_crossing`` never builds the grid: a segment's potential has at
-most one extremum, so its peak is known in closed form and most segments
-are skipped outright; each of the rest is scanned from its first grid
-point in bounded numpy chunks until the potential reaches threshold.  Both
-evaluate a grid point with the same numpy arithmetic, so the crossing is
-exactly the first qualifying point of the trace.
+    sum_{i<=k} w_i exp(-(t - d_i)/tau) = R_k exp(-(t - d_k)/tau),
+    R_k = sum_{i<=k} w_i exp(-(d_k - d_i)/tau),
+
+so the grid splits into spans, one per merged input, on each of which the
+potential is ``A e^{-s/tau_decay} - B e^{-s/tau_rise}`` in the time ``s``
+since the span's onset: O(F log F + T) work for F inputs and T grid points
+instead of O(F T).  ``R`` comes from log-sum-exp prefixes of
+``log|w_i| + d_i/tau``, one per weight sign, because ``exp(d_i/tau)``
+overflows once ``d/tau`` passes ~700 (``horizon=2000, tau_rise=1`` is
+valid); weights are divided by their largest magnitude first, so no
+intermediate exceeds the fan-in.  ``horizon / tau_rise`` and
+``|d| / tau_rise`` must stay finite.
+
+``_spans`` builds the spans for both entry points, in numpy over
+the fan-in, and hands them over as Python floats: drives have few distinct
+delays (for the benchmark model's neurons on encoded digits, a median of 10
+at fan-in 169 and of 7 at fan-in 500, 98.9% of the latter at t = 16), and
+on ten elements a numpy call costs more than the scalar arithmetic.
+``voltage_trace`` evaluates each span on a zeroed grid;
+``threshold_crossing`` skips spans whose closed-form peak stays below
+threshold and scans the rest in bounded numpy chunks, never building the
+grid.  Both evaluate a point with the same ``_potential`` arithmetic, so the
+crossing is exactly the first qualifying point of the trace.
 ``psp_kernel`` is the single kernel, kept for the properties checked on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import tee
 from math import exp, floor, isfinite, log
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,35 +112,30 @@ def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
     return np.where(active, value, 0.0)
 
 
-class _Segments(NamedTuple):
-    """The merged inputs in delay order, as Python floats.
+def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: SrmParams):
+    """Validate a drive and return ``(scale, spans)``: an iterator over its
+    grid's spans in time order, each grid index computed when reached.
 
-    Input ``i`` acts from the first grid point past ``onsets[i]`` up to, not
-    including, the first grid point past ``onsets[i + 1]`` (or through the
-    grid's last point ``steps``); there the potential is
-    ``_potential(decay[i], rise[i], t_j - onsets[i])`` with ``t_j = j * dt``.
-    Before the first input acts the potential is exactly 0.
+    Span ``(begin, end, onset, decay, rise)`` covers grid points
+    ``begin <= j < end``, where the potential is
+    ``_potential(decay, rise, j * dt - onset, params, scale)``.  The first
+    span has no input (``decay = rise = 0``): it runs from the first point
+    past the earliest fired spike on the grid (``steps * dt`` if none) up to
+    the first merged input, and every point before it is an exact 0.  Merged
+    input ``k`` is span ``k + 1``, and the last span runs through the grid's
+    last point.
     """
-
-    onsets: list[float]
-    decay: list[float]
-    rise: list[float]
-    scale: float
-    steps: int
-
-
-def _segments(inputs: DelayVector, weights: np.ndarray, params: SrmParams) -> _Segments:
-    """Validate the drive and reduce it to one closed form per merged input."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(inputs),):
-        raise ConfigError(f"expected {len(inputs)} weights, got shape {weights.shape}")
+    if weights.shape != (len(delays),):
+        raise ConfigError(f"expected {len(delays)} weights, got shape {weights.shape}")
     if not np.isfinite(weights).all():
         raise ConfigError("SRM weights must be finite")
-    delays, w = inputs.delays[inputs.fired], weights[inputs.fired]
+    delays, w = delays[fired], weights[fired]
     if not np.isfinite(delays).all():
         raise ConfigError("fired input delays must be finite")
-    steps = int(round(params.horizon / params.dt))
-    acting = delays < steps * params.dt
+    dt = params.dt
+    steps = int(round(params.horizon / dt))
+    acting = delays < steps * dt
     delays, w = delays[acting], w[acting]
     order = delays.argsort(kind="stable")
     delays, w = delays[order], w[order]
@@ -149,6 +147,7 @@ def _segments(inputs: DelayVector, weights: np.ndarray, params: SrmParams) -> _S
         if not new.all():
             first = new.nonzero()[0]
             delays, w = delays[first], np.add.reduceat(w, first)
+    earliest = float(delays[0]) if delays.size else steps * dt
     # a zero weight adds nothing and has no logarithm
     acting = w != 0.0
     if not acting.all():
@@ -163,7 +162,11 @@ def _segments(inputs: DelayVector, weights: np.ndarray, params: SrmParams) -> _S
     signed = np.where(np.array((positive, ~positive)), (log_w + at_input)[:, np.newaxis], -np.inf)
     prefix = np.logaddexp.accumulate(signed, axis=2)
     decay, rise = (np.exp(prefix[:, 0] - at_input) - np.exp(prefix[:, 1] - at_input)).tolist()
-    return _Segments(delays.tolist(), decay, rise, scale, steps)
+    onsets = delays.tolist()
+    # grid indices on demand: a crossing scan mostly stops before the last span
+    begins, ends = tee(_index_after(x, dt) for x in [earliest, *onsets, steps * dt])
+    next(ends)
+    return scale, zip(begins, ends, [0.0, *onsets], [0.0, *decay], [0.0, *rise])
 
 
 def _index_after(x: float, dt: float) -> int:
@@ -174,7 +177,8 @@ def _index_after(x: float, dt: float) -> int:
     memory) the quotient and the products round by much less than a step,
     so the answer is ``floor(x / dt) + 1`` or one step to either side.
     """
-    x = max(x, -dt)
+    if x < -dt:
+        x = -dt
     j = floor(x / dt) + 1
     if (j - 1) * dt > x:
         return j - 1
@@ -199,35 +203,17 @@ def voltage_trace(
     and all weights must be finite and the grid must fit in memory
     (``ConfigError`` otherwise).
 
-    The potential is evaluated in closed form, not one kernel per input.
-    Inputs that share a delay are merged into one with their summed weight
-    (inputs whose summed weight is zero drop out).  With the merged inputs
-    sorted by delay, a grid point ``t`` between the k-th and the next delay
-    sees exactly inputs ``0..k`` (a kernel is zero at its own onset, so an
-    input acts only where ``t > d``), and for each time constant ``tau``
-
-        sum_{i<=k} w_i exp(-(t - d_i)/tau) = R_k exp(-(t - d_k)/tau),
-        R_k = sum_{i<=k} w_i exp(-(d_k - d_i)/tau),
-
-    so the trace is one prefix sum ``R`` per time constant, spread over each
-    segment's grid points: O(F log F + T) work for F inputs and T grid
-    points instead of O(F T).  ``R`` comes from log-sum-exp prefixes of
-    ``log|w_i| + d_i/tau``, one for positive and one for negative weights,
-    because ``exp(d_i/tau)`` itself overflows once ``d/tau`` passes ~700
-    (``horizon=2000, tau_rise=1`` is valid); weights are scaled by their
-    largest magnitude first, so no intermediate exceeds the fan-in.  Inputs
-    whose delay is at or past the grid's end never act on it and are
-    dropped.  The result equals the per-input sum up to rounding; the
-    tests hold it to 1e-9 of the total absolute weight.
+    Each span is evaluated in closed form on its grid points.  The result
+    equals the per-input sum up to rounding; the tests hold it to 1e-9 of
+    the total absolute weight.
     """
-    seg = _segments(inputs, weights, params)
-    steps, dt = seg.steps, params.dt
+    scale, spans = _spans(inputs.delays, inputs.fired, weights, params)
+    steps = int(round(params.horizon / params.dt))
     try:
-        times = np.arange(steps + 1, dtype=np.float64) * dt
-        counts = np.diff([0] + [_index_after(d, dt) for d in seg.onsets] + [steps + 1])
-        since = times - np.repeat([0.0] + seg.onsets, counts)
-        voltage = _potential(np.repeat([0.0] + seg.decay, counts),
-                             np.repeat([0.0] + seg.rise, counts), since, params, seg.scale)
+        times = np.arange(steps + 1, dtype=np.float64) * params.dt
+        voltage = np.zeros(steps + 1)
+        for begin, end, onset, a, b in spans:
+            voltage[begin:end] = _potential(a, b, times[begin:end] - onset, params, scale)
         return times, voltage
     except MemoryError as exc:
         raise ConfigError(f"cannot allocate the {steps + 1}-point SRM grid") from exc
@@ -246,36 +232,24 @@ def threshold_crossing(
 
     The result is exactly the first grid point of ``voltage_trace``'s trace
     past that spike with ``v >= v_threshold``, but the grid is never built.
-    After the numpy stage shared with :func:`voltage_trace`, the merged
-    segments are walked in time order as Python floats.  On a segment the
-    potential has at most one extremum, at
+    On a span the potential has at most one extremum, at
     ``s* = tau_d tau_r / (tau_d - tau_r) ln(B tau_d / (A tau_r))``, so its
     peak is the largest of the potential at the span's two ends and at
-    ``s*`` clipped to the span, found with ``math``.  Segments whose peak
+    ``s*`` clipped to the span, found with ``math``.  Spans whose peak
     falls short of threshold by more than a rounding slack (proportional to
     ``scale (|A| + |B|)``, far above any gap between ``math`` and numpy) are
     skipped.  The rest are scanned with numpy from their first grid point in
     chunks of 64 points doubling up to 4,096, so time is linear in the points
-    between a reached segment's start and its hit (or its end), while memory
+    between a reached span's start and its hit (or its end), while memory
     stays bounded by fan-in and chunk size, not by the grid.  On the
     benchmark's digit drives 93% of hits lie within the first chunk of their
-    segment.
+    span.
     """
-    seg = _segments(inputs, weights, params)
-    onsets, steps, scale = seg.onsets, seg.steps, seg.scale
+    scale, spans = _spans(inputs.delays, inputs.fired, weights, params)
     dt, threshold = params.dt, params.v_threshold
-    end = _index_after(onsets[0], dt) if onsets else steps + 1
-    if threshold <= 0.0 and inputs.fired.any():
-        # before any input acts the potential is an exact 0: the first point past the
-        # earliest spike crosses; clamped, a spike at or past the grid's end finds none
-        hit = _index_after(min(float(inputs.delays[inputs.fired].min()), steps * dt), dt)
-        if hit < end:
-            return hit * dt
     tau_decay, tau_rise = params.tau_decay, params.tau_rise
     log_ratio, rate = log(tau_decay / tau_rise), 1.0 / tau_rise - 1.0 / tau_decay
-    # every input's span starts after the earliest fired spike
-    for onset, after, a, b in zip(onsets, onsets[1:] + [steps * dt], seg.decay, seg.rise):
-        begin, end = end, _index_after(after, dt)
+    for begin, end, onset, a, b in spans:
         if begin == end:
             continue
         first, last = begin * dt - onset, (end - 1) * dt - onset

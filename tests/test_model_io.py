@@ -1,5 +1,6 @@
 """Model container: round trips, bit-identical saves, corruption handling."""
 
+import dataclasses
 import json
 import struct
 
@@ -192,11 +193,15 @@ def single_output_model():
     (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
     (lambda h: h.update(window=3.0), "network window 3.0 differs from coding window 16.0"),
     (lambda h: h.update(layer_sizez=[1]), "unknown model header key\\(s\\): layer_sizez"),
+    (lambda h: h["coding"].update(ranges=None), "numeric coding has no attribute ranges"),
+    (lambda h: h["coding"].update(ranges=[[0.0, 8.0], [2.0, 2.0], [0.0, 8.0], [5.0, 1.0]]),
+     "degenerate range for attribute 3"),
 ], ids=["activation", "activation-identity", "window", "scheme-mode", "scheme-outputs",
         "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
         "p_max-negative", "p_max-zero",
         "stride-infinite", "binarize_threshold-above-255", "excitatory_offset-string",
-        "window-not-coding-window", "unknown-key"])
+        "window-not-coding-window", "unknown-key", "coding-ranges-null",
+        "coding-ranges-degenerate"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
     save_model(single_output_model(), path)
@@ -280,6 +285,20 @@ def test_save_refuses_a_window_other_than_the_coding_window(tmp_path):
     model = sample_model()
     model.network.window = 3.0
     with pytest.raises(ModelIOError, match="differs from coding window") as err:
+        save_model(model, tmp_path / "m")
+    assert err.value.code == "E_MODEL"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("ranges, match", [
+    (None, "numeric coding has no attribute ranges"),
+    (np.array([[0.0, 8.0], [0.0, 8.0], [3.0, 3.0], [0.0, 8.0]]),
+     "degenerate range for attribute 2"),
+], ids=["none", "degenerate"])
+def test_save_refuses_numeric_coding_without_usable_ranges(tmp_path, ranges, match):
+    model = sample_model()
+    model.coding = dataclasses.replace(model.coding, ranges=ranges)
+    with pytest.raises(ModelIOError, match=match) as err:
         save_model(model, tmp_path / "m")
     assert err.value.code == "E_MODEL"
     assert not (tmp_path / "m").exists()

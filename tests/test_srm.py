@@ -121,6 +121,18 @@ def test_crossing_candidates_start_after_first_spike():
     crossing = threshold_crossing(inputs([5.0]), np.array([1.0]), zero)
     assert crossing is not None
     assert crossing > 5.0
+    # the earliest fired spike puts no weight on the grid: the potential is an
+    # exact 0 from the first point past it, which a zero threshold reaches
+    for drive, weights, expected in [
+        (inputs([1.0, 5.0]), [0.0, 1.0], 101 * zero.dt),  # zero weight
+        (inputs([1.0, 1.0, 5.0]), [0.7, -0.7, 1.0], 101 * zero.dt),  # cancelling pair
+        (inputs([0.5, 3.0], fired=[False, True]), [1.0, 1.0], 301 * zero.dt),  # unfired earlier
+        (inputs([64.0, 80.0]), [1.0, 1.0], None),  # only spikes at or past the grid's end
+    ]:
+        times, v = voltage_trace(drive, np.array(weights), zero)
+        qualifying = np.nonzero((times > drive.delays[drive.fired].min()) & (v >= 0.0))[0]
+        first = float(times[qualifying[0]]) if qualifying.size else None
+        assert threshold_crossing(drive, np.array(weights), zero) == first == expected
 
 
 def test_stronger_weights_never_delay_the_crossing():
@@ -314,15 +326,16 @@ def test_crossing_at_a_segment_peak_matches_the_trace(drive, weights, params, k,
     value, and one ulp to either side: the crossing scan's skip bound is
     within its slack of threshold, and the crossing must still be the
     trace's first qualifying point."""
-    seg = srm._segments(drive, weights, params)
-    a, b, onset = seg.decay[k], seg.rise[k], seg.onsets[k]
+    scale, spans = srm._spans(drive.delays, drive.fired, weights, params)
+    spans = list(spans)
+    _, _, onset, a, b = spans[k + 1]  # span 0 carries no input
     td, tr = params.tau_decay, params.tau_rise
     s_star = td * tr / (td - tr) * math.log(b * td / (a * tr))
-    end = seg.onsets[k + 1] if k + 1 < len(seg.onsets) else params.horizon
+    end = spans[k + 2][2] if k + 2 < len(spans) else params.horizon
     assert 0.0 < s_star < end - onset  # the peak lies inside the segment
     times, v = voltage_trace(drive, weights, params)
     if level == "closed_form":
-        peak = seg.scale * (a * math.exp(-s_star / td) - b * math.exp(-s_star / tr))
+        peak = scale * (a * math.exp(-s_star / td) - b * math.exp(-s_star / tr))
     else:
         peak = float(v[(times > onset) & (times <= end)].max())
     threshold = float(np.nextafter(peak, np.inf * ulps)) if ulps else peak
