@@ -33,7 +33,20 @@ intermediate exceeds the fan-in.  ``horizon / tau_rise`` and
 the fan-in, and hands them over as Python floats: drives have few distinct
 delays (for the benchmark model's neurons on encoded digits, a median of 10
 at fan-in 169 and of 7 at fan-in 500, 98.9% of the latter at t = 16), and
-on ten elements a numpy call costs more than the scalar arithmetic.
+on ten elements a numpy call costs more than the scalar arithmetic.  It
+runs in two stages.  ``_drive`` needs only the drive and the grid: it
+checks the fired delays, orders the fired inputs that act on the grid by
+delay (stable), groups equal delays and places each merged onset on the
+grid.  The weight stage checks the weights (before the drive's check, so a
+bad weight is reported first), sums them per group, drops zero sums and
+only then divides the remaining delays by the time constants, so a dropped
+input's delay never overflows.  A layer's neurons share one input vector,
+so ``_drive`` keeps its last result under the key ``(delays bytes, fired
+bytes, dt, horizon)``, everything it reads, and a sweep over weight columns
+builds the drive stage once.  The key is the arrays' content, not their
+identity: arrays are mutable and ids are reused, so an edit in place,
+another drive at a recycled address or another grid recomputes instead of
+reusing a stale stage, and a rejected drive is never kept.
 ``voltage_trace`` evaluates each span on a zeroed grid;
 ``threshold_crossing`` skips spans whose closed-form peak stays below
 threshold and scans the rest in bounded numpy chunks, never building the
@@ -45,7 +58,6 @@ crossing is exactly the first qualifying point of the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import tee
 from math import exp, floor, isfinite, log
 
 import numpy as np
@@ -65,6 +77,9 @@ _SCAN_CHUNK = 4096
 # bound on how far a computed potential may sit from the exact one, per unit
 # of scale * (|A| + |B|); a few ulps would do, this leaves a wide margin
 _SLACK = 2.0 ** -32
+# ``_drive``'s last result: ((delays bytes, fired bytes, dt, horizon), stage),
+# one tuple so that a thread never reads one call's key with another's stage
+_last_drive: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -112,9 +127,50 @@ def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
     return np.where(active, value, 0.0)
 
 
+def _drive(delays: np.ndarray, fired: np.ndarray, params: SrmParams):
+    """The part of ``_spans`` that depends on the drive and the grid, not on
+    the weights: ``(chosen, starts, onsets, inner, first, last)``.
+
+    ``chosen`` indexes the fired inputs that act on the grid in stable delay
+    order; ``starts`` are the positions in ``chosen`` where a new delay
+    begins (None when all delays differ); ``onsets`` are the merged delays,
+    ``inner`` their grid indices, ``first`` the grid index past the earliest
+    fired spike and ``last`` the one past the grid's end.
+    """
+    global _last_drive
+    key = (delays.tobytes(), fired.tobytes(), params.dt, params.horizon)
+    last_key, stage = _last_drive
+    if last_key == key:
+        return stage
+    chosen = fired.nonzero()[0]
+    delays = delays[chosen]
+    if not np.isfinite(delays).all():
+        raise ConfigError("fired input delays must be finite")
+    dt = params.dt
+    steps = int(round(params.horizon / dt))
+    acting = delays < steps * dt
+    chosen, delays = chosen[acting], delays[acting]
+    order = delays.argsort(kind="stable")
+    chosen, delays = chosen[order], delays[order]
+    starts = None
+    if delays.size:
+        # inputs that share a delay act as one input with their summed weight
+        new = np.empty(delays.size, dtype=bool)
+        new[0] = True
+        np.not_equal(delays[1:], delays[:-1], out=new[1:])
+        if not new.all():
+            starts = new.nonzero()[0]
+            delays = delays[starts]
+    inner = np.array([_index_after(x, dt) for x in delays.tolist()], dtype=np.intp)
+    last = _index_after(steps * dt, dt)
+    stage = chosen, starts, delays, inner, int(inner[0]) if inner.size else last, last
+    _last_drive = key, stage
+    return stage
+
+
 def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: SrmParams):
     """Validate a drive and return ``(scale, spans)``: an iterator over its
-    grid's spans in time order, each grid index computed when reached.
+    grid's spans in time order.
 
     Span ``(begin, end, onset, decay, rise)`` covers grid points
     ``begin <= j < end``, where the potential is
@@ -130,43 +186,27 @@ def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: S
         raise ConfigError(f"expected {len(delays)} weights, got shape {weights.shape}")
     if not np.isfinite(weights).all():
         raise ConfigError("SRM weights must be finite")
-    delays, w = delays[fired], weights[fired]
-    if not np.isfinite(delays).all():
-        raise ConfigError("fired input delays must be finite")
-    dt = params.dt
-    steps = int(round(params.horizon / dt))
-    acting = delays < steps * dt
-    delays, w = delays[acting], w[acting]
-    order = delays.argsort(kind="stable")
-    delays, w = delays[order], w[order]
-    if delays.size:
-        # inputs that share a delay act as one input with their summed weight
-        new = np.empty(delays.size, dtype=bool)
-        new[0] = True
-        np.not_equal(delays[1:], delays[:-1], out=new[1:])
-        if not new.all():
-            first = new.nonzero()[0]
-            delays, w = delays[first], np.add.reduceat(w, first)
-    earliest = float(delays[0]) if delays.size else steps * dt
+    chosen, starts, delays, inner, first, last = _drive(delays, fired, params)
+    w = weights[chosen]
+    if starts is not None:
+        w = np.add.reduceat(w, starts)
     # a zero weight adds nothing and has no logarithm
-    acting = w != 0.0
-    if not acting.all():
-        delays, w = delays[acting], w[acting]
+    if not w.all():
+        acting = w != 0.0
+        delays, inner, w = delays[acting], inner[acting], w[acting]
     if delays.size and not isfinite(float(max(-delays[0], delays[-1])) / params.tau_rise):
         raise ConfigError("fired delay / tau_rise must be finite")
-    scale = float(np.abs(w).max()) if w.size else 1.0
-    log_w = np.log(np.abs(w)) - np.log(scale)
+    magnitude = np.abs(w)
+    scale = float(magnitude.max()) if w.size else 1.0
+    log_w = np.log(magnitude) - np.log(scale)
     # one row per time constant: log|w_i| + d_i/tau, split by the sign of w_i
     at_input = delays / np.array([[params.tau_decay], [params.tau_rise]])
     positive = w > 0
     signed = np.where(np.array((positive, ~positive)), (log_w + at_input)[:, np.newaxis], -np.inf)
     prefix = np.logaddexp.accumulate(signed, axis=2)
     decay, rise = (np.exp(prefix[:, 0] - at_input) - np.exp(prefix[:, 1] - at_input)).tolist()
-    onsets = delays.tolist()
-    # grid indices on demand: a crossing scan mostly stops before the last span
-    begins, ends = tee(_index_after(x, dt) for x in [earliest, *onsets, steps * dt])
-    next(ends)
-    return scale, zip(begins, ends, [0.0, *onsets], [0.0, *decay], [0.0, *rise])
+    bounds = [first, *inner.tolist(), last]
+    return scale, zip(bounds, bounds[1:], [0.0, *delays.tolist()], [0.0, *decay], [0.0, *rise])
 
 
 def _index_after(x: float, dt: float) -> int:
@@ -256,8 +296,10 @@ def threshold_crossing(
         # the derivative vanishes at most once, at s*, when A and B share a sign;
         # otherwise s* is some point of the span, which leaves the bound valid
         stationary = (log(abs(b)) - log(abs(a)) + log_ratio) / rate if a and b else last
-        bound = max(scale * (a * exp(-s / tau_decay) - b * exp(-s / tau_rise))
-                    for s in (first, last, min(last, max(first, stationary))))
+        inside = min(last, max(first, stationary))
+        bound = scale * max(a * exp(-first / tau_decay) - b * exp(-first / tau_rise),
+                            a * exp(-last / tau_decay) - b * exp(-last / tau_rise),
+                            a * exp(-inside / tau_decay) - b * exp(-inside / tau_rise))
         if bound < threshold - 2.0 * _SLACK * scale * (abs(a) + abs(b)):
             continue
         # a hit is usually near the span's start: begin with a small chunk

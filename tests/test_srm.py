@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -368,3 +369,124 @@ def test_digit_like_crossings_are_pinned():
     text = "\n".join(repr(c) for c in crossings)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5a4f82d9720ecc262031713c59abdb3175eb5bc1655b931db38715f8357e1e69")
+
+
+def _digit_like_sweep(seed, columns=30):
+    """A digit-like drive and ``columns`` weight columns of its fan-in."""
+    drive, _ = _digit_like_drive(seed)
+    rng = np.random.default_rng([seed, 20])
+    weights = rng.normal(rng.uniform(-0.05, 0.1), rng.uniform(0.01, 0.3),
+                         (drive.delays.size, columns))
+    return drive, weights
+
+
+def test_weight_column_sweeps_are_pinned():
+    """50 drives x 30 columns, each drive's columns called in turn as the
+    benchmark does (884 cross, at 445 distinct times)."""
+    crossings = []
+    for seed in range(200, 250):
+        drive, weights = _digit_like_sweep(seed)
+        crossings += [threshold_crossing(drive, weights[:, j], P) for j in range(30)]
+    assert sum(c is not None for c in crossings) == 884
+    text = "\n".join(repr(c) for c in crossings)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "14a796f296b1e655763a9f298da320600b2e747222ff19d7e440b112b12885d8")
+
+
+def _first_qualifying(drive, weights, params):
+    times, v = voltage_trace(drive, weights, params)
+    qualifying = np.nonzero((times > drive.delays[drive.fired].min())
+                            & (v >= params.v_threshold))[0]
+    return float(times[qualifying[0]]) if qualifying.size else None
+
+
+def test_column_sweeps_match_the_trace():
+    """One drive, many weight columns: a merged group's weights cancel in
+    some columns and not in others, and every crossing is still the trace's
+    first qualifying point, whichever order the columns come in."""
+    rng = np.random.default_rng(7)
+    drive = inputs([1.0, 1.0, 2.5, 2.5, 2.5, 4.0, 6.0, 90.0])
+    columns = rng.uniform(-0.3, 1.5, (40, 8))
+    columns[::3, 1] = -columns[::3, 0]  # the group at 1.0 cancels
+    columns[1::3, 4] = -(columns[1::3, 2] + columns[1::3, 3])  # the group at 2.5 cancels
+    expected = [_first_qualifying(drive, w, P) for w in columns]
+    assert sum(c is not None for c in expected[::3]) > 3
+    assert sum(c is not None for c in expected[1::3]) > 3
+    assert len(set(expected)) > 20
+    assert [threshold_crossing(drive, w, P) for w in columns] == expected
+    assert [threshold_crossing(drive, w, P) for w in columns[::-1]] == expected[::-1]
+
+
+_UNRELATED = inputs([7.0, 9.0, 11.0])
+
+
+def _cold(drive, weights, params):
+    """Crossing and trace, each computed right after a call on an unrelated drive."""
+    copy = DelayVector(drive.delays.copy(), drive.fired.copy())
+    threshold_crossing(_UNRELATED, np.ones(3), P)
+    crossing = threshold_crossing(copy, weights, params)
+    threshold_crossing(_UNRELATED, np.ones(3), P)
+    return crossing, voltage_trace(copy, weights, params)
+
+
+def _matches_cold(drive, weights, params):
+    """Crossing of ``drive`` right after whatever calls came before; it and
+    the trace must equal a cold call's."""
+    crossing = threshold_crossing(drive, weights, params)
+    times, v = voltage_trace(drive, weights, params)
+    cold_crossing, (cold_times, cold_v) = _cold(drive, weights, params)
+    assert crossing == cold_crossing
+    assert np.array_equal(times, cold_times) and np.array_equal(v, cold_v)
+    return crossing
+
+
+@pytest.mark.parametrize("edit", ["delays", "fired"])
+def test_drive_edited_in_place_matches_cold_calls(edit):
+    """The drive stage kept from the last call is reused only for the same
+    delays, flags and grid; an array edited in place counts as new."""
+    weights = np.array([1.5, 1.0, 1.2, 2.5])
+    drive = inputs([0.0, 0.5, 2.0, 5.0])
+    before = _matches_cold(drive, weights, P)
+    if edit == "delays":
+        drive.delays[1] = 2.0
+    else:
+        drive.fired[1] = False
+    assert _matches_cold(drive, weights, P) != before
+
+
+def test_alternating_drives_match_cold_calls():
+    weights = np.array([1.5, 1.0, 1.2, 2.5])
+    a, b = inputs([0.0, 1.0, 1.0, 3.0]), inputs([0.0, 2.0, 2.0, 6.0])
+    seen = [_matches_cold(drive, weights, P) for drive in (a, b, a)]
+    assert seen[0] == seen[2] != seen[1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.1), ("horizon", 16.0), ("tau_decay", 8.0), ("tau_rise", 2.0),
+])
+def test_drive_under_other_params_matches_cold_calls(field, value):
+    # the input at 20 drives the crossing, and a 16-unit horizon leaves it out
+    drive = inputs([1.0, 3.0, 20.0])
+    weights = np.array([0.1, 0.1, 3.0])
+    base = _matches_cold(drive, weights, P)
+    assert _matches_cold(drive, weights, dataclasses.replace(P, **{field: value})) != base
+
+
+def test_drive_errors_repeat_and_keep_their_order():
+    """A rejected drive raises on every call, the weights are checked
+    before the delays, and a zero-weight input is dropped before any delay
+    is divided by a time constant."""
+    bad = inputs([0.0, np.inf])
+    for _ in range(2):
+        for simulate in (threshold_crossing, voltage_trace):
+            with pytest.raises(ConfigError, match="fired input delays must be finite"):
+                simulate(bad, np.array([1.0, 1.0]), P)
+            with pytest.raises(ConfigError, match="SRM weights must be finite"):
+                simulate(bad, np.array([1.0, np.nan]), P)
+    drive = inputs([-1e308, 0.0])
+    fast = SrmParams(tau_rise=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            assert threshold_crossing(drive, np.array([0.0, 2.0]), fast) == 0.48
+            assert _first_qualifying(drive, np.array([0.0, 2.0]), fast) == 0.48
