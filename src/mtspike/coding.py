@@ -20,6 +20,10 @@ Image stacks are encoded in blocks of ``_BLOCK`` images written straight
 into the preallocated output, so a stack is never copied whole into float64
 and a block's temporaries (binarized pixels, small-integer window counts)
 stay a few hundred kB: peak memory stays close to the size of the result.
+Conv-like coding transposes each binarized block so the image index is
+innermost and sums its windows contiguously over the block's images; an
+integer stack is binarized by an integer compare with the threshold's
+ceiling.
 One-to-one coding of a uint8 stack computes the delays of the 256 byte
 values once and gathers them per pixel; other dtypes run the delay formula
 on each block of pixels.
@@ -223,10 +227,13 @@ def encode_conv_like(
     ignored.  Every output neuron fires (an all-zero field simply fires at
     the full window delay).
 
-    Counts are separable window sums of each binarized block: the kernel's
-    rows, taken at the stride, add into strips, and the strips' columns into
-    counts.  They are integers of the smallest type that holds ``kernel**2``,
-    so they are exact.
+    Counts are separable window sums of each binarized block, laid out
+    ``(P, P, images)`` so the image index is innermost: the kernel's rows,
+    taken at the stride, add into strips, and the strips' columns into
+    counts, each add one contiguous pass over the block's images.  Counts
+    are integers of the smallest type that holds ``kernel**2``, so they are
+    exact.  An integer stack is compared with ``ceil(binarize_threshold)``,
+    which picks the same pixels without casting them to float.
     """
     if p.kernel is None:
         raise ConfigError("conv-like coding requires a kernel width")
@@ -238,17 +245,27 @@ def encode_conv_like(
     positions = _grid_positions(side, k, stride)
     span = (positions - 1) * stride + 1
     count = np.min_scalar_type(k * k)
+    threshold = p.binarize_threshold
+    # For an integer x, x >= t exactly when x >= ceil(t), and the integer
+    # compare skips a float64 cast of every pixel.  A threshold past the
+    # dtype's maximum keeps the float compare, under which no pixel binarizes.
+    if images.dtype.kind in "ui" and threshold <= np.iinfo(images.dtype).max:
+        threshold = math.ceil(threshold)
     delays = np.empty((n, positions * positions), dtype=np.float64)
     for rows in _blocks(n):
-        ones = images[rows] >= p.binarize_threshold
-        strips = np.zeros((len(ones), positions, side), dtype=count)
+        ones = images[rows] >= threshold
+        m = len(ones)
+        # (side, side, m): every add below runs contiguously over the images
+        cells = np.ascontiguousarray(ones.view(np.uint8).transpose(1, 2, 0))
+        strips = np.zeros((positions, side, m), dtype=count)
         for r in range(k):
-            strips += ones[:, r:r + span:stride]
-        counts = np.zeros((len(ones), positions, positions), dtype=count)
+            strips += cells[r:r + span:stride]
+        counts = np.zeros((positions, positions, m), dtype=count)
         for c in range(k):
-            counts += strips[:, :, c:c + span:stride]
+            counts += strips[:, c:c + span:stride]
         np.subtract(k * k, counts, out=counts)
-        np.multiply(p.unit, counts.reshape(len(counts), -1), out=delays[rows])
+        np.multiply(p.unit, counts.transpose(2, 0, 1),
+                    out=delays[rows].reshape(m, positions, positions))
     return delays, np.ones(delays.shape, dtype=bool)
 
 

@@ -87,8 +87,9 @@ class RawDataset:
 class EncodedDataset:
     """Spike-delay matrix (N, M) plus fired mask and labels.
 
-    Labels are a 1-D array of non-negative integers, one per row; anything
-    else raises ``DataError``.
+    Delays are a 2-D matrix with a fired mask of the same shape, and labels
+    a 1-D array of non-negative integers, one per row; anything else raises
+    ``DataError``.
     """
 
     delays: np.ndarray
@@ -96,6 +97,10 @@ class EncodedDataset:
     labels: np.ndarray
 
     def __post_init__(self):
+        if self.delays.ndim != 2:
+            raise DataError(
+                f"expected an (N, M) delay matrix, got shape {self.delays.shape}"
+            )
         if self.delays.shape != self.fired.shape:
             raise DataError("delay and fired matrices must have the same shape")
         self.labels = _checked_labels(self.labels)

@@ -362,6 +362,33 @@ def test_image_encoders_match_reference_bytes(side, data, unit, threshold, p_max
                        ref.encode_each(ref.encode_pixels_1to1, images, p, p_max))
 
 
+# pixel values around every tested threshold and far past the byte range
+INTEGER_PIXELS = [-(2**40), -129, -128, -1, 0, 1, 127, 128, 129, 254, 255, 256, 2**40]
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "int8", "int16", "uint16", "int64", "bool"])
+@pytest.mark.parametrize("threshold", [0.5, 127.5, 128.0, 255.0])
+def test_conv_integer_stacks_match_reference_bytes(dtype, threshold):
+    """Integer stacks binarize against ceil(threshold): the same pixels as the
+    reference's float compare, also on int8 stacks whose maximum 127 lies
+    below every threshold from 127.5 on, and on non-contiguous views."""
+    rng = np.random.default_rng(round(threshold))
+    shape = (_BLOCK + 1, 12, 12)
+    if dtype == "bool":
+        images = rng.random(shape) < 0.5
+    else:
+        info = np.iinfo(dtype)
+        values = [v for v in INTEGER_PIXELS if info.min <= v <= info.max]
+        images = rng.choice(np.array(values + [info.min, info.max], dtype=dtype), shape)
+    for stack in (images, images[::-2, :, ::-1]):
+        for stride in (1, 3):
+            p = CodingParams(kernel=4, stride=stride, binarize_threshold=threshold)
+            got = encode_conv_like(stack, p)
+            _assert_byte_equal(got, ref.encode_each(ref.encode_conv_like, stack, p))
+            if dtype == "int8" and threshold > 127:
+                assert np.all(got[0] == p.window)
+
+
 @pytest.mark.parametrize("p_max", [100.0, 255.0, 300.5])
 @pytest.mark.parametrize("params", [
     CodingParams(unit=0.5), CodingParams(unit=1.0), CodingParams(unit=2.0),

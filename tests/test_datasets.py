@@ -416,6 +416,11 @@ def test_encoded_dataset_validation():
     with pytest.raises(DataError):
         EncodedDataset(delays=np.zeros((2, 3)), fired=np.ones((2, 3), bool),
                        labels=np.zeros(3, dtype=int))
+    with pytest.raises(DataError, match="delay matrix"):
+        EncodedDataset(delays=np.zeros(5), fired=np.zeros(5, bool), labels=[0] * 5)
+    with pytest.raises(DataError, match="delay matrix"):
+        EncodedDataset(delays=np.zeros((5, 2, 1)), fired=np.zeros((5, 2, 1), bool),
+                       labels=[0] * 5)
 
 
 @pytest.mark.parametrize("labels", [
