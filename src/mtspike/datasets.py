@@ -53,9 +53,17 @@ IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
 
+def _as_array(values) -> np.ndarray:
+    """``values`` as an array; a ragged nested list raises ``DataError``."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:
+        raise DataError(f"not a rectangular array: {exc}") from exc
+
+
 def _checked_labels(labels) -> np.ndarray:
     """``labels`` as an array, if it is 1-D and holds non-negative integers."""
-    labels = np.asarray(labels)
+    labels = _as_array(labels)
     if labels.size == 0:
         labels = labels.astype(np.int64)  # an empty list carries no dtype
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
@@ -67,12 +75,21 @@ def _checked_labels(labels) -> np.ndarray:
 
 @dataclass
 class RawDataset:
-    """Unencoded samples: numeric rows (N, F) or grayscale images (N, H, W)."""
+    """Unencoded samples: numeric rows (N, F) or grayscale images (N, H, W).
+
+    Nested lists are taken as arrays; any other shape, and labels that are
+    not 1-D non-negative integers, raise ``DataError``.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        self.features = _as_array(self.features)
+        if self.features.ndim not in (2, 3):
+            raise DataError(
+                f"expected (N, F) rows or (N, H, W) images, got shape {self.features.shape}"
+            )
         self.labels = _checked_labels(self.labels).astype(np.int64, copy=False)
         if self.features.shape[0] != self.labels.shape[0]:
             raise DataError(
@@ -89,7 +106,7 @@ class EncodedDataset:
 
     Delays are a 2-D matrix with a fired mask of the same shape, and labels
     a 1-D array of non-negative integers, one per row; anything else raises
-    ``DataError``.
+    ``DataError``.  Nested lists are taken as arrays.
     """
 
     delays: np.ndarray
@@ -97,6 +114,7 @@ class EncodedDataset:
     labels: np.ndarray
 
     def __post_init__(self):
+        self.delays, self.fired = _as_array(self.delays), _as_array(self.fired)
         if self.delays.ndim != 2:
             raise DataError(
                 f"expected an (N, M) delay matrix, got shape {self.delays.shape}"

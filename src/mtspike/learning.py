@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, EvaluationError, StructureError
 from .metrics import predict
-from .network import ForwardTrace, Network, forward_batch
+from .network import ForwardTrace, Network, _matrix_product, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "EpochStats",
     "output_residual",
     "backward",
-    "batch_indices",
     "train",
 ]
 
@@ -150,21 +149,16 @@ def backward(
         delta = delta * (nets[-1] > 0)
     for l in reversed(range(depth)):
         fan_in = net.layer_sizes[l]
-        g = delays[l].T @ delta
+        w = net.weights[l]
+        product = _matrix_product(batch, w)
+        g = product(delays[l].T, delta)
         g /= fan_in
         grads[l] = g
         if l > 0:
-            delta = delta @ net.weights[l].T
+            delta = product(delta, w.T)
             if mode == "exact":
                 delta = delta / fan_in * (nets[l - 1] > 0)
     return grads
-
-
-def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
-    """Yield one epoch's batches: a seeded shuffle cut into contiguous slices."""
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
 
 
 def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
@@ -250,15 +244,22 @@ def train(
             squared_sum = 0.0
             term_count = 0
             hit_count = 0
-            for batch, idx in enumerate(batch_indices(n, cfg.batch_size, rng), 1):
+            # one seeded shuffle per epoch, cut into contiguous batches; labels
+            # and targets are gathered once per epoch and sliced, while the
+            # delays keep a per-batch row gather so that no copy of the whole
+            # input matrix adds to peak memory
+            order = rng.permutation(n)
+            epoch_labels, epoch_targets = labels[order], targets[order]
+            for batch, start in enumerate(range(0, n, cfg.batch_size), 1):
+                rows = slice(start, start + cfg.batch_size)
                 # free the last batch's trace and gradients before this batch
                 # allocates: held over, they add a weight matrix to peak memory
                 trace = grads = None
-                trace = forward_batch(net, data.delays[idx])
+                trace = forward_batch(net, data.delays[order[rows]])
                 outputs = trace.outputs
-                batch_labels = labels[idx]
+                batch_labels = epoch_labels[rows]
                 resid, terms = output_residual(
-                    outputs, targets[idx], batch_labels, heuristic
+                    outputs, epoch_targets[rows], batch_labels, heuristic
                 )
                 squared_sum += float((resid * resid).sum())
                 if not math.isfinite(squared_sum):
@@ -273,7 +274,7 @@ def train(
                 if gated:
                     resid = np.where(hits[:, np.newaxis], 0.0, resid)
                 grads = backward(net, trace, resid, mode=mode)
-                scale = cfg.learning_rate / len(idx) if mean else cfg.learning_rate
+                scale = cfg.learning_rate / len(batch_labels) if mean else cfg.learning_rate
                 for w, g in zip(net.weights, grads):
                     g *= scale
                     w -= g

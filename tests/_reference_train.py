@@ -1,8 +1,9 @@
 """Allocating reference trainer: the workspace trainer must match it bit for bit.
 
 These are the original ``forward_batch``, ``backward``, ``_read_classes`` and
-``train``, kept unchanged except for imports; the special ReLU and its
-derivative, which the package no longer exports, are copied in below.
+``train``, kept unchanged except for imports; the batch generator, the special
+ReLU and its derivative, which the package no longer exports, are copied in
+below.
 Every layer array, gradient and weight step is a fresh allocation here;
 tests train this and ``mtspike.learning.train`` from the same generator and
 compare the weights and the epoch history byte for byte.
@@ -18,13 +19,19 @@ from mtspike.learning import (
     GRADIENT_MODES,
     EpochStats,
     TrainConfig,
-    batch_indices,
     output_residual,
 )
 from mtspike.network import ForwardTrace, Network
 from mtspike.readout import TargetScheme, read_class_batch, target_matrix
 
 log = logging.getLogger(__name__)
+
+
+def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
+    """Yield one epoch's batches: a seeded shuffle cut into contiguous slices."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
 
 
 def activation(x: np.ndarray, kind: str = "special_relu") -> np.ndarray:

@@ -109,6 +109,12 @@ def test_raw_dataset_validation():
         RawDataset(features=np.zeros((2, 4)), labels=np.array([0, -1]))
     with pytest.raises(DataError):
         RawDataset(features=np.zeros((2, 4)), labels=np.zeros((2, 1), dtype=int))
+    with pytest.raises(DataError, match="rows or"):
+        RawDataset(features=np.float64(5.0), labels=[0])
+    with pytest.raises(DataError, match="rectangular"):
+        RawDataset(features=[[1.0], [1.0, 2.0]], labels=[0, 1])
+    with pytest.raises(DataError, match="rectangular"):
+        RawDataset(features=np.zeros((2, 1)), labels=[[0], [1, 2]])
 
 
 def test_attribute_ranges():
@@ -421,6 +427,23 @@ def test_encoded_dataset_validation():
     with pytest.raises(DataError, match="delay matrix"):
         EncodedDataset(delays=np.zeros((5, 2, 1)), fired=np.zeros((5, 2, 1), bool),
                        labels=[0] * 5)
+    with pytest.raises(DataError, match="rectangular"):
+        EncodedDataset(delays=[[0.0], [0.0, 1.0]], fired=[[True], [True, True]],
+                       labels=[0, 1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EncodedDataset([[0.0, 1.0]], [[True, True]], [0]),
+    lambda: EncodedDataset(np.zeros((1, 2)), [[True, True]], [0]),
+    lambda: RawDataset([[1.0, 2.0]], [0]),
+], ids=["encoded_lists", "encoded_fired_list", "raw_lists"])
+def test_datasets_take_nested_lists_as_arrays(make):
+    ds = make()
+    assert len(ds) == 1
+    for value in vars(ds).values():
+        assert isinstance(value, np.ndarray)
+    rows = ds.delays if isinstance(ds, EncodedDataset) else ds.features
+    assert rows.shape == (1, 2)
 
 
 @pytest.mark.parametrize("labels", [

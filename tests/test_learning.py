@@ -7,16 +7,16 @@ import _reference_train
 import numpy as np
 import pytest
 from conftest import make_digits
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtspike import learning
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, encode_dataset
 from mtspike.errors import ConfigError, DivergenceError, StructureError
 from mtspike.learning import (
     TrainConfig,
     backward,
-    batch_indices,
     output_residual,
     train,
 )
@@ -197,18 +197,83 @@ def test_exact_gradient_matches_finite_differences():
         assert np.allclose(g, f, rtol=1e-6, atol=1e-8)
 
 
-def test_batch_indices_cover_everything_once():
-    rng = np.random.default_rng(3)
-    batches = list(batch_indices(10, 4, rng))
-    assert [len(b) for b in batches] == [4, 4, 2]
-    assert sorted(np.concatenate(batches).tolist()) == list(range(10))
+@given(sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=4),
+       batch=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       window=st.sampled_from([0.0, 16.0]))
+@example(sizes=[1, 1], batch=1, seed=8, window=0.0)  # exact mode: a clipped 1x1 step
+@settings(max_examples=60, deadline=None)
+def test_forward_and_backward_match_the_reference_bytes(sizes, batch, seed, window):
+    """Small products through ``np.dot`` give the reference's ``@`` bytes.
+
+    Widths and batch rows down to 1 reach the one-row and one-column products,
+    where BLAS may take another kernel than for the presets' shapes.
+    """
+    rng = np.random.default_rng(seed)
+    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
+    delays = rng.uniform(0.0, 16.0, (batch, sizes[0]))
+    delta = rng.uniform(-4.0, 4.0, (batch, sizes[-1]))
+    trace = forward_batch(net, delays)
+    ref = _reference_train.forward_batch(net, delays)
+    for got, want in zip(trace.nets + trace.delays, ref.nets + ref.delays, strict=True):
+        assert got.tobytes() == want.tobytes()
+    for mode in ("paper", "exact"):
+        grads = backward(net, trace, delta, mode=mode)
+        ref_grads = _reference_train.backward(net, ref, delta, mode=mode)
+        for got, want in zip(grads, ref_grads, strict=True):
+            assert got.tobytes() == want.tobytes(), mode
 
 
-def test_batch_indices_are_seed_deterministic():
-    a = list(batch_indices(8, 3, np.random.default_rng(5)))
-    b = list(batch_indices(8, 3, np.random.default_rng(5)))
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+def counting(monkeypatch, name, calls, record=None):
+    """Replace ``learning.<name>`` with a wrapper that counts its calls."""
+    original = getattr(learning, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        if record is not None:
+            record(*args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learning, name, counted)
+
+
+def test_each_epoch_visits_every_row_once_in_seeded_batches(monkeypatch):
+    """Ten distinct rows in batches of 4: sizes 4, 4, 2, a seed-fixed order."""
+    seen = []
+    counting(monkeypatch, "forward_batch", {},
+             record=lambda _net, rows: seen.append(rows[:, 0].tolist()))
+    delays = np.arange(20.0).reshape(10, 2)  # row i starts with 2 * i
+    data = encoded(delays, [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
+    orders = []
+    for _ in range(2):
+        seen.clear()
+        net = init_network([2, 3], rng=np.random.default_rng(0), window=16.0)
+        train(net, data, MULTI3, TrainConfig(learning_rate=0.0, batch_size=4, epochs=1),
+              rng=np.random.default_rng(5))
+        assert [len(rows) for rows in seen] == [4, 4, 2]
+        visited = [v for rows in seen for v in rows]
+        assert sorted(visited) == delays[:, 0].tolist()
+        orders.append(visited)
+    assert orders[0] == orders[1]
+
+
+def test_train_calls_each_traced_step_through_the_module(monkeypatch):
+    """One call per batch of each step, and one ``predict`` per epoch with eval data.
+
+    A tracer wraps these module-level names, so a training loop that inlined
+    or bypassed them would vanish from the traced view.
+    """
+    calls = {}
+    for name in ("forward_batch", "output_residual", "read_class_batch", "backward",
+                 "predict"):
+        counting(monkeypatch, name, calls)
+    rng = np.random.default_rng(4)
+    data = encoded(rng.uniform(0, 16, (10, 4)), [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
+    net = init_network([4, 5, 3], rng=rng, window=16.0)
+    train(net, data, MULTI3, TrainConfig(batch_size=4, epochs=1), eval_data=data,
+          rng=rng)
+    assert calls == {"forward_batch": 3, "output_residual": 3, "read_class_batch": 3,
+                     "backward": 3, "predict": 1}
 
 
 def test_zero_learning_rate_keeps_weights_bit_identical():
