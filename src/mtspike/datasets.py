@@ -104,9 +104,11 @@ class RawDataset:
 class EncodedDataset:
     """Spike-delay matrix (N, M) plus fired mask and labels.
 
-    Delays are a 2-D matrix with a fired mask of the same shape, and labels
-    a 1-D array of non-negative integers, one per row; anything else raises
-    ``DataError``.  Nested lists are taken as arrays.
+    Delays are a 2-D bool, integer or float matrix with a fired mask of the
+    same shape, and labels a 1-D array of non-negative integers, one per
+    row; anything else raises ``DataError``.  Nested lists are taken as
+    arrays.  Delay values are not checked here, so encoding stays cheap:
+    ``learning.train`` rejects non-finite ones.
     """
 
     delays: np.ndarray
@@ -119,6 +121,8 @@ class EncodedDataset:
             raise DataError(
                 f"expected an (N, M) delay matrix, got shape {self.delays.shape}"
             )
+        if self.delays.dtype.kind not in "biuf":
+            raise DataError(f"delays must be real numbers, got dtype {self.delays.dtype}")
         if self.delays.shape != self.fired.shape:
             raise DataError("delay and fired matrices must have the same shape")
         self.labels = _checked_labels(self.labels)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, EvaluationError, StructureError
+from .errors import ConfigError, DataError, DivergenceError, EvaluationError, StructureError
 from .metrics import predict
 from .network import ForwardTrace, Network, _matrix_product, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
@@ -204,7 +204,8 @@ def train(
     or evaluation) stop being finite; numpy's overflow warnings on the way
     there are silenced.
     Raises :class:`ConfigError` for labels beyond the readout's classes and
-    for an empty training or evaluation set.
+    for an empty training or evaluation set, and :class:`DataError` for a
+    non-finite delay in either set, before the first epoch.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")
@@ -222,6 +223,9 @@ def train(
         )
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
+    for name, ds in (("training", data), ("evaluation", eval_data)):
+        if ds is not None and not np.isfinite(ds.delays).all():
+            raise DataError(f"{name} delays must be finite")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 

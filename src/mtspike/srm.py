@@ -10,55 +10,55 @@ spike later) can be checked against the real dynamics.
 
 The potential lives on a fixed grid ``0, dt, ..., horizon`` and a crossing
 is the first grid point after the earliest fired input where it reaches
-threshold.  It is not summed kernel by kernel.  Inputs that share a delay
-act as one input with their summed weight (zero sums drop out).  With the
-merged inputs sorted by delay, a point ``t`` between the k-th and the next
-delay sees exactly inputs ``0..k`` (a kernel is zero at its own onset), and
-for each time constant ``tau``
+threshold.  Inputs that share a delay act as one input with their summed
+weight (zero sums drop out).  With the merged inputs sorted by delay, a
+point ``t`` between the k-th and the next delay sees exactly inputs
+``0..k`` (a kernel is zero at its own onset), and for each time constant
+``tau``
 
     sum_{i<=k} w_i exp(-(t - d_i)/tau) = R_k exp(-(t - d_k)/tau),
-    R_k = sum_{i<=k} w_i exp(-(d_k - d_i)/tau),
+    R_k = R_{k-1} exp(-(d_k - d_{k-1})/tau) + w_k,
 
 so the grid splits into spans, one per merged input, on each of which the
 potential is ``A e^{-s/tau_decay} - B e^{-s/tau_rise}`` in the time ``s``
 since the span's onset: O(F log F + T) work for F inputs and T grid points
-instead of O(F T).  ``R`` comes from log-sum-exp prefixes of
-``log|w_i| + d_i/tau``, one per weight sign, because ``exp(d_i/tau)``
-overflows once ``d/tau`` passes ~700 (``horizon=2000, tau_rise=1`` is
-valid); weights are divided by their largest magnitude first, so no
-intermediate exceeds the fan-in.  ``horizon / tau_rise`` and
-``|d| / tau_rise`` must stay finite.
+instead of O(F T).  The recurrence never exponentiates a positive number,
+so any finite ``d/tau`` is safe (``horizon=2000, tau_rise=1`` is valid).
+The weights are first divided by ``scale``, the power of two that leaves
+the largest below 2 in magnitude; the division is exact, a merged sum stays
+below twice the fan-in, and scaling all weights by a power of two scales
+the potential by it exactly while values stay in the normal float range.
 
-``_spans`` builds the spans for both entry points, in numpy over
-the fan-in, and hands them over as Python floats: drives have few distinct
-delays (for the benchmark model's neurons on encoded digits, a median of 10
-at fan-in 169 and of 7 at fan-in 500, 98.9% of the latter at t = 16), and
-on ten elements a numpy call costs more than the scalar arithmetic.  It
-runs in two stages.  ``_drive`` needs only the drive and the grid: it
+``_spans`` builds the spans for both entry points.  Drives have few
+distinct delays (for the benchmark model's neurons on encoded digits, a
+median of 10 at fan-in 169 and of 7 at fan-in 500, 98.9% of the latter at
+t = 16), so only the sort, the merge and the weight sums run in numpy; the
+recurrence walks the merged inputs in Python floats, cheaper than a numpy
+call on ten elements.  ``_drive`` needs only the drive and the grid: it
 checks the fired delays, orders the fired inputs that act on the grid by
 delay (stable), groups equal delays and places each merged onset on the
 grid.  The weight stage checks the weights (before the drive's check, so a
-bad weight is reported first), sums them per group, drops zero sums and
-only then divides the remaining delays by the time constants, so a dropped
-input's delay never overflows.  A layer's neurons share one input vector,
-so ``_drive`` keeps its last result under the key ``(delays bytes, fired
-bytes, dt, horizon)``, everything it reads, and a sweep over weight columns
-builds the drive stage once.  The key is the arrays' content, not their
-identity: arrays are mutable and ids are reused, so an edit in place,
-another drive at a recycled address or another grid recomputes instead of
-reusing a stale stage, and a rejected drive is never kept.
+bad weight is reported first), sums them per group and walks the sums,
+skipping a zero sum before its delay is divided by a time constant, so a
+dropped input's delay never overflows.  A layer's neurons share one input
+vector, so ``_drive`` keeps its last result under the key ``(delays bytes,
+fired bytes, dt, horizon)``, everything it reads, and a sweep over weight
+columns builds the drive stage once.  The key is content, not identity
+(arrays are mutable and ids are reused): an edit in place, a recycled
+address or another grid recomputes the stage; a rejected drive is never kept.
 ``voltage_trace`` evaluates each span on a zeroed grid;
 ``threshold_crossing`` skips spans whose closed-form peak stays below
 threshold and scans the rest in bounded numpy chunks, never building the
-grid.  Both evaluate a point with the same ``_potential`` arithmetic, so the
-crossing is exactly the first qualifying point of the trace.
+grid.  Both take ``scale`` times the same ``_potential`` arithmetic at a
+point, so the crossing is exactly the first qualifying point of the trace.
+``horizon / tau_rise``, ``|d| / tau_rise`` and the potential must be finite.
 ``psp_kernel`` is the single kernel, kept for the properties checked on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, floor, isfinite, log
+from math import exp, floor, frexp, isfinite, ldexp, log
 
 import numpy as np
 
@@ -133,9 +133,9 @@ def _drive(delays: np.ndarray, fired: np.ndarray, params: SrmParams):
 
     ``chosen`` indexes the fired inputs that act on the grid in stable delay
     order; ``starts`` are the positions in ``chosen`` where a new delay
-    begins (None when all delays differ); ``onsets`` are the merged delays,
-    ``inner`` their grid indices, ``first`` the grid index past the earliest
-    fired spike and ``last`` the one past the grid's end.
+    begins (None when all delays differ); ``onsets`` are the merged delays
+    and ``inner`` their grid indices, both lists, ``first`` the grid index
+    past the earliest fired spike and ``last`` the one past the grid's end.
     """
     global _last_drive
     key = (delays.tobytes(), fired.tobytes(), params.dt, params.horizon)
@@ -161,16 +161,15 @@ def _drive(delays: np.ndarray, fired: np.ndarray, params: SrmParams):
         if not new.all():
             starts = new.nonzero()[0]
             delays = delays[starts]
-    inner = np.array([_index_after(x, dt) for x in delays.tolist()], dtype=np.intp)
+    inner = [_index_after(x, dt) for x in delays.tolist()]
     last = _index_after(steps * dt, dt)
-    stage = chosen, starts, delays, inner, int(inner[0]) if inner.size else last, last
+    stage = chosen, starts, delays.tolist(), inner, inner[0] if inner else last, last
     _last_drive = key, stage
     return stage
 
 
 def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: SrmParams):
-    """Validate a drive and return ``(scale, spans)``: an iterator over its
-    grid's spans in time order.
+    """Validate a drive and return ``(scale, spans)``, its grid's spans in time order.
 
     Span ``(begin, end, onset, decay, rise)`` covers grid points
     ``begin <= j < end``, where the potential is
@@ -186,27 +185,23 @@ def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: S
         raise ConfigError(f"expected {len(delays)} weights, got shape {weights.shape}")
     if not np.isfinite(weights).all():
         raise ConfigError("SRM weights must be finite")
-    chosen, starts, delays, inner, first, last = _drive(delays, fired, params)
+    chosen, starts, onsets, inner, first, last = _drive(delays, fired, params)
     w = weights[chosen]
-    if starts is not None:
-        w = np.add.reduceat(w, starts)
-    # a zero weight adds nothing and has no logarithm
-    if not w.all():
-        acting = w != 0.0
-        delays, inner, w = delays[acting], inner[acting], w[acting]
-    if delays.size and not isfinite(float(max(-delays[0], delays[-1])) / params.tau_rise):
-        raise ConfigError("fired delay / tau_rise must be finite")
-    magnitude = np.abs(w)
-    scale = float(magnitude.max()) if w.size else 1.0
-    log_w = np.log(magnitude) - np.log(scale)
-    # one row per time constant: log|w_i| + d_i/tau, split by the sign of w_i
-    at_input = delays / np.array([[params.tau_decay], [params.tau_rise]])
-    positive = w > 0
-    signed = np.where(np.array((positive, ~positive)), (log_w + at_input)[:, np.newaxis], -np.inf)
-    prefix = np.logaddexp.accumulate(signed, axis=2)
-    decay, rise = (np.exp(prefix[:, 0] - at_input) - np.exp(prefix[:, 1] - at_input)).tolist()
-    bounds = [first, *inner.tolist(), last]
-    return scale, zip(bounds, bounds[1:], [0.0, *delays.tolist()], [0.0, *decay], [0.0, *rise])
+    # exact: every |w| / scale is below 2, so a merged sum stays below 2 * fan-in
+    scale = ldexp(1.0, frexp(float(np.abs(w).max(initial=0.0)))[1] - 1)
+    w = w / scale if starts is None else np.add.reduceat(w / scale, starts)
+    spans, begin, onset, decay, rise = [], first, 0.0, 0.0, 0.0
+    for at, end, x in zip(onsets, inner, w.tolist()):
+        if not x:
+            continue  # a zero sum adds nothing, and its delay is never divided
+        if not isfinite(at / params.tau_rise):
+            raise ConfigError("fired delay / tau_rise must be finite")
+        spans.append((begin, end, onset, decay, rise))
+        if len(spans) > 1:  # after an earlier input: decay its sums to this onset
+            decay *= exp((onset - at) / params.tau_decay)
+            rise *= exp((onset - at) / params.tau_rise)
+        begin, onset, decay, rise = end, at, decay + x, rise + x
+    return scale, [*spans, (begin, last, onset, decay, rise)]
 
 
 def _index_after(x: float, dt: float) -> int:
@@ -239,9 +234,9 @@ def voltage_trace(
 
     Returns ``(times, voltage)`` with ``times = 0, dt, ..., horizon``.  Only
     fired inputs contribute; an input that never spiked adds nothing
-    regardless of its delay slot.  Fired delays, their ratio to ``tau_rise``
-    and all weights must be finite and the grid must fit in memory
-    (``ConfigError`` otherwise).
+    regardless of its delay slot.  Fired delays, their ratio to ``tau_rise``,
+    all weights and the potential must be finite and the grid must fit in
+    memory (``ConfigError`` otherwise).
 
     Each span is evaluated in closed form on its grid points.  The result
     equals the per-input sum up to rounding; the tests hold it to 1e-9 of
@@ -253,10 +248,14 @@ def voltage_trace(
         times = np.arange(steps + 1, dtype=np.float64) * params.dt
         voltage = np.zeros(steps + 1)
         for begin, end, onset, a, b in spans:
-            voltage[begin:end] = _potential(a, b, times[begin:end] - onset, params, scale)
-        return times, voltage
+            voltage[begin:end] = _potential(a, b, times[begin:end] - onset, params, 1.0)
     except MemoryError as exc:
         raise ConfigError(f"cannot allocate the {steps + 1}-point SRM grid") from exc
+    # scale is a power of two: scaling afterwards keeps _potential's bits
+    if not isfinite(scale * float(max(voltage.max(), -voltage.min()))):
+        raise ConfigError("the SRM potential exceeds the float range")
+    voltage *= scale
+    return times, voltage
 
 
 def threshold_crossing(
@@ -268,7 +267,7 @@ def threshold_crossing(
     every kernel is zero at its own onset, so the potential cannot
     meaningfully cross before any input has begun to act.  This also keeps a
     zero threshold from reporting a phantom crossing at t = 0.  Inputs are
-    checked as in :func:`voltage_trace`.
+    checked as in :func:`voltage_trace`, but not the potential's range.
 
     The result is exactly the first grid point of ``voltage_trace``'s trace
     past that spike with ``v >= v_threshold``, but the grid is never built.

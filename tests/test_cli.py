@@ -258,6 +258,21 @@ def test_srm_demo_rejects_non_finite_delays(capsys):
     assert "mtspike: error [E_CONFIG]" in err
 
 
+def test_srm_demo_weights_near_the_float_limit(capsys):
+    """Weights whose sum overflows still give a finite trace; a potential
+    past the float range is a config error.  pyproject turns any numpy
+    RuntimeWarning on the way into an E_INTERNAL exit."""
+    rc, out, err = run_cli(capsys, "srm-demo", "--delays", "2,2", "--weights", "1e308,1e308")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "# crossing,2.01"
+    assert np.isfinite([float(line.split(",")[1]) for line in lines[1:-1]]).all()
+    rc, out, err = run_cli(capsys, "srm-demo", "--delays", "2,2,2,2",
+                           "--weights", ",".join(["1.7e308"] * 4))
+    assert rc == 2 and out == ""
+    assert err.strip().startswith("mtspike: error [E_CONFIG]")
+
+
 def test_srm_demo_fired_flags_silence_inputs(capsys):
     rc, gated, _ = run_cli(capsys, "srm-demo", "--delays", "0,2", "--weights", "1.0,0.8",
                            "--fired", "1,0")

@@ -432,6 +432,23 @@ def test_encoded_dataset_validation():
                        labels=[0, 1])
 
 
+@pytest.mark.parametrize("delays", [
+    [["a", "b"]],
+    np.array([[1 + 2j, 3.0]]),
+    np.array([[0.0, None]], dtype=object),
+    np.array([["2020-01-01", "2020-01-02"]], dtype="datetime64[D]"),
+], ids=["str", "complex", "object", "datetime"])
+def test_encoded_dataset_rejects_delays_that_are_not_real_numbers(delays):
+    with pytest.raises(DataError, match="real numbers"):
+        EncodedDataset(delays=delays, fired=[[True, True]], labels=[0])
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.float32, np.float64])
+def test_encoded_dataset_takes_real_delay_dtypes(dtype):
+    ds = EncodedDataset(delays=np.ones((1, 2), dtype=dtype), fired=[[True, True]], labels=[0])
+    assert ds.delays.dtype == dtype
+
+
 @pytest.mark.parametrize("make", [
     lambda: EncodedDataset([[0.0, 1.0]], [[True, True]], [0]),
     lambda: EncodedDataset(np.zeros((1, 2)), [[True, True]], [0]),

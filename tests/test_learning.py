@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mtspike import learning
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, encode_dataset
-from mtspike.errors import ConfigError, DivergenceError, StructureError
+from mtspike.errors import ConfigError, DataError, DivergenceError, StructureError
 from mtspike.learning import (
     TrainConfig,
     backward,
@@ -334,6 +334,25 @@ def test_train_input_validation():
         train(init_network([4, 1], rng=rng), encoded(np.zeros((2, 4)), [0, 0]),
               TargetScheme(mode="single_neuron", window=16.0, num_classes=1),
               TrainConfig(heuristic=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["data", "eval_data"])
+def test_train_rejects_non_finite_delays_before_the_first_epoch(monkeypatch, bad, where):
+    rng = np.random.default_rng(0)
+    net = init_network([4, 3], rng=rng)
+    data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
+    broken = encoded(data.delays.copy(), [0, 1, 2])
+    broken.delays[1, 2] = bad
+    sets = {"data": data, "eval_data": data, where: broken}
+    calls = {}
+    counting(monkeypatch, "forward_batch", calls)
+    before = copy.deepcopy(net.weights)
+    with pytest.raises(DataError, match="delays must be finite") as excinfo:
+        train(net, sets["data"], MULTI3, TrainConfig(), eval_data=sets["eval_data"])
+    assert excinfo.value.code == "E_DATA"
+    assert calls == {}
+    assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
 
 
 def test_train_rejects_labels_outside_the_readout():

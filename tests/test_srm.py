@@ -490,3 +490,49 @@ def test_drive_errors_repeat_and_keep_their_order():
         for _ in range(2):
             assert threshold_crossing(drive, np.array([0.0, 2.0]), fast) == 0.48
             assert _first_qualifying(drive, np.array([0.0, 2.0]), fast) == 0.48
+
+
+@given(
+    fan_in=st.integers(min_value=1, max_value=500),
+    tau_rise=st.floats(min_value=0.05, max_value=4.0),
+    decay_ratio=st.floats(min_value=1.05, max_value=10.0),
+    horizon_ratio=st.floats(min_value=1.0, max_value=200.0),
+    steps=st.integers(min_value=1, max_value=3000),
+    threshold=st.floats(min_value=-2.0, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+    digit_like=st.booleans(),
+    k=st.integers(min_value=0, max_value=600),
+)
+@example(fan_in=169, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=64.0,
+         steps=6400, threshold=1.0, seed=0, digit_like=True, k=600)
+@settings(max_examples=60, deadline=None)
+def test_power_of_two_weights_scale_the_potential_exactly(
+    fan_in, tau_rise, decay_ratio, horizon_ratio, steps, threshold, seed, digit_like, k
+):
+    """Weights times ``2**k`` give the trace times ``2**k`` bit for bit, and
+    the crossing of threshold times ``2**k``, for k in -600..600.  Horizons
+    stay within 200 time constants: further out a potential can fall below
+    the normal float range, where a product with ``2**k`` rounds."""
+    horizon = tau_rise * horizon_ratio
+    params = SrmParams(tau_decay=tau_rise * decay_ratio, tau_rise=tau_rise,
+                       v_threshold=threshold, dt=horizon / steps, horizon=horizon)
+    rng = np.random.default_rng(seed)
+    if digit_like:
+        drive, weights = _digit_like_drive(seed)
+    else:
+        # delays before 0, repeated, on the grid's last point and past it
+        delays = rng.uniform(-0.1 * horizon, 1.2 * horizon, fan_in)
+        repeated = rng.random(fan_in) < 0.2
+        delays[repeated] = rng.choice(delays, int(repeated.sum()))
+        delays[rng.random(fan_in) < 0.05] = steps * params.dt
+        drive = inputs(delays, rng.random(fan_in) < rng.uniform(0.2, 1.0))
+        weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
+    times, v = voltage_trace(drive, weights, params)
+    crossing = threshold_crossing(drive, weights, params)
+    for power in (2.0 ** k, 2.0 ** -k):
+        scaled_times, scaled_v = voltage_trace(drive, weights * power, params)
+        assert scaled_times.tobytes() == times.tobytes()
+        assert scaled_v.tobytes() == (v * power).tobytes()
+        if threshold * power / power == threshold:  # the scaled threshold is exact
+            raised = dataclasses.replace(params, v_threshold=threshold * power)
+            assert threshold_crossing(drive, weights * power, raised) == crossing
