@@ -203,8 +203,9 @@ def train(
     the epoch's running squared error or a batch's output delays (training
     or evaluation) stop being finite; numpy's overflow warnings on the way
     there are silenced.
-    Raises :class:`ConfigError` for labels beyond the readout's classes and
-    for an empty training or evaluation set, and :class:`DataError` for a
+    Raises :class:`ConfigError` for labels beyond the readout's classes, for
+    an empty training or evaluation set and for weights that are not
+    float64, and :class:`DataError` for a
     non-finite delay in either set, before the first epoch.
     """
     if len(data) == 0:
@@ -223,6 +224,9 @@ def train(
         )
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
+    if any(w.dtype != np.float64 for w in net.weights):
+        raise ConfigError("training needs float64 weights, "
+                          f"the network's are {[str(w.dtype) for w in net.weights]}")
     for name, ds in (("training", data), ("evaluation", eval_data)):
         if ds is not None and not np.isfinite(ds.delays).all():
             raise DataError(f"{name} delays must be finite")

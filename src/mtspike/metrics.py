@@ -2,12 +2,15 @@
 
 :func:`predict` is the one evaluation path: :func:`evaluate` and
 ``learning.train``'s per-epoch test accuracy both classify through it.  It
-runs ``forward_batch`` and ``read_class_batch`` on consecutive blocks of
-128 to 255 rows, so each block's hidden arrays stay in cache between the
-layer steps instead of streaming a whole-set array through memory.  A set
-of fewer than 256 rows makes exactly one call of each; a larger set's
-outputs can differ from a single whole-set pass by one ulp, because BLAS
-rounds products of different row counts differently.
+runs ``forward_batch`` on consecutive blocks of 128 to 255 rows, so each
+block's hidden arrays stay in cache between the layer steps instead of
+streaming a whole-set array through memory.  A set of fewer than 256 rows
+makes exactly one ``forward_batch`` and one ``read_class_batch`` call; a
+larger set's outputs can differ from a single whole-set pass by one ulp,
+because BLAS rounds products of different row counts differently.  A
+larger set's blocks run in float32 first, and a class is taken from
+float32 only where a rounding-error bound proves that the float64 blocks
+give the same one (see :func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -26,7 +29,7 @@ import numpy as np
 from .datasets import EncodedDataset
 from .errors import ConfigError, StructureError
 from .network import Network, forward_batch
-from .readout import TargetScheme, read_class_batch
+from .readout import TargetScheme, _scores, read_class_batch
 
 __all__ = [
     "RunMetrics",
@@ -58,11 +61,138 @@ class RunMetrics:
 PREDICT_BLOCK = 128
 
 
+# Unit roundoff u and smallest normal number eta as columns, and a quarter
+# of the largest number: row or entry 0 float32, 1 float64.
+_FLOATS = np.finfo(np.float32), np.finfo(np.float64)
+_UNIT = np.array([[float(f.eps) / 2] for f in _FLOATS])
+_TINY = np.array([[float(f.tiny)] for f in _FLOATS])
+_LIMIT = np.array([float(f.max) / 4 for f in _FLOATS])
+# Covers the bounds' own float64 rounding: each is a few thousand operations
+# on non-negative numbers, a relative error below 2**-40.
+_SAFETY = 1.0 + 2.0 ** -20
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN bound returns None
+def _output_bounds(net: Network, magnitude: np.ndarray) -> np.ndarray | None:
+    """Bounds on how far any output of a float32 and of a float64 pass of
+    ``net`` lies from its exact value, for inputs with ``|x[:, i]| <=
+    magnitude[i]``: ``[bound32, bound64]``, or None when a value of either
+    pass could leave its format's range (see :func:`predict`)."""
+    m = magnitude  # bound on |a|, the exact inputs of the layer
+    e = _UNIT * m + _TINY  # bound on |a^ - a|, per format: input rounding
+    for w in net.weights:
+        n = w.shape[0]
+        if not (n + 2) * _UNIT[0, 0] <= 0.25:
+            return None
+        gamma = (n + 2) * _UNIT / (1 - (n + 2) * _UNIT)
+        w_abs = np.abs(w)
+        reach, spread = m @ w_abs, e @ w_abs
+        inputs, col = m + e, w_abs.sum(axis=0)
+        big = reach + spread  # (m + e) |W|, bounds every partial sum of a^ W^
+        if not ((inputs.max(axis=1) < _LIMIT).all() and (big.max(axis=1) < _LIMIT).all()
+                and col.max() < _LIMIT[0]):
+            return None
+        z = reach / n
+        error_z = ((spread + gamma * big) / n
+                   + 2 * _TINY * (2 + (col + inputs.sum(axis=1, keepdims=True)) / n))
+        e = error_z + 2 * _UNIT * (z + error_z + net.window) + _TINY
+        m = z + net.window
+    if not ((m + e).max(axis=1) < _LIMIT).all():
+        return None
+    return _SAFETY * e.max(axis=1)
+
+
+def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
+    """Rows whose class is the same for every output within ``bound`` of these.
+
+    ``scores`` come from outputs through ``readout._scores`` in float64.
+    """
+    if scores.shape[1] < 2:
+        return np.ones(len(scores), dtype=bool)
+    best, second = np.partition(scores, 1, axis=1)[:, :2].T
+    u = _UNIT[1, 0]
+    return second - best > _SAFETY * 2 * (bound + u * (bound + 2 * second))
+
+
+def _float32_copy(net: Network, x: np.ndarray):
+    """``(float32 copy of net, its output bounds over x)``, or None when
+    ``net`` is not float64 or the bounds do not exist (see :func:`predict`)."""
+    if net.dtype != np.float64:
+        return None
+    # one bound for every input column: half the time of per-column ones
+    magnitude = max(-float(x.min()), float(x.max()))  # NaN if x holds one
+    bounds = _output_bounds(net, np.full(x.shape[1], magnitude))
+    if bounds is None:
+        return None
+    weights = [w.astype(np.float32) for w in net.weights]
+    return Network(net.layer_sizes, weights, net.activation, net.window), bounds
+
+
+def _certified_classes(single: Network, bounds, net: Network, block: np.ndarray,
+                       scheme: TargetScheme) -> np.ndarray | None:
+    """The float64 classes of ``block`` from its float32 pass ``single``,
+    re-running unsettled rows in float64; None if a row is still unsettled."""
+    bound32, bound64 = bounds
+    scores = _scores(scheme, forward_batch(single, block).outputs.astype(np.float64))
+    found = scores.argmin(axis=1)
+    unsure = ~_settled(scores, bound32 + bound64)
+    if unsure.any():
+        scores = _scores(scheme, forward_batch(net, block[unsure]).outputs)
+        if not _settled(scores, 2 * bound64).all():
+            return None
+        found[unsure] = scores.argmin(axis=1)
+    return found
+
+
 def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndarray:
     """One class per row of ``data.delays``, read out block by block.
 
-    Each block goes through ``forward_batch`` and ``read_class_batch``, so
-    non-finite outputs in any block raise ``EvaluationError``.  An empty
+    A set of fewer than ``2 * PREDICT_BLOCK`` rows makes one float64
+    ``forward_batch`` call.  A larger set runs as near-equal blocks, and
+    each block's classes equal those of ``read_class_batch`` on the
+    block's float64 ``forward_batch`` outputs, but most come from a float32
+    pass, certified by a rounding-error bound:
+
+    * A row takes its float32 class when its two best scores (output
+      delays, or distances to the checkpoints) are further apart than
+      twice the float32 bound plus twice the float64 bound: both passes then
+      lie within their bound of the exact outputs, so no score can swap
+      places between them.
+    * The other rows of the block run through float64 together; their
+      outputs lie within twice the float64 bound of the block pass's.
+    * If one of them is still that close to a tie, the whole block runs
+      through ``forward_batch`` in float64 and ``read_class_batch``.
+
+    The bound, with ``u`` the unit roundoff of the format and ``eta`` its
+    smallest normal number, per output column of each layer ``z = a W / n``,
+    ``out = max(z, 0) + T``: take bounds ``m_i >= |a_i|`` on the exact
+    inputs and ``e_i >= |a^_i - a_i|`` on the computed ones.  The first
+    layer starts from ``m`` = the largest input magnitude in the set and
+    ``e = u m + eta`` (rounding the inputs to the format).  A dot
+    product of length ``n`` in any summation order satisfies ``a^ . w^ =
+    sum a^_i w^_i (1 + t_i)`` with ``|t_i| <= gamma_n = n u / (1 - n u)``
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1);
+    rounding the weight to the format and the fan-in divide by ``n`` (exact
+    in both formats for ``n <= 2**22``) make it ``gamma_{n+2}``, so
+
+        |z^_j - z_j| <= ((e |W|)_j + gamma_{n+2} ((m + e) |W|)_j) / n + U_j,
+
+    where ``U_j = 2 eta (2 + (sum_i |W_ij| + sum_i (m_i + e_i)) / n)``
+    bounds underflow: each product, sum and quotient below ``eta`` may be
+    off by up to ``eta``, and an operand below ``eta`` flushed to zero
+    moves a product by ``eta`` times the other operand.  The special ReLU
+    is 1-Lipschitz, and adding the window ``T`` (itself rounded to the
+    format) adds ``2 u (|z| + |z^_j - z_j| + T) + eta``; the next layer
+    takes ``m = (m |W|) / n + T`` and this error as its ``e``.  The bound
+    is the largest ``e`` over the output columns, computed once per call
+    in float64 with a relative margin of ``2**-20`` for its own rounding.
+    A score's float64 subtraction of a checkpoint adds ``u`` times the
+    score.  When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could
+    reach a quarter of a format's largest number, or ``(n + 2) u > 1/4``,
+    no value is certain to stay finite and every block runs in float64; so
+    does every block of a float32 ``net``, in its own dtype.
+
+    Non-finite outputs in any block raise ``EvaluationError``.  An empty
     ``data`` raises ``ConfigError``.
     """
     if len(data) == 0:
@@ -71,10 +201,14 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     blocks = len(x) // PREDICT_BLOCK
     if blocks < 2:
         return read_class_batch(scheme, forward_batch(net, x).outputs)
-    return np.concatenate([
-        read_class_batch(scheme, forward_batch(net, block).outputs)
-        for block in np.array_split(x, blocks)
-    ])
+    single = _float32_copy(net, x)
+    classes = []
+    for block in np.array_split(x, blocks):
+        found = None if single is None else _certified_classes(*single, net, block, scheme)
+        if found is None:
+            found = read_class_batch(scheme, forward_batch(net, block).outputs)
+        classes.append(found)
+    return np.concatenate(classes)
 
 
 def evaluate(

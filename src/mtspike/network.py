@@ -47,6 +47,10 @@ class Network:
     because the same weights produce different spike times under a
     different window.  ``activation`` names the neuron rule for the model
     header; the special ReLU is the only one.
+
+    Weights are float64, except that a network whose every matrix is
+    float32 keeps them as float32 (``dtype``); :func:`forward_batch` then
+    computes in float32.  Training needs float64 weights.
     """
 
     layer_sizes: list[int]
@@ -65,7 +69,9 @@ class Network:
                 f"expected {len(self.layer_sizes) - 1} weight matrices, "
                 f"got {len(self.weights)}"
             )
-        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        weights = [np.asarray(w) for w in self.weights]
+        single = all(w.dtype == np.float32 for w in weights)
+        self.weights = [w if single else w.astype(np.float64, copy=False) for w in weights]
         for l, w in enumerate(self.weights):
             want = (self.layer_sizes[l], self.layer_sizes[l + 1])
             if w.shape != want:
@@ -79,6 +85,11 @@ class Network:
         self.window = float(self.window)
         if not np.isfinite(self.window) or self.window < 0:
             raise StructureError(f"window must be finite and >= 0, got {self.window}")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64, or float32 for a network of float32 matrices."""
+        return self.weights[0].dtype
 
 
 def weight_count(layer_sizes) -> int:
@@ -144,9 +155,10 @@ def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     """Propagate a ``(batch, input_size)`` delay matrix through every layer.
 
     Every call allocates its own pre-activation and delay array per layer;
-    the returned trace's ``delays[0]`` is the input matrix.
+    the returned trace's ``delays[0]`` is the input matrix, in the network's
+    ``dtype`` like every array of the trace.
     """
-    x = np.asarray(delay_matrix, dtype=np.float64)
+    x = np.asarray(delay_matrix, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
         raise StructureError(
             f"expected a (batch, {net.layer_sizes[0]}) delay matrix, "

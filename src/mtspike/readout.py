@@ -97,7 +97,16 @@ def read_class_batch(scheme: TargetScheme, actual: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(actual).all():
         raise EvaluationError("output delays contain non-finite values")
+    return _scores(scheme, actual).argmin(axis=1)
+
+
+def _scores(scheme: TargetScheme, actual: np.ndarray) -> np.ndarray:
+    """Per-class scores of float64 output delays; a row's class is its argmin.
+
+    The output delays themselves, or in the single-neuron regime the
+    distances to the checkpoints.
+    """
     if scheme.mode == "single_neuron":
-        return np.abs(actual - scheme.checkpoints).argmin(axis=1)
-    return actual.argmin(axis=1)
+        return np.abs(actual - scheme.checkpoints)
+    return actual
 

@@ -267,7 +267,12 @@ def threshold_crossing(
     every kernel is zero at its own onset, so the potential cannot
     meaningfully cross before any input has begun to act.  This also keeps a
     zero threshold from reporting a phantom crossing at t = 0.  Inputs are
-    checked as in :func:`voltage_trace`, but not the potential's range.
+    checked as in :func:`voltage_trace`, but not the potential's range: a
+    span whose ``scale (|A| + |B|)`` is not finite is scanned with numpy's
+    overflow warning off, and a potential past the float range compares
+    as +-inf, so +inf reaches threshold.  Four inputs at delay 2 with
+    weight 1.7e308, which ``voltage_trace`` refuses, cross at 2.01 (the
+    potential there is still ~5e306; it overflows a few points later).
 
     The result is exactly the first grid point of ``voltage_trace``'s trace
     past that spike with ``v >= v_threshold``, but the grid is never built.
@@ -299,14 +304,28 @@ def threshold_crossing(
         bound = scale * max(a * exp(-first / tau_decay) - b * exp(-first / tau_rise),
                             a * exp(-last / tau_decay) - b * exp(-last / tau_rise),
                             a * exp(-inside / tau_decay) - b * exp(-inside / tau_rise))
-        if bound < threshold - 2.0 * _SLACK * scale * (abs(a) + abs(b)):
+        reach = scale * (abs(a) + abs(b))
+        if bound < threshold - 2.0 * _SLACK * reach:
             continue
-        # a hit is usually near the span's start: begin with a small chunk
-        size = 64
-        while begin < end:
-            since = np.arange(begin, min(begin + size, end), dtype=np.float64) * dt - onset
-            hits = (_potential(a, b, since, params, scale) >= threshold).nonzero()[0]
-            if hits.size:
-                return (begin + int(hits[0])) * dt
-            begin, size = begin + size, min(2 * size, _SCAN_CHUNK)
+        if isfinite(reach):
+            hit = _scan(begin, end, onset, a, b, params, scale)
+        else:  # the potential may pass the float range: +-inf compares fine
+            with np.errstate(over="ignore"):
+                hit = _scan(begin, end, onset, a, b, params, scale)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _scan(begin, end, onset, a, b, params: SrmParams, scale: float) -> float | None:
+    """First grid point ``begin <= j < end`` of a span with potential >= threshold."""
+    dt = params.dt
+    # a hit is usually near the span's start: begin with a small chunk
+    size = 64
+    while begin < end:
+        since = np.arange(begin, min(begin + size, end), dtype=np.float64) * dt - onset
+        hits = (_potential(a, b, since, params, scale) >= params.v_threshold).nonzero()[0]
+        if hits.size:
+            return (begin + int(hits[0])) * dt
+        begin, size = begin + size, min(2 * size, _SCAN_CHUNK)
     return None

@@ -1,9 +1,12 @@
 """Accuracy, spike counting, and abstract energy."""
 
+import _reference_predict
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from mtspike import metrics
 
 from mtspike.datasets import EncodedDataset
 from mtspike.errors import ConfigError, StructureError
@@ -124,6 +127,116 @@ def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
     best_two = np.sort(scores, axis=1)[:, :2]
     clear = best_two[:, 1] - best_two[:, 0] > 1e-9
     assert (predicted[clear] == whole[clear]).all()
+
+
+def class0(delays):
+    """Every row of ``delays`` labelled 0, every input fired."""
+    return EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
+                          labels=np.zeros(len(delays), dtype=int))
+
+
+def _counted_forward(monkeypatch):
+    """Record ``(dtype, rows)`` of every ``forward_batch`` call ``predict`` makes."""
+    calls = []
+
+    def counted(net, x):
+        calls.append((net.dtype, len(x)))
+        return forward_batch(net, x)
+
+    monkeypatch.setattr(metrics, "forward_batch", counted)
+    return calls
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    depth=st.integers(min_value=2, max_value=4),
+    blocks=st.integers(min_value=2, max_value=4),
+    mode=st.sampled_from(sorted(SCHEMES)),
+    classes=st.integers(min_value=2, max_value=6),
+    power=st.integers(min_value=-45, max_value=40),
+    window=st.sampled_from([0.0, 0.5, 16.0]),
+    negative=st.booleans(),
+    tie=st.sampled_from(["none", "exact", "ulp"]),
+)
+@example(seed=0, depth=2, blocks=2, mode="multi_neuron", classes=3, power=0,
+         window=16.0, negative=False, tie="exact")
+@example(seed=1, depth=3, blocks=3, mode="multi_neuron", classes=4, power=0,
+         window=0.0, negative=True, tie="ulp")
+@example(seed=2, depth=2, blocks=2, mode="single_neuron", classes=3, power=-40,
+         window=0.0, negative=False, tie="none")
+@example(seed=3, depth=4, blocks=2, mode="multi_neuron", classes=3, power=20,
+         window=16.0, negative=False, tie="none")
+@settings(max_examples=80, deadline=None)
+def test_predict_classifies_like_the_blocked_float64_reference(
+        seed, depth, blocks, mode, classes, power, window, negative, tie):
+    """Every class equals the float64 blocks' class, wherever float32
+    underflows, overflows or cannot separate two outputs.
+
+    In the multi-neuron regime, ``tie`` copies output column 0 into column
+    1 ("exact"), or with each weight one float32 ulp up or down ("ulp"), so
+    that float32 rounding can order the two outputs either way.
+    """
+    rng = np.random.default_rng(seed)
+    scheme = SCHEMES[mode](classes)
+    rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
+    sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [scheme.output_size]
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
+    for w in net.weights:
+        w *= 10.0 ** power
+    if mode == "multi_neuron" and tie != "none":
+        last = net.weights[-1]
+        last[:, 1] = last[:, 0]
+        if tie == "ulp" and np.abs(last[:, 0]).max() < np.finfo(np.float32).max:
+            away = np.where(rng.random(len(last)) < 0.5, -np.inf, np.inf).astype(np.float32)
+            last[:, 1] = np.nextafter(last[:, 0].astype(np.float32), away)
+    low = -16.0 if negative else 0.0
+    delays = rng.uniform(low, 16.0, (rows, sizes[0]))
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
+                          labels=rng.integers(0, classes, rows))
+    assert predict(net, data, scheme).tolist() == _reference_predict.predict(
+        net, data, scheme).tolist()
+
+
+def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
+    """A settled block is one float32 call; its unsettled rows add one
+    float64 call, and a row that float64 cannot settle either adds the
+    block's float64 call."""
+    net = identity_net(3)  # outputs equal inputs
+    clear = np.tile([1.0, 5.0, 5.0], (2 * PREDICT_BLOCK, 1))
+    calls = _counted_forward(monkeypatch)
+    assert predict(net, class0(clear), MULTI3).tolist() == [0] * len(clear)
+    assert calls == [(np.float32, PREDICT_BLOCK)] * 2
+
+    near = clear.copy()
+    near[-1] = [5.0, 1.0 + 1e-9, 1.0]  # float32 rounds both to 1.0
+    calls.clear()
+    assert predict(net, class0(near), MULTI3).tolist() == [0] * (len(near) - 1) + [2]
+    assert calls == [(np.float32, PREDICT_BLOCK)] * 2 + [(np.float64, 1)]
+
+    tied = clear.copy()
+    tied[-1] = [5.0, 1.0, 1.0]
+    calls.clear()
+    assert predict(net, class0(tied), MULTI3).tolist() == [0] * (len(tied) - 1) + [1]
+    assert calls == ([(np.float32, PREDICT_BLOCK)] * 2
+                     + [(np.float64, 1), (np.float64, PREDICT_BLOCK)])
+
+
+def test_predict_runs_float64_blocks_when_float32_could_overflow(monkeypatch):
+    net = identity_net(3)
+    net.weights[0] *= 1e38  # |W| within float32, its products are not
+    delays = np.tile([1.0, 5.0, 5.0], (2 * PREDICT_BLOCK, 1))
+    calls = _counted_forward(monkeypatch)
+    assert predict(net, class0(delays), MULTI3).tolist() == [0] * len(delays)
+    assert calls == [(np.float64, PREDICT_BLOCK)] * 2
+
+
+def test_predict_runs_a_float32_network_in_its_own_blocks(monkeypatch):
+    single = Network([3, 3], [np.eye(3, dtype=np.float32) * 3])
+    data = class0(np.tile([5.0, 1.0, 1.0], (2 * PREDICT_BLOCK, 1)))
+    want = _reference_predict.predict(single, data, MULTI3)
+    calls = _counted_forward(monkeypatch)
+    assert predict(single, data, MULTI3).tolist() == want.tolist() == [1] * len(data)
+    assert calls == [(np.float32, PREDICT_BLOCK)] * 2
 
 
 def test_spike_count_adds_one_per_downstream_neuron():

@@ -13,7 +13,7 @@ from mtspike.coding import CodingParams
 from mtspike.datasets import EncodingSpec
 from mtspike.errors import ModelIOError
 from mtspike.model_io import FORMAT_VERSION, MAGIC, ModelFile, load_model, save_model
-from mtspike.network import init_network
+from mtspike.network import Network, init_network
 from mtspike.readout import TargetScheme
 
 from conftest import DELETE, JSON_VALUES, set_at
@@ -53,6 +53,21 @@ def test_saving_twice_is_bit_identical(tmp_path):
     save_model(model, tmp_path / "a")
     save_model(model, tmp_path / "b")
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_a_float32_network_saves_as_its_exact_float64_upcast(tmp_path):
+    model = sample_model()
+    single = Network(model.network.layer_sizes,
+                     [w.astype(np.float32) for w in model.network.weights], window=16.0)
+    wide = Network(single.layer_sizes, [w.astype(np.float64) for w in single.weights],
+                   window=16.0)
+    save_model(dataclasses.replace(model, network=single), tmp_path / "single")
+    save_model(dataclasses.replace(model, network=wide), tmp_path / "wide")
+    assert (tmp_path / "single").read_bytes() == (tmp_path / "wide").read_bytes()
+    back = load_model(tmp_path / "single").network
+    assert back.dtype == np.float64
+    for a, b in zip(back.weights, single.weights):
+        assert a.tobytes() == b.astype(np.float64).tobytes()
 
 
 def test_same_seed_same_bytes_different_seed_different_bytes(tmp_path):

@@ -95,6 +95,35 @@ def test_network_shape_validation():
         Network(layer_sizes=[2, 3], weights=[np.zeros((2, 3))], window=np.inf)
 
 
+def test_network_keeps_float32_and_widens_everything_else():
+    single = Network([2, 3, 1], [np.ones((2, 3), np.float32), np.ones((3, 1), np.float32)])
+    assert single.dtype == np.float32
+    assert all(w.dtype == np.float32 for w in single.weights)
+    for weights in ([np.ones((2, 3), np.int64), np.ones((3, 1), np.int64)],
+                    [np.ones((2, 3), np.float16), np.ones((3, 1), np.float16)],
+                    [[[1, 2, 3], [4, 5, 6]], [[1.5], [2.5], [3.5]]],
+                    # a float32 matrix beside a float64 one widens too
+                    [np.ones((2, 3), np.float32), np.ones((3, 1))]):
+        net = Network([2, 3, 1], weights)
+        assert net.dtype == np.float64
+        assert all(w.dtype == np.float64 for w in net.weights)
+    listed = Network([2, 1], [[[0.1], [0.2]]])
+    assert listed.weights[0].tobytes() == np.array([[0.1], [0.2]]).tobytes()
+
+
+def test_forward_batch_computes_in_the_network_dtype():
+    rng = np.random.default_rng(3)
+    net = init_network([4, 6, 3], rng=rng, window=16.0)
+    single = Network(net.layer_sizes, [w.astype(np.float32) for w in net.weights],
+                     window=16.0)
+    inputs = rng.uniform(0.0, 16.0, (5, 4))
+    trace = forward_batch(single, inputs)
+    assert all(a.dtype == np.float32 for a in trace.nets + trace.delays)
+    wide = forward_batch(net, inputs)
+    assert all(a.dtype == np.float64 for a in wide.nets + wide.delays)
+    assert np.allclose(trace.outputs, wide.outputs, rtol=1e-5)
+
+
 def test_num_weights_counts_every_entry():
     net = init_network([4, 25, 1], rng=np.random.default_rng(0))
     assert weight_count(net.layer_sizes) == sum(w.size for w in net.weights) == 125

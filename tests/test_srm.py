@@ -536,3 +536,15 @@ def test_power_of_two_weights_scale_the_potential_exactly(
         if threshold * power / power == threshold:  # the scaled threshold is exact
             raised = dataclasses.replace(params, v_threshold=threshold * power)
             assert threshold_crossing(drive, weights * power, raised) == crossing
+
+
+def test_crossing_past_the_float_range_warns_nothing():
+    """The potential of four weights of 1.7e308 at one delay reaches threshold
+    at the first grid point past the delay, then passes the float range
+    within the scanned chunk; the trace refuses such a drive."""
+    drive, weights = inputs([2.0] * 4), np.full(4, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert threshold_crossing(drive, weights, P) == 201 * P.dt
+        with pytest.raises(ConfigError, match="exceeds the float range"):
+            voltage_trace(drive, weights, P)
