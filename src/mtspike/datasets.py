@@ -49,8 +49,8 @@ log = logging.getLogger(__name__)
 
 SCHEMES = ("numeric", "one_to_one", "conv")
 
-IDX_IMAGE_MAGIC = 2051
-IDX_LABEL_MAGIC = 2049
+# IDX file kinds: the magic number and the rank (count of uint32 dimensions)
+_IDX = {"image": (2051, 3), "label": (2049, 1)}
 
 
 def _as_array(values) -> np.ndarray:
@@ -258,44 +258,44 @@ def _read_file(path) -> bytearray:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_idx(path, kind: str) -> np.ndarray:
+    """An IDX file of ``kind`` as a uint8 array wrapped around its buffer.
+
+    A short header, a magic number other than ``kind``'s, and a payload
+    shorter or longer than the product of the dimensions raise ``DataError``.
+    """
+    magic, rank = _IDX[kind]
+    raw = _read_file(path)
+    header = 4 * (1 + rank)
+    if len(raw) < header:
+        raise DataError(f"{path}: truncated IDX {kind} header")
+    found, *dims = struct.unpack(f">{1 + rank}I", raw[:header])
+    if found != magic:
+        raise DataError(f"{path}: bad IDX {kind} magic {found}, expected {magic}")
+    expected = header + math.prod(dims)
+    if len(raw) < expected:
+        raise DataError(
+            f"{path}: truncated {kind} data ({len(raw)} bytes, expected {expected})"
+        )
+    if len(raw) > expected:
+        raise DataError(f"{path}: {len(raw) - expected} trailing bytes")
+    return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
+
+
 def load_mnist_idx(images_path, labels_path) -> RawDataset:
     """Load an IDX image file and its matching IDX label file.
 
     Both files may be gzipped.  Headers are big-endian; the image magic is
-    2051 and the label magic 2049.  Image and label counts must agree.
+    2051 and the label magic 2049.  A file of either kind that is shorter
+    than its header, carries the wrong magic, or holds fewer or more bytes
+    than its dimensions call for raises ``DataError``, as do image and
+    label counts that disagree.
     """
-    raw = _read_file(images_path)
-    if len(raw) < 16:
-        raise DataError(f"{images_path}: truncated IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGE_MAGIC:
+    images = _read_idx(images_path, "image")
+    labels = _read_idx(labels_path, "label").astype(np.int64)
+    if len(images) != len(labels):
         raise DataError(
-            f"{images_path}: bad IDX image magic {magic}, expected {IDX_IMAGE_MAGIC}"
-        )
-    expected = 16 + count * rows * cols
-    if len(raw) < expected:
-        raise DataError(
-            f"{images_path}: truncated image data ({len(raw)} bytes, expected {expected})"
-        )
-    if len(raw) > expected:
-        raise DataError(f"{images_path}: {len(raw) - expected} trailing bytes")
-    images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols)
-
-    raw = _read_file(labels_path)
-    if len(raw) < 8:
-        raise DataError(f"{labels_path}: truncated IDX label header")
-    magic, label_count = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABEL_MAGIC:
-        raise DataError(
-            f"{labels_path}: bad IDX label magic {magic}, expected {IDX_LABEL_MAGIC}"
-        )
-    if len(raw) != 8 + label_count:
-        raise DataError(f"{labels_path}: label data length mismatch")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
-
-    if count != label_count:
-        raise DataError(
-            f"image count {count} does not match label count {label_count}"
+            f"image count {len(images)} does not match label count {len(labels)}"
         )
     return RawDataset(features=images, labels=labels)
 
@@ -320,14 +320,10 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
             raise DataError("IDX stores unsigned bytes; values must lie in [0, 255]")
         if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
             raise DataError("IDX stores unsigned bytes; values must be whole numbers")
-    n, rows, cols = images.shape
-    for path, header, values in (
-        (images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols), images),
-        (labels_path, struct.pack(">II", IDX_LABEL_MAGIC, n), labels),
-    ):
+    for path, kind, values in ((images_path, "image", images), (labels_path, "label", labels)):
         try:
             with open(path, "wb") as fh:
-                fh.write(header)
+                fh.write(struct.pack(f">{1 + values.ndim}I", _IDX[kind][0], *values.shape))
                 fh.write(values.astype(np.uint8).tobytes())
         except OSError as exc:
             raise DataError(f"cannot write {path}: {exc}") from exc

@@ -203,10 +203,12 @@ def train(
     the epoch's running squared error or a batch's output delays (training
     or evaluation) stop being finite; numpy's overflow warnings on the way
     there are silenced.
-    Raises :class:`ConfigError` for labels beyond the readout's classes, for
-    an empty training or evaluation set and for weights that are not
-    float64, and :class:`DataError` for a
-    non-finite delay in either set, before the first epoch.
+    Before the first epoch, and so before any weight moves, it raises
+    :class:`ConfigError` for an empty training or evaluation set, for a
+    label in either set beyond the readout's classes and for weights that
+    are not float64, :class:`StructureError` when either set's width is not
+    the input layer's, and :class:`DataError` for a non-finite delay in
+    either set.
     """
     if len(data) == 0:
         raise ConfigError("training dataset is empty")
@@ -217,19 +219,27 @@ def train(
             f"readout expects {scheme.output_size} output neurons, "
             f"network has {net.layer_sizes[-1]}"
         )
-    if data.delays.shape[1] != net.layer_sizes[0]:
-        raise StructureError(
-            f"encoded input width {data.delays.shape[1]} does not match "
-            f"input layer size {net.layer_sizes[0]}"
-        )
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
     if any(w.dtype != np.float64 for w in net.weights):
         raise ConfigError("training needs float64 weights, "
                           f"the network's are {[str(w.dtype) for w in net.weights]}")
     for name, ds in (("training", data), ("evaluation", eval_data)):
-        if ds is not None and not np.isfinite(ds.delays).all():
+        if ds is None:
+            continue
+        if ds.delays.shape[1] != net.layer_sizes[0]:
+            raise StructureError(
+                f"encoded {name} input width {ds.delays.shape[1]} does not match "
+                f"input layer size {net.layer_sizes[0]}"
+            )
+        if not np.isfinite(ds.delays).all():
             raise DataError(f"{name} delays must be finite")
+    # the training labels are checked by the target gather below
+    if eval_data is not None and eval_data.labels.max() >= scheme.num_classes:
+        raise ConfigError(
+            f"evaluation label {eval_data.labels.max()} is outside the readout's "
+            f"{scheme.num_classes} classes"
+        )
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 

@@ -133,7 +133,7 @@ def _drive(delays: np.ndarray, fired: np.ndarray, params: SrmParams):
 
     ``chosen`` indexes the fired inputs that act on the grid in stable delay
     order; ``starts`` are the positions in ``chosen`` where a new delay
-    begins (None when all delays differ); ``onsets`` are the merged delays
+    begins, one per merged input; ``onsets`` are the merged delays
     and ``inner`` their grid indices, both lists, ``first`` the grid index
     past the earliest fired spike and ``last`` the one past the grid's end.
     """
@@ -152,15 +152,11 @@ def _drive(delays: np.ndarray, fired: np.ndarray, params: SrmParams):
     chosen, delays = chosen[acting], delays[acting]
     order = delays.argsort(kind="stable")
     chosen, delays = chosen[order], delays[order]
-    starts = None
-    if delays.size:
-        # inputs that share a delay act as one input with their summed weight
-        new = np.empty(delays.size, dtype=bool)
-        new[0] = True
-        np.not_equal(delays[1:], delays[:-1], out=new[1:])
-        if not new.all():
-            starts = new.nonzero()[0]
-            delays = delays[starts]
+    # inputs that share a delay act as one input with their summed weight
+    new = np.ones(delays.size, dtype=bool)
+    np.not_equal(delays[1:], delays[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    delays = delays[starts]
     inner = [_index_after(x, dt) for x in delays.tolist()]
     last = _index_after(steps * dt, dt)
     stage = chosen, starts, delays.tolist(), inner, inner[0] if inner else last, last
@@ -189,7 +185,7 @@ def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: S
     w = weights[chosen]
     # exact: every |w| / scale is below 2, so a merged sum stays below 2 * fan-in
     scale = ldexp(1.0, frexp(float(np.abs(w).max(initial=0.0)))[1] - 1)
-    w = w / scale if starts is None else np.add.reduceat(w / scale, starts)
+    w = np.add.reduceat(w / scale, starts)
     spans, begin, onset, decay, rise = [], first, 0.0, 0.0, 0.0
     for at, end, x in zip(onsets, inner, w.tolist()):
         if not x:

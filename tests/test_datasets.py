@@ -219,27 +219,24 @@ def test_idx_error_cases(tmp_path):
     labels = np.zeros(2, dtype=np.uint8)
     save_mnist_idx(images, labels, good_img, good_lbl)
 
+    # both kinds of file report the same four kinds of damage
     bad = tmp_path / "bad"
-    bad.write_bytes(b"\x00\x00")
-    with pytest.raises(DataError, match="truncated IDX image header"):
-        load_mnist_idx(bad, good_lbl)
-
-    bad.write_bytes(b"\x00" * 16)
-    with pytest.raises(DataError, match="bad IDX image magic"):
-        load_mnist_idx(bad, good_lbl)
-
-    raw = good_img.read_bytes()
-    bad.write_bytes(raw[:-1])
-    with pytest.raises(DataError, match="truncated image data"):
-        load_mnist_idx(bad, good_lbl)
-    bad.write_bytes(raw + b"\x00")
-    with pytest.raises(DataError, match="trailing bytes"):
-        load_mnist_idx(bad, good_lbl)
-
-    bad_lbl = tmp_path / "badlbl"
-    bad_lbl.write_bytes(good_lbl.read_bytes()[:-1])
-    with pytest.raises(DataError, match="label data length"):
-        load_mnist_idx(good_img, bad_lbl)
+    for kind, good, header in (("image", good_img, 16), ("label", good_lbl, 8)):
+        paths = {"image": good_img, "label": good_lbl, kind: bad}
+        load = lambda: load_mnist_idx(paths["image"], paths["label"])
+        raw = good.read_bytes()
+        bad.write_bytes(raw[:header - 1])
+        with pytest.raises(DataError, match=f"truncated IDX {kind} header"):
+            load()
+        bad.write_bytes(b"\x00" * header)
+        with pytest.raises(DataError, match=f"bad IDX {kind} magic"):
+            load()
+        bad.write_bytes(raw[:-1])
+        with pytest.raises(DataError, match=f"truncated {kind} data"):
+            load()
+        bad.write_bytes(raw + b"\x00")
+        with pytest.raises(DataError, match="1 trailing bytes"):
+            load()
 
     # mismatched counts between the two files
     save_mnist_idx(np.zeros((3, 3, 3), dtype=np.uint8),

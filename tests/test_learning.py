@@ -336,21 +336,31 @@ def test_train_input_validation():
               TrainConfig(heuristic=True))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "wide", "label"])
 @pytest.mark.parametrize("where", ["data", "eval_data"])
 def test_train_rejects_non_finite_delays_before_the_first_epoch(monkeypatch, bad, where):
+    """A non-finite delay, a width other than the input layer's or a label
+    beyond the readout, in either set, raises before any weight moves."""
     rng = np.random.default_rng(0)
     net = init_network([4, 3], rng=rng)
     data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
-    broken = encoded(data.delays.copy(), [0, 1, 2])
-    broken.delays[1, 2] = bad
+    if bad == "wide":
+        broken = encoded(np.hstack([data.delays, data.delays[:, :1]]), [0, 1, 2])
+        error, match = StructureError, "input width 5 does not match input layer size 4"
+    elif bad == "label":
+        broken = encoded(data.delays, [0, 7, 2])
+        error, match = ConfigError, "label 7 is outside the readout's 3 classes"
+    else:
+        broken = encoded(data.delays.copy(), [0, 1, 2])
+        broken.delays[1, 2] = bad
+        error, match = DataError, "delays must be finite"
     sets = {"data": data, "eval_data": data, where: broken}
     calls = {}
     counting(monkeypatch, "forward_batch", calls)
     before = copy.deepcopy(net.weights)
-    with pytest.raises(DataError, match="delays must be finite") as excinfo:
+    with pytest.raises(error, match=match) as excinfo:
         train(net, sets["data"], MULTI3, TrainConfig(), eval_data=sets["eval_data"])
-    assert excinfo.value.code == "E_DATA"
+    assert excinfo.value.code == error.code
     assert calls == {}
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
 
