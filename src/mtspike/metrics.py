@@ -219,16 +219,16 @@ def evaluate(
     A label at or above ``scheme.num_classes``, or an empty ``data``, raises
     ``ConfigError``.
     """
-    predicted = predict(net, data, scheme)
-    accuracy = int(np.count_nonzero(predicted == data.labels)) / len(data)
-    confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
-    try:
-        np.add.at(confusion, (data.labels, predicted), 1)
-    except IndexError as exc:
+    # checked before any row is classified; predict rejects an empty set
+    if len(data) and data.labels.max() >= scheme.num_classes:
         raise ConfigError(
             f"label {data.labels.max()} is outside the readout's "
             f"{scheme.num_classes} classes"
-        ) from exc
+        )
+    predicted = predict(net, data, scheme)
+    accuracy = int(np.count_nonzero(predicted == data.labels)) / len(data)
+    confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
+    np.add.at(confusion, (data.labels, predicted), 1)
     return accuracy, confusion
 
 

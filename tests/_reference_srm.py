@@ -3,7 +3,8 @@
 This is the original loop that summed one difference-of-exponentials
 kernel per fired input over the whole grid, kept unchanged except for
 imports.  It costs O(inputs x grid points) and exists only so that tests
-can compare ``mtspike.srm.voltage_trace`` against it.
+can compare ``mtspike.srm.voltage_trace`` against it, and the continuous
+crossing against its grid points.
 """
 
 import numpy as np
@@ -29,16 +30,3 @@ def voltage_trace(
             voltage += w * psp_kernel(times, float(delay), params)
     return times, voltage
 
-
-def threshold_crossing(
-    inputs: DelayVector, weights: np.ndarray, params: SrmParams
-) -> float | None:
-    times, voltage = voltage_trace(inputs, weights, params)
-    if not np.any(inputs.fired):
-        return None
-    earliest = float(np.min(inputs.delays[inputs.fired]))
-    candidates = (times > earliest) & (voltage >= params.v_threshold)
-    hits = np.nonzero(candidates)[0]
-    if hits.size == 0:
-        return None
-    return float(times[hits[0]])

@@ -241,7 +241,7 @@ def test_srm_demo_csv_bytes_are_pinned(tmp_path, capsys):
         b"8e-05,-7.5017343e-06\n"
         b"9e-05,-2.2501547e-05\n"
         b"0.0001,-3.7501172e-05\n"
-        b"# crossing,3e-05\n"
+        b"# crossing,2.66671e-05\n"
     )
 
 
@@ -265,7 +265,7 @@ def test_srm_demo_weights_near_the_float_limit(capsys):
     rc, out, err = run_cli(capsys, "srm-demo", "--delays", "2,2", "--weights", "1e308,1e308")
     assert rc == 0 and err == ""
     lines = out.splitlines()
-    assert lines[-1] == "# crossing,2.01"
+    assert lines[-1] == "# crossing,2"
     assert np.isfinite([float(line.split(",")[1]) for line in lines[1:-1]]).all()
     rc, out, err = run_cli(capsys, "srm-demo", "--delays", "2,2,2,2",
                            "--weights", ",".join(["1.7e308"] * 4))

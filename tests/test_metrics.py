@@ -73,15 +73,17 @@ def test_evaluate_checks_width():
         evaluate(net, data, MULTI3)
 
 
-def test_evaluate_rejects_a_bad_label_in_the_last_block_only():
+def test_evaluate_rejects_a_bad_label_in_the_last_block_only(monkeypatch):
     rows = 3 * PREDICT_BLOCK + 5
     delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
     labels = np.zeros(rows, dtype=int)
     labels[-1] = 3
     data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool), labels=labels)
+    calls = _counted_forward(monkeypatch)
     with pytest.raises(ConfigError, match="label 3 is outside") as caught:
         evaluate(identity_net(3), data, MULTI3)
     assert caught.value.code == "E_CONFIG"
+    assert calls == []  # rejected before any row is classified
 
 
 SCHEMES = {
@@ -99,8 +101,10 @@ SCHEMES = {
     rows=st.sampled_from([1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1,
                           2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK, 3 * PREDICT_BLOCK + 5]),
     mode=st.sampled_from(sorted(SCHEMES)),
-    classes=st.integers(min_value=2, max_value=6),
+    classes=st.integers(min_value=1, max_value=6),
 )
+@example(seed=0, depth=2, rows=2 * PREDICT_BLOCK, mode="multi_neuron", classes=1)
+@example(seed=1, depth=3, rows=3 * PREDICT_BLOCK + 5, mode="single_neuron", classes=1)
 @settings(max_examples=60, deadline=None)
 def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
     """Blocked prediction classifies like one ``forward_batch`` over the set.
@@ -122,6 +126,9 @@ def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
     assert predicted.shape == (rows,)
     if rows < 2 * PREDICT_BLOCK:
         assert predicted.tolist() == whole.tolist()
+        return
+    if classes == 1:  # one score per row: nothing to tie
+        assert predicted.tolist() == whole.tolist() == [0] * rows
         return
     scores = outputs if mode == "multi_neuron" else np.abs(outputs - scheme.checkpoints)
     best_two = np.sort(scores, axis=1)[:, :2]
@@ -152,9 +159,9 @@ def _counted_forward(monkeypatch):
     depth=st.integers(min_value=2, max_value=4),
     blocks=st.integers(min_value=2, max_value=4),
     mode=st.sampled_from(sorted(SCHEMES)),
-    classes=st.integers(min_value=2, max_value=6),
+    classes=st.integers(min_value=1, max_value=6),
     power=st.integers(min_value=-45, max_value=40),
-    window=st.sampled_from([0.0, 0.5, 16.0]),
+    window=st.sampled_from([0.0, 0.5, 16.0, 1e38]),
     negative=st.booleans(),
     tie=st.sampled_from(["none", "exact", "ulp"]),
 )
@@ -166,6 +173,14 @@ def _counted_forward(monkeypatch):
          window=0.0, negative=False, tie="none")
 @example(seed=3, depth=4, blocks=2, mode="multi_neuron", classes=3, power=20,
          window=16.0, negative=False, tie="none")
+# one class: a single score column, settled without comparing scores
+@example(seed=4, depth=3, blocks=2, mode="multi_neuron", classes=1, power=0,
+         window=16.0, negative=False, tie="exact")
+@example(seed=5, depth=2, blocks=2, mode="single_neuron", classes=1, power=0,
+         window=0.5, negative=True, tie="none")
+# a one-layer net whose window lies past float32's range: no bound, float64 blocks
+@example(seed=6, depth=2, blocks=2, mode="multi_neuron", classes=3, power=0,
+         window=1e38, negative=False, tie="none")
 @settings(max_examples=80, deadline=None)
 def test_predict_classifies_like_the_blocked_float64_reference(
         seed, depth, blocks, mode, classes, power, window, negative, tie):
@@ -174,7 +189,8 @@ def test_predict_classifies_like_the_blocked_float64_reference(
 
     In the multi-neuron regime, ``tie`` copies output column 0 into column
     1 ("exact"), or with each weight one float32 ulp up or down ("ulp"), so
-    that float32 rounding can order the two outputs either way.
+    that float32 rounding can order the two outputs either way; with one
+    class there is no second column to tie.
     """
     rng = np.random.default_rng(seed)
     scheme = SCHEMES[mode](classes)
@@ -183,7 +199,7 @@ def test_predict_classifies_like_the_blocked_float64_reference(
     net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
     for w in net.weights:
         w *= 10.0 ** power
-    if mode == "multi_neuron" and tie != "none":
+    if mode == "multi_neuron" and tie != "none" and classes > 1:
         last = net.weights[-1]
         last[:, 1] = last[:, 0]
         if tie == "ulp" and np.abs(last[:, 0]).max() < np.finfo(np.float32).max:

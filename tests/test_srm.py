@@ -32,6 +32,46 @@ def inputs(delays, fired=None):
     return DelayVector(delays=delays, fired=np.asarray(fired, dtype=bool))
 
 
+def _potential_at(drive, weights, params, t):
+    """The closed-form potential at time ``t`` as the crossing search
+    evaluates it, in ``math`` floats on the span that holds ``t`` (the one
+    with the latest onset before ``t``); 0 up to the earliest acting input."""
+    scale, spans = srm._spans(drive.delays, drive.fired, weights, params)
+    held = [span for span in spans if span[0] < t]
+    if not held:
+        return 0.0
+    onset, a, b = held[-1]
+    since = t - onset
+    return scale * (a * math.exp(-since / params.tau_decay)
+                    - b * math.exp(-since / params.tau_rise))
+
+
+def _assert_crossing_fits(crossing, drive, weights, params, times, v, tolerance):
+    """``crossing`` is exact and fits the trace ``v`` on ``times``.
+
+    The potential reaches threshold at it, and not at the float below it
+    unless it is the domain's start (``d0``, the earliest fired input, or 0
+    when ``d0`` is before 0).  No grid point past ``d0`` before it reaches
+    threshold, so the trace's first qualifying point ``g`` is the first grid
+    point at or after it, ``c <= g < c + dt``, with two exceptions: a grid
+    point may lie on the wrong side of threshold within ``tolerance`` of it,
+    and ``g`` may be later, or None, when that first grid point is below
+    threshold, so that the potential reached it only on a peak between grid
+    points.
+    """
+    theta = params.v_threshold
+    fired = drive.delays[drive.fired]
+    domain = times > fired.min() if fired.size else np.zeros(times.shape, bool)
+    if crossing is None:
+        assert not np.any(domain & (v >= theta + tolerance))
+        return
+    assert _potential_at(drive, weights, params, crossing) >= theta
+    if crossing != max(float(fired.min()), 0.0):
+        below = math.nextafter(crossing, -math.inf)
+        assert _potential_at(drive, weights, params, below) < theta
+    assert not np.any(domain & (times < crossing) & (v >= theta + tolerance))
+
+
 def test_params_validation():
     for kwargs in (
         {"tau_rise": 0.0},
@@ -105,7 +145,7 @@ def test_threshold_crossing_against_fine_grid():
     fine = SrmParams(dt=0.0005)
     reference = threshold_crossing(drive, weights, fine)
     assert crossing == pytest.approx(reference, abs=2 * P.dt)
-    # the crossing really is the first grid point at or above threshold
+    # no grid point before the crossing reaches threshold
     times, v = voltage_trace(drive, weights, P)
     before = v[(times > 0.0) & (times < crossing)]
     assert np.all(before < P.v_threshold)
@@ -117,23 +157,37 @@ def test_no_crossing_returns_none():
 
 
 def test_crossing_candidates_start_after_first_spike():
-    # a zero threshold must not report a phantom crossing at t = 0
+    """The potential is an exact 0 at the earliest fired spike d0: a zero
+    threshold is reached at d0 unless the inputs at d0 sum to a negative
+    weight, and never before d0, so there is no phantom crossing at t = 0."""
     zero = SrmParams(v_threshold=0.0)
-    crossing = threshold_crossing(inputs([5.0]), np.array([1.0]), zero)
-    assert crossing is not None
-    assert crossing > 5.0
-    # the earliest fired spike puts no weight on the grid: the potential is an
-    # exact 0 from the first point past it, which a zero threshold reaches
-    for drive, weights, expected in [
-        (inputs([1.0, 5.0]), [0.0, 1.0], 101 * zero.dt),  # zero weight
-        (inputs([1.0, 1.0, 5.0]), [0.7, -0.7, 1.0], 101 * zero.dt),  # cancelling pair
-        (inputs([0.5, 3.0], fired=[False, True]), [1.0, 1.0], 301 * zero.dt),  # unfired earlier
-        (inputs([64.0, 80.0]), [1.0, 1.0], None),  # only spikes at or past the grid's end
+    for drive, weights, expected, first in [
+        (inputs([5.0]), [1.0], 5.0, 501 * zero.dt),  # rises from d0
+        (inputs([5.0]), [-1.0], None, None),  # falls from d0 and stays below
+        (inputs([5.0, 5.0]), [-1.0, 0.4], None, None),  # a negative sum at d0
+        (inputs([1.0, 5.0]), [0.0, 1.0], 1.0, 101 * zero.dt),  # zero weight
+        (inputs([1.0, 1.0, 5.0]), [0.7, -0.7, 1.0], 1.0, 101 * zero.dt),  # cancelling pair
+        (inputs([1.0, 5.0]), [0.0, -1.0], 1.0, 101 * zero.dt),  # 0 up to a later fall
+        (inputs([0.5, 3.0], fired=[False, True]), [1.0, 1.0], 3.0, 301 * zero.dt),  # unfired
+        (inputs([64.0, 80.0]), [1.0, 1.0], None, None),  # only spikes at or past the end
     ]:
         times, v = voltage_trace(drive, np.array(weights), zero)
         qualifying = np.nonzero((times > drive.delays[drive.fired].min()) & (v >= 0.0))[0]
-        first = float(times[qualifying[0]]) if qualifying.size else None
-        assert threshold_crossing(drive, np.array(weights), zero) == first == expected
+        assert (float(times[qualifying[0]]) if qualifying.size else None) == first
+        crossing = threshold_crossing(drive, np.array(weights), zero)
+        assert crossing == expected
+        _assert_crossing_fits(crossing, drive, np.array(weights), zero, times, v, 0.0)
+    # a negative first weight and a later positive one: the potential falls
+    # from 0, then climbs back to 0 between 2 and 3
+    drive, weights = inputs([1.0, 2.0]), np.array([-1.0, 2.0])
+    crossing = threshold_crossing(drive, weights, zero)
+    assert 2.0 < crossing < 3.0
+    _assert_crossing_fits(crossing, drive, weights, zero, *voltage_trace(drive, weights, zero), 0.0)
+    # before 0 the crossing waits for 0, and starts there if the potential reaches
+    negative = SrmParams(v_threshold=-0.1)
+    assert threshold_crossing(inputs([-1.0]), np.array([1.0]), negative) == 0.0
+    assert threshold_crossing(inputs([-1.0]), np.array([1.0]), zero) == 0.0
+    assert threshold_crossing(inputs([2.0]), np.array([1.0]), negative) == 2.0
 
 
 def test_stronger_weights_never_delay_the_crossing():
@@ -194,22 +248,6 @@ def test_unfired_inputs_may_carry_any_delay():
          steps=2000, threshold=1.0, seed=0, digit_like=False)
 @example(fan_in=40, tau_rise=1.0, decay_ratio=4.0, horizon_ratio=64.0,
          steps=640, threshold=0.0, seed=1, digit_like=False)
-# the crossing scan evaluates a segment in chunks of 64, 128, 256, ... points
-# from its start; with one fired input, these thresholds are the potential at
-# the last point before and the first point past its segment's 64-, 192- and
-# 448-point chunk boundaries, where the first hit then lies
-@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
-         steps=3000, threshold=0.6358858683102664, seed=0, digit_like=False)
-@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
-         steps=3000, threshold=0.644035471006844, seed=0, digit_like=False)
-@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
-         steps=3000, threshold=1.3543709860563886, seed=0, digit_like=False)
-@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
-         steps=3000, threshold=1.3579378897857215, seed=0, digit_like=False)
-@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
-         steps=3000, threshold=1.7345353212702523, seed=0, digit_like=False)
-@example(fan_in=3, tau_rise=4.0, decay_ratio=10.0, horizon_ratio=16.0,
-         steps=3000, threshold=1.7347054558899164, seed=0, digit_like=False)
 @settings(max_examples=60, deadline=None)
 def test_closed_form_trace_matches_the_per_input_sum(
     fan_in, tau_rise, decay_ratio, horizon_ratio, steps, threshold, seed, digit_like
@@ -251,24 +289,16 @@ def test_closed_form_trace_matches_the_per_input_sum(
     tolerance = 1e-9 * (1.0 + np.abs(weights[fired]).sum())
     assert np.max(np.abs(v - v_ref)) <= tolerance
 
-    # the crossing is exactly the first qualifying point of the trace itself
+    # the continuous crossing is exact and fits both traces' grid points
     crossing = threshold_crossing(drive, weights, params)
-    qualifying = np.nonzero((times > delays[fired].min()) & (v >= threshold))[0] \
-        if fired.any() else []
-    assert crossing == (float(times[qualifying[0]]) if len(qualifying) else None)
-
-    ref_crossing = reference.threshold_crossing(drive, weights, params)
-    if crossing != ref_crossing:
-        # only a grid point the two sums put on either side of threshold
-        first = min(c for c in (crossing, ref_crossing) if c is not None)
-        at = np.nonzero(times == first)[0][0]
-        assert abs(v_ref[at] - threshold) <= 1e-9
+    _assert_crossing_fits(crossing, drive, weights, params, times, v, tolerance)
+    _assert_crossing_fits(crossing, drive, weights, params, times, v_ref, 2 * tolerance)
 
 
-def test_crossing_memory_is_bounded_by_fan_in_and_scan_chunk():
-    """A 1.28M-point grid is searched, never built: the crossing matches a
-    20x coarser grid's to within its step, in memory set by fan-in and the
-    scan chunk, not by the grid."""
+def test_crossing_memory_is_bounded_by_fan_in():
+    """A 1.28M-point grid is never built: the crossing matches a 20x
+    coarser grid's to within its step, in memory set by fan-in, not by the
+    grid."""
     rng = np.random.default_rng(0)
     fan_in = 169
     drive = inputs(rng.uniform(0.0, 20.0, fan_in))
@@ -283,30 +313,7 @@ def test_crossing_memory_is_bounded_by_fan_in_and_scan_chunk():
         tracemalloc.stop()
     assert coarse is not None and crossing is not None
     assert abs(crossing - coarse) <= 1e-3
-    assert peak < 8 * (32 * fan_in + 8 * srm._SCAN_CHUNK)
-
-
-@given(dt=st.floats(min_value=1e-6, max_value=10.0),
-       steps=st.integers(min_value=1, max_value=5000), data=st.data())
-@example(dt=0.01, steps=6400, data=None)
-@example(dt=0.1, steps=30, data=None)
-@settings(max_examples=200, deadline=None)
-def test_index_after_is_the_first_grid_point_past_x(dt, steps, data):
-    """The scalar lookup that places every segment on the grid, against a
-    brute-force search over the grid's own products ``j * dt``."""
-    grid = np.arange(steps + 2) * dt
-    last = steps * dt
-    # below the grid, and just below its last point
-    xs = [-dt, -5.0 * dt, -1e300, np.nextafter(-dt, np.inf), np.nextafter(last, -np.inf),
-          last - dt / 2, last - 1e-9 * dt]
-    for j in (0, 1, steps // 3, steps - 1, steps):
-        xs += [grid[j], np.nextafter(grid[j], -np.inf), np.nextafter(grid[j], np.inf)]
-    if data is not None:
-        j = data.draw(st.integers(min_value=0, max_value=steps))
-        xs += [grid[j], np.nextafter(grid[j], -np.inf), np.nextafter(grid[j], np.inf),
-               data.draw(st.floats(min_value=-2.0 * dt, max_value=last, exclude_max=True))]
-    for x in map(float, xs):
-        assert srm._index_after(x, dt) == int(np.argmax(grid > x)), x
+    assert peak < 8 * 32 * fan_in
 
 
 # (drive, weights, params, k): merged input k's segment peaks inside its span;
@@ -324,15 +331,13 @@ PEAKED_SEGMENTS = [
 @pytest.mark.parametrize("level", ["closed_form", "grid"])
 def test_crossing_at_a_segment_peak_matches_the_trace(drive, weights, params, k, ulps, level):
     """Thresholds at one segment's closed-form peak or its largest grid
-    value, and one ulp to either side: the crossing scan's skip bound is
-    within its slack of threshold, and the crossing must still be the
-    trace's first qualifying point."""
+    value, and one ulp to either side, where the potential is flattest: the
+    crossing is still exact and fits the trace."""
     scale, spans = srm._spans(drive.delays, drive.fired, weights, params)
-    spans = list(spans)
-    _, _, onset, a, b = spans[k + 1]  # span 0 carries no input
+    onset, a, b = spans[k + 1]  # span 0 carries no input
     td, tr = params.tau_decay, params.tau_rise
     s_star = td * tr / (td - tr) * math.log(b * td / (a * tr))
-    end = spans[k + 2][2] if k + 2 < len(spans) else params.horizon
+    end = spans[k + 2][0] if k + 2 < len(spans) else params.horizon
     assert 0.0 < s_star < end - onset  # the peak lies inside the segment
     times, v = voltage_trace(drive, weights, params)
     if level == "closed_form":
@@ -341,11 +346,9 @@ def test_crossing_at_a_segment_peak_matches_the_trace(drive, weights, params, k,
         peak = float(v[(times > onset) & (times <= end)].max())
     threshold = float(np.nextafter(peak, np.inf * ulps)) if ulps else peak
     params = dataclasses.replace(params, v_threshold=threshold)
-    qualifying = np.nonzero((times > drive.delays.min()) & (v >= threshold))[0]
-    expected = float(times[qualifying[0]]) if qualifying.size else None
-    assert threshold_crossing(drive, weights, params) == expected
-    if level == "grid" and ulps <= 0:
-        assert expected is not None
+    crossing = threshold_crossing(drive, weights, params)
+    # float evaluations of a flat peak scatter by an ulp or so, either way
+    _assert_crossing_fits(crossing, drive, weights, params, times, v, 1e-12)
 
 
 def _digit_like_drive(seed):
@@ -362,13 +365,13 @@ def _digit_like_drive(seed):
 
 
 def test_digit_like_crossings_are_pinned():
-    """200 seeded drives (111 cross, at 108 distinct times): a change that
-    moves any crossing by one grid step changes the digest."""
+    """200 seeded drives (111 cross, at 111 distinct times): a change that
+    moves any crossing by one float changes the digest."""
     crossings = [threshold_crossing(*_digit_like_drive(seed), P) for seed in range(200)]
     assert sum(c is not None for c in crossings) == 111
     text = "\n".join(repr(c) for c in crossings)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5a4f82d9720ecc262031713c59abdb3175eb5bc1655b931db38715f8357e1e69")
+        "594c01668180492db3537d7f16c0012ffa328a362e06e6a7c4524f43b4e5919f")
 
 
 def _digit_like_sweep(seed, columns=30):
@@ -382,7 +385,7 @@ def _digit_like_sweep(seed, columns=30):
 
 def test_weight_column_sweeps_are_pinned():
     """50 drives x 30 columns, each drive's columns called in turn as the
-    benchmark does (884 cross, at 445 distinct times)."""
+    benchmark does (884 cross, at 884 distinct times)."""
     crossings = []
     for seed in range(200, 250):
         drive, weights = _digit_like_sweep(seed)
@@ -390,7 +393,7 @@ def test_weight_column_sweeps_are_pinned():
     assert sum(c is not None for c in crossings) == 884
     text = "\n".join(repr(c) for c in crossings)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "14a796f296b1e655763a9f298da320600b2e747222ff19d7e440b112b12885d8")
+        "867b7f5f1d8411af0468fd06f0dc64ceab41e21b4331fe98f5cb233c8036ed7c")
 
 
 def _first_qualifying(drive, weights, params):
@@ -402,8 +405,8 @@ def _first_qualifying(drive, weights, params):
 
 def test_column_sweeps_match_the_trace():
     """One drive, many weight columns: a merged group's weights cancel in
-    some columns and not in others, and every crossing is still the trace's
-    first qualifying point, whichever order the columns come in."""
+    some columns and not in others, and every crossing still fits the trace,
+    whichever order the columns come in."""
     rng = np.random.default_rng(7)
     drive = inputs([1.0, 1.0, 2.5, 2.5, 2.5, 4.0, 6.0, 90.0])
     columns = rng.uniform(-0.3, 1.5, (40, 8))
@@ -413,8 +416,10 @@ def test_column_sweeps_match_the_trace():
     assert sum(c is not None for c in expected[::3]) > 3
     assert sum(c is not None for c in expected[1::3]) > 3
     assert len(set(expected)) > 20
-    assert [threshold_crossing(drive, w, P) for w in columns] == expected
-    assert [threshold_crossing(drive, w, P) for w in columns[::-1]] == expected[::-1]
+    crossings = [threshold_crossing(drive, w, P) for w in columns]
+    for crossing, w in zip(crossings, columns):
+        _assert_crossing_fits(crossing, drive, w, P, *voltage_trace(drive, w, P), 1e-9)
+    assert [threshold_crossing(drive, w, P) for w in columns[::-1]] == crossings[::-1]
 
 
 _UNRELATED = inputs([7.0, 9.0, 11.0])
@@ -430,14 +435,14 @@ def _cold(drive, weights, params):
 
 
 def _matches_cold(drive, weights, params):
-    """Crossing of ``drive`` right after whatever calls came before; it and
-    the trace must equal a cold call's."""
+    """Crossing and trace bytes of ``drive`` right after whatever calls came
+    before; both must equal a cold call's."""
     crossing = threshold_crossing(drive, weights, params)
     times, v = voltage_trace(drive, weights, params)
     cold_crossing, (cold_times, cold_v) = _cold(drive, weights, params)
     assert crossing == cold_crossing
     assert np.array_equal(times, cold_times) and np.array_equal(v, cold_v)
-    return crossing
+    return crossing, v.tobytes()
 
 
 @pytest.mark.parametrize("edit", ["delays", "fired"])
@@ -488,7 +493,7 @@ def test_drive_errors_repeat_and_keep_their_order():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(2):
-            assert threshold_crossing(drive, np.array([0.0, 2.0]), fast) == 0.48
+            assert 0.47 < threshold_crossing(drive, np.array([0.0, 2.0]), fast) <= 0.48
             assert _first_qualifying(drive, np.array([0.0, 2.0]), fast) == 0.48
 
 
@@ -540,11 +545,11 @@ def test_power_of_two_weights_scale_the_potential_exactly(
 
 def test_crossing_past_the_float_range_warns_nothing():
     """The potential of four weights of 1.7e308 at one delay reaches threshold
-    at the first grid point past the delay, then passes the float range
-    within the scanned chunk; the trace refuses such a drive."""
+    one float past the delay and passes the float range soon after; the
+    trace refuses such a drive."""
     drive, weights = inputs([2.0] * 4), np.full(4, 1.7e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert threshold_crossing(drive, weights, P) == 201 * P.dt
+        assert threshold_crossing(drive, weights, P) == math.nextafter(2.0, math.inf)
         with pytest.raises(ConfigError, match="exceeds the float range"):
             voltage_trace(drive, weights, P)
