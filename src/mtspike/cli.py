@@ -179,7 +179,9 @@ def cmd_encode(args) -> int:
     rows = zip(encoded.labels.tolist(), encoded.delays.tolist(), encoded.fired.tolist())
     _write_lines(delays_path, chain(
         [",".join(["label", *(f"n{i}" for i in range(width))]) + "\r\n"],
-        (",".join([str(label), *(f"{d:g}" if f else "-" for d, f in zip(ds, fs))]) + "\r\n"
+        # + 0.0 prints a -0.0 delay (a value just past the fitted range) as 0
+        (",".join([str(label), *(f"{d + 0.0:g}" if f else "-" for d, f in zip(ds, fs))])
+         + "\r\n"
          for label, ds, fs in rows),
     ))
     _write_lines(histogram_path, chain(

@@ -4,8 +4,13 @@ Every input neuron emits at most one spike; the stimulus is carried by the
 spike's delay on a grid of ``resolution`` slots of width ``unit`` spanning the
 encoding window.  Strong stimuli fire early (delay 0), weak stimuli late
 (delay up to the full window).  Three encoders are provided, each taking a
-whole dataset at once and returning ``(delays, fired)``: an (N, M) float64
-delay matrix and an (N, M) bool mask, one row per sample.
+whole dataset at once and returning ``(delays, fired)``: an (N, M) delay
+matrix and an (N, M) bool mask, one row per sample.  An image encoder
+writes uint8 delays when every entry of its float64 delay table (the
+``kernel**2 + 1`` conv delays, or the 256 delays of a byte stack's pixel
+values) keeps its bytes through ``astype(np.uint8).astype(np.float64)``, as
+under every preset; otherwise, and for numeric coding, float64.  Either
+way ``delays.astype(np.float64)`` holds the delay formula's float64 bytes.
 
 * :func:`encode_numeric` — (N, F) attribute rows, one neuron per attribute,
   delay inversely proportional to the min/max-normalized value.
@@ -176,11 +181,13 @@ def encode_pixels_1to1(
         raise ConfigError(f"p_max must be finite and positive, got {p_max!r}")
     images = _square_images(images)
     n = images.shape[0]
-    delays = np.empty((n, images.shape[1] * images.shape[2]), dtype=np.float64)
-    fired = np.empty(delays.shape, dtype=bool)
+    shape = (n, images.shape[1] * images.shape[2])
+    fired = np.empty(shape, dtype=bool)
     if images.dtype == np.uint8:
         table = np.arange(256, dtype=np.float64)
         _pixel_delays(table, np.empty(table.shape, dtype=bool), p, p_max)
+        table = _narrowed(table)
+        delays = np.empty(shape, dtype=table.dtype)
         # take copies the byte indices into intp, 8 bytes each: steps of an
         # eighth of a block keep that copy as small as a block's bool mask.
         # "clip" cannot move a byte index and, unlike "raise", writes
@@ -191,6 +198,7 @@ def encode_pixels_1to1(
             np.take(table, block, out=out, mode="clip")
             np.greater(block, 0, out=fired[rows])
         return delays, fired
+    delays = np.empty(shape, dtype=np.float64)
     for rows in _blocks(n):
         out = delays[rows]
         out[...] = images[rows].reshape(out.shape)
@@ -251,7 +259,11 @@ def encode_conv_like(
     # dtype's maximum keeps the float compare, under which no pixel binarizes.
     if images.dtype.kind in "ui" and threshold <= np.iinfo(images.dtype).max:
         threshold = math.ceil(threshold)
-    delays = np.empty((n, positions * positions), dtype=np.float64)
+    # the delay of each count of ones; a byte table has a whole-number unit,
+    # so the counts' integer product with it is exact
+    table = _narrowed(p.unit * (k * k - np.arange(k * k + 1)))
+    unit = int(p.unit) if table.dtype == np.uint8 else p.unit
+    delays = np.empty((n, positions * positions), dtype=table.dtype)
     for rows in _blocks(n):
         ones = images[rows] >= threshold
         m = len(ones)
@@ -264,9 +276,17 @@ def encode_conv_like(
         for c in range(k):
             counts += strips[:, c:c + span:stride]
         np.subtract(k * k, counts, out=counts)
-        np.multiply(p.unit, counts.transpose(2, 0, 1),
+        np.multiply(unit, counts.transpose(2, 0, 1),
                     out=delays[rows].reshape(m, positions, positions))
     return delays, np.ones(delays.shape, dtype=bool)
+
+
+def _narrowed(table: np.ndarray) -> np.ndarray:
+    """The float64 delay ``table`` as uint8 when that keeps every entry's
+    bytes, else ``table`` itself."""
+    with np.errstate(invalid="ignore"):  # an inf or huge entry casts to junk: no match
+        narrow = table.astype(np.uint8)
+    return narrow if narrow.astype(np.float64).tobytes() == table.tobytes() else table
 
 
 def neuron_count(image_width: int, kernel: int, stride: int) -> int:

@@ -107,7 +107,10 @@ class EncodedDataset:
     Delays are a 2-D bool, integer or float matrix with a fired mask of the
     same shape, and labels a 1-D array of non-negative integers, one per
     row; anything else raises ``DataError``.  Nested lists are taken as
-    arrays.  Delay values are not checked here, so encoding stays cheap:
+    arrays.  The image encoders write uint8 delays when their coding's
+    delays are whole numbers 0-255, float64 otherwise; training, evaluation
+    and the SRM neurons read either as the same float64.  Delay values are
+    not checked here, so encoding stays cheap:
     ``learning.train`` rejects non-finite ones.
     """
 

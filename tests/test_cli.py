@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from mtspike import cli, srm
+from mtspike.coding import CodingParams, encode_numeric
 from mtspike.config import load_config
 from mtspike.model_io import load_model
-from mtspike.pipeline import execute_run
+from mtspike.pipeline import execute_run, load_raw
 
 from conftest import REPO_ROOT
 from test_model_io import rewrite_header
@@ -165,6 +166,32 @@ def test_encode_writes_delays_and_histogram(tmp_path, iris_path, capsys):
     assert len(hist) == 18  # slots 0..16
     counted = sum(int(row.split(",")[1]) for row in hist[1:])
     assert counted == 30 * 4
+
+
+def test_encode_prints_a_negative_zero_delay_as_zero(tmp_path, capsys):
+    """Held-out values just past the training maximum encode as -0.0."""
+    csv = tmp_path / "iris.csv"
+    labels = ["setosa", "versicolor", "virginica"] * 10
+
+    def write(values):
+        csv.write_text("".join(f"{v},{v},{v},{v},{name}\n"
+                               for v, name in zip(values, labels)))
+
+    write(range(30))  # each row's attributes name the row
+    cfg = write_iris_config(tmp_path, csv)
+    _, test = load_raw(load_config(cfg))  # the split follows the labels only
+    held_out = set(test.features[:, 0].astype(int).tolist())
+    first = min(set(range(30)) - held_out)
+    # training rows span 0..10; held-out rows sit 0.1% of that past the top
+    write([10.01 if i in held_out else 0.0 if i == first else 10.0 for i in range(30)])
+    assert encode_numeric([[10.01] * 4], [[0.0, 10.0]] * 4, CodingParams())[0].tobytes() \
+        == np.full((1, 4), -0.0).tobytes()
+    rc, _, _ = run_cli(capsys, "encode", "--config", str(cfg),
+                       "--split", "test", "--out", str(tmp_path))
+    assert rc == 0
+    rows = (tmp_path / "cli_iris_test_delays.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(held_out) == 6
+    assert all(row.split(",")[1:] == ["0"] * 4 for row in rows)
 
 
 def test_encode_marks_silent_pixels(tmp_path, idx_dir, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_coding as ref
@@ -321,10 +321,37 @@ def test_kernel_grid_never_runs_past_the_image(side, data):
 STACK_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1]
 
 
-def _assert_byte_equal(got, want):
-    for g, w in zip(got, want):
+def _assert_byte_equal(got, want, narrow=False):
+    """``got`` holds ``want``'s arrays: the same shapes, and the same bytes
+    once the delays (the first array) are read as float64.  The delays are
+    uint8 when ``narrow`` and of ``want``'s dtype otherwise, so this is as
+    strict on the values as comparing the delays' own bytes."""
+    (delays, *rest), (want_delays, *want_rest) = got, want
+    assert delays.dtype == (np.uint8 if narrow else want_delays.dtype)
+    assert delays.shape == want_delays.shape
+    assert delays.astype(np.float64).tobytes() == want_delays.astype(np.float64).tobytes()
+    for g, w in zip(rest, want_rest):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def _fits_bytes(table):
+    """Whether every float64 delay of ``table`` keeps its bytes through uint8."""
+    with np.errstate(invalid="ignore"):
+        return table.astype(np.uint8).astype(np.float64).tobytes() == table.tobytes()
+
+
+def _conv_narrow(p):
+    """Whether conv coding under ``p`` writes uint8: its delay per zero count fits."""
+    zeros = p.kernel * p.kernel - np.arange(p.kernel * p.kernel + 1)
+    return _fits_bytes((p.unit * zeros).astype(np.float64))
+
+
+def _pixel_narrow(p, p_max):
+    """Whether one-to-one coding of a byte stack writes uint8: the reference
+    delays of all 256 byte values fit."""
+    every_byte = np.arange(256.0).reshape(16, 16)
+    return _fits_bytes(ref.encode_pixels_1to1(every_byte, p, p_max).delays)
 
 
 def _image_stack(rng, n, side, dtype):
@@ -338,8 +365,9 @@ def _image_stack(rng, n, side, dtype):
 
 
 @given(
+    kernel=st.integers(min_value=1, max_value=28),
     side=st.integers(min_value=4, max_value=28),
-    data=st.data(),
+    stride=st.integers(min_value=1, max_value=28),
     unit=st.sampled_from([0.5, 1.0, 2.0]),
     threshold=st.sampled_from([1.0, 100.25, 127.5, 128.0, 255.0]),
     p_max=st.sampled_from([1.0, 100.0, 255.0, 300.5]),
@@ -347,19 +375,30 @@ def _image_stack(rng, n, side, dtype):
     dtype=st.sampled_from(["uint8", "float64"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# window 256, one slot past a byte; p_max 100 puts -0.0 in the byte table
+@example(kernel=16, side=16, stride=1, unit=1.0, threshold=128.0, p_max=100.0,
+         n=1, dtype="uint8", seed=0)
+@example(kernel=15, side=28, stride=2, unit=1.0, threshold=128.0, p_max=255.0,
+         n=_BLOCK + 1, dtype="uint8", seed=1)
+@example(kernel=11, side=12, stride=3, unit=2.0, threshold=127.5, p_max=300.5,
+         n=2, dtype="float64", seed=2)
 @settings(max_examples=30, deadline=None)
-def test_image_encoders_match_reference_bytes(side, data, unit, threshold, p_max,
-                                              n, dtype, seed):
+def test_image_encoders_match_reference_bytes(kernel, side, stride, unit, threshold,
+                                              p_max, n, dtype, seed):
+    """Delays read as float64 have the reference's bytes, and are uint8
+    exactly when the encoder's delay table fits in bytes: conv's per zero
+    count, one-to-one's per byte value (byte stacks only)."""
     # kernels up to the full side: kernel**2 passes 255, so counts need uint16
-    kernel = data.draw(st.integers(min_value=1, max_value=side))
-    stride = data.draw(st.integers(min_value=1, max_value=side))
+    side = max(side, kernel)
     p = CodingParams(window=unit * kernel * kernel, unit=unit, kernel=kernel,
                      stride=stride, binarize_threshold=threshold)
     images = _image_stack(np.random.default_rng(seed), n, side, dtype)
     _assert_byte_equal(encode_conv_like(images, p),
-                       ref.encode_each(ref.encode_conv_like, images, p))
+                       ref.encode_each(ref.encode_conv_like, images, p),
+                       _conv_narrow(p))
     _assert_byte_equal(encode_pixels_1to1(images, p, p_max),
-                       ref.encode_each(ref.encode_pixels_1to1, images, p, p_max))
+                       ref.encode_each(ref.encode_pixels_1to1, images, p, p_max),
+                       dtype == "uint8" and _pixel_narrow(p, p_max))
 
 
 # pixel values around every tested threshold and far past the byte range
@@ -384,7 +423,8 @@ def test_conv_integer_stacks_match_reference_bytes(dtype, threshold):
         for stride in (1, 3):
             p = CodingParams(kernel=4, stride=stride, binarize_threshold=threshold)
             got = encode_conv_like(stack, p)
-            _assert_byte_equal(got, ref.encode_each(ref.encode_conv_like, stack, p))
+            _assert_byte_equal(got, ref.encode_each(ref.encode_conv_like, stack, p),
+                               narrow=True)
             if dtype == "int8" and threshold > 127:
                 assert np.all(got[0] == p.window)
 
@@ -395,19 +435,24 @@ def test_conv_integer_stacks_match_reference_bytes(dtype, threshold):
     CodingParams(window=0.3, unit=0.1),  # unit * resolution != window in float64
 ], ids=["unit-0.5", "unit-1", "unit-2", "window-0.3"])
 def test_every_intensity_encodes_as_its_float(p_max, params):
-    """The uint8 delay table holds the float path's bytes for all 256 values."""
+    """The byte delay table holds the float path's bytes for all 256 values;
+    it is uint8 at whole units, except at p_max 100, where the delays of
+    bytes 101-103 round to -0.0."""
+    narrow = params.unit >= 1 and p_max != 100.0
+    assert narrow == _pixel_narrow(params, p_max)
     _assert_byte_equal(encode_pixels_1to1(EVERY_BYTE, params, p_max),
-                       encode_pixels_1to1(EVERY_BYTE.astype(np.float64), params, p_max))
+                       encode_pixels_1to1(EVERY_BYTE.astype(np.float64), params, p_max),
+                       narrow)
 
 
 def test_strided_and_empty_byte_stacks_encode_as_floats():
     images = _image_stack(np.random.default_rng(5), 2 * _BLOCK + 3, 28, "uint8")
     view = images[::2, :, ::-1]
     _assert_byte_equal(encode_pixels_1to1(view, CodingParams()),
-                       encode_pixels_1to1(view.astype(np.float64), CodingParams()))
+                       encode_pixels_1to1(view.astype(np.float64), CodingParams()), True)
     empty = np.zeros((0, 28, 28), dtype=np.uint8)
     _assert_byte_equal(encode_pixels_1to1(empty, CodingParams()),
-                       encode_pixels_1to1(empty.astype(np.float64), CodingParams()))
+                       encode_pixels_1to1(empty.astype(np.float64), CodingParams()), True)
 
 
 @pytest.mark.parametrize("kernel", [15, 16, 17, 28])
@@ -421,7 +466,8 @@ def test_conv_counts_past_one_byte_match_reference(kernel, fill):
     for stride in (1, 2, kernel + 1):
         p = CodingParams(window=kernel * kernel, kernel=kernel, stride=stride)
         delays, _ = encode_conv_like(images, p)
-        _assert_byte_equal((delays,), ref.encode_each(ref.encode_conv_like, images, p))
+        _assert_byte_equal((delays,), ref.encode_each(ref.encode_conv_like, images, p),
+                           narrow=kernel == 15)
         if fill != "random":
             assert np.all(delays == (p.window if fill == "dark" else 0.0))
 
@@ -439,6 +485,7 @@ def test_conv_peak_allocation_stays_near_its_result():
         tracemalloc.stop()
     result = delays.nbytes + fired.nbytes
     assert peak <= result + 2**20, (peak, result)
+    assert delays.itemsize == 1  # the preset's delays 0-16 fit in bytes
 
 
 def test_pixels_peak_allocation_stays_near_its_result():
@@ -455,6 +502,7 @@ def test_pixels_peak_allocation_stays_near_its_result():
         tracemalloc.stop()
     result = delays.nbytes + fired.nbytes
     assert peak <= result + 2**20, (peak, result)
+    assert delays.itemsize == 1  # the default delays 0-16 fit in bytes
 
 
 @given(

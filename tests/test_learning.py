@@ -574,6 +574,25 @@ def test_training_matches_the_allocating_reference_bit_for_bit(case):
             else type(stats.test_accuracy) is float
 
 
+def test_byte_delays_train_like_their_float64_copy():
+    """Conv coding stores the preset's delays as bytes; training on them
+    gives the float64 copy's weights and epoch stats bit for bit."""
+    sets = digits(32, 5), digits(10, 6)
+    assert all(data.delays.dtype == np.uint8 for data in sets)
+    copies = [EncodedDataset(data.delays.astype(np.float64), data.fired, data.labels)
+              for data in sets]
+    cfg = TrainConfig(epochs=2, learning_rate=1.0, batch_size=32, batch_reduction="mean")
+    runs = []
+    for data, eval_data in (sets, copies):
+        rng = np.random.default_rng(11)
+        net = init_network([169, 50, 10], rng=rng, init_range=(-0.5, 0.5), window=16.0)
+        runs.append(train(net, data, MNIST.scheme, cfg, eval_data=eval_data, rng=rng))
+    (net, history), (copy_net, copy_history) = runs
+    for w, copy_w in zip(net.weights, copy_net.weights, strict=True):
+        assert w.tobytes() == copy_w.tobytes()
+    assert history == copy_history
+
+
 def test_train_peak_allocation_stays_below_two_weight_matrices():
     """One batch's trace and gradients are alive at a time, in either gradient mode.
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_digits
 from mtspike import metrics
-
-from mtspike.datasets import EncodedDataset
+from mtspike.config import preset
+from mtspike.datasets import EncodedDataset, RawDataset, encode_dataset
 from mtspike.errors import ConfigError, StructureError
 from mtspike.metrics import (
     PREDICT_BLOCK,
@@ -253,6 +254,25 @@ def test_predict_runs_a_float32_network_in_its_own_blocks(monkeypatch):
     calls = _counted_forward(monkeypatch)
     assert predict(single, data, MULTI3).tolist() == want.tolist() == [1] * len(data)
     assert calls == [(np.float32, PREDICT_BLOCK)] * 2
+
+
+@pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK + 44],
+                         ids=["float64-pass", "float32-pass"])
+def test_byte_delays_classify_like_their_float64_copy(rows):
+    """Conv-coded digits hold their delays in bytes: both of predict's
+    passes give them the classes of the float64 copy."""
+    cfg = preset("mt10_mnist_noheu")
+    digits = make_digits(30, seed=3)
+    data = encode_dataset(RawDataset(digits.features[:rows], digits.labels[:rows]),
+                          cfg.coding)
+    assert data.delays.dtype == np.uint8
+    copy = EncodedDataset(data.delays.astype(np.float64), data.fired, data.labels)
+    # one column per class, from the class's mean delays: several classes come out
+    means = [copy.delays[copy.labels == c].mean(axis=0) for c in range(10)]
+    net = Network([169, 10], [16.0 - np.stack(means, axis=1)])
+    classes = predict(net, data, cfg.scheme)
+    assert len(set(classes.tolist())) > 1
+    assert classes.tolist() == predict(net, copy, cfg.scheme).tolist()
 
 
 def test_spike_count_adds_one_per_downstream_neuron():

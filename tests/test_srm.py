@@ -12,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_srm as reference
+from conftest import make_digits
 from mtspike import srm
 from mtspike.coding import DelayVector
+from mtspike.config import preset
+from mtspike.datasets import encode_dataset
 from mtspike.errors import ConfigError
 from mtspike.srm import (
     SrmParams,
@@ -372,6 +375,23 @@ def test_digit_like_crossings_are_pinned():
     text = "\n".join(repr(c) for c in crossings)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "594c01668180492db3537d7f16c0012ffa328a362e06e6a7c4524f43b4e5919f")
+
+
+def test_byte_delay_rows_cross_like_their_float64_copy():
+    """Rows of conv-coded digits, held in bytes, drive the SRM neurons as
+    their float64 copies do: the same crossing for every weight column."""
+    data = encode_dataset(make_digits(1, seed=9), preset("mt10_mnist_noheu").coding)
+    assert data.delays.dtype == np.uint8
+    # column means from -0.05 to 0.1: some columns cross, some do not
+    weights = np.random.default_rng(4).normal(np.linspace(-0.05, 0.1, 20), 0.2, (169, 20))
+    crossed = 0
+    for delays, fired in zip(data.delays, data.fired):
+        rows = DelayVector(delays, fired), DelayVector(delays.astype(np.float64), fired)
+        for column in weights.T:
+            got, want = (threshold_crossing(row, column, P) for row in rows)
+            assert got == want
+            crossed += got is not None
+    assert 0 < crossed < weights.shape[1] * len(data)
 
 
 def _digit_like_sweep(seed, columns=30):
