@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError, EvaluationError, StructureError
-from .metrics import predict
+from .metrics import _check_set, predict
 from .network import ForwardTrace, Network, _matrix_product, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
 
@@ -204,53 +204,27 @@ def train(
     or evaluation) stop being finite; numpy's overflow warnings on the way
     there are silenced.
     Before the first epoch, and so before any weight moves, it raises
-    :class:`ConfigError` for an empty training or evaluation set, for a
-    label in either set beyond the readout's classes and for weights that
-    are not float64, :class:`StructureError` when either set's width is not
-    the input layer's, and :class:`DataError` for a non-finite delay in
-    either set.
+    :class:`ConfigError` for the heuristic loss without one output neuron
+    per class and for weights that are not float64; then, for the training
+    set and then the evaluation set, the errors of ``metrics._check_set``
+    (readout size, empty set, width, labels) and :class:`DataError` for a
+    non-finite delay.
     """
-    if len(data) == 0:
-        raise ConfigError("training dataset is empty")
-    if eval_data is not None and len(eval_data) == 0:
-        raise ConfigError("evaluation dataset is empty")
-    if scheme.output_size != net.layer_sizes[-1]:
-        raise ConfigError(
-            f"readout expects {scheme.output_size} output neurons, "
-            f"network has {net.layer_sizes[-1]}"
-        )
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
     if any(w.dtype != np.float64 for w in net.weights):
         raise ConfigError("training needs float64 weights, "
                           f"the network's are {[str(w.dtype) for w in net.weights]}")
     for name, ds in (("training", data), ("evaluation", eval_data)):
-        if ds is None:
-            continue
-        if ds.delays.shape[1] != net.layer_sizes[0]:
-            raise StructureError(
-                f"encoded {name} input width {ds.delays.shape[1]} does not match "
-                f"input layer size {net.layer_sizes[0]}"
-            )
-        if not np.isfinite(ds.delays).all():
-            raise DataError(f"{name} delays must be finite")
-    # the training labels are checked by the target gather below
-    if eval_data is not None and eval_data.labels.max() >= scheme.num_classes:
-        raise ConfigError(
-            f"evaluation label {eval_data.labels.max()} is outside the readout's "
-            f"{scheme.num_classes} classes"
-        )
+        if ds is not None:
+            _check_set(net, ds, scheme, name)
+            if not np.isfinite(ds.delays).all():
+                raise DataError(f"{name} delays must be finite")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
     labels = data.labels
-    try:
-        targets = target_matrix(scheme)[labels]
-    except IndexError as exc:
-        raise ConfigError(
-            f"training label {labels.max()} is outside the readout's "
-            f"{scheme.num_classes} classes"
-        ) from exc
+    targets = target_matrix(scheme)[labels]
     history: list[EpochStats] = []
     n = len(data)
     heuristic, mode = cfg.heuristic, cfg.gradient_mode

@@ -144,6 +144,30 @@ def _certified_classes(single: Network, bounds, net: Network, block: np.ndarray,
     return found
 
 
+def _check_shape(net: Network, data: EncodedDataset, scheme: TargetScheme, name: str):
+    """The O(1) checks of :func:`_check_set`, which :func:`predict` runs on every call."""
+    if scheme.output_size != net.layer_sizes[-1]:
+        raise ConfigError(f"readout expects {scheme.output_size} output neurons, "
+                          f"network has {net.layer_sizes[-1]}")
+    if len(data) == 0:
+        raise ConfigError(f"{name} dataset is empty")
+    if data.delays.shape[1] != net.layer_sizes[0]:
+        raise StructureError(f"encoded {name} input width {data.delays.shape[1]} "
+                             f"does not match input layer size {net.layer_sizes[0]}")
+
+
+def _check_set(net: Network, data: EncodedDataset, scheme: TargetScheme, name: str):
+    """Whether the ``name`` set ``data`` fits ``net`` and ``scheme``; raises, in
+    this order, ``ConfigError`` when the readout's output size is not the net's
+    last layer size and for an empty set, ``StructureError`` for a width other
+    than the input layer's, and ``ConfigError`` for a label at or past
+    ``scheme.num_classes``.  It reads the labels, never the delays."""
+    _check_shape(net, data, scheme, name)
+    if data.labels.max() >= scheme.num_classes:
+        raise ConfigError(f"{name} label {data.labels.max()} is outside the "
+                          f"readout's {scheme.num_classes} classes")
+
+
 def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndarray:
     """One class per row of ``data.delays``, read out block by block.
 
@@ -192,11 +216,12 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     no value is certain to stay finite and every block runs in float64; so
     does every block of a float32 ``net``, in its own dtype.
 
-    Non-finite outputs in any block raise ``EvaluationError``.  An empty
-    ``data`` raises ``ConfigError``.
+    Before any ``forward_batch`` call, a readout whose ``output_size`` is
+    not the net's last layer size or an empty ``data`` raises ``ConfigError``,
+    a width other than the input layer's ``StructureError``.  Non-finite
+    outputs in any block raise ``EvaluationError``.
     """
-    if len(data) == 0:
-        raise ConfigError("evaluation dataset is empty")
+    _check_shape(net, data, scheme, "evaluation")
     x = data.delays
     blocks = len(x) // PREDICT_BLOCK
     if blocks < 2:
@@ -216,15 +241,12 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """Accuracy and confusion matrix (rows true class, columns predicted).
 
-    A label at or above ``scheme.num_classes``, or an empty ``data``, raises
-    ``ConfigError``.
+    Before any row is classified, ``_check_set`` raises ``ConfigError`` for a
+    readout whose ``output_size`` is not the net's last layer size, an empty
+    ``data`` or a label at or above ``scheme.num_classes``, and
+    ``StructureError`` for a width other than the input layer's.
     """
-    # checked before any row is classified; predict rejects an empty set
-    if len(data) and data.labels.max() >= scheme.num_classes:
-        raise ConfigError(
-            f"label {data.labels.max()} is outside the readout's "
-            f"{scheme.num_classes} classes"
-        )
+    _check_set(net, data, scheme, "evaluation")
     predicted = predict(net, data, scheme)
     accuracy = int(np.count_nonzero(predicted == data.labels)) / len(data)
     confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)

@@ -411,6 +411,17 @@ def test_wrongly_typed_config_value_error_line(tmp_path, iris_path, capsys):
     assert err.strip().startswith("mtspike: error [E_CONFIG]") and "batch_size" in err
 
 
+def test_training_label_outside_the_readout_error_line(tmp_path, iris_path, capsys):
+    """Both iris splits hold label 2; the training set is checked, and named, first."""
+    cfg = write_iris_config(tmp_path, iris_path, layers=[4, 2], readout={
+        "mode": "multi_neuron", "num_classes": 2,
+        "excitatory_offset": 0.0, "inhibitory_offset": 4.0})
+    rc, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip() == ("mtspike: error [E_CONFIG] training label 2 is outside "
+                           "the readout's 2 classes")
+
+
 @pytest.mark.parametrize("overrides", [
     {"layers": [4, 1], "readout": {"mode": "single_neuron", "num_classes": 10**30,
                                    "excitatory_offset": 3.0}},

@@ -10,7 +10,7 @@ from conftest import make_digits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtspike import learning
+from mtspike import learning, metrics
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, encode_dataset
 from mtspike.errors import ConfigError, DataError, DivergenceError, StructureError
@@ -336,30 +336,49 @@ def test_train_input_validation():
               TrainConfig(heuristic=True))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "wide", "label"])
-@pytest.mark.parametrize("where", ["data", "eval_data"])
+@pytest.mark.parametrize("where,bad", [
+    (where, bad)
+    for where in ("data", "eval_data", "evaluate")
+    for bad in (np.nan, np.inf, -np.inf, "wide", "label", "readout", "empty")
+    # evaluate checks no delay: a non-finite one raises E_EVAL from its forward pass
+    if where != "evaluate" or isinstance(bad, str)
+])
 def test_train_rejects_non_finite_delays_before_the_first_epoch(monkeypatch, bad, where):
-    """A non-finite delay, a width other than the input layer's or a label
-    beyond the readout, in either set, raises before any weight moves."""
+    """A non-finite delay, a width other than the input layer's, a label
+    beyond the readout, an empty set or a readout that does not fit the
+    output layer, in either set, raises before any weight moves; all but the
+    delays raise from ``metrics.evaluate`` too, before any row is classified."""
     rng = np.random.default_rng(0)
     net = init_network([4, 3], rng=rng)
     data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
+    name = "training" if where == "data" else "evaluation"
+    broken, scheme = data, MULTI3
     if bad == "wide":
         broken = encoded(np.hstack([data.delays, data.delays[:, :1]]), [0, 1, 2])
-        error, match = StructureError, "input width 5 does not match input layer size 4"
+        error, match = StructureError, f"{name} input width 5 does not match input layer size 4"
     elif bad == "label":
         broken = encoded(data.delays, [0, 7, 2])
-        error, match = ConfigError, "label 7 is outside the readout's 3 classes"
+        error, match = ConfigError, f"{name} label 7 is outside the readout's 3 classes"
+    elif bad == "readout":
+        scheme = SINGLE3
+        error, match = ConfigError, "readout expects 1 output neurons, network has 3"
+    elif bad == "empty":
+        broken = encoded(np.zeros((0, 4)), [])
+        error, match = ConfigError, f"{name} dataset is empty"
     else:
         broken = encoded(data.delays.copy(), [0, 1, 2])
         broken.delays[1, 2] = bad
-        error, match = DataError, "delays must be finite"
+        error, match = DataError, f"{name} delays must be finite"
     sets = {"data": data, "eval_data": data, where: broken}
     calls = {}
     counting(monkeypatch, "forward_batch", calls)
+    monkeypatch.setattr(metrics, "forward_batch", learning.forward_batch)  # evaluate counts too
     before = copy.deepcopy(net.weights)
     with pytest.raises(error, match=match) as excinfo:
-        train(net, sets["data"], MULTI3, TrainConfig(), eval_data=sets["eval_data"])
+        if where == "evaluate":
+            metrics.evaluate(net, broken, scheme)
+        else:
+            train(net, sets["data"], scheme, TrainConfig(), eval_data=sets["eval_data"])
     assert excinfo.value.code == error.code
     assert calls == {}
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))

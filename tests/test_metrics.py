@@ -47,33 +47,6 @@ def test_evaluate_accuracy_and_confusion():
     assert confusion.sum() == len(data)
 
 
-def test_evaluate_rejects_labels_outside_the_readout():
-    scheme = TargetScheme(mode="multi_neuron", window=16.0, num_classes=2,
-                          excitatory_offset=0.0, inhibitory_offset=4.0)
-    delays = np.array([[1.0, 5.0], [5.0, 1.0], [1.0, 5.0]])
-    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
-                          labels=np.array([0, 1, 2]))
-    with pytest.raises(ConfigError, match="label 2 is outside the readout's 2 classes"):
-        evaluate(identity_net(2), data, scheme)
-
-
-def test_evaluate_rejects_an_empty_set():
-    scheme = TargetScheme(mode="multi_neuron", window=16.0, num_classes=2,
-                          excitatory_offset=0.0, inhibitory_offset=4.0)
-    empty = EncodedDataset(delays=np.zeros((0, 2)), fired=np.zeros((0, 2), bool),
-                           labels=[])
-    with pytest.raises(ConfigError, match="evaluation dataset is empty"):
-        evaluate(identity_net(2), empty, scheme)
-
-
-def test_evaluate_checks_width():
-    net = init_network([4, 3], rng=np.random.default_rng(0))
-    data = EncodedDataset(delays=np.zeros((2, 3)), fired=np.ones((2, 3), bool),
-                          labels=np.zeros(2, dtype=int))
-    with pytest.raises(StructureError):
-        evaluate(net, data, MULTI3)
-
-
 def test_evaluate_rejects_a_bad_label_in_the_last_block_only(monkeypatch):
     rows = 3 * PREDICT_BLOCK + 5
     delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
@@ -94,6 +67,27 @@ SCHEMES = {
     "single_neuron": lambda classes: TargetScheme(
         mode="single_neuron", window=16.0, num_classes=classes, excitatory_offset=3.0),
 }
+
+
+@pytest.mark.parametrize("call", [predict, evaluate])
+@pytest.mark.parametrize("misfit", ["multi_neuron", "single_neuron", "wide"])
+def test_a_set_that_does_not_fit_raises_before_any_forward_pass(monkeypatch, call, misfit):
+    """A readout narrower than the 3-neuron output layer, a one-neuron
+    readout of 3 classes, or rows wider than the input layer: the block path's
+    float32 bound and ``readout._scores`` never see them."""
+    delays = (5.0 - 4.0 * np.eye(3))[np.arange(2 * PREDICT_BLOCK + 1) % 3]  # classes 0, 1, 2
+    scheme, error, match = {
+        "multi_neuron": (SCHEMES["multi_neuron"](2), ConfigError, "readout expects 2 output"),
+        "single_neuron": (SCHEMES["single_neuron"](3), ConfigError, "readout expects 1 output"),
+        "wide": (MULTI3, StructureError, "input width 4 does not match input layer size 3"),
+    }[misfit]
+    if misfit == "wide":
+        delays = np.hstack([delays, delays[:, :1]])
+    calls = _counted_forward(monkeypatch)
+    with pytest.raises(error, match=match) as caught:
+        call(identity_net(3), class0(delays), scheme)
+    assert caught.value.code == error.code
+    assert calls == []
 
 
 @given(
