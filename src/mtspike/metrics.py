@@ -2,15 +2,16 @@
 
 :func:`predict` is the one evaluation path: :func:`evaluate` and
 ``learning.train``'s per-epoch test accuracy both classify through it.  It
-runs ``forward_batch`` on consecutive blocks of 128 to 255 rows, so each
-block's hidden arrays stay in cache between the layer steps instead of
-streaming a whole-set array through memory.  A set of fewer than 256 rows
-makes exactly one ``forward_batch`` and one ``read_class_batch`` call; a
-larger set's outputs can differ from a single whole-set pass by one ulp,
-because BLAS rounds products of different row counts differently.  A
-larger set's blocks run in float32 first, and a class is taken from
-float32 only where a rounding-error bound proves that the float64 blocks
-give the same one (see :func:`predict`).
+runs a set in consecutive blocks of 128 to 255 rows, so each block's hidden
+arrays stay in cache between the layer steps instead of streaming a
+whole-set array through memory.  A set of fewer than 256 rows makes exactly
+one ``forward_batch`` and one ``read_class_batch`` call; a larger set's
+outputs can differ from a single whole-set pass by one ulp, because BLAS
+rounds products of different row counts differently.  A larger set's
+blocks run first in one float32 sweep through fan-in-prescaled weights,
+in place in reused buffers, and a class is taken from float32 only where a
+rounding-error bound proves that the float64 ``forward_batch`` blocks give
+the same one (see :func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -51,13 +52,15 @@ class RunMetrics:
     energy: float
 
 
-# Fewest rows per forward pass in ``predict``: a set of n rows runs as
+# Fewest rows per block in ``predict``: a set of n rows runs as
 # n // PREDICT_BLOCK near-equal blocks, so one of fewer than two blocks is a
 # single pass.  Stored 169-500-10 model, conv-coded digits, 2-vCPU x86-64,
-# numpy 2.4, one BLAS thread: 10k rows took ~94 ms in one pass and ~57-65 ms
-# in blocks of 128-192 rows, whose 500-wide hidden arrays stay in the 2 MB
-# L2 beside the 169x500 weights (224-320 rows: 4-7% slower); 200 rows took
-# 5-10% longer as 128 + 72 rows than as one pass.
+# numpy 2.4, one BLAS thread: 10k float64 rows took ~94 ms in one pass and
+# ~57-65 ms in blocks of 128-192 rows, whose 500-wide hidden arrays stay in
+# the 2 MB L2 beside the 169x500 weights (224-320 rows: 4-7% slower); 200
+# rows took 5-10% longer as 128 + 72 rows than as one pass.  The float32
+# sweep (half the bytes per block) read within noise from 128 to 512 rows
+# per block, 5-10% slower at 64 and 15-25% slower as one pass.
 PREDICT_BLOCK = 128
 
 
@@ -94,7 +97,7 @@ def _output_bounds(net: Network, magnitude: np.ndarray) -> np.ndarray | None:
             return None
         z = reach / n
         error_z = ((spread + gamma * big) / n
-                   + 2 * _TINY * (2 + (col + inputs.sum(axis=1, keepdims=True)) / n))
+                   + 2 * _TINY * (2 * n + col / n + inputs.sum(axis=1, keepdims=True)))
         e = error_z + 2 * _UNIT * (z + error_z + net.window) + _TINY
         m = z + net.window
     if not ((m + e).max(axis=1) < _LIMIT).all():
@@ -109,14 +112,18 @@ def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
     """
     if scores.shape[1] < 2:
         return np.ones(len(scores), dtype=bool)
-    best, second = np.partition(scores, 1, axis=1)[:, :2].T
+    best = second = np.full(len(scores), np.inf)
+    for column in scores.T:  # 10k rows of 10: 2.5x faster than np.partition by rows
+        second = np.minimum(second, np.maximum(best, column))
+        best = np.minimum(best, column)
     u = _UNIT[1, 0]
     return second - best > _SAFETY * 2 * (bound + u * (bound + 2 * second))
 
 
 def _float32_copy(net: Network, x: np.ndarray):
-    """``(float32 copy of net, its output bounds over x)``, or None when
-    ``net`` is not float64 or the bounds do not exist (see :func:`predict`)."""
+    """``(fan-in-prescaled float32 weights fl32(W / n), output bounds over
+    x)``, or None when ``net`` is not float64 or the bounds do not exist
+    (see :func:`predict`)."""
     if net.dtype != np.float64:
         return None
     # one bound for every input column: half the time of per-column ones
@@ -124,24 +131,26 @@ def _float32_copy(net: Network, x: np.ndarray):
     bounds = _output_bounds(net, np.full(x.shape[1], magnitude))
     if bounds is None:
         return None
-    weights = [w.astype(np.float32) for w in net.weights]
-    return Network(net.layer_sizes, weights, net.activation, net.window), bounds
+    return [(w / w.shape[0]).astype(np.float32) for w in net.weights], bounds
 
 
-def _certified_classes(single: Network, bounds, net: Network, block: np.ndarray,
-                       scheme: TargetScheme) -> np.ndarray | None:
-    """The float64 classes of ``block`` from its float32 pass ``single``,
-    re-running unsettled rows in float64; None if a row is still unsettled."""
-    bound32, bound64 = bounds
-    scores = _scores(scheme, forward_batch(single, block).outputs.astype(np.float64))
-    found = scores.argmin(axis=1)
-    unsure = ~_settled(scores, bound32 + bound64)
-    if unsure.any():
-        scores = _scores(scheme, forward_batch(net, block[unsure]).outputs)
-        if not _settled(scores, 2 * bound64).all():
-            return None
-        found[unsure] = scores.argmin(axis=1)
-    return found
+def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:
+    """float32 outputs of every row of ``blocks`` through the prescaled
+    ``weights``: per block and layer ``z = a v``, then ``max(z, 0) + window``
+    in place, hidden layers in one reused buffer each, the last layer into
+    its rows of the ``(rows, outputs)`` result."""
+    most = max(map(len, blocks))
+    hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
+    out = np.empty((sum(map(len, blocks)), weights[-1].shape[1]), np.float32)
+    stop = 0
+    for block in blocks:
+        start, stop = stop, stop + len(block)
+        a = block
+        for v, z in zip(weights, [h[:len(block)] for h in hidden] + [out[start:stop]]):
+            a = np.matmul(a, v, out=z, dtype=np.float32)  # casts the input block
+            np.maximum(a, 0, out=a)
+            a += window
+    return out
 
 
 def _check_shape(net: Network, data: EncodedDataset, scheme: TargetScheme, name: str):
@@ -173,18 +182,19 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
 
     A set of fewer than ``2 * PREDICT_BLOCK`` rows makes one float64
     ``forward_batch`` call.  A larger set runs as near-equal blocks, and
-    each block's classes equal those of ``read_class_batch`` on the
-    block's float64 ``forward_batch`` outputs, but most come from a float32
-    pass, certified by a rounding-error bound:
+    each row's class equals that of ``read_class_batch`` on its block's
+    float64 ``forward_batch`` outputs, but most come from one float32
+    sweep over every block (:func:`_sweep`, through the fan-in-prescaled
+    weights ``fl32(W / n)``), certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
       delays, or distances to the checkpoints) are further apart than
       twice the float32 bound plus twice the float64 bound: both passes then
       lie within their bound of the exact outputs, so no score can swap
       places between them.
-    * The other rows of the block run through float64 together; their
+    * The other rows of the set run through float64 in one call; their
       outputs lie within twice the float64 bound of the block pass's.
-    * If one of them is still that close to a tie, the whole block runs
+    * If one of them is still that close to a tie, its whole block runs
       through ``forward_batch`` in float64 and ``read_class_batch``.
 
     The bound, with ``u`` the unit roundoff of the format and ``eta`` its
@@ -195,26 +205,30 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     ``e = u m + eta`` (rounding the inputs to the format).  A dot
     product of length ``n`` in any summation order satisfies ``a^ . w^ =
     sum a^_i w^_i (1 + t_i)`` with ``|t_i| <= gamma_n = n u / (1 - n u)``
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1);
-    rounding the weight to the format and the fan-in divide by ``n`` (exact
-    in both formats for ``n <= 2**22``) make it ``gamma_{n+2}``, so
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1).
+    The float64 pass computes ``(a^ . W) / n``; the sweep computes ``a^ .
+    fl32(fl64(W / n))``, rounding each weight twice.  Either way the factor
+    becomes ``gamma_{n+2}``, so
 
         |z^_j - z_j| <= ((e |W|)_j + gamma_{n+2} ((m + e) |W|)_j) / n + U_j,
 
-    where ``U_j = 2 eta (2 + (sum_i |W_ij| + sum_i (m_i + e_i)) / n)``
-    bounds underflow: each product, sum and quotient below ``eta`` may be
-    off by up to ``eta``, and an operand below ``eta`` flushed to zero
-    moves a product by ``eta`` times the other operand.  The special ReLU
-    is 1-Lipschitz, and adding the window ``T`` (itself rounded to the
-    format) adds ``2 u (|z| + |z^_j - z_j| + T) + eta``; the next layer
-    takes ``m = (m |W|) / n + T`` and this error as its ``e``.  The bound
-    is the largest ``e`` over the output columns, computed once per call
-    in float64 with a relative margin of ``2**-20`` for its own rounding.
-    A score's float64 subtraction of a checkpoint adds ``u`` times the
-    score.  When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could
-    reach a quarter of a format's largest number, or ``(n + 2) u > 1/4``,
-    no value is certain to stay finite and every block runs in float64; so
-    does every block of a float32 ``net``, in its own dtype.
+    where ``U_j = 2 eta (2 n + sum_i |W_ij| / n + sum_i (m_i + e_i))``
+    bounds underflow: each of the ``2 n - 1`` products and sums may be off
+    by up to ``eta`` (the float64 pass divides these by ``n`` and adds a
+    quotient's), an input flushed to zero moves a product by ``eta |W_ij| /
+    n``, and a prescaled weight below ``eta``, rounded or flushed, by
+    ``eta`` times the input.  The special ReLU is 1-Lipschitz, and adding
+    the window ``T`` (itself rounded to the format) adds ``2 u (|z| +
+    |z^_j - z_j| + T) + eta``; the next layer takes ``m = (m |W|) / n + T``
+    and this error as its ``e``.  The bound is the largest ``e`` over the
+    output columns, computed once per call in float64 with a relative
+    margin of ``2**-20`` for its own rounding; it holds for any summation
+    order, so the sweep need not repeat ``forward_batch``'s steps.  A
+    score's float64 subtraction of a checkpoint adds ``u`` times the score.
+    When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could reach a
+    quarter of a format's largest number, or ``(n + 2) u > 1/4``, no value
+    is certain to stay finite and every block runs in float64; so does
+    every block of a float32 ``net``, in its own dtype.
 
     Before any ``forward_batch`` call, a readout whose ``output_size`` is
     not the net's last layer size or an empty ``data`` raises ``ConfigError``,
@@ -223,17 +237,25 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     """
     _check_shape(net, data, scheme, "evaluation")
     x = data.delays
-    blocks = len(x) // PREDICT_BLOCK
-    if blocks < 2:
+    if len(x) < 2 * PREDICT_BLOCK:
         return read_class_batch(scheme, forward_batch(net, x).outputs)
+    blocks = np.array_split(x, len(x) // PREDICT_BLOCK)
     single = _float32_copy(net, x)
-    classes = []
-    for block in np.array_split(x, blocks):
-        found = None if single is None else _certified_classes(*single, net, block, scheme)
-        if found is None:
-            found = read_class_batch(scheme, forward_batch(net, block).outputs)
-        classes.append(found)
-    return np.concatenate(classes)
+    if single is None:
+        return np.concatenate([read_class_batch(scheme, forward_batch(net, block).outputs)
+                               for block in blocks])
+    weights, (bound32, bound64) = single
+    scores = _scores(scheme, _sweep(weights, net.window, blocks).astype(np.float64))
+    classes = scores.argmin(axis=1)
+    unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))
+    if len(unsure):
+        scores = _scores(scheme, forward_batch(net, x[unsure]).outputs)
+        classes[unsure] = scores.argmin(axis=1)
+        ends = np.cumsum([len(block) for block in blocks])
+        for b in np.unique(ends.searchsorted(unsure[~_settled(scores, 2 * bound64)], "right")):
+            classes[ends[b] - len(blocks[b]):ends[b]] = read_class_batch(
+                scheme, forward_batch(net, blocks[b]).outputs)
+    return classes
 
 
 def evaluate(
@@ -249,8 +271,9 @@ def evaluate(
     _check_set(net, data, scheme, "evaluation")
     predicted = predict(net, data, scheme)
     accuracy = int(np.count_nonzero(predicted == data.labels)) / len(data)
-    confusion = np.zeros((scheme.num_classes, scheme.num_classes), dtype=np.int64)
-    np.add.at(confusion, (data.labels, predicted), 1)
+    k = scheme.num_classes
+    confusion = np.bincount(data.labels.astype(np.intp, copy=False) * k + predicted,
+                            minlength=k * k).reshape(k, k)
     return accuracy, confusion
 
 

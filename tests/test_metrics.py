@@ -3,7 +3,7 @@
 import _reference_predict
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_digits
@@ -208,28 +208,68 @@ def test_predict_classifies_like_the_blocked_float64_reference(
         net, data, scheme).tolist()
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    depth=st.integers(min_value=2, max_value=4),
+    blocks=st.integers(min_value=2, max_value=4),
+    outputs=st.integers(min_value=1, max_value=6),
+    powers=st.lists(st.integers(min_value=-45, max_value=40), min_size=3, max_size=3),
+    window=st.sampled_from([0.0, 0.5, 16.0]),
+    negative=st.booleans(),
+)
+# |W| / n below float32's smallest normal: every prescaled weight underflows
+@example(seed=0, depth=3, blocks=2, outputs=3, powers=[-40, -40, -40], window=0.0,
+         negative=False)
+# hidden delays near 1e13 through subnormal prescaled weights: their rounding
+# moves the outputs past every term of the bound but the underflow term
+@example(seed=1, depth=3, blocks=3, outputs=2, powers=[13, -43, 0], window=0.0,
+         negative=False)
+@settings(max_examples=80, deadline=None)
+def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
+        seed, depth, blocks, outputs, powers, window, negative):
+    """Every output of the float32 sweep lies within ``bound32 + bound64``
+    of the float64 ``forward_batch`` output of its row in the same block,
+    the two passes ``predict``'s certificate compares; layer ``l``'s
+    weights are scaled by ``10 ** powers[l]``."""
+    rng = np.random.default_rng(seed)
+    rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
+    sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [outputs]
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
+    for w, power in zip(net.weights, powers):
+        w *= 10.0 ** power
+    low = -16.0 if negative else 0.0
+    x = rng.uniform(low, 16.0, (rows, sizes[0]))
+    single = metrics._float32_copy(net, x)
+    assume(single is not None)
+    weights, (bound32, bound64) = single
+    split = np.array_split(x, rows // PREDICT_BLOCK)
+    swept = metrics._sweep(weights, net.window, split)
+    assert swept.dtype == np.float32 and swept.shape == (rows, outputs)
+    blocked = np.concatenate([forward_batch(net, block).outputs for block in split])
+    assert (np.abs(swept.astype(np.float64) - blocked) <= bound32 + bound64).all()
+
+
 def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
-    """A settled block is one float32 call; its unsettled rows add one
-    float64 call, and a row that float64 cannot settle either adds the
-    block's float64 call."""
+    """A settled set makes no ``forward_batch`` call (its float32 sweep is
+    not one); its unsettled rows add one float64 call, and a row that
+    float64 cannot settle either adds its block's float64 call."""
     net = identity_net(3)  # outputs equal inputs
     clear = np.tile([1.0, 5.0, 5.0], (2 * PREDICT_BLOCK, 1))
     calls = _counted_forward(monkeypatch)
     assert predict(net, class0(clear), MULTI3).tolist() == [0] * len(clear)
-    assert calls == [(np.float32, PREDICT_BLOCK)] * 2
+    assert calls == []
 
     near = clear.copy()
     near[-1] = [5.0, 1.0 + 1e-9, 1.0]  # float32 rounds both to 1.0
     calls.clear()
     assert predict(net, class0(near), MULTI3).tolist() == [0] * (len(near) - 1) + [2]
-    assert calls == [(np.float32, PREDICT_BLOCK)] * 2 + [(np.float64, 1)]
+    assert calls == [(np.float64, 1)]
 
     tied = clear.copy()
     tied[-1] = [5.0, 1.0, 1.0]
     calls.clear()
     assert predict(net, class0(tied), MULTI3).tolist() == [0] * (len(tied) - 1) + [1]
-    assert calls == ([(np.float32, PREDICT_BLOCK)] * 2
-                     + [(np.float64, 1), (np.float64, PREDICT_BLOCK)])
+    assert calls == [(np.float64, 1), (np.float64, PREDICT_BLOCK)]
 
 
 def test_predict_runs_float64_blocks_when_float32_could_overflow(monkeypatch):
@@ -267,6 +307,24 @@ def test_byte_delays_classify_like_their_float64_copy(rows):
     classes = predict(net, data, cfg.scheme)
     assert len(set(classes.tolist())) > 1
     assert classes.tolist() == predict(net, copy, cfg.scheme).tolist()
+
+
+def test_confusion_counts_byte_labels_past_a_byte():
+    """Labels held in uint8: with 20 classes the cell of label 19 predicted
+    19 is flat index 19 * 20 + 19 = 399, past a byte's range."""
+    k = 20
+    labels = np.arange(k, dtype=np.uint8).repeat(2)
+    predicted = (labels.astype(int) + np.tile([0, 1], k)) % k  # every second row one class on
+    delays = 5.0 - 4.0 * np.eye(k)[predicted]
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool), labels=labels)
+    assert data.labels.dtype == np.uint8
+    accuracy, confusion = evaluate(identity_net(k), data, SCHEMES["multi_neuron"](k))
+    want = np.zeros((k, k), dtype=np.int64)
+    for true, found in zip(labels.tolist(), predicted.tolist()):
+        want[true, found] += 1
+    assert accuracy == 0.5
+    assert confusion.dtype == np.int64
+    assert confusion.tolist() == want.tolist()
 
 
 def test_spike_count_adds_one_per_downstream_neuron():
