@@ -205,16 +205,12 @@ def train(
     there are silenced.
     Before the first epoch, and so before any weight moves, it raises
     :class:`ConfigError` for the heuristic loss without one output neuron
-    per class and for weights that are not float64; then, for the training
-    set and then the evaluation set, the errors of ``metrics._check_set``
-    (readout size, empty set, width, labels) and :class:`DataError` for a
-    non-finite delay.
+    per class; then, for the training set and then the evaluation set, the
+    errors of ``metrics._check_set`` (readout size, empty set, width,
+    labels) and :class:`DataError` for a non-finite delay.
     """
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
-    if any(w.dtype != np.float64 for w in net.weights):
-        raise ConfigError("training needs float64 weights, "
-                          f"the network's are {[str(w.dtype) for w in net.weights]}")
     for name, ds in (("training", data), ("evaluation", eval_data)):
         if ds is not None:
             _check_set(net, ds, scheme, name)

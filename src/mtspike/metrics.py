@@ -122,10 +122,7 @@ def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
 
 def _float32_copy(net: Network, x: np.ndarray):
     """``(fan-in-prescaled float32 weights fl32(W / n), output bounds over
-    x)``, or None when ``net`` is not float64 or the bounds do not exist
-    (see :func:`predict`)."""
-    if net.dtype != np.float64:
-        return None
+    x)``, or None when the bounds do not exist (see :func:`predict`)."""
     # one bound for every input column: half the time of per-column ones
     magnitude = max(-float(x.min()), float(x.max()))  # NaN if x holds one
     bounds = _output_bounds(net, np.full(x.shape[1], magnitude))
@@ -227,8 +224,7 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     score's float64 subtraction of a checkpoint adds ``u`` times the score.
     When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could reach a
     quarter of a format's largest number, or ``(n + 2) u > 1/4``, no value
-    is certain to stay finite and every block runs in float64; so does
-    every block of a float32 ``net``, in its own dtype.
+    is certain to stay finite and every block runs in float64.
 
     Before any ``forward_batch`` call, a readout whose ``output_size`` is
     not the net's last layer size or an empty ``data`` raises ``ConfigError``,

@@ -48,9 +48,8 @@ class Network:
     different window.  ``activation`` names the neuron rule for the model
     header; the special ReLU is the only one.
 
-    Weights are float64, except that a network whose every matrix is
-    float32 keeps them as float32 (``dtype``); :func:`forward_batch` then
-    computes in float32.  Training needs float64 weights.
+    Layer sizes are integers (Python or numpy, not bool) and weights are
+    stored as float64, whatever the dtype given.
     """
 
     layer_sizes: list[int]
@@ -61,7 +60,10 @@ class Network:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise StructureError("a network needs at least an input and an output layer")
-        if any(int(s) < 1 for s in self.layer_sizes):
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer))
+               for s in self.layer_sizes):
+            raise StructureError(f"layer sizes must be integers, got {self.layer_sizes!r}")
+        if any(s < 1 for s in self.layer_sizes):
             raise StructureError("every layer must contain at least one neuron")
         self.layer_sizes = [int(s) for s in self.layer_sizes]
         if len(self.weights) != len(self.layer_sizes) - 1:
@@ -69,9 +71,7 @@ class Network:
                 f"expected {len(self.layer_sizes) - 1} weight matrices, "
                 f"got {len(self.weights)}"
             )
-        weights = [np.asarray(w) for w in self.weights]
-        single = all(w.dtype == np.float32 for w in weights)
-        self.weights = [w if single else w.astype(np.float64, copy=False) for w in weights]
+        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         for l, w in enumerate(self.weights):
             want = (self.layer_sizes[l], self.layer_sizes[l + 1])
             if w.shape != want:
@@ -85,11 +85,6 @@ class Network:
         self.window = float(self.window)
         if not np.isfinite(self.window) or self.window < 0:
             raise StructureError(f"window must be finite and >= 0, got {self.window}")
-
-    @property
-    def dtype(self) -> np.dtype:
-        """float64, or float32 for a network of float32 matrices."""
-        return self.weights[0].dtype
 
 
 def weight_count(layer_sizes) -> int:
@@ -155,10 +150,10 @@ def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     """Propagate a ``(batch, input_size)`` delay matrix through every layer.
 
     Every call allocates its own pre-activation and delay array per layer;
-    the returned trace's ``delays[0]`` is the input matrix, in the network's
-    ``dtype`` like every array of the trace.
+    the returned trace's ``delays[0]`` is the input matrix, as float64 like
+    every array of the trace.
     """
-    x = np.asarray(delay_matrix, dtype=net.dtype)
+    x = np.asarray(delay_matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
         raise StructureError(
             f"expected a (batch, {net.layer_sizes[0]}) delay matrix, "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mtspike import cli, srm
-from mtspike.coding import CodingParams, encode_numeric
+from mtspike.coding import CodingParams, DelayVector, encode_numeric
 from mtspike.config import load_config
 from mtspike.model_io import load_model
 from mtspike.pipeline import execute_run, load_raw
@@ -270,6 +270,22 @@ def test_srm_demo_csv_bytes_are_pinned(tmp_path, capsys):
         b"0.0001,-3.7501172e-05\n"
         b"# crossing,2.66671e-05\n"
     )
+
+
+def test_srm_demo_formats_a_grid_of_several_slices_point_for_point(monkeypatch, capsys):
+    """A 6,401-point grid in slices of 1,000 points (the last one short)
+    prints each point of ``voltage_trace`` as a whole-grid pass would."""
+    params = srm.SrmParams(tau_decay=4.0, tau_rise=1.0, v_threshold=1.0, dt=0.01,
+                           horizon=64.0)
+    inputs, weights = DelayVector(np.array([0.0, 2.0]), np.ones(2, bool)), np.array([1.5, 1.5])
+    times, voltage = srm.voltage_trace(inputs, weights, params)
+    crossing = srm.threshold_crossing(inputs, weights, params)
+    want = "".join(["t,v\n", *(f"{t:.6g},{v:.8g}\n" for t, v in zip(times, voltage)),
+                    f"# crossing,{crossing:.6g}\n"])
+    monkeypatch.setattr(cli, "_TRACE_SLICE", 1000)
+    rc, out, _ = run_cli(capsys, "srm-demo", "--weights", "1.5,1.5")
+    assert rc == 0 and len(times) == 6401
+    assert out == want
 
 
 def test_srm_demo_validates_lengths(capsys):

@@ -384,23 +384,6 @@ def test_train_rejects_non_finite_delays_before_the_first_epoch(monkeypatch, bad
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
 
 
-def test_train_rejects_float32_weights_before_the_first_epoch(monkeypatch):
-    """float32 is an evaluation format here; training stays float64."""
-    rng = np.random.default_rng(0)
-    net = init_network([4, 3], rng=rng)
-    single = Network([4, 3], [net.weights[0].astype(np.float32)])
-    data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
-    calls = {}
-    counting(monkeypatch, "forward_batch", calls)
-    before = single.weights[0].copy()
-    with pytest.raises(ConfigError, match="training needs float64 weights") as excinfo:
-        train(single, data, MULTI3, TrainConfig(), eval_data=data)
-    assert excinfo.value.code == "E_CONFIG"
-    assert calls == {}
-    assert single.weights[0].dtype == np.float32
-    assert single.weights[0].tobytes() == before.tobytes()
-
-
 def test_train_rejects_labels_outside_the_readout():
     rng = np.random.default_rng(0)
     net = init_network([4, 3], rng=rng)

@@ -138,12 +138,14 @@ def class0(delays):
 
 
 def _counted_forward(monkeypatch):
-    """Record ``(dtype, rows)`` of every ``forward_batch`` call ``predict`` makes."""
+    """Record ``(dtype, rows)`` of the trace of every ``forward_batch`` call
+    ``predict`` makes."""
     calls = []
 
     def counted(net, x):
-        calls.append((net.dtype, len(x)))
-        return forward_batch(net, x)
+        trace = forward_batch(net, x)
+        calls.append((trace.outputs.dtype, len(x)))
+        return trace
 
     monkeypatch.setattr(metrics, "forward_batch", counted)
     return calls
@@ -279,15 +281,6 @@ def test_predict_runs_float64_blocks_when_float32_could_overflow(monkeypatch):
     calls = _counted_forward(monkeypatch)
     assert predict(net, class0(delays), MULTI3).tolist() == [0] * len(delays)
     assert calls == [(np.float64, PREDICT_BLOCK)] * 2
-
-
-def test_predict_runs_a_float32_network_in_its_own_blocks(monkeypatch):
-    single = Network([3, 3], [np.eye(3, dtype=np.float32) * 3])
-    data = class0(np.tile([5.0, 1.0, 1.0], (2 * PREDICT_BLOCK, 1)))
-    want = _reference_predict.predict(single, data, MULTI3)
-    calls = _counted_forward(monkeypatch)
-    assert predict(single, data, MULTI3).tolist() == want.tolist() == [1] * len(data)
-    assert calls == [(np.float32, PREDICT_BLOCK)] * 2
 
 
 @pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK + 44],

@@ -95,33 +95,44 @@ def test_network_shape_validation():
         Network(layer_sizes=[2, 3], weights=[np.zeros((2, 3))], window=np.inf)
 
 
-def test_network_keeps_float32_and_widens_everything_else():
-    single = Network([2, 3, 1], [np.ones((2, 3), np.float32), np.ones((3, 1), np.float32)])
-    assert single.dtype == np.float32
-    assert all(w.dtype == np.float32 for w in single.weights)
-    for weights in ([np.ones((2, 3), np.int64), np.ones((3, 1), np.int64)],
+def test_network_widens_every_dtype_to_float64():
+    tenth = np.full((2, 3), 0.1, np.float32)  # widens to 0.100000001490116..., not 0.1
+    for weights in ([tenth, np.full((3, 1), 0.2, np.float32)],
+                    [np.ones((2, 3), np.int64), np.ones((3, 1), np.int64)],
                     [np.ones((2, 3), np.float16), np.ones((3, 1), np.float16)],
                     [[[1, 2, 3], [4, 5, 6]], [[1.5], [2.5], [3.5]]],
-                    # a float32 matrix beside a float64 one widens too
-                    [np.ones((2, 3), np.float32), np.ones((3, 1))]):
+                    [tenth, np.ones((3, 1))]):
         net = Network([2, 3, 1], weights)
-        assert net.dtype == np.float64
-        assert all(w.dtype == np.float64 for w in net.weights)
+        for w, given in zip(net.weights, weights):
+            assert w.dtype == np.float64
+            assert w.tobytes() == np.asarray(given).astype(np.float64).tobytes()
+    assert not hasattr(net, "dtype")
     listed = Network([2, 1], [[[0.1], [0.2]]])
     assert listed.weights[0].tobytes() == np.array([[0.1], [0.2]]).tobytes()
 
 
-def test_forward_batch_computes_in_the_network_dtype():
+@pytest.mark.parametrize("size", [2.5, 2.0, "2", None, np.inf, np.nan, True, np.bool_(True),
+                                  np.float64(2.0)])
+def test_network_rejects_layer_sizes_that_are_not_integers(size):
+    with pytest.raises(StructureError, match="layer sizes must be integers"):
+        Network([size, 1], [np.ones((2, 1))])
+
+
+def test_network_takes_numpy_integer_layer_sizes():
+    net = Network([np.int64(2), np.uint8(1)], [np.ones((2, 1))])
+    assert net.layer_sizes == [2, 1] and all(type(s) is int for s in net.layer_sizes)
+
+
+def test_forward_batch_computes_in_float64_whatever_the_input_dtype():
     rng = np.random.default_rng(3)
     net = init_network([4, 6, 3], rng=rng, window=16.0)
-    single = Network(net.layer_sizes, [w.astype(np.float32) for w in net.weights],
-                     window=16.0)
-    inputs = rng.uniform(0.0, 16.0, (5, 4))
-    trace = forward_batch(single, inputs)
-    assert all(a.dtype == np.float32 for a in trace.nets + trace.delays)
-    wide = forward_batch(net, inputs)
-    assert all(a.dtype == np.float64 for a in wide.nets + wide.delays)
-    assert np.allclose(trace.outputs, wide.outputs, rtol=1e-5)
+    delays = rng.uniform(0.0, 16.0, (5, 4))
+    for inputs in (delays.astype(np.uint8), delays > 8, delays.astype(np.float32), delays):
+        trace = forward_batch(net, inputs)
+        assert all(a.dtype == np.float64 for a in trace.nets + trace.delays)
+        wide = forward_batch(net, inputs.astype(np.float64))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(trace.nets + trace.delays, wide.nets + wide.delays))
 
 
 def test_num_weights_counts_every_entry():
