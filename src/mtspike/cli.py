@@ -10,8 +10,9 @@ Every failure prints one machine-greppable line of the form
 
 Numeric imports happen inside the command handlers: loading numpy and the
 numeric modules up front would at least double the start-up time of
-``--help`` and of usage errors.  BLAS/OpenMP worker threads are capped by
-their own environment variables, set when the process starts.
+``--help`` and of usage errors.  Model bytes repeat for the same numpy/BLAS
+build and thread count, so :func:`main` sets each BLAS thread variable left
+unset to 1 before numpy loads; ``metrics.predict`` still uses every CPU.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _LOG_LEVELS = {
     "warning": logging.WARNING,
     "error": logging.ERROR,
 }
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors match the CLI error-line format."""
@@ -330,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # once loaded, BLAS keeps its thread count
+        for var in _THREAD_VARS:
+            os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     _setup_logging()

@@ -29,9 +29,9 @@ Conv-like coding transposes each binarized block so the image index is
 innermost and sums its windows contiguously over the block's images; an
 integer stack is binarized by an integer compare with the threshold's
 ceiling.
-One-to-one coding of a uint8 stack computes the delays of the 256 byte
-values once and gathers them per pixel; other dtypes run the delay formula
-on each block of pixels.
+One-to-one coding computes the delays of the 256 byte values once; a uint8
+stack whose delays all fit in bytes maps each block through them with
+``bytes.translate``, and other stacks run the delay formula on each block.
 """
 
 from __future__ import annotations
@@ -183,20 +183,18 @@ def encode_pixels_1to1(
     n = images.shape[0]
     shape = (n, images.shape[1] * images.shape[2])
     fired = np.empty(shape, dtype=bool)
-    if images.dtype == np.uint8:
-        table = np.arange(256, dtype=np.float64)
-        _pixel_delays(table, np.empty(table.shape, dtype=bool), p, p_max)
-        table = _narrowed(table)
-        delays = np.empty(shape, dtype=table.dtype)
-        # take copies the byte indices into intp, 8 bytes each: steps of an
-        # eighth of a block keep that copy as small as a block's bool mask.
-        # "clip" cannot move a byte index and, unlike "raise", writes
-        # straight into ``out``.
-        for rows in _blocks(n, _BLOCK // 8):
+    table = np.arange(256, dtype=np.float64)  # the delay of each byte value
+    _pixel_delays(table, np.empty(table.shape, dtype=bool), p, p_max)
+    table = _narrowed(table)
+    if images.dtype == np.uint8 and table.dtype == np.uint8:
+        # bytes.translate maps bytes in C; np.take would widen each to intp
+        table = table.tobytes()
+        delays = np.empty(shape, dtype=np.uint8)
+        for rows in _blocks(n):
+            raw = images[rows].tobytes()
             out = delays[rows]
-            block = images[rows].reshape(out.shape)
-            np.take(table, block, out=out, mode="clip")
-            np.greater(block, 0, out=fired[rows])
+            out[...] = np.frombuffer(raw.translate(table), np.uint8).reshape(out.shape)
+            np.greater(np.frombuffer(raw, np.uint8).reshape(out.shape), 0, out=fired[rows])
         return delays, fired
     delays = np.empty(shape, dtype=np.float64)
     for rows in _blocks(n):
@@ -309,10 +307,10 @@ def _grid_positions(side: int, kernel: int, stride: int) -> int:
     return math.ceil((side - kernel + 1) / stride)
 
 
-def _blocks(n: int, step: int = _BLOCK):
-    """Row slices covering ``range(n)`` in steps of ``step`` rows."""
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def _blocks(n: int):
+    """Row slices covering ``range(n)`` in steps of ``_BLOCK`` rows."""
+    for start in range(0, n, _BLOCK):
+        yield slice(start, min(start + _BLOCK, n))
 
 
 def _square_images(images: np.ndarray) -> np.ndarray:

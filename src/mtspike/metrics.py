@@ -8,10 +8,9 @@ whole-set array through memory.  A set of fewer than 256 rows makes exactly
 one ``forward_batch`` and one ``read_class_batch`` call; a larger set's
 outputs can differ from a single whole-set pass by one ulp, because BLAS
 rounds products of different row counts differently.  A larger set's
-blocks run first in one float32 sweep through fan-in-prescaled weights,
-in place in reused buffers, and a class is taken from float32 only where a
-rounding-error bound proves that the float64 ``forward_batch`` blocks give
-the same one (see :func:`predict`).
+blocks run first in one float32 sweep, on every usable CPU, and a class is
+taken from float32 only where a rounding-error bound proves that the
+float64 ``forward_batch`` blocks give the same one (see :func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -23,6 +22,9 @@ and independent of the physical per-spike cost.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,14 @@ class RunMetrics:
 # sweep (half the bytes per block) read within noise from 128 to 512 rows
 # per block, 5-10% slower at 64 and 15-25% slower as one pass.
 PREDICT_BLOCK = 128
+
+# Threads that sweep float32 blocks: the caller and _WORKERS - 1 helpers (_sweep).
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_helpers: list[ThreadPoolExecutor] = []
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_helpers.clear)
 
 
 # Unit roundoff u and smallest normal number eta as columns, and a quarter
@@ -131,22 +141,37 @@ def _float32_copy(net: Network, x: np.ndarray):
     return [(w / w.shape[0]).astype(np.float32) for w in net.weights], bounds
 
 
+def _pool() -> ThreadPoolExecutor:
+    with _pool_lock:
+        if not _helpers:
+            _helpers.append(ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="mtspike-sweep"))
+        return _helpers[0]
+
+
 def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:
     """float32 outputs of every row of ``blocks`` through the prescaled
-    ``weights``: per block and layer ``z = a v``, then ``max(z, 0) + window``
-    in place, hidden layers in one reused buffer each, the last layer into
-    its rows of the ``(rows, outputs)`` result."""
+    ``weights``: per block and layer ``z = a v``, then ``max(z, 0) + window`` in
+    place.  The caller and up to ``_WORKERS - 1`` helpers, each with its own
+    hidden buffers, take the next unclaimed block and write its rows of the result."""
+    stops = np.cumsum([len(block) for block in blocks]).tolist()
+    out = np.empty((stops[-1], weights[-1].shape[1]), np.float32)
+    claims = iter([(a, out[stop - len(a):stop]) for a, stop in zip(blocks, stops)])  # shared
     most = max(map(len, blocks))
-    hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
-    out = np.empty((sum(map(len, blocks)), weights[-1].shape[1]), np.float32)
-    stop = 0
-    for block in blocks:
-        start, stop = stop, stop + len(block)
-        a = block
-        for v, z in zip(weights, [h[:len(block)] for h in hidden] + [out[start:stop]]):
-            a = np.matmul(a, v, out=z, dtype=np.float32)  # casts the input block
-            np.maximum(a, 0, out=a)
-            a += window
+
+    def work():
+        hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
+        for a, rows in claims:
+            for v, z in zip(weights, [h[:len(a)] for h in hidden] + [rows]):
+                a = np.matmul(a, v, out=z, dtype=np.float32)  # casts the input block
+                np.maximum(a, 0, out=a)
+                a += window
+
+    helpers = [_pool().submit(work) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    try:
+        work()
+    finally:  # a helper that has not started would find no block left
+        for helper in helpers:
+            helper.cancel() or helper.result()
     return out
 
 
@@ -182,7 +207,8 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     each row's class equals that of ``read_class_batch`` on its block's
     float64 ``forward_batch`` outputs, but most come from one float32
     sweep over every block (:func:`_sweep`, through the fan-in-prescaled
-    weights ``fl32(W / n)``), certified by a rounding-error bound:
+    weights ``fl32(W / n)`` on up to one thread per usable CPU, with the
+    same bytes at any thread count), certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
       delays, or distances to the checkpoints) are further apart than

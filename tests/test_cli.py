@@ -3,7 +3,10 @@
 import gzip
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,10 +14,11 @@ import pytest
 from mtspike import cli, srm
 from mtspike.coding import CodingParams, DelayVector, encode_numeric
 from mtspike.config import load_config
+from mtspike.datasets import save_mnist_idx
 from mtspike.model_io import load_model
 from mtspike.pipeline import execute_run, load_raw
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, make_digits
 from test_model_io import rewrite_header
 
 
@@ -543,6 +547,53 @@ def test_truncated_gzip_idx_file_error_line(tmp_path, idx_dir, monkeypatch, caps
     assert rc == 2
     assert err.strip().startswith("mtspike: error [E_DATA]")
     assert "train-images-idx3-ubyte.gz" in err
+
+
+def _fresh_python(tmp_path, env, *args) -> str:
+    """stdout of ``python *args`` in a fresh interpreter that imports the
+    package from src/, with no thread variable set but those in ``env``."""
+    env = {**{k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS},
+           "PYTHONPATH": str(REPO_ROOT / "src"), "MTSPIKE_DATA_DIR": str(tmp_path), **env}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_model_bytes_repeat_with_and_without_a_blas_thread_variable(tmp_path):
+    """169-500-10 trained for 2 epochs on 200 IDX digits writes the same
+    model file with no thread variable set and with
+    ``OPENBLAS_NUM_THREADS=1``, because the CLI defaults to one BLAS thread.
+    Without that default the first run uses every CPU and, on a host with
+    2 or more, a 169x500 product rounds differently; on a 1-CPU host this
+    passes either way."""
+    data = tmp_path / "mnist"
+    data.mkdir()
+    for prefix, digits in (("train", make_digits(20, seed=7)), ("t10k", make_digits(5, seed=8))):
+        save_mnist_idx(digits.features, digits.labels, data / f"{prefix}-images-idx3-ubyte",
+                       data / f"{prefix}-labels-idx1-ubyte")
+    models = []
+    for name, env in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        _fresh_python(tmp_path, env, "-m", "mtspike.cli", "train", "--preset",
+                      "mt10_mnist_noheu", "--epochs", "2", "--out", str(tmp_path / name))
+        models.append((tmp_path / name / "mt10_mnist_noheu.mtspike").read_bytes())
+    assert models[0] == models[1]
+
+
+def test_cli_sets_only_the_thread_variables_the_user_left_unset(tmp_path):
+    shown = "; ".join(f"print(os.environ[{var!r}])" for var in cli._THREAD_VARS)
+    out = _fresh_python(tmp_path, {"OMP_NUM_THREADS": "3"}, "-c",
+                        f"import os; from mtspike.cli import main; main(['presets']); {shown}")
+    assert out.splitlines()[-len(cli._THREAD_VARS):] == [
+        "3" if var == "OMP_NUM_THREADS" else "1" for var in cli._THREAD_VARS]
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(monkeypatch, capsys):
+    """In-process calls come after numpy loaded, when the variables no
+    longer reach BLAS."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    assert run_cli(capsys, "presets")[0] == 0
+    assert dict(os.environ) == before
 
 
 def test_usage_error_line(capsys):

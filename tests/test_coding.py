@@ -489,9 +489,9 @@ def test_conv_peak_allocation_stays_near_its_result():
 
 
 def test_pixels_peak_allocation_stays_near_its_result():
-    """A byte stack is gathered through its delay table a part of a block at a
-    time: the peak is the result plus < 1 MB, where a whole-stack gather
-    would add an index and a delay copy of the stack."""
+    """A byte stack is translated through its delay table a block at a time:
+    the peak is the result plus < 1 MB, where a whole-stack gather would add
+    an index and a delay copy of the stack."""
     images = _image_stack(np.random.default_rng(3), 2000, 28, "uint8")
     tracemalloc.start()
     try:

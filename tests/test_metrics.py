@@ -1,5 +1,8 @@
 """Accuracy, spike counting, and abstract energy."""
 
+import sys
+import threading
+
 import _reference_predict
 import numpy as np
 import pytest
@@ -281,6 +284,111 @@ def test_predict_runs_float64_blocks_when_float32_could_overflow(monkeypatch):
     calls = _counted_forward(monkeypatch)
     assert predict(net, class0(delays), MULTI3).tolist() == [0] * len(delays)
     assert calls == [(np.float64, PREDICT_BLOCK)] * 2
+
+
+def _random_set(seed, blocks, depth=3, mode="multi_neuron", classes=3):
+    """A random net, a set of ``blocks`` blocks of rows for it and a readout."""
+    rng = np.random.default_rng(seed)
+    scheme = SCHEMES[mode](classes)
+    rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
+    sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [scheme.output_size]
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0))
+    delays = rng.uniform(0.0, 16.0, (rows, sizes[0]))
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
+                          labels=rng.integers(0, classes, rows))
+    return net, data, scheme
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    depth=st.integers(min_value=2, max_value=4),
+    blocks=st.integers(min_value=2, max_value=9),
+    mode=st.sampled_from(sorted(SCHEMES)),
+    classes=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=30, deadline=None)
+def test_predict_gives_the_same_classes_at_any_worker_count(seed, depth, blocks, mode, classes):
+    """The caller and the pool's helpers take the sweep's blocks in any
+    order, yet the sweep's outputs keep their bytes and the classes equal
+    the float64 reference with 1, 2 and 3 workers."""
+    net, data, scheme = _random_set(seed, blocks, depth, mode, classes)
+    expected = _reference_predict.predict(net, data, scheme).tolist()
+    weights, _ = metrics._float32_copy(net, data.delays)
+    split = np.array_split(data.delays, len(data) // PREDICT_BLOCK)
+    swept = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for workers in (1, 2, 3):
+            patch.setattr(metrics, "_WORKERS", workers)
+            assert predict(net, data, scheme).tolist() == expected
+            swept.add(metrics._sweep(weights, net.window, split).tobytes())
+    assert len(swept) == 1
+
+
+def test_eight_threads_switching_every_microsecond_sweep_each_block_once(monkeypatch):
+    """More workers than cores, with a shortened switch interval: a block
+    lost or swept into the wrong rows would leave other bytes behind."""
+    net, _, _ = _random_set(seed=3, blocks=40)
+    x = np.random.default_rng(3).uniform(0.0, 16.0, (40 * PREDICT_BLOCK, net.layer_sizes[0]))
+    weights, _ = metrics._float32_copy(net, x)
+    split = np.array_split(x, 40)
+    monkeypatch.setattr(metrics, "_WORKERS", 1)
+    serial = metrics._sweep(weights, net.window, split).tobytes()
+    monkeypatch.setattr(metrics, "_WORKERS", 8)
+    monkeypatch.setattr(metrics, "_helpers", [])  # a pool of 7 helpers for this test
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert metrics._sweep(weights, net.window, split).tobytes() == serial
+    finally:
+        sys.setswitchinterval(interval)
+        metrics._helpers[0].shutdown()
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_block_that_raises_leaves_predict_and_the_pool_keeps_working(monkeypatch, failing):
+    """A ``MemoryError`` in one block's float32 product, on the calling
+    thread or on a helper, propagates out of ``predict`` once every other
+    block is done; the next call uses the same pool and gets every class."""
+    net, data, scheme = _random_set(seed=11, blocks=6)
+    expected = _reference_predict.predict(net, data, scheme).tolist()
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    pool = metrics._pool()
+    failed = threading.Event()
+    matmul = np.matmul
+
+    def flaky(a, v, **kwargs):
+        if kwargs.get("dtype") == np.float32:
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                failed.set()
+                raise MemoryError("no room for a block")
+            failed.wait(10)  # let the failing thread take a block first
+        return matmul(a, v, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", flaky)
+    with pytest.raises(MemoryError, match="no room for a block"):
+        predict(net, data, scheme)
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert predict(net, data, scheme).tolist() == expected
+    assert metrics._pool() is pool
+
+
+def test_small_sets_and_one_cpu_never_make_the_pool(monkeypatch):
+    """Below ``2 * PREDICT_BLOCK`` rows there is no sweep, and with one
+    usable CPU the caller sweeps every block itself."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pool was made")
+
+    monkeypatch.setattr(metrics, "_helpers", [])
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
+    net, data, scheme = _random_set(seed=5, blocks=8)
+    rows = slice(2 * PREDICT_BLOCK - 1)
+    small = EncodedDataset(data.delays[rows], data.fired[rows], data.labels[rows])
+    for workers, subset in ((2, small), (1, data)):
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        assert predict(net, subset, scheme).tolist() == _reference_predict.predict(
+            net, subset, scheme).tolist()
+    assert metrics._helpers == []
 
 
 @pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK + 44],
