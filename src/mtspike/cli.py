@@ -206,15 +206,11 @@ def _parse_floats(text: str, flag: str):
         raise ConfigError(f"{flag} expects comma-separated numbers: {exc}") from exc
 
 
-# grid points that srm-demo turns into Python floats at a time
-_TRACE_SLICE = 1 << 16
-
-
 def cmd_srm_demo(args) -> int:
     import numpy as np
 
     from .coding import DelayVector
-    from .srm import SrmParams, threshold_crossing, voltage_trace
+    from .srm import _TRACE_SLICE, SrmParams, threshold_crossing, voltage_trace
 
     delays = np.array(_parse_floats(args.delays, "--delays"))
     weights = np.array(_parse_floats(args.weights, "--weights"))

@@ -49,7 +49,6 @@ __all__ = [
     "encode_numeric",
     "encode_pixels_1to1",
     "encode_conv_like",
-    "neuron_count",
 ]
 
 # Images per block.  The per-block overhead is a few numpy calls per kernel
@@ -66,8 +65,9 @@ class CodingParams:
     conv-like coding the kernel must satisfy ``kernel**2 == resolution`` so
     that the zero-count inside one kernel position lands exactly on the slot
     grid (``unit * kernel**2 == window``).  ``pad`` names the policy for a
-    kernel grid that runs past the image; the grid never does (see
-    :func:`neuron_count`), so ``"zero"`` is recorded in model files only.
+    kernel grid that runs past the image; the grid never does (its last
+    position ends at ``(positions - 1) * stride + kernel``, within the
+    image), so ``"zero"`` is recorded in model files only.
     """
 
     window: float = 16.0
@@ -287,7 +287,7 @@ def _narrowed(table: np.ndarray) -> np.ndarray:
     return narrow if narrow.astype(np.float64).tobytes() == table.tobytes() else table
 
 
-def neuron_count(image_width: int, kernel: int, stride: int) -> int:
+def _neuron_count(image_width: int, kernel: int, stride: int) -> int:
     """Number of input neurons produced by conv-like coding.
 
     ``ceil((P - k + 1) / S) ** 2`` kernel positions for a P-wide image.  The

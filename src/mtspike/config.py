@@ -1,13 +1,15 @@
-"""Run configuration: JSON schema, validation, and shipped presets.
+"""Run configuration: JSON parsing, validation, and shipped presets.
 
 A run config bundles a dataset reference, a coding scheme, the layer sizes,
 the readout scheme, and the training hyperparameters.  Configs load from a
-JSON document (see ``CONFIG_SCHEMA`` below for the shape) or from a named
-preset covering each benchmark network: iris with one hidden layer or a
-bare single layer, and the MNIST-style variants with one output neuron, ten
-output neurons (with and without the heuristic loss), and no hidden layer.
-Presets are documents in the same schema, read by the same parser, which
-raises ``ConfigError`` on an unknown key or a wrongly typed value.
+JSON document (README.md, "Config files", shows one with every field and
+lists each field's type and values) or from a named preset covering each
+benchmark network: iris with one hidden layer or a bare single layer, and
+the MNIST-style variants with one output neuron, ten output neurons (with
+and without the heuristic loss), and no hidden layer.  Presets are
+documents in the same schema, read by the same parser, which raises
+``ConfigError`` on an unknown key or a wrongly typed value.
+``config_from_dict`` parses a document already loaded as a dict.
 
 Dataset locations in presets resolve against ``MTSPIKE_DATA_DIR`` when set,
 else ``./data``.
@@ -33,73 +35,16 @@ from .readout import TargetScheme
 from .schema import checked, from_json
 
 __all__ = [
-    "CONFIG_SCHEMA",
-    "DatasetConfig",
     "RunConfig",
     "load_config",
     "config_from_dict",
     "preset",
     "preset_names",
-    "default_data_dir",
 ]
-
-CONFIG_SCHEMA = """\
-// Presets are documents of this shape.  Fields marked int take only a JSON
-// integer (not 16.0, not true); other numbers take an integer or a decimal,
-// never NaN or Infinity.  Values are checked, never coerced.
-{
-  "name": "run label",
-  "dataset": {
-    "kind": "iris" | "mnist",
-    "path": "iris CSV path (iris only)",
-    "dir": "directory holding the four standard IDX files (mnist only)",
-    "train_fraction": 0.8,          // iris only; mnist ships its own split
-    "split_seed": 0,                // int >= 0
-    "train_subset": null | N,       // int >= 1: optional stratified subsample
-    "test_subset": null | N,        // int >= 1
-    "subset_seed": 0                // int >= 0
-  },
-  "coding": {
-    "scheme": "numeric" | "one_to_one" | "conv",
-    "window": 16.0, "unit": 1.0,
-    "kernel": 4, "stride": 2,       // ints; conv only
-    "binarize_threshold": 128.0,    // conv only; 0 < t <= 255
-    "p_max": 255.0                  // one_to_one only
-  },
-  "layers": [169, 500, 10],         // ints
-  "readout": {
-    "mode": "single_neuron" | "multi_neuron",
-    "num_classes": 10,              // int
-    "window": 16.0,                 // optional; defaults to the coding window
-    "excitatory_offset": 0.0,
-    "inhibitory_offset": 4.0
-  },
-  "train": {
-    "learning_rate": 0.01,
-    "batch_size": 256, "epochs": 50, "seed": 0,   // ints; seed >= 0
-    "gradient_mode": "paper" | "exact",
-    "heuristic": false,
-    "update_gate": "always" | "on_misclassification",
-    "batch_reduction": "sum" | "mean",
-    "init_range": [0.0, 1.0]
-  },
-  "alpha": 1.0,                      // abstract energy units per spike
-  "output": {
-    "model": "where to write the trained model (optional)",
-    "metrics": "where to write the per-epoch metrics CSV (optional)"
-  }
-}
-"""
-
-DATASET_KINDS = ("iris", "mnist")
-
-
-def default_data_dir() -> Path:
-    return Path(os.environ.get("MTSPIKE_DATA_DIR", "data"))
 
 
 @dataclass
-class DatasetConfig:
+class _DatasetConfig:
     kind: str
     path: str | None = None
     dir: str | None = None
@@ -110,7 +55,7 @@ class DatasetConfig:
     subset_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
+        if self.kind not in ("iris", "mnist"):
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "iris" and not self.path:
             raise ConfigError("iris dataset needs a CSV path")
@@ -129,7 +74,7 @@ class DatasetConfig:
 @dataclass
 class RunConfig:
     name: str
-    dataset: DatasetConfig
+    dataset: _DatasetConfig
     coding: EncodingSpec
     layer_sizes: tuple[int, ...]
     scheme: TargetScheme
@@ -178,7 +123,7 @@ def config_from_dict(d: dict) -> RunConfig:
     coding = EncodingSpec.from_dict(d["coding"], snapshot=False)
     return RunConfig(
         name=checked(d.get("name", "run"), str, "name"),
-        dataset=from_json(DatasetConfig, d["dataset"], "dataset"),
+        dataset=from_json(_DatasetConfig, d["dataset"], "dataset"),
         coding=coding,
         layer_sizes=checked(d["layers"], tuple[int, ...], "layers"),
         scheme=from_json(TargetScheme, d["readout"], "readout",
@@ -201,7 +146,7 @@ def load_config(path) -> RunConfig:
     return config_from_dict(document)
 
 
-# Preset documents; dataset locations are relative to default_data_dir().
+# Preset documents; dataset locations are relative to MTSPIKE_DATA_DIR, else ./data.
 _IRIS = {"dataset": {"kind": "iris", "path": "iris.csv"},
          "coding": {"scheme": "numeric", "window": 16.0, "unit": 1.0}}
 _MNIST = {"dataset": {"kind": "mnist", "dir": "mnist"},
@@ -242,12 +187,12 @@ def _parsed_preset(name: str, data_dir: str) -> RunConfig:
 def preset(name: str) -> RunConfig:
     """The named preset, parsed once per data directory (set-ups call this in loops).
 
-    Each call returns its own ``RunConfig`` and ``DatasetConfig``; the
+    Each call returns its own ``RunConfig`` and ``dataset`` section; the
     other sections are frozen and shared.
     """
     if name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    cfg = _parsed_preset(name, str(default_data_dir()))
+    cfg = _parsed_preset(name, os.environ.get("MTSPIKE_DATA_DIR", "data"))
     return dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset))

@@ -33,9 +33,6 @@ from .network import ForwardTrace, Network, _matrix_product, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
 
 __all__ = [
-    "GRADIENT_MODES",
-    "UPDATE_GATES",
-    "BATCH_REDUCTIONS",
     "TrainConfig",
     "EpochStats",
     "output_residual",
@@ -45,9 +42,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-GRADIENT_MODES = ("paper", "exact")
-UPDATE_GATES = ("always", "on_misclassification")
-BATCH_REDUCTIONS = ("sum", "mean")
+_GRADIENT_MODES = ("paper", "exact")
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,11 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.gradient_mode not in GRADIENT_MODES:
+        if self.gradient_mode not in _GRADIENT_MODES:
             raise ConfigError(f"unknown gradient mode {self.gradient_mode!r}")
-        if self.update_gate not in UPDATE_GATES:
+        if self.update_gate not in ("always", "on_misclassification"):
             raise ConfigError(f"unknown update gate {self.update_gate!r}")
-        if self.batch_reduction not in BATCH_REDUCTIONS:
+        if self.batch_reduction not in ("sum", "mean"):
             raise ConfigError(f"unknown batch reduction {self.batch_reduction!r}")
         low, high = self.init_range
         if not (low < high and math.isfinite(high - low)):
@@ -130,7 +125,7 @@ def backward(
     synapses for that sample.  Returns one gradient per weight matrix,
     summed over the batch, each a freshly allocated array.
     """
-    if mode not in GRADIENT_MODES:
+    if mode not in _GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
     nets, delays = trace.nets, trace.delays
     depth = len(net.weights)

@@ -31,10 +31,10 @@ from .network import Network, weight_count
 from .readout import TargetScheme
 from .schema import checked, from_json
 
-__all__ = ["MAGIC", "FORMAT_VERSION", "ModelFile", "save_model", "load_model"]
+__all__ = ["ModelFile", "save_model", "load_model"]
 
-MAGIC = b"MTSPIKE\x00"
-FORMAT_VERSION = 1
+_MAGIC = b"MTSPIKE\x00"
+_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -100,8 +100,8 @@ def save_model(model: ModelFile, path):
     header = _header_bytes(model)
     try:
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _FORMAT_VERSION, len(header)))
             fh.write(header)
             for w in model.network.weights:
                 fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
@@ -126,17 +126,17 @@ def load_model(path) -> ModelFile:
     except OSError as exc:
         raise ModelIOError(f"cannot read model from {path}: {exc}") from exc
 
-    if len(raw) < len(MAGIC) + 8:
+    if len(raw) < len(_MAGIC) + 8:
         raise ModelIOError(f"{path}: truncated model file")
-    if raw[: len(MAGIC)] != MAGIC:
+    if raw[: len(_MAGIC)] != _MAGIC:
         raise ModelIOError(f"{path}: not a model file (bad magic)")
-    version, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    if version != FORMAT_VERSION:
+    version, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    if version != _FORMAT_VERSION:
         raise ModelIOError(
             f"{path}: unsupported model format version {version} "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads version {_FORMAT_VERSION})"
         )
-    body_start = len(MAGIC) + 8
+    body_start = len(_MAGIC) + 8
     if len(raw) < body_start + header_len:
         raise ModelIOError(f"{path}: truncated model header")
     try:

@@ -36,9 +36,7 @@ from .network import init_network
 from .readout import TargetScheme
 
 __all__ = [
-    "MNIST_FILES",
     "RunResult",
-    "resolve_mnist_paths",
     "load_raw",
     "fit_coding",
     "prepare_data",
@@ -47,7 +45,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-MNIST_FILES = {
+_MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
     "test_images": "t10k-images-idx3-ubyte",
@@ -62,12 +60,12 @@ class RunResult:
     metrics: RunMetrics
 
 
-def resolve_mnist_paths(directory) -> dict[str, Path]:
+def _resolve_mnist_paths(directory) -> dict[str, Path]:
     """Locate the four standard IDX files, gzipped or not, in ``directory``."""
     directory = Path(directory)
     found: dict[str, Path] = {}
     missing: list[str] = []
-    for key, base in MNIST_FILES.items():
+    for key, base in _MNIST_FILES.items():
         for candidate in (directory / base, directory / (base + ".gz")):
             if candidate.is_file():
                 found[key] = candidate
@@ -90,7 +88,7 @@ def load_raw(cfg: RunConfig) -> tuple[RawDataset, RawDataset]:
             full, ds_cfg.train_fraction, ds_cfg.split_seed
         )
     else:
-        paths = resolve_mnist_paths(ds_cfg.dir)
+        paths = _resolve_mnist_paths(ds_cfg.dir)
         train_raw = load_mnist_idx(paths["train_images"], paths["train_labels"])
         test_raw = load_mnist_idx(paths["test_images"], paths["test_labels"])
     if ds_cfg.train_subset is not None:

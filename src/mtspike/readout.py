@@ -22,13 +22,10 @@ import numpy as np
 from .errors import ConfigError, EvaluationError
 
 __all__ = [
-    "MODES",
     "TargetScheme",
     "target_matrix",
     "read_class_batch",
 ]
-
-MODES = ("single_neuron", "multi_neuron")
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class TargetScheme:
     inhibitory_offset: float = 4.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in ("single_neuron", "multi_neuron"):
             raise ConfigError(f"unknown readout mode {self.mode!r}")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")

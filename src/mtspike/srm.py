@@ -47,18 +47,19 @@ rejected drive is never kept.
 
 ``voltage_trace`` evaluates each span on the grid points ``0, dt, ...,
 end`` it covers: O(F log F + T) work for F inputs and T grid points instead
-of O(F T).  ``threshold_crossing`` never builds the grid: it returns the
-continuous crossing, the infimum of the times ``t`` in ``[0, end]`` with
-``t > d0`` at which the potential is at or above threshold, where ``d0`` is
-the earliest acting input.  The potential is an exact 0 at ``d0``, so a
+of O(F T), in slices of ``_TRACE_SLICE`` points written straight into the
+result, so its temporaries stay small beside the grid.
+``threshold_crossing`` never builds the grid: it returns the continuous
+crossing, the infimum of the times ``t`` in ``[0, end]`` with ``t > d0`` at
+which the potential is at or above threshold, where ``d0`` is the earliest
+acting input.  The potential is an exact 0 at ``d0``, so a
 threshold below 0 is reached at ``d0`` itself, and so is a threshold of 0
 unless the inputs at ``d0`` sum to a negative weight; inputs before 0 act,
 but the crossing is never before 0.  A span's potential has at most one
 extremum, so the span splits into at most two monotone pieces; the first
 piece whose end reaches threshold holds the crossing, found to adjacent
 floats.  ``horizon / tau_rise``, ``|d| / tau_rise`` and the trace must be
-finite.  ``psp_kernel`` is the single kernel, kept for the properties
-checked on it.
+finite.
 """
 
 from __future__ import annotations
@@ -73,10 +74,12 @@ from .errors import ConfigError
 
 __all__ = [
     "SrmParams",
-    "psp_kernel",
     "voltage_trace",
     "threshold_crossing",
 ]
+
+# grid points that voltage_trace evaluates, and srm-demo formats, at a time
+_TRACE_SLICE = 1 << 16
 
 # ``_drive``'s last result: ((delays bytes, fired bytes, dt, horizon), stage),
 # one tuple so that a thread never reads one call's key with another's stage
@@ -111,21 +114,6 @@ class SrmParams:
             raise ConfigError("horizon / dt is more grid steps than numpy can address")
         if not isfinite(round(self.horizon / self.dt) * self.dt):
             raise ConfigError("the last grid time round(horizon / dt) * dt must be finite")
-
-
-def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
-    """Postsynaptic potential of one spike arriving at ``delay``.
-
-    ``exp(-(t - d)/tau_decay) - exp(-(t - d)/tau_rise)`` for ``t >= d``,
-    zero before.  The kernel is exactly zero at ``t == d``, rises to a
-    single peak, then decays back toward zero.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    s = t - delay
-    active = s >= 0
-    s = np.where(active, s, 0.0)
-    value = np.exp(-s / params.tau_decay) - np.exp(-s / params.tau_rise)
-    return np.where(active, value, 0.0)
 
 
 def _drive(delays: np.ndarray, fired: np.ndarray, params: SrmParams):
@@ -226,9 +214,11 @@ def voltage_trace(
         bounds = np.searchsorted(times, [span[0] for span in spans], side="right").tolist()
         # the first span carries no input: its points stay 0
         for (onset, a, b), begin, end in zip(spans[1:], bounds[1:], bounds[2:] + [steps + 1]):
-            since = times[begin:end] - onset
-            # 0.0 + turns a -0.0 decay term into +0.0, so a zero potential prints as 0
-            voltage[begin:end] = ((0.0 + a * np.exp(-since / params.tau_decay))
+            for lo in range(begin, end, _TRACE_SLICE):
+                hi = min(lo + _TRACE_SLICE, end)
+                since = times[lo:hi] - onset
+                # 0.0 + turns a -0.0 decay term into +0.0, so a zero potential prints as 0
+                voltage[lo:hi] = ((0.0 + a * np.exp(-since / params.tau_decay))
                                   - b * np.exp(-since / params.tau_rise))
     except MemoryError as exc:
         raise ConfigError(f"cannot allocate the {steps + 1}-point SRM grid") from exc

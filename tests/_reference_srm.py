@@ -2,16 +2,32 @@
 
 This is the original loop that summed one difference-of-exponentials
 kernel per fired input over the whole grid, kept unchanged except for
-imports.  It costs O(inputs x grid points) and exists only so that tests
-can compare ``mtspike.srm.voltage_trace`` against it, and the continuous
-crossing against its grid points.
+imports, with the single kernel it sums, ``psp_kernel``, on which the
+tests check the kernel's shape.  It costs O(inputs x grid points) and
+exists only so that tests can compare ``mtspike.srm.voltage_trace``
+against it, and the continuous crossing against its grid points.
 """
 
 import numpy as np
 
 from mtspike.coding import DelayVector
 from mtspike.errors import ConfigError
-from mtspike.srm import SrmParams, psp_kernel
+from mtspike.srm import SrmParams
+
+
+def psp_kernel(t: np.ndarray, delay: float, params: SrmParams) -> np.ndarray:
+    """Postsynaptic potential of one spike arriving at ``delay``.
+
+    ``exp(-(t - d)/tau_decay) - exp(-(t - d)/tau_rise)`` for ``t >= d``,
+    zero before.  The kernel is exactly zero at ``t == d``, rises to a
+    single peak, then decays back toward zero.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    s = t - delay
+    active = s >= 0
+    s = np.where(active, s, 0.0)
+    value = np.exp(-s / params.tau_decay) - np.exp(-s / params.tau_rise)
+    return np.where(active, value, 0.0)
 
 
 def voltage_trace(

@@ -16,7 +16,7 @@ import numpy as np
 
 from mtspike.errors import ConfigError, DivergenceError, EvaluationError, StructureError
 from mtspike.learning import (
-    GRADIENT_MODES,
+    _GRADIENT_MODES,
     EpochStats,
     TrainConfig,
     output_residual,
@@ -72,7 +72,7 @@ def backward(
     synapses for that sample.  Returns one gradient per weight matrix,
     summed over the batch.
     """
-    if mode not in GRADIENT_MODES:
+    if mode not in _GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
     nets, delays = trace.nets, trace.delays
     depth = len(net.weights)

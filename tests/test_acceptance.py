@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from _criteria import record
+from _reference_srm import psp_kernel
 from conftest import mnist_data_dir
 from mtspike import cli
-from mtspike.coding import CodingParams, neuron_count
+from mtspike.coding import CodingParams, _neuron_count
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, EncodingSpec, encode_dataset
 from mtspike.learning import TrainConfig, backward, output_residual, train
@@ -26,7 +27,7 @@ from mtspike.model_io import load_model, save_model
 from mtspike.network import forward_batch, init_network
 from mtspike.pipeline import execute_run, load_raw
 from mtspike.readout import TargetScheme, read_class_batch, target_matrix
-from mtspike.srm import SrmParams, psp_kernel, threshold_crossing
+from mtspike.srm import SrmParams, threshold_crossing
 from test_learning import finite_difference
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -172,7 +173,7 @@ def test_criterion_05_gradients_match_finite_differences():
 
 
 def test_criterion_06_benchmark_structure(tmp_path, monkeypatch, capsys):
-    geometry = neuron_count(28, 4, 2)
+    geometry = _neuron_count(28, 4, 2)
     expected = {
         "mt1_iris": 125,
         "mt1_mnist": 85_000,
@@ -219,7 +220,7 @@ def test_criterion_07_spike_budget_and_energy(digits_test):
     total = dataset_spike_count(conv_data, net)
     assert total == int(per_inference.sum())
 
-    neuron_ratio = (28 * 28) / neuron_count(28, 4, 2)
+    neuron_ratio = (28 * 28) / _neuron_count(28, 4, 2)
     spike_ratio = pixel_data.fired.sum() / conv_data.fired.sum()
     ok = cap_ok and neuron_ratio >= 2.0
     passfail(

@@ -277,8 +277,8 @@ def test_srm_demo_csv_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_srm_demo_formats_a_grid_of_several_slices_point_for_point(monkeypatch, capsys):
-    """A 6,401-point grid in slices of 1,000 points (the last one short)
-    prints each point of ``voltage_trace`` as a whole-grid pass would."""
+    """A 6,401-point grid evaluated and printed in slices of 1,000 points
+    (the last one short) prints each point as one whole-grid slice gives it."""
     params = srm.SrmParams(tau_decay=4.0, tau_rise=1.0, v_threshold=1.0, dt=0.01,
                            horizon=64.0)
     inputs, weights = DelayVector(np.array([0.0, 2.0]), np.ones(2, bool)), np.array([1.5, 1.5])
@@ -286,7 +286,7 @@ def test_srm_demo_formats_a_grid_of_several_slices_point_for_point(monkeypatch, 
     crossing = srm.threshold_crossing(inputs, weights, params)
     want = "".join(["t,v\n", *(f"{t:.6g},{v:.8g}\n" for t, v in zip(times, voltage)),
                     f"# crossing,{crossing:.6g}\n"])
-    monkeypatch.setattr(cli, "_TRACE_SLICE", 1000)
+    monkeypatch.setattr(srm, "_TRACE_SLICE", 1000)
     rc, out, _ = run_cli(capsys, "srm-demo", "--weights", "1.5,1.5")
     assert rc == 0 and len(times) == 6401
     assert out == want

@@ -12,12 +12,12 @@ import _reference_coding as ref
 from mtspike import coding
 from mtspike.coding import (
     _BLOCK,
+    _neuron_count,
     CodingParams,
     DelayVector,
     encode_conv_like,
     encode_numeric,
     encode_pixels_1to1,
-    neuron_count,
 )
 from mtspike.datasets import EncodingSpec
 from mtspike.errors import ConfigError, DataError
@@ -253,7 +253,7 @@ def test_conv_ignores_trailing_remainder():
     img = np.zeros((5, 5))
     img[:, 4] = 255.0  # bright strip the grid never reaches
     delays, _ = encode_conv_like(img[None], p)
-    assert delays.shape[1] == neuron_count(5, 2, 2) == 4
+    assert delays.shape[1] == _neuron_count(5, 2, 2) == 4
     assert np.all(delays == 4.0)
 
 
@@ -269,16 +269,16 @@ def test_conv_requires_kernel_and_fitting_image():
     [(28, 4, 2, 169), (28, 4, 4, 49), (6, 2, 2, 9), (4, 4, 1, 1), (5, 2, 2, 4)],
 )
 def test_neuron_count_known_values(width, kernel, stride, count):
-    assert neuron_count(width, kernel, stride) == count
+    assert _neuron_count(width, kernel, stride) == count
 
 
 def test_neuron_count_validation():
     with pytest.raises(ConfigError):
-        neuron_count(28, 0, 2)
+        _neuron_count(28, 0, 2)
     with pytest.raises(ConfigError):
-        neuron_count(28, 29, 2)
+        _neuron_count(28, 29, 2)
     with pytest.raises(ConfigError):
-        neuron_count(28, 4, 0)
+        _neuron_count(28, 4, 0)
 
 
 @given(
@@ -291,7 +291,7 @@ def test_conv_output_matches_neuron_count_and_grid(side, stride, seed):
     p = CodingParams(kernel=4, stride=stride)
     img = np.random.default_rng(seed).integers(0, 256, (side, side)).astype(float)
     delays, _ = encode_conv_like(img[None], p)
-    assert delays.shape[1] == neuron_count(side, 4, stride)
+    assert delays.shape[1] == _neuron_count(side, 4, stride)
     assert np.all((delays >= 0.0) & (delays <= p.window))
     # zero counts are integers, so delays sit on the unit grid
     assert np.all(delays == np.round(delays))
@@ -300,7 +300,7 @@ def test_conv_output_matches_neuron_count_and_grid(side, stride, seed):
 @given(stride=st.integers(min_value=1, max_value=6))
 @settings(max_examples=20)
 def test_wider_stride_never_adds_neurons(stride):
-    assert neuron_count(28, 4, stride + 1) <= neuron_count(28, 4, stride)
+    assert _neuron_count(28, 4, stride + 1) <= _neuron_count(28, 4, stride)
 
 
 @given(side=st.integers(min_value=1, max_value=64), data=st.data())
@@ -309,7 +309,7 @@ def test_kernel_grid_never_runs_past_the_image(side, data):
     """The last kernel position always fits, so no padding is ever needed."""
     kernel = data.draw(st.integers(min_value=1, max_value=side))
     stride = data.draw(st.integers(min_value=1, max_value=side + 2))
-    positions = math.isqrt(neuron_count(side, kernel, stride))
+    positions = math.isqrt(_neuron_count(side, kernel, stride))
     assert (positions - 1) * stride + kernel <= side
     # ...and the grid stops only where one more position would not fit
     assert positions * stride + kernel > side

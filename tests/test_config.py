@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import types
 import typing
 
@@ -10,18 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtspike.coding import CodingParams
 from mtspike.config import (
-    DatasetConfig,
+    _DatasetConfig,
     RunConfig,
     config_from_dict,
-    default_data_dir,
     load_config,
     preset,
     preset_names,
 )
 from mtspike.errors import ConfigError
+from mtspike.learning import TrainConfig
+from mtspike.readout import TargetScheme
 
-from conftest import DELETE, JSON_VALUES, set_at
+from conftest import DELETE, JSON_VALUES, REPO_ROOT, set_at
 
 
 def minimal_dict(**overrides):
@@ -154,6 +157,49 @@ FIELD_PATHS = [(key,) for key in FULL_DOC] + [
 ] + [("layers", 1), ("train", "init_range", 1)]
 
 
+def _names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_full_document_names_every_parser_field():
+    """A field added to a section's dataclass, or a new top-level option
+    (which needs a ``RunConfig`` field), must be added here and to README."""
+    assert FULL_DOC["dataset"].keys() == _names(_DatasetConfig)
+    assert FULL_DOC["coding"].keys() == _names(CodingParams) | {"scheme", "p_max"}
+    assert FULL_DOC["readout"].keys() == _names(TargetScheme)
+    assert FULL_DOC["train"].keys() == _names(TrainConfig)
+    assert _names(RunConfig) == {"name", "dataset", "coding", "layer_sizes", "scheme",
+                                 "train", "alpha", "model_path", "metrics_path"}
+
+
+def test_readme_config_document_lists_exactly_the_parser_fields(monkeypatch):
+    """README's "Config files" part: its one JSON document parses, names the
+    keys of ``FULL_DOC`` and no others, is the ``mt1_iris`` preset apart from
+    its output paths, and the field list below it has one line per field."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    part = text[text.index("### Config files"):text.index("## Outputs")]
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1 and blocks[0] in part
+    doc = json.loads(blocks[0])
+    cfg = config_from_dict(doc)
+    paths = [(key,) for key, block in FULL_DOC.items() if not isinstance(block, dict)] + [
+        (section, key) for section, block in FULL_DOC.items()
+        if isinstance(block, dict) for key in block
+    ]
+    assert doc.keys() == FULL_DOC.keys()
+    for section, block in FULL_DOC.items():
+        if isinstance(block, dict):
+            assert doc[section].keys() == block.keys(), section
+    listed = re.findall(r"^- `([\w.]+)`:", part, re.M)
+    assert sorted(listed) == sorted(".".join(path) for path in paths)
+
+    monkeypatch.delenv("MTSPIKE_DATA_DIR", raising=False)
+    want = preset("mt1_iris")
+    assert cfg.coding.to_dict() == want.coding.to_dict()
+    assert dataclasses.replace(cfg, coding=want.coding, model_path=None,
+                               metrics_path=None) == want
+
+
 def has_annotated_types(value, tp) -> bool:
     """``value`` is of builtin type ``tp``; a float field may hold an int."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -221,15 +267,15 @@ def test_mnist_dataset_needs_image_coding():
 
 def test_dataset_config_validation():
     with pytest.raises(ConfigError):
-        DatasetConfig(kind="cifar", path="x")
+        _DatasetConfig(kind="cifar", path="x")
     with pytest.raises(ConfigError):
-        DatasetConfig(kind="iris")  # no path
+        _DatasetConfig(kind="iris")  # no path
     with pytest.raises(ConfigError):
-        DatasetConfig(kind="mnist")  # no dir
+        _DatasetConfig(kind="mnist")  # no dir
     with pytest.raises(ConfigError):
-        DatasetConfig(kind="iris", path="x", train_fraction=1.0)
+        _DatasetConfig(kind="iris", path="x", train_fraction=1.0)
     with pytest.raises(ConfigError):
-        DatasetConfig(kind="iris", path="x", train_subset=0)
+        _DatasetConfig(kind="iris", path="x", train_subset=0)
 
 
 def test_load_config_from_file(tmp_path):
@@ -259,9 +305,9 @@ def test_deeply_nested_config_is_a_config_error(tmp_path):
 
 def test_default_data_dir_env_override(monkeypatch):
     monkeypatch.delenv("MTSPIKE_DATA_DIR", raising=False)
-    assert str(default_data_dir()) == "data"
-    monkeypatch.setenv("MTSPIKE_DATA_DIR", "/somewhere")
-    assert str(default_data_dir()) == "/somewhere"
+    assert preset("mt10_mnist_heu").dataset.dir == "data/mnist"
+    monkeypatch.setenv("MTSPIKE_DATA_DIR", "/somewhere/")
+    assert preset("mt10_mnist_heu").dataset.dir == "/somewhere/mnist"
 
 
 def test_preset_names_and_unknown_preset():

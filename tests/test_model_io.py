@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mtspike.coding import CodingParams
 from mtspike.datasets import EncodingSpec
 from mtspike.errors import ModelIOError
-from mtspike.model_io import FORMAT_VERSION, MAGIC, ModelFile, load_model, save_model
+from mtspike.model_io import _FORMAT_VERSION, _MAGIC, ModelFile, load_model, save_model
 from mtspike.network import Network, init_network
 from mtspike.readout import TargetScheme
 
@@ -81,10 +81,10 @@ def test_file_layout_starts_with_magic_and_version(tmp_path):
     path = tmp_path / "m"
     save_model(sample_model(), path)
     raw = path.read_bytes()
-    assert raw.startswith(MAGIC)
-    version, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    assert version == FORMAT_VERSION
-    header = json.loads(raw[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])
+    assert raw.startswith(_MAGIC)
+    version, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    assert version == _FORMAT_VERSION
+    header = json.loads(raw[len(_MAGIC) + 8:len(_MAGIC) + 8 + header_len])
     assert header["layer_sizes"] == [4, 6, 3]
     assert header["window"] == 16.0
 
@@ -100,7 +100,7 @@ def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "m"
     save_model(sample_model(), path)
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<I", raw, len(MAGIC), FORMAT_VERSION + 1)
+    struct.pack_into("<I", raw, len(_MAGIC), _FORMAT_VERSION + 1)
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelIOError, match="version"):
         load_model(path)
@@ -116,8 +116,8 @@ def test_load_rejects_truncations(tmp_path):
     with pytest.raises(ModelIOError, match="truncated model file"):
         load_model(short)
 
-    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    short.write_bytes(raw[: len(MAGIC) + 8 + header_len // 2])
+    _, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    short.write_bytes(raw[: len(_MAGIC) + 8 + header_len // 2])
     with pytest.raises(ModelIOError, match="truncated model header"):
         load_model(short)
 
@@ -134,8 +134,8 @@ def test_load_rejects_garbage_header(tmp_path):
     path = tmp_path / "m"
     save_model(sample_model(), path)
     raw = bytearray(path.read_bytes())
-    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    start = len(MAGIC) + 8
+    _, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    start = len(_MAGIC) + 8
     raw[start:start + header_len] = b"{" * header_len
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelIOError, match="corrupt model header"):
@@ -146,11 +146,11 @@ def test_deeply_nested_provenance_is_a_model_error(tmp_path):
     path = tmp_path / "m"
     save_model(sample_model(), path)
     raw = path.read_bytes()
-    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    start = len(MAGIC) + 8
+    _, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    start = len(_MAGIC) + 8
     deep = b"[" * 100_000 + b"]" * 100_000
     header = raw[start:start + header_len].replace(b'"run":"sample"', b'"run":' + deep)
-    path.write_bytes(raw[:len(MAGIC)] + struct.pack("<II", FORMAT_VERSION, len(header))
+    path.write_bytes(raw[:len(_MAGIC)] + struct.pack("<II", _FORMAT_VERSION, len(header))
                      + header + raw[start + header_len:])
     with pytest.raises(ModelIOError, match="corrupt model header"):
         load_model(path)
@@ -159,14 +159,14 @@ def test_deeply_nested_provenance_is_a_model_error(tmp_path):
 def rewrite_header(path, mutate):
     """Apply ``mutate`` to the saved JSON header, keeping the weight payload."""
     raw = path.read_bytes()
-    start = len(MAGIC) + 8
-    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
+    start = len(_MAGIC) + 8
+    _, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
     header = json.loads(raw[start:start + header_len])
     mutate(header)
     new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(
-        raw[:len(MAGIC)]
-        + struct.pack("<II", FORMAT_VERSION, len(new_header))
+        raw[:len(_MAGIC)]
+        + struct.pack("<II", _FORMAT_VERSION, len(new_header))
         + new_header
         + raw[start + header_len:]
     )
@@ -271,8 +271,8 @@ def test_any_header_mutation_loads_or_raises_model_error(saved_model, tmp_path,
 def test_truncated_or_bit_flipped_files_raise_only_model_errors(saved_model, tmp_path,
                                                                 data):
     raw = saved_model.read_bytes()
-    _, header_len = struct.unpack_from("<II", raw, len(MAGIC))
-    header_end = len(MAGIC) + 8 + header_len
+    _, header_len = struct.unpack_from("<II", raw, len(_MAGIC))
+    header_end = len(_MAGIC) + 8 + header_len
     target = tmp_path / "damaged"
     cut = data.draw(st.integers(0, len(raw) - 1), label="truncate at")
     target.write_bytes(raw[:cut])
@@ -286,7 +286,7 @@ def test_truncated_or_bit_flipped_files_raise_only_model_errors(saved_model, tmp
     target.write_bytes(bytes(flipped))
     loads_or_raises_model_error(target)
     # arbitrary bytes behind a valid magic and version
-    target.write_bytes(raw[:len(MAGIC) + 4] + data.draw(st.binary(max_size=64)))
+    target.write_bytes(raw[:len(_MAGIC) + 4] + data.draw(st.binary(max_size=64)))
     loads_or_raises_model_error(target)
 
 

@@ -43,6 +43,25 @@ def test_names_in_the_readme_are_exported():
         assert name in exports, f"mtspike.{module}.{name}"
 
 
+def test_every_export_has_a_reader_outside_the_tests():
+    """Each ``__all__`` name is named, as a whole word, by another module of
+    the package, a Python file under ``perfbench/`` or README.md.  A name
+    that only its own module and the tests use is private."""
+    package = Path(mtspike.__file__).parent
+    readers = [*package.glob("*.py"), *(REPO_ROOT / "perfbench").rglob("*.py"),
+               REPO_ROOT / "README.md"]
+    texts = {path.resolve(): path.read_text(encoding="utf-8") for path in readers}
+    unread = []
+    for name in MODULES:
+        module = importlib.import_module(f"mtspike.{name}")
+        own = Path(module.__file__).resolve()
+        for export in getattr(module, "__all__", ()):
+            word = re.compile(rf"\b{re.escape(export)}\b")
+            if not any(word.search(text) for path, text in texts.items() if path != own):
+                unread.append(f"mtspike.{name}.{export}")
+    assert not unread, unread
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute"):
         mtspike.not_an_export

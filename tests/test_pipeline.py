@@ -11,7 +11,7 @@ import pytest
 from mtspike.config import config_from_dict, preset
 from mtspike.errors import ConfigError, DataError, DivergenceError
 from mtspike.model_io import save_model
-from mtspike.pipeline import execute_run, load_raw, prepare_data, resolve_mnist_paths
+from mtspike.pipeline import _resolve_mnist_paths, execute_run, load_raw, prepare_data
 
 
 def iris_config(iris_path, **train):
@@ -53,7 +53,7 @@ def mnist_config(idx_dir, layers, **train):
 
 def test_resolve_mnist_paths_reports_what_is_missing(tmp_path):
     with pytest.raises(DataError) as err:
-        resolve_mnist_paths(tmp_path)
+        _resolve_mnist_paths(tmp_path)
     message = str(err.value)
     assert "train-images-idx3-ubyte[.gz]" in message
     assert "t10k-labels-idx1-ubyte[.gz]" in message
@@ -69,7 +69,7 @@ def test_resolve_mnist_paths_accepts_mixed_compression(idx_dir, tmp_path):
     with open(idx_dir / "t10k-labels-idx1-ubyte", "rb") as src:
         with gzip.open(mixed / "t10k-labels-idx1-ubyte.gz", "wb") as dst:
             shutil.copyfileobj(src, dst)
-    paths = resolve_mnist_paths(mixed)
+    paths = _resolve_mnist_paths(mixed)
     assert paths["test_labels"].name.endswith(".gz")
     assert paths["train_images"].name == "train-images-idx3-ubyte"
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_srm as reference
+from _reference_srm import psp_kernel
 from conftest import make_digits
 from mtspike import srm
 from mtspike.coding import DelayVector
@@ -20,7 +21,6 @@ from mtspike.datasets import encode_dataset
 from mtspike.errors import ConfigError
 from mtspike.srm import (
     SrmParams,
-    psp_kernel,
     threshold_crossing,
     voltage_trace,
 )
@@ -296,6 +296,31 @@ def test_closed_form_trace_matches_the_per_input_sum(
     crossing = threshold_crossing(drive, weights, params)
     _assert_crossing_fits(crossing, drive, weights, params, times, v, tolerance)
     _assert_crossing_fits(crossing, drive, weights, params, times, v_ref, 2 * tolerance)
+
+
+def test_trace_of_many_slices_stays_near_its_result(monkeypatch):
+    """A 1,000,001-point grid, about 15 slices, with spans that cross slice
+    ends: the call's temporaries stay within 8 slices of float64 beside the
+    returned grid and potential, the values match the per-input sum, and
+    they are the bytes of the grid evaluated as one slice."""
+    rng = np.random.default_rng(3)
+    params = SrmParams(dt=1e-4, horizon=100.0)
+    drive = inputs(rng.uniform(-1.0, 95.0, 12))
+    weights = rng.normal(0.3, 1.0, 12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        times, v = voltage_trace(drive, weights, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(times) > 15 * srm._TRACE_SLICE
+    assert peak - times.nbytes - v.nbytes <= 8 * 8 * srm._TRACE_SLICE
+    ref_times, v_ref = reference.voltage_trace(drive, weights, params)
+    assert np.array_equal(times, ref_times)
+    assert np.max(np.abs(v - v_ref)) <= 1e-9 * (1.0 + np.abs(weights).sum())
+    monkeypatch.setattr(srm, "_TRACE_SLICE", len(times))
+    assert v.tobytes() == voltage_trace(drive, weights, params)[1].tobytes()
 
 
 def test_crossing_memory_is_bounded_by_fan_in():
