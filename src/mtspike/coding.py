@@ -248,7 +248,7 @@ def encode_conv_like(
     k, stride = p.kernel, p.stride
     if k > side:
         raise ConfigError(f"kernel width {k} exceeds image width {side}")
-    positions = _grid_positions(side, k, stride)
+    positions = math.ceil((side - k + 1) / stride)
     span = (positions - 1) * stride + 1
     count = np.min_scalar_type(k * k)
     threshold = p.binarize_threshold
@@ -285,26 +285,6 @@ def _narrowed(table: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # an inf or huge entry casts to junk: no match
         narrow = table.astype(np.uint8)
     return narrow if narrow.astype(np.float64).tobytes() == table.tobytes() else table
-
-
-def _neuron_count(image_width: int, kernel: int, stride: int) -> int:
-    """Number of input neurons produced by conv-like coding.
-
-    ``ceil((P - k + 1) / S) ** 2`` kernel positions for a P-wide image.  The
-    last position ends at ``(positions - 1) * S + k <= P``, so the kernel
-    grid never runs past the image.
-    """
-    if kernel < 1 or kernel > image_width:
-        raise ConfigError(
-            f"kernel width must be in [1, {image_width}], got {kernel}"
-        )
-    if stride < 1:
-        raise ConfigError("stride must be >= 1")
-    return _grid_positions(image_width, kernel, stride) ** 2
-
-
-def _grid_positions(side: int, kernel: int, stride: int) -> int:
-    return math.ceil((side - kernel + 1) / stride)
 
 
 def _blocks(n: int):

@@ -21,11 +21,11 @@ so time splits into spans, one per merged input, on each of which the
 potential is ``A e^{-s/tau_decay} - B e^{-s/tau_rise}`` in the time ``s``
 since the span's onset.  The recurrence never exponentiates a positive
 number, so any finite ``d/tau`` is safe (``horizon=2000, tau_rise=1`` is
-valid).  The weights are first divided by ``scale``, the power of two that
-leaves the largest below 2 in magnitude; the division is exact, a merged sum
-stays below twice the fan-in, and scaling all weights by a power of two
-scales the potential by it exactly while values stay in the normal float
-range.
+valid).  The acting weights are first divided by ``scale``, the power of
+two that leaves the largest below 2 in magnitude; the division is exact, a
+merged sum stays below twice the fan-in, and scaling all weights by a power
+of two scales the potential by it exactly while values stay in the normal
+float range.
 
 ``_spans`` builds the spans for both entry points.  Drives have few
 distinct delays (for the benchmark model's neurons on encoded digits, a
@@ -34,16 +34,19 @@ t = 16), so only the sort, the merge and the weight sums run in numpy; the
 recurrence walks the merged inputs in Python floats, cheaper than a numpy
 call on ten elements.  ``_drive`` needs only the drive and the grid's end:
 it checks the fired delays, orders the fired inputs that act by delay
-(stable) and groups equal delays.  The weight stage checks the weights
-(before the drive's check, so a bad weight is reported first), sums them
-per group and walks the sums, skipping a zero sum before its delay is
-divided by a time constant, so a dropped input's delay never overflows.  A
-layer's neurons share one input vector, so ``_drive`` keeps its last result
-under the key ``(delays bytes, fired bytes, dt, horizon)``, everything it
-reads, and a sweep over weight columns builds the drive stage once.  The
-key is content, not identity (arrays are mutable and ids are reused): an
-edit in place, a recycled address or another grid recomputes the stage; a
-rejected drive is never kept.
+(stable) and groups equal delays.  The weight stage's one max of ``|w|``,
+which NaN and inf reach, checks the weights before the drive's check (a bad
+weight is reported first) and gives the scale when every input acts; else
+one more max, over the acting weights, does.  It divides the gathered
+weights in place, sums them per group and walks the sums.  ``|d|/tau_rise``
+is checked at the two ends of the sorted delays, and at each delay with a
+nonzero sum only where an end overflows, so a dropped input's delay never
+raises.  A layer's neurons share one input vector, so ``_drive`` keeps its
+last result under the key ``(delays bytes, fired bytes, dt, horizon)``,
+everything it reads, and a sweep over weight columns builds the drive stage
+once.  The key is content, not identity (arrays are mutable and ids are
+reused): an edit in place, a recycled address or another grid recomputes the
+stage; a rejected drive is never kept.
 
 ``voltage_trace`` evaluates each span on the grid points ``0, dt, ...,
 end`` it covers: O(F log F + T) work for F inputs and T grid points instead
@@ -52,10 +55,10 @@ result, so its temporaries stay small beside the grid.
 ``threshold_crossing`` never builds the grid: it returns the continuous
 crossing, the infimum of the times ``t`` in ``[0, end]`` with ``t > d0`` at
 which the potential is at or above threshold, where ``d0`` is the earliest
-acting input.  The potential is an exact 0 at ``d0``, so a
-threshold below 0 is reached at ``d0`` itself, and so is a threshold of 0
-unless the inputs at ``d0`` sum to a negative weight; inputs before 0 act,
-but the crossing is never before 0.  A span's potential has at most one
+acting input.  The potential is an exact 0 at ``d0``, so a threshold
+below 0 is reached at ``d0`` itself, and so is a threshold of 0 unless the
+inputs at ``d0`` sum to a negative weight; inputs before 0 act, but the
+crossing is never before 0.  A span's potential has at most one
 extremum, so the span splits into at most two monotone pieces; the first
 piece whose end reaches threshold holds the crossing, found to adjacent
 floats.  ``horizon / tau_rise``, ``|d| / tau_rise`` and the trace must be
@@ -72,11 +75,7 @@ import numpy as np
 from .coding import DelayVector
 from .errors import ConfigError
 
-__all__ = [
-    "SrmParams",
-    "voltage_trace",
-    "threshold_crossing",
-]
+__all__ = ["SrmParams", "voltage_trace", "threshold_crossing"]
 
 # grid points that voltage_trace evaluates, and srm-demo formats, at a time
 _TRACE_SLICE = 1 << 16
@@ -161,31 +160,32 @@ def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: S
     a nonzero sum, and the potential is an exact 0 there and before it.
     Merged input ``k`` with a nonzero sum is span ``k + 1``.  No acting input
     gives no spans.  ``threshold_crossing`` reads ``d0`` as the first span's
-    onset: a threshold of at most 0 is reached there, except a threshold of
-    0 when span 1 starts at ``d0`` with ``decay < 0``; for ``d0 < 0`` the
-    search starts at 0 instead, on the span that holds it.
+    onset.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(delays),):
         raise ConfigError(f"expected {len(delays)} weights, got shape {weights.shape}")
-    if not np.isfinite(weights).all():
+    top = float(np.abs(weights).max(initial=0.0))
+    if not isfinite(top):
         raise ConfigError("SRM weights must be finite")
     chosen, starts, onsets = _drive(delays, fired, params)
     w = weights[chosen]
+    if chosen.size < weights.size:  # unfired or past-the-end inputs
+        top = float(np.abs(w).max(initial=0.0))
     # exact: every |w| / scale is below 2, so a merged sum stays below 2 * fan-in
-    scale = ldexp(1.0, frexp(float(np.abs(w).max(initial=0.0)))[1] - 1)
-    w = np.add.reduceat(w / scale, starts)
-    spans, onset, decay, rise = [], onsets[0] if onsets else None, 0.0, 0.0
-    for at, x in zip(onsets, w.tolist()):
-        if not x:
-            continue  # a zero sum adds nothing, and its delay is never divided
-        if not isfinite(at / params.tau_rise):
+    scale = ldexp(1.0, frexp(top)[1] - 1)
+    w /= scale
+    sums = np.add.reduceat(w, starts).tolist()
+    tau_decay, tau_rise = params.tau_decay, params.tau_rise
+    if onsets and not isfinite(max(-onsets[0], onsets[-1]) / tau_rise):  # the largest |onset|
+        if any(x and not isfinite(at / tau_rise) for at, x in zip(onsets, sums)):
             raise ConfigError("fired delay / tau_rise must be finite")
-        spans.append((onset, decay, rise))
-        if len(spans) > 1:  # after an earlier input: decay its sums to this onset
-            decay *= exp((onset - at) / params.tau_decay)
-            rise *= exp((onset - at) / params.tau_rise)
-        onset, decay, rise = at, decay + x, rise + x
+    spans, onset, decay, rise = [], onsets[0] if onsets else None, 0.0, 0.0
+    for at, x in zip(onsets, sums):
+        if x:  # a zero sum adds nothing; the first input decays sums of 0
+            spans.append((onset, decay, rise))
+            gap, onset = onset - at, at
+            decay, rise = decay * exp(gap / tau_decay) + x, rise * exp(gap / tau_rise) + x
     return scale, [*spans, (onset, decay, rise)] if onsets else []
 
 
@@ -256,11 +256,10 @@ def threshold_crossing(
     There, Illinois regula falsi in ``math`` floats, halving the bracket
     where a secant step stalls, returns the float at which the potential
     reaches threshold while at the float below it does not (except at
-    ``d0`` or 0).  Time and memory grow with the
-    spans, not with the grid.  The trace's first qualifying grid point past
-    ``d0`` is the first grid point at or after the crossing, up to rounding,
-    unless the potential reaches threshold only on a peak between grid
-    points.
+    ``d0`` or 0).  Time and memory grow with the spans, not with the grid.
+    The trace's first qualifying grid point past ``d0`` is the first grid
+    point at or after the crossing, up to rounding, unless the potential
+    reaches threshold only on a peak between grid points.
     """
     scale, spans = _spans(inputs.delays, inputs.fired, weights, params)
     if not spans:
@@ -274,23 +273,24 @@ def threshold_crossing(
     log_ratio, rate = log(tau_decay / tau_rise), 1.0 / tau_rise - 1.0 / tau_decay
     stops = [span[0] for span in spans[1:]] + [round(params.horizon / params.dt) * params.dt]
     below = -theta  # the potential minus threshold at the current piece's start
-    for (onset, a, b), stop in zip(spans, stops):
-        def excess(t, onset=onset, a=a, b=b):
-            since = t - onset
-            return scale * (a * exp(-since / tau_decay) - b * exp(-since / tau_rise)) - theta
 
+    def excess(t):  # on the walk's current span (onset, a, b): called only inside the walk
+        since = t - onset
+        return scale * (a * exp(-since / tau_decay) - b * exp(-since / tau_rise)) - theta
+    for (onset, a, b), stop in zip(spans, stops):
         if onset < 0.0 <= stop:  # the span that holds 0, where the crossing can start
             below = excess(0.0)
             if below >= 0.0:
                 return 0.0
-        lo = max(onset, 0.0)
+        lo = onset if onset >= 0.0 else 0.0  # max(onset, 0.0): a -0.0 onset stays
         if not lo < stop:
             continue
         # the potential's one extremum, where A and B share a sign, splits the span
         peak = onset + (log(abs(b)) - log(abs(a)) + log_ratio) / rate \
-            if min(a, b) > 0.0 or max(a, b) < 0.0 else stop
+            if 0.0 < a and 0.0 < b or a < 0.0 and b < 0.0 else stop
         for end in (peak, stop) if lo < peak < stop else (stop,):
-            above = excess(end)
+            since = end - onset  # excess(end), inline
+            above = scale * (a * exp(-since / tau_decay) - b * exp(-since / tau_rise)) - theta
             if above >= 0.0:
                 return _root(excess, lo, end, below, above)
             lo, below = end, above
@@ -309,10 +309,10 @@ def _root(excess, lo: float, hi: float, below: float, above: float) -> float:
         step = lo + (hi - lo) / 2
         if below < 0.0 and isfinite(above - below) and not clamped:
             step = hi - (hi - lo) * (above / (above - below))
-        t = min(max(step, nextafter(lo, hi)), nextafter(hi, lo))
+        clamped = not lo < step < hi
+        t = (nextafter(lo, hi) if step <= lo else nextafter(hi, lo)) if clamped else step
         if not lo < t < hi:  # adjacent floats
             return hi
-        clamped = t != step
         # Illinois: an end kept for a second step in a row has its value halved
         value = excess(t)
         if value >= 0.0:

@@ -3,7 +3,8 @@
 These are the original one-image-at-a-time encoders, kept unchanged except
 for imports, plus the loop that stacked their outputs into a dataset.  They
 are slow and exist only so that tests can compare the batch encoders in
-``mtspike.coding`` against them.
+``mtspike.coding`` against them.  ``_neuron_count``, the conv grid's size
+that no package code needs, backs the geometry tests.
 """
 
 import math
@@ -79,6 +80,22 @@ def encode_conv_like(image: np.ndarray, p: CodingParams) -> DelayVector:
     zeros = k * k - ones[:positions, :positions]
     delays = (p.unit * zeros).reshape(-1).astype(np.float64)
     return DelayVector(delays=delays, fired=np.ones(delays.shape[0], dtype=bool))
+
+
+def _neuron_count(image_width: int, kernel: int, stride: int) -> int:
+    """Number of input neurons produced by conv-like coding.
+
+    ``ceil((P - k + 1) / S) ** 2`` kernel positions for a P-wide image.  The
+    last position ends at ``(positions - 1) * S + k <= P``, so the kernel
+    grid never runs past the image.
+    """
+    if kernel < 1 or kernel > image_width:
+        raise ConfigError(
+            f"kernel width must be in [1, {image_width}], got {kernel}"
+        )
+    if stride < 1:
+        raise ConfigError("stride must be >= 1")
+    return math.ceil((image_width - kernel + 1) / stride) ** 2
 
 
 def _square_image(image: np.ndarray) -> np.ndarray:

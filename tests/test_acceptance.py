@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from _criteria import record
+from _reference_coding import _neuron_count
 from _reference_srm import psp_kernel
 from conftest import mnist_data_dir
 from mtspike import cli
-from mtspike.coding import CodingParams, _neuron_count
+from mtspike.coding import CodingParams
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, EncodingSpec, encode_dataset
 from mtspike.learning import TrainConfig, backward, output_residual, train

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_coding as ref
+from _reference_coding import _neuron_count
 from mtspike import coding
 from mtspike.coding import (
     _BLOCK,
-    _neuron_count,
     CodingParams,
     DelayVector,
     encode_conv_like,

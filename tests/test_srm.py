@@ -19,6 +19,7 @@ from mtspike.coding import DelayVector
 from mtspike.config import preset
 from mtspike.datasets import encode_dataset
 from mtspike.errors import ConfigError
+from mtspike.network import forward_batch, init_network
 from mtspike.srm import (
     SrmParams,
     threshold_crossing,
@@ -441,6 +442,29 @@ def test_weight_column_sweeps_are_pinned():
         "867b7f5f1d8411af0468fd06f0dc64ceab41e21b4331fe98f5cb233c8036ed7c")
 
 
+def test_benchmark_like_crossings_are_pinned():
+    """The benchmark's kind of drive: 20 conv-coded digits (fan-in 169) and
+    the hidden delays they give a seeded 169-500-10 net with weights in
+    (-0.5, 0.5) (fan-in 500, half of them at the window), each drive met by
+    the net's weight columns in turn (431 of 1,000 cross, at 431 distinct
+    times)."""
+    coding = preset("mt10_mnist_noheu").coding
+    data = encode_dataset(make_digits(2, seed=11), coding)
+    net = init_network([169, 500, 10], np.random.default_rng(33), (-0.5, 0.5),
+                       window=coding.params.window)
+    hidden = forward_batch(net, data.delays).delays[1]
+    assert np.mean(hidden == coding.params.window) > 0.4
+    crossings = []
+    for delays, fired, row in zip(data.delays, data.fired, hidden):
+        for drive, weights in ((DelayVector(delays, fired), net.weights[0][:, :40]),
+                               (inputs(row), net.weights[1])):
+            crossings += [threshold_crossing(drive, column, P) for column in weights.T]
+    assert sum(c is not None for c in crossings) == 431
+    text = "\n".join(repr(c) for c in crossings)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3b8df47b6614ce3446a82f138627cc639f8b0bd91b8e35d86ed5b44b9b5d415c")
+
+
 def _first_qualifying(drive, weights, params):
     times, v = voltage_trace(drive, weights, params)
     qualifying = np.nonzero((times > drive.delays[drive.fired].min())
@@ -540,6 +564,61 @@ def test_drive_errors_repeat_and_keep_their_order():
         for _ in range(2):
             assert 0.47 < threshold_crossing(drive, np.array([0.0, 2.0]), fast) <= 0.48
             assert _first_qualifying(drive, np.array([0.0, 2.0]), fast) == 0.48
+
+
+def test_fired_delay_over_tau_rise_past_the_float_range_raises():
+    """-1e308 / 0.5 overflows: a fired input there with a nonzero weight is
+    refused on every call, while with a zero weight, or in a group whose
+    weights sum to 0, it drops out and the crossing and trace are those of
+    the input at 1 alone."""
+    fast = SrmParams(tau_rise=0.5)
+    for _ in range(2):
+        for simulate in (threshold_crossing, voltage_trace):
+            with pytest.raises(ConfigError, match="fired delay / tau_rise must be finite"):
+                simulate(inputs([-1e308, 1.0]), np.array([0.5, 2.0]), fast)
+    alone = threshold_crossing(inputs([1.0]), np.array([2.0]), fast)
+    _, alone_v = voltage_trace(inputs([1.0]), np.array([2.0]), fast)
+    assert alone is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delays, weights in (([-1e308, 1.0], [0.0, 2.0]),
+                                ([-1e308, 1.0, -1e308], [0.75, 2.0, -0.75])):
+            for _ in range(2):
+                assert threshold_crossing(inputs(delays), np.array(weights), fast) == alone
+                _, v = voltage_trace(inputs(delays), np.array(weights), fast)
+                assert v.tobytes() == alone_v.tobytes()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    idle_share=st.floats(min_value=0.01, max_value=0.9),
+    exponent=st.floats(min_value=-300.0, max_value=308.0),
+)
+@example(seed=0, idle_share=0.5, exponent=308.0)
+@settings(max_examples=60, deadline=None)
+def test_inputs_that_do_not_act_never_move_a_crossing(seed, idle_share, exponent):
+    """Digit-like drives with some inputs unfired or at or past the grid's
+    end: weights of up to 1e308 on those inputs leave the crossing and the
+    trace's bytes as weights of 0 do, and a NaN among them is still refused."""
+    drive, weights = _digit_like_drive(seed)
+    rng = np.random.default_rng([seed, 21])
+    n = weights.size
+    idle = rng.random(n) < idle_share
+    idle[rng.integers(n)] = True
+    past = idle & (rng.random(n) < 0.5)  # fired, at or past the end; the rest unfired
+    end = round(P.horizon / P.dt) * P.dt
+    delays = np.where(past, rng.choice([end, end + P.dt, 1e300], n), drive.delays)
+    drive = inputs(delays, (drive.fired & ~idle) | past)
+    huge, zero = weights.copy(), weights.copy()
+    huge[idle] = rng.choice([-1.0, 1.0], n)[idle] * 10.0 ** exponent
+    zero[idle] = 0.0
+    crossing = threshold_crossing(drive, zero, P)
+    assert threshold_crossing(drive, huge, P) == crossing
+    assert voltage_trace(drive, huge, P)[1].tobytes() == voltage_trace(drive, zero, P)[1].tobytes()
+    huge[np.flatnonzero(idle)[0]] = np.nan
+    for simulate in (threshold_crossing, voltage_trace):
+        with pytest.raises(ConfigError, match="SRM weights must be finite"):
+            simulate(drive, huge, P)
 
 
 @given(
