@@ -2,8 +2,8 @@
 
 Subcommands: ``train``, ``eval``, ``encode``, ``srm-demo``, ``presets``.
 ``train`` and friends take either ``--config PATH`` (JSON, schema in
-:mod:`mtspike.config`) or ``--preset NAME``.  Verbosity comes from the
-``MTSPIKE_LOG`` environment variable (debug/info/warning/error).
+README.md's "Config files" section) or ``--preset NAME``.  Verbosity comes
+from the ``MTSPIKE_LOG`` environment variable (debug/info/warning/error).
 
 Every failure prints one machine-greppable line of the form
 ``mtspike: error [E_CODE] message`` to stderr and exits nonzero.
@@ -80,7 +80,7 @@ def _write_lines(path: Path | None, lines) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.writelines(lines)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
@@ -89,7 +89,7 @@ def cmd_train(args) -> int:
 
     from . import pipeline
     from .model_io import save_model
-    from .network import weight_count
+    from .network import _weight_count
 
     cfg = _resolve_config(args)
     if args.seed is not None:
@@ -99,7 +99,7 @@ def cmd_train(args) -> int:
 
     print(f"run: {cfg.name}")
     print(f"layers: {'-'.join(str(s) for s in cfg.layer_sizes)}")
-    print(f"weights: {weight_count(cfg.layer_sizes)}")
+    print(f"weights: {_weight_count(cfg.layer_sizes)}")
     sys.stdout.flush()
 
     result = pipeline.execute_run(cfg)
@@ -109,7 +109,7 @@ def cmd_train(args) -> int:
     metrics_path = Path(cfg.metrics_path or out / f"{cfg.name}_metrics.csv")
     try:  # save_model opens the model file; its directory is made here
         model_path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {model_path}: {exc}") from exc
     save_model(result.model, model_path)
     # execute_run always evaluates, so every epoch has a test accuracy
@@ -164,7 +164,7 @@ def cmd_encode(args) -> int:
 
     cfg = _resolve_config(args)
     train_raw, test_raw = pipeline.load_raw(cfg)
-    spec = pipeline.fit_coding(cfg.coding, train_raw)
+    spec = pipeline._fit_coding(cfg.coding, train_raw)
     raw = train_raw if args.split == "train" else test_raw
     encoded = encode_dataset(raw, spec)
     resolution = spec.params.resolution
@@ -253,9 +253,9 @@ def cmd_srm_demo(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    from .config import preset, preset_names
+    from .config import _preset_names, preset
 
-    for name in preset_names():
+    for name in _preset_names():
         cfg = preset(name)
         shape = "-".join(str(s) for s in cfg.layer_sizes)
         suffix = " (heuristic)" if cfg.train.heuristic else ""
@@ -339,7 +339,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except MTSpikeError as exc:
         log.debug("command failed", exc_info=True)
-        print(f"mtspike: error [{exc.code}] {exc}", file=sys.stderr)
+        message = str(exc).replace("\0", "\\0")  # a NUL would make grep read the line as binary
+        print(f"mtspike: error [{exc.code}] {message}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("mtspike: error [E_INTERRUPTED] interrupted", file=sys.stderr)

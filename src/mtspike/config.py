@@ -30,16 +30,15 @@ import numpy as np
 from .datasets import EncodingSpec
 from .errors import ConfigError
 from .learning import TrainConfig
-from .network import weight_count
+from .network import _weight_count
 from .readout import TargetScheme
-from .schema import checked, from_json
+from .schema import _checked, from_json
 
 __all__ = [
     "RunConfig",
     "load_config",
     "config_from_dict",
     "preset",
-    "preset_names",
 ]
 
 
@@ -89,7 +88,7 @@ class RunConfig:
             raise ConfigError("layers must list at least input and output sizes")
         if min(self.layer_sizes) < 1:
             raise ConfigError("every layer must contain at least one neuron")
-        if weight_count(self.layer_sizes) > np.iinfo(np.intp).max // 8:
+        if _weight_count(self.layer_sizes) > np.iinfo(np.intp).max // 8:
             raise ConfigError(
                 f"layers {list(self.layer_sizes)} need more float64 weights "
                 f"than numpy can address"
@@ -122,16 +121,16 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError("output section accepts only 'model' and 'metrics' paths")
     coding = EncodingSpec.from_dict(d["coding"], snapshot=False)
     return RunConfig(
-        name=checked(d.get("name", "run"), str, "name"),
+        name=_checked(d.get("name", "run"), str, "name"),
         dataset=from_json(_DatasetConfig, d["dataset"], "dataset"),
         coding=coding,
-        layer_sizes=checked(d["layers"], tuple[int, ...], "layers"),
+        layer_sizes=_checked(d["layers"], tuple[int, ...], "layers"),
         scheme=from_json(TargetScheme, d["readout"], "readout",
                          window=coding.params.window),
         train=from_json(TrainConfig, d.get("train", {}), "train"),
-        alpha=checked(d.get("alpha", 1.0), float, "alpha"),
-        model_path=checked(output.get("model"), str | None, "output model"),
-        metrics_path=checked(output.get("metrics"), str | None, "output metrics"),
+        alpha=_checked(d.get("alpha", 1.0), float, "alpha"),
+        model_path=_checked(output.get("model"), str | None, "output model"),
+        metrics_path=_checked(output.get("metrics"), str | None, "output metrics"),
     )
 
 
@@ -139,10 +138,10 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(document)
 
 
@@ -172,7 +171,7 @@ _PRESETS = {
 }
 
 
-def preset_names() -> tuple[str, ...]:
+def _preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
@@ -192,7 +191,7 @@ def preset(name: str) -> RunConfig:
     """
     if name not in _PRESETS:
         raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
+            f"unknown preset {name!r}; available: {', '.join(_preset_names())}"
         )
     cfg = _parsed_preset(name, os.environ.get("MTSPIKE_DATA_DIR", "data"))
     return dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset))

@@ -39,7 +39,6 @@ __all__ = [
     "load_iris",
     "load_mnist_idx",
     "save_mnist_idx",
-    "attribute_ranges",
     "split_dataset",
     "stratified_subset",
     "encode_dataset",
@@ -200,7 +199,7 @@ def load_iris(path) -> RawDataset:
         # utf-8-sig: a spreadsheet's byte-order mark must not hide the first row
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path, or bad UTF-8
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     first_data_line = True
@@ -257,7 +256,7 @@ def _read_file(path) -> bytearray:
             buf = bytearray(os.fstat(fh.fileno()).st_size)
             del buf[fh.readinto(buf):]  # the file shrank since fstat
             return buf
-    except (OSError, EOFError, zlib.error) as exc:
+    except (OSError, ValueError, EOFError, zlib.error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -328,16 +327,8 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
             with open(path, "wb") as fh:
                 fh.write(struct.pack(f">{1 + values.ndim}I", _IDX[kind][0], *values.shape))
                 fh.write(values.astype(np.uint8).tobytes())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise DataError(f"cannot write {path}: {exc}") from exc
-
-
-def attribute_ranges(features: np.ndarray) -> np.ndarray:
-    """Per-attribute (min, max) pairs of a numeric feature matrix."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DataError(f"expected a 2-D feature matrix, got shape {features.shape}")
-    return np.stack([features.min(axis=0), features.max(axis=0)], axis=1)
 
 
 def _stratified_pick(labels: np.ndarray, target: int, rng: np.random.Generator):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -68,10 +67,16 @@ PREDICT_BLOCK = 128
 # Threads that sweep float32 blocks: the caller and _WORKERS - 1 helpers (_sweep).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_helpers: list[ThreadPoolExecutor] = []
-_pool_lock = threading.Lock()
+
+
+def _new_pool():  # an executor starts no thread until the first submit
+    global _pool
+    _pool = ThreadPoolExecutor(_WORKERS - 1 or 1, thread_name_prefix="mtspike-sweep")
+
+
+_new_pool()
 if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
-    os.register_at_fork(after_in_child=_helpers.clear)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 # Unit roundoff u and smallest normal number eta as columns, and a quarter
@@ -141,13 +146,6 @@ def _float32_copy(net: Network, x: np.ndarray):
     return [(w / w.shape[0]).astype(np.float32) for w in net.weights], bounds
 
 
-def _pool() -> ThreadPoolExecutor:
-    with _pool_lock:
-        if not _helpers:
-            _helpers.append(ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="mtspike-sweep"))
-        return _helpers[0]
-
-
 def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:
     """float32 outputs of every row of ``blocks`` through the prescaled
     ``weights``: per block and layer ``z = a v``, then ``max(z, 0) + window`` in
@@ -166,7 +164,7 @@ def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -
                 np.maximum(a, 0, out=a)
                 a += window
 
-    helpers = [_pool().submit(work) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    helpers = [_pool.submit(work) for _ in range(min(_WORKERS, len(blocks)) - 1)]
     try:
         work()
     finally:  # a helper that has not started would find no block left

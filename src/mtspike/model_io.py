@@ -27,9 +27,9 @@ import numpy as np
 
 from .datasets import EncodingSpec
 from .errors import ConfigError, ModelIOError, StructureError
-from .network import Network, weight_count
+from .network import Network, _weight_count
 from .readout import TargetScheme
-from .schema import checked, from_json
+from .schema import _checked, from_json
 
 __all__ = ["ModelFile", "save_model", "load_model"]
 
@@ -105,7 +105,7 @@ def save_model(model: ModelFile, path):
             fh.write(header)
             for w in model.network.weights:
                 fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ModelIOError(f"cannot write model to {path}: {exc}") from exc
 
 
@@ -123,7 +123,7 @@ def load_model(path) -> ModelFile:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ModelIOError(f"cannot read model from {path}: {exc}") from exc
 
     if len(raw) < len(_MAGIC) + 8:
@@ -145,12 +145,12 @@ def load_model(path) -> ModelFile:
         raise ModelIOError(f"{path}: corrupt model header: {exc}") from exc
 
     try:
-        layer_sizes = checked(header["layer_sizes"], tuple[int, ...], "layer_sizes")
-        activation = checked(header["activation"], str, "activation")
-        net_window = checked(header["window"], float, "window")
+        layer_sizes = _checked(header["layer_sizes"], tuple[int, ...], "layer_sizes")
+        activation = _checked(header["activation"], str, "activation")
+        net_window = _checked(header["window"], float, "window")
         coding = EncodingSpec.from_dict(header["coding"])
         scheme = from_json(TargetScheme, header["scheme"], "scheme", complete=True)
-        provenance = checked(header["provenance"], dict, "provenance")
+        provenance = _checked(header["provenance"], dict, "provenance")
     except (KeyError, TypeError, ConfigError) as exc:
         raise ModelIOError(f"{path}: model header is missing or malformed: {exc}") from exc
     unknown = header.keys() - {"layer_sizes", "activation", "window", "coding",
@@ -160,7 +160,7 @@ def load_model(path) -> ModelFile:
     if any(size < 1 for size in layer_sizes):
         raise ModelIOError(f"{path}: invalid network: layer sizes {list(layer_sizes)}")
 
-    expected_weights = weight_count(layer_sizes)
+    expected_weights = _weight_count(layer_sizes)
     payload = raw[body_start + header_len:]
     if len(payload) != 8 * expected_weights:
         kind = "truncated" if len(payload) < 8 * expected_weights else "oversized"

@@ -29,7 +29,6 @@ __all__ = [
     "Network",
     "ForwardTrace",
     "init_network",
-    "weight_count",
     "forward_batch",
 ]
 
@@ -87,7 +86,7 @@ class Network:
             raise StructureError(f"window must be finite and >= 0, got {self.window}")
 
 
-def weight_count(layer_sizes) -> int:
+def _weight_count(layer_sizes) -> int:
     """Number of synapses of a dense network with these layer sizes."""
     return sum(a * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
 

@@ -21,7 +21,6 @@ from .datasets import (
     EncodedDataset,
     EncodingSpec,
     RawDataset,
-    attribute_ranges,
     encode_dataset,
     load_iris,
     load_mnist_idx,
@@ -38,7 +37,6 @@ from .readout import TargetScheme
 __all__ = [
     "RunResult",
     "load_raw",
-    "fit_coding",
     "prepare_data",
     "execute_run",
 ]
@@ -98,15 +96,19 @@ def load_raw(cfg: RunConfig) -> tuple[RawDataset, RawDataset]:
     return train_raw, test_raw
 
 
-def fit_coding(spec: EncodingSpec, train_raw: RawDataset) -> EncodingSpec:
-    """The spec to encode with: numeric ranges, if unset, fitted on ``train_raw``.
+def _fit_coding(spec: EncodingSpec, train_raw: RawDataset) -> EncodingSpec:
+    """The spec to encode with: numeric ranges, if unset, the per-column
+    (min, max) of ``train_raw``, whose features must be a 2-D matrix.
 
     Fitting on the training split only means test values outside the seen
     range clamp to the window edges.
     """
-    if spec.scheme == "numeric" and spec.ranges is None:
-        return replace(spec, ranges=attribute_ranges(train_raw.features))
-    return spec
+    if spec.scheme != "numeric" or spec.ranges is not None:
+        return spec
+    features = train_raw.features.astype(np.float64, copy=False)
+    if features.ndim != 2:
+        raise DataError(f"expected a 2-D feature matrix, got shape {features.shape}")
+    return replace(spec, ranges=np.stack([features.min(axis=0), features.max(axis=0)], axis=1))
 
 
 def prepare_data(cfg: RunConfig) -> tuple[EncodedDataset, EncodedDataset, EncodingSpec]:
@@ -117,7 +119,7 @@ def prepare_data(cfg: RunConfig) -> tuple[EncodedDataset, EncodedDataset, Encodi
     if the coding width disagrees with the first network layer.
     """
     train_raw, test_raw = load_raw(cfg)
-    spec = fit_coding(cfg.coding, train_raw)
+    spec = _fit_coding(cfg.coding, train_raw)
     train_enc = encode_dataset(train_raw, spec)
     test_enc = encode_dataset(test_raw, spec)
     if train_enc.delays.shape[1] != cfg.layer_sizes[0]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["from_json", "checked"]
+__all__ = ["from_json"]
 
 
 def _fits(value, tp) -> bool:
@@ -46,7 +46,7 @@ def _fits(value, tp) -> bool:
     return isinstance(value, tp)
 
 
-def checked(value, tp, name: str):
+def _checked(value, tp, name: str):
     """``value`` if it fits annotation ``tp``; a list becomes a tuple for a tuple field."""
     if not _fits(value, tp):
         text = tp.__name__ if isinstance(tp, type) else str(tp)
@@ -81,7 +81,7 @@ def from_json(cls, obj, section: str, complete: bool = False, **defaults):
     missing = (annotated.keys() if complete else required) - obj.keys()
     if missing:
         raise ConfigError(f"{section} is missing field(s): {', '.join(sorted(missing))}")
-    kwargs = {k: checked(v, annotated[k], f"{section} option {k}") for k, v in obj.items()}
+    kwargs = {k: _checked(v, annotated[k], f"{section} option {k}") for k, v in obj.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -407,6 +407,32 @@ def test_srm_demo_unwritable_out_error_line(tmp_path, capsys, target):
     assert out == ""
 
 
+@pytest.mark.parametrize("case, code", [
+    ("name-train", "E_MODEL"), ("name-encode", "E_CONFIG"), ("dataset.path", "E_DATA"),
+    ("output.model", "E_MODEL"), ("output.metrics", "E_CONFIG"), ("--out", "E_CONFIG"),
+    ("--config", "E_CONFIG"), ("--model", "E_MODEL"), ("srm-demo --out", "E_CONFIG"),
+])
+def test_nul_in_a_path_error_line(tmp_path, iris_path, capsys, case, code):
+    """``open`` and ``mkdir`` raise ``ValueError`` on a path holding a NUL:
+    exit 2 with the code of the file named, the NUL printed as ``\\0``."""
+    nul = str(tmp_path / "a\0b")
+    section = {"name-train": {"name": "a\0b"}, "name-encode": {"name": "a\0b"},
+               "dataset.path": {"dataset": {"kind": "iris", "path": nul}},
+               "output.model": {"output": {"model": nul}},
+               "output.metrics": {"output": {"metrics": nul}}}.get(case, {})
+    cfg = str(write_iris_config(tmp_path, iris_path, train={"epochs": 1}, **section))
+    out = nul if case == "--out" else str(tmp_path)
+    argv = {"name-encode": ["encode", "--config", cfg, "--out", out],
+            "--config": ["train", "--config", nul],
+            "--model": ["eval", "--config", cfg, "--model", nul],
+            "srm-demo --out": ["srm-demo", "--out", nul],
+            }.get(case, ["train", "--config", cfg, "--out", out])
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert err.strip().startswith(f"mtspike: error [{code}] ")
+    assert "a\\0b" in err and "\0" not in err
+
+
 def test_presets_lists_all_runs(capsys):
     rc, out, _ = run_cli(capsys, "presets")
     assert rc == 0

@@ -18,7 +18,7 @@ from mtspike.config import (
     config_from_dict,
     load_config,
     preset,
-    preset_names,
+    _preset_names,
 )
 from mtspike.errors import ConfigError
 from mtspike.learning import TrainConfig
@@ -311,7 +311,7 @@ def test_default_data_dir_env_override(monkeypatch):
 
 
 def test_preset_names_and_unknown_preset():
-    names = preset_names()
+    names = _preset_names()
     assert names == tuple(sorted(names))
     assert set(names) == {
         "mt1_iris", "slmt3_iris", "mt1_mnist",
@@ -323,7 +323,7 @@ def test_preset_names_and_unknown_preset():
 
 
 def test_every_preset_validates_and_matches_its_readout():
-    for name in preset_names():
+    for name in _preset_names():
         cfg = preset(name)
         assert cfg.name == name
         assert cfg.scheme.output_size == cfg.layer_sizes[-1]

@@ -16,7 +16,6 @@ from mtspike.datasets import (
     EncodedDataset,
     EncodingSpec,
     RawDataset,
-    attribute_ranges,
     encode_dataset,
     load_iris,
     load_mnist_idx,
@@ -115,13 +114,6 @@ def test_raw_dataset_validation():
         RawDataset(features=[[1.0], [1.0, 2.0]], labels=[0, 1])
     with pytest.raises(DataError, match="rectangular"):
         RawDataset(features=np.zeros((2, 1)), labels=[[0], [1, 2]])
-
-
-def test_attribute_ranges():
-    feats = np.array([[1.0, 10.0], [3.0, -2.0], [2.0, 4.0]])
-    assert attribute_ranges(feats).tolist() == [[1.0, 3.0], [-2.0, 10.0]]
-    with pytest.raises(DataError):
-        attribute_ranges(np.zeros(3))
 
 
 # --- splits and subsets -----------------------------------------------------
@@ -398,7 +390,8 @@ def test_numeric_spec_requires_fitted_ranges():
 
 def test_encode_dataset_stacks_samples(iris_path):
     ds = load_iris(iris_path)
-    spec = EncodingSpec(scheme="numeric", ranges=attribute_ranges(ds.features))
+    spec = EncodingSpec(scheme="numeric",
+                        ranges=np.stack([ds.features.min(0), ds.features.max(0)], axis=1))
     enc = encode_dataset(ds, spec)
     assert enc.delays.shape == (150, 4)
     assert enc.fired.all()

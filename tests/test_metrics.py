@@ -1,7 +1,12 @@
 """Accuracy, spike counting, and abstract energy."""
 
+import os
+import select
+import signal
 import sys
 import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import _reference_predict
 import numpy as np
@@ -334,7 +339,7 @@ def test_eight_threads_switching_every_microsecond_sweep_each_block_once(monkeyp
     monkeypatch.setattr(metrics, "_WORKERS", 1)
     serial = metrics._sweep(weights, net.window, split).tobytes()
     monkeypatch.setattr(metrics, "_WORKERS", 8)
-    monkeypatch.setattr(metrics, "_helpers", [])  # a pool of 7 helpers for this test
+    monkeypatch.setattr(metrics, "_pool", ThreadPoolExecutor(7))  # 7 helpers for this test
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -342,7 +347,7 @@ def test_eight_threads_switching_every_microsecond_sweep_each_block_once(monkeyp
             assert metrics._sweep(weights, net.window, split).tobytes() == serial
     finally:
         sys.setswitchinterval(interval)
-        metrics._helpers[0].shutdown()
+        metrics._pool.shutdown()
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])
@@ -353,7 +358,7 @@ def test_a_block_that_raises_leaves_predict_and_the_pool_keeps_working(monkeypat
     net, data, scheme = _random_set(seed=11, blocks=6)
     expected = _reference_predict.predict(net, data, scheme).tolist()
     monkeypatch.setattr(metrics, "_WORKERS", 2)
-    pool = metrics._pool()
+    pool = metrics._pool
     failed = threading.Event()
     matmul = np.matmul
 
@@ -370,17 +375,17 @@ def test_a_block_that_raises_leaves_predict_and_the_pool_keeps_working(monkeypat
         predict(net, data, scheme)
     monkeypatch.setattr(np, "matmul", matmul)
     assert predict(net, data, scheme).tolist() == expected
-    assert metrics._pool() is pool
+    assert metrics._pool is pool
 
 
-def test_small_sets_and_one_cpu_never_make_the_pool(monkeypatch):
+def test_small_sets_and_one_cpu_never_submit_to_the_pool(monkeypatch):
     """Below ``2 * PREDICT_BLOCK`` rows there is no sweep, and with one
     usable CPU the caller sweeps every block itself."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the pool was made")
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a helper was asked for")
 
-    monkeypatch.setattr(metrics, "_helpers", [])
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(metrics, "_pool", NoPool())
     net, data, scheme = _random_set(seed=5, blocks=8)
     rows = slice(2 * PREDICT_BLOCK - 1)
     small = EncodedDataset(data.delays[rows], data.fired[rows], data.labels[rows])
@@ -388,7 +393,34 @@ def test_small_sets_and_one_cpu_never_make_the_pool(monkeypatch):
         monkeypatch.setattr(metrics, "_WORKERS", workers)
         assert predict(net, subset, scheme).tolist() == _reference_predict.predict(
             net, subset, scheme).tolist()
-    assert metrics._helpers == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_sweeps_on_its_own_helper(monkeypatch):
+    """A forked child has none of its parent's threads, the pool's helper
+    included; the fork hook gives it a new pool, so its sweep starts a
+    helper of its own and gets the parent's classes."""
+    net, data, scheme = _random_set(seed=13, blocks=4)
+    monkeypatch.setattr(metrics, "_WORKERS", 2)
+    classes = predict(net, data, scheme).tolist()  # starts the parent's helper
+    read, write = os.pipe()
+    with warnings.catch_warnings():  # Python 3.12+ warns on a fork with threads running
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child reports two flags and never returns into pytest
+        try:
+            same = predict(net, data, scheme).tolist() == classes
+            swept = any(t.name.startswith("mtspike-sweep") for t in threading.enumerate())
+            os.write(write, bytes([same, swept]))
+        finally:
+            os._exit(0)
+    os.close(write)
+    if not select.select([read], [], [], 60)[0]:  # a hung child reports nothing
+        os.kill(pid, signal.SIGKILL)
+    flags = os.read(read, 2)
+    os.close(read)
+    os.waitpid(pid, 0)
+    assert flags == bytes([True, True]), "child: [same classes, sweep thread]"
 
 
 @pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK + 44],

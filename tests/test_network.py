@@ -9,12 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtspike.errors import StructureError
-from mtspike.network import (
-    Network,
-    forward_batch,
-    init_network,
-    weight_count,
-)
+from mtspike.network import Network, _weight_count, forward_batch, init_network
 
 
 def row(*delays):
@@ -137,8 +132,8 @@ def test_forward_batch_computes_in_float64_whatever_the_input_dtype():
 
 def test_num_weights_counts_every_entry():
     net = init_network([4, 25, 1], rng=np.random.default_rng(0))
-    assert weight_count(net.layer_sizes) == sum(w.size for w in net.weights) == 125
-    assert weight_count([169, 500, 10]) == 89500
+    assert _weight_count(net.layer_sizes) == sum(w.size for w in net.weights) == 125
+    assert _weight_count([169, 500, 10]) == 89500
 
 
 def test_init_network_is_deterministic_and_in_range():

@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 from mtspike.config import config_from_dict, preset
+from mtspike.datasets import EncodingSpec, RawDataset
 from mtspike.errors import ConfigError, DataError, DivergenceError
 from mtspike.model_io import save_model
-from mtspike.pipeline import _resolve_mnist_paths, execute_run, load_raw, prepare_data
+from mtspike.pipeline import (
+    _fit_coding,
+    _resolve_mnist_paths,
+    execute_run,
+    load_raw,
+    prepare_data,
+)
 
 
 def iris_config(iris_path, **train):
@@ -94,6 +101,20 @@ def test_prepare_data_fits_ranges_on_train_only(iris_path):
     assert train_enc.delays.min() == 0.0
     assert train_enc.delays.max() == 16.0
     assert np.all((test_enc.delays >= 0.0) & (test_enc.delays <= 16.0))
+
+
+def test_fit_coding_takes_column_ranges():
+    """Unset numeric ranges become the per-column (min, max) of the
+    training features; set ranges and image schemes pass through."""
+    feats = np.array([[1.0, 10.0], [3.0, -2.0], [2.0, 4.0]])
+    spec = _fit_coding(EncodingSpec(scheme="numeric"), RawDataset(feats, [0, 1, 0]))
+    assert spec.ranges.tolist() == [[1.0, 3.0], [-2.0, 10.0]]
+    assert _fit_coding(spec, RawDataset(feats * 2, [0, 1, 0])) is spec
+    images = RawDataset(np.zeros((3, 2, 2)), [0, 1, 0])
+    pixels = EncodingSpec(scheme="one_to_one")
+    assert _fit_coding(pixels, images) is pixels
+    with pytest.raises(DataError, match="2-D feature matrix"):
+        _fit_coding(EncodingSpec(scheme="numeric"), images)
 
 
 def test_prepare_data_rejects_width_mismatch(iris_path):
