@@ -24,16 +24,11 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-from .errors import ConfigError, MTSpikeError
+from .errors import ConfigError, ModelIOError, MTSpikeError, _reported
 
 log = logging.getLogger(__name__)
 
-_LOG_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "error": logging.ERROR,
-}
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -48,9 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _setup_logging():
     name = os.environ.get("MTSPIKE_LOG", "warning").strip().lower()
-    level = _LOG_LEVELS.get(name, logging.WARNING)
     logging.basicConfig(
-        level=level,
+        level=name.upper() if name in _LOG_LEVELS else "WARNING",
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
@@ -76,12 +70,23 @@ def _write_lines(path: Path | None, lines) -> None:
     if path is None:
         sys.stdout.writelines(lines)
         return
-    try:
+    with _reported(ConfigError, "write", path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.writelines(lines)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: Path, error=ConfigError, doing="write") -> None:
+    """Make ``path``'s directory, then fail as writing ``path`` would, creating no file."""
+    with _reported(ConfigError, "write", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with _reported(error, doing, path):
+        try:  # without O_CREAT and O_TRUNC, open only a file that exists, as it is
+            open(path, "wb", opener=lambda p, flags: os.open(
+                p, flags & ~(os.O_CREAT | os.O_TRUNC))).close()
+        except FileNotFoundError:
+            if not os.access(path.parent, os.W_OK | os.X_OK):
+                open(path, "wb").close()  # fails, with the system's own reason
 
 
 def cmd_train(args) -> int:
@@ -102,15 +107,14 @@ def cmd_train(args) -> int:
     print(f"weights: {_weight_count(cfg.layer_sizes)}")
     sys.stdout.flush()
 
-    result = pipeline.execute_run(cfg)
-
     out = Path(args.out)
     model_path = Path(cfg.model_path or out / f"{cfg.name}.mtspike")
     metrics_path = Path(cfg.metrics_path or out / f"{cfg.name}_metrics.csv")
-    try:  # save_model opens the model file; its directory is made here
-        model_path.parent.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot write {model_path}: {exc}") from exc
+    # an output that cannot be written fails here, not after the last epoch
+    _check_writable(model_path, ModelIOError, "write model to")
+    _check_writable(metrics_path)
+
+    result = pipeline.execute_run(cfg)
     save_model(result.model, model_path)
     # execute_run always evaluates, so every epoch has a test accuracy
     _write_lines(metrics_path, chain(
@@ -276,6 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     with_out.add_argument(
         "--out", metavar="DIR", default=".", help="output directory (default: .)"
     )
+    with_split = argparse.ArgumentParser(add_help=False)
+    with_split.add_argument(
+        "--split", choices=("train", "test"), default="test",
+        help="which split to read (default: test)",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -288,23 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser(
-        "eval", parents=[with_config, with_out],
+        "eval", parents=[with_config, with_out, with_split],
         help="evaluate a saved model on a dataset split",
     )
     p_eval.add_argument("--model", metavar="PATH", required=True, help="model file")
-    p_eval.add_argument(
-        "--split", choices=("train", "test"), default="test",
-        help="which split to evaluate (default: test)",
-    )
     p_eval.set_defaults(func=cmd_eval)
 
     p_encode = sub.add_parser(
-        "encode", parents=[with_config, with_out],
+        "encode", parents=[with_config, with_out, with_split],
         help="write encoded spike delays and a delay histogram as CSV",
-    )
-    p_encode.add_argument(
-        "--split", choices=("train", "test"), default="test",
-        help="which split to encode (default: test)",
     )
     p_encode.set_defaults(func=cmd_encode)
 

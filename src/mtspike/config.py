@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import EncodingSpec
-from .errors import ConfigError
+from .errors import ConfigError, _reported
 from .learning import TrainConfig
 from .network import _weight_count
 from .readout import TargetScheme
@@ -135,13 +135,11 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _reported(ConfigError, "read config", path), open(path, encoding="utf-8-sig") as fh:
+        try:
             document = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return config_from_dict(document)
 
 

@@ -28,7 +28,7 @@ from .coding import (
     encode_numeric,
     encode_pixels_1to1,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _reported
 from .schema import from_json
 
 __all__ = [
@@ -195,12 +195,9 @@ def load_iris(path) -> RawDataset:
     """
     rows: list[tuple[float, float, float, float]] = []
     names: list[str] = []
-    try:
-        # utf-8-sig: a spreadsheet's byte-order mark must not hide the first row
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, ValueError) as exc:  # a NUL in the path, or bad UTF-8
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    # utf-8-sig: a spreadsheet's byte-order mark must not hide the first row
+    with _reported(DataError, "read", path), open(path, encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
 
     first_data_line = True
     for lineno, line in enumerate(lines, start=1):
@@ -246,18 +243,15 @@ def _read_file(path) -> bytearray:
     ``os.fstat``, never by counts in the file's header.  The buffer is
     writable, so arrays wrapped around it need no copy.
     """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(2)
-            fh.seek(0)
-            if head == b"\x1f\x8b":
-                with gzip.open(fh) as gz:
-                    return bytearray(gz.read())
-            buf = bytearray(os.fstat(fh.fileno()).st_size)
-            del buf[fh.readinto(buf):]  # the file shrank since fstat
-            return buf
-    except (OSError, ValueError, EOFError, zlib.error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with _reported(DataError, "read", path, EOFError, zlib.error), open(path, "rb") as fh:
+        head = fh.read(2)
+        fh.seek(0)
+        if head == b"\x1f\x8b":
+            with gzip.open(fh) as gz:
+                return bytearray(gz.read())
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]  # the file shrank since fstat
+        return buf
 
 
 def _read_idx(path, kind: str) -> np.ndarray:
@@ -323,12 +317,9 @@ def save_mnist_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_p
         if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
             raise DataError("IDX stores unsigned bytes; values must be whole numbers")
     for path, kind, values in ((images_path, "image", images), (labels_path, "label", labels)):
-        try:
-            with open(path, "wb") as fh:
-                fh.write(struct.pack(f">{1 + values.ndim}I", _IDX[kind][0], *values.shape))
-                fh.write(values.astype(np.uint8).tobytes())
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
+        with _reported(DataError, "write", path), open(path, "wb") as fh:
+            fh.write(struct.pack(f">{1 + values.ndim}I", _IDX[kind][0], *values.shape))
+            fh.write(values.astype(np.uint8).tobytes())
 
 
 def _stratified_pick(labels: np.ndarray, target: int, rng: np.random.Generator):

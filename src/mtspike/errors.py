@@ -2,7 +2,11 @@
 
 Every error carries a short machine-greppable code; the CLI prints it as a
 single-line ``mtspike: error [CODE] message`` before exiting nonzero.
+:func:`_reported` is the one place that decides what a path failure is and
+how its message reads: ``cannot <verb> <path>: <reason>``.
 """
+
+from contextlib import contextmanager
 
 __all__ = [
     "MTSpikeError",
@@ -55,3 +59,13 @@ class EvaluationError(MTSpikeError):
     """Evaluation encountered values that cannot be classified (e.g. NaN delays)."""
 
     code = "E_EVAL"
+
+
+@contextmanager
+def _reported(error, doing, path, *also):
+    """Raise an ``OSError``, a ``ValueError`` (a NUL in the path, text that is
+    not UTF-8) or an ``also`` type from the block as ``error`` naming ``path``."""
+    try:
+        yield
+    except (OSError, ValueError, *also) as exc:
+        raise error(f"cannot {doing} {path}: {exc}") from exc

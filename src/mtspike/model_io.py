@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import EncodingSpec
-from .errors import ConfigError, ModelIOError, StructureError
+from .errors import ConfigError, ModelIOError, StructureError, _reported
 from .network import Network, _weight_count
 from .readout import TargetScheme
 from .schema import _checked, from_json
@@ -98,15 +98,12 @@ def save_model(model: ModelFile, path):
     written file always loads."""
     _check_consistent(model, path)
     header = _header_bytes(model)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _FORMAT_VERSION, len(header)))
-            fh.write(header)
-            for w in model.network.weights:
-                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ModelIOError(f"cannot write model to {path}: {exc}") from exc
+    with _reported(ModelIOError, "write model to", path), open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _FORMAT_VERSION, len(header)))
+        fh.write(header)
+        for w in model.network.weights:
+            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
 
 
 def load_model(path) -> ModelFile:
@@ -120,11 +117,8 @@ def load_model(path) -> ModelFile:
     window that differs from the coding window), or a payload whose length
     does not match the declared layer sizes exactly.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except (OSError, ValueError) as exc:
-        raise ModelIOError(f"cannot read model from {path}: {exc}") from exc
+    with _reported(ModelIOError, "read model from", path), open(path, "rb") as fh:
+        raw = fh.read()
 
     if len(raw) < len(_MAGIC) + 8:
         raise ModelIOError(f"{path}: truncated model file")

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from mtspike import cli, srm
+from mtspike import cli, pipeline, srm
 from mtspike.coding import CodingParams, DelayVector, encode_numeric
 from mtspike.config import load_config
 from mtspike.datasets import save_mnist_idx
@@ -431,6 +431,51 @@ def test_nul_in_a_path_error_line(tmp_path, iris_path, capsys, case, code):
     assert rc == 2
     assert err.strip().startswith(f"mtspike: error [{code}] ")
     assert "a\\0b" in err and "\0" not in err
+
+
+@pytest.mark.parametrize("case, code", [
+    ("output.metrics", "E_CONFIG"), ("name", "E_MODEL"), ("output.model", "E_MODEL"),
+    ("--out a file", "E_CONFIG"), ("--out read-only", "E_MODEL"),
+])
+def test_train_checks_its_outputs_before_training(tmp_path, iris_path, capsys,
+                                                   monkeypatch, case, code):
+    """An output ``train`` cannot write exits 2 with today's code before any
+    data is read, and leaves no file: the model file's own name reports
+    ``E_MODEL``, its directory and the metrics file ``E_CONFIG``."""
+    nul = str(tmp_path / "a\0b")
+    section = {"output.metrics": {"output": {"metrics": nul}}, "name": {"name": "a\0b"},
+               "output.model": {"output": {"model": nul}}}.get(case, {})
+    cfg = str(write_iris_config(tmp_path, iris_path, **section))
+    out = tmp_path / {"--out a file": "afile", "--out read-only": "locked"}.get(case, "out")
+    if case == "--out a file":
+        out.touch()
+    elif case == "--out read-only":
+        out.mkdir(mode=0o555)
+        if os.access(out, os.W_OK):
+            pytest.skip("this user (root) may write into a read-only directory")
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    monkeypatch.setattr(pipeline, "execute_run", lambda cfg: pytest.fail("trained"))
+    rc, out_text, err = run_cli(capsys, "train", "--config", cfg, "--out", str(out))
+    assert rc == 2
+    assert err.strip().startswith(f"mtspike: error [{code}] cannot write ")
+    assert "final_test_accuracy" not in out_text
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+
+
+@pytest.mark.parametrize("level, epoch_lines", [("debug", 2), (" INFO ", 2), ("error", 0)])
+def test_an_accepted_log_name_sets_the_level(tmp_path, level, epoch_lines):
+    """``MTSPIKE_LOG`` in any case, padded or not, reaches ``logging``: a
+    2-epoch run logs its epochs at INFO.  Only a fresh interpreter shows it,
+    since ``logging.basicConfig`` does nothing while pytest's capture
+    handlers sit on the root logger."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+           "MTSPIKE_DATA_DIR": str(REPO_ROOT / "data"), "MTSPIKE_LOG": level}
+    done = subprocess.run([sys.executable, "-m", "mtspike.cli", "train", "--preset", "mt1_iris",
+                           "--epochs", "2", "--out", str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True)
+    epochs = [line for line in done.stderr.splitlines()
+              if line.startswith("INFO mtspike.learning: epoch ")]
+    assert len(epochs) == epoch_lines, done.stderr
 
 
 def test_presets_lists_all_runs(capsys):

@@ -296,6 +296,13 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
         load_config(path)
 
 
+def test_config_with_a_utf8_byte_order_mark_loads(tmp_path):
+    """An editor's UTF-8 byte-order mark is not a JSON error, as in iris CSVs."""
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(minimal_dict()).encode())
+    assert repr(load_config(path)) == repr(config_from_dict(minimal_dict()))
+
+
 def test_deeply_nested_config_is_a_config_error(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
