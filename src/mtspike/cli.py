@@ -132,16 +132,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from . import pipeline
     from .datasets import encode_dataset
-    from .metrics import summarize
+    from .metrics import _summarize
     from .model_io import load_model
 
     cfg = _resolve_config(args)
     model = load_model(args.model)
-    train_raw, test_raw = pipeline.load_raw(cfg)
+    train_raw, test_raw = pipeline._load_raw(cfg)
     raw = train_raw if args.split == "train" else test_raw
     # the model's own coding snapshot, not the config's, defines the encoding
     encoded = encode_dataset(raw, model.coding)
-    result = summarize(model.network, encoded, model.scheme, alpha=cfg.alpha)
+    result = _summarize(model.network, encoded, model.scheme, alpha=cfg.alpha)
 
     out = Path(args.out)
     confusion_path = out / f"{cfg.name}_{args.split}_confusion.csv"
@@ -167,7 +167,7 @@ def cmd_encode(args) -> int:
     from .datasets import encode_dataset
 
     cfg = _resolve_config(args)
-    train_raw, test_raw = pipeline.load_raw(cfg)
+    train_raw, test_raw = pipeline._load_raw(cfg)
     spec = pipeline._fit_coding(cfg.coding, train_raw)
     raw = train_raw if args.split == "train" else test_raw
     encoded = encode_dataset(raw, spec)
@@ -214,7 +214,7 @@ def cmd_srm_demo(args) -> int:
     import numpy as np
 
     from .coding import DelayVector
-    from .srm import _TRACE_SLICE, SrmParams, threshold_crossing, voltage_trace
+    from .srm import _TRACE_SLICE, SrmParams, _voltage_trace, threshold_crossing
 
     delays = np.array(_parse_floats(args.delays, "--delays"))
     weights = np.array(_parse_floats(args.weights, "--weights"))
@@ -236,7 +236,7 @@ def cmd_srm_demo(args) -> int:
         horizon=args.horizon,
     )
     inputs = DelayVector(delays=delays, fired=fired)
-    times, voltage = voltage_trace(inputs, weights, params)
+    times, voltage = _voltage_trace(inputs, weights, params)
     crossing = threshold_crossing(inputs, weights, params)
 
     lines = chain(

@@ -12,11 +12,11 @@ values) keeps its bytes through ``astype(np.uint8).astype(np.float64)``, as
 under every preset; otherwise, and for numeric coding, float64.  Either
 way ``delays.astype(np.float64)`` holds the delay formula's float64 bytes.
 
-* :func:`encode_numeric` — (N, F) attribute rows, one neuron per attribute,
+* :func:`_encode_numeric` — (N, F) attribute rows, one neuron per attribute,
   delay inversely proportional to the min/max-normalized value.
-* :func:`encode_pixels_1to1` — (N, P, P) images, one neuron per pixel, delay
+* :func:`_encode_pixels_1to1` — (N, P, P) images, one neuron per pixel, delay
   inversely proportional to intensity; an exactly-zero pixel emits no spike.
-* :func:`encode_conv_like` — (N, P, P) images, one neuron per kernel
+* :func:`_encode_conv_like` — (N, P, P) images, one neuron per kernel
   position of a sliding square receptive field; delay counts the binarized
   zeros inside the field.  Trades temporal resolution for a smaller input
   layer.
@@ -46,9 +46,6 @@ from .errors import ConfigError, DataError
 __all__ = [
     "CodingParams",
     "DelayVector",
-    "encode_numeric",
-    "encode_pixels_1to1",
-    "encode_conv_like",
 ]
 
 # Images per block.  The per-block overhead is a few numpy calls per kernel
@@ -133,7 +130,7 @@ class DelayVector:
         return self.delays.shape[0]
 
 
-def encode_numeric(
+def _encode_numeric(
     values: np.ndarray,
     per_attribute_min_max: np.ndarray,
     p: CodingParams,
@@ -166,7 +163,7 @@ def encode_numeric(
     return delays, np.ones(values.shape, dtype=bool)
 
 
-def encode_pixels_1to1(
+def _encode_pixels_1to1(
     images: np.ndarray, p: CodingParams, p_max: float = 255.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode (N, P, P) grayscale images, one neuron per pixel.
@@ -220,7 +217,7 @@ def _pixel_delays(out: np.ndarray, spiked: np.ndarray, p: CodingParams,
     np.copyto(out, p.window, where=~spiked)
 
 
-def encode_conv_like(
+def _encode_conv_like(
     images: np.ndarray, p: CodingParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode (N, P, P) grayscale images with a sliding binarizing kernel.

@@ -24,9 +24,9 @@ import numpy as np
 
 from .coding import (
     CodingParams,
-    encode_conv_like,
-    encode_numeric,
-    encode_pixels_1to1,
+    _encode_conv_like,
+    _encode_numeric,
+    _encode_pixels_1to1,
 )
 from .errors import ConfigError, DataError, _reported
 from .schema import from_json
@@ -39,8 +39,6 @@ __all__ = [
     "load_iris",
     "load_mnist_idx",
     "save_mnist_idx",
-    "split_dataset",
-    "stratified_subset",
     "encode_dataset",
 ]
 
@@ -348,7 +346,7 @@ def _stratified_pick(labels: np.ndarray, target: int, rng: np.random.Generator):
     return np.sort(np.concatenate(picked)), np.sort(np.concatenate(rest))
 
 
-def split_dataset(
+def _split_dataset(
     ds: RawDataset, train_fraction: float, seed: int
 ) -> tuple[RawDataset, RawDataset]:
     """Deterministic stratified split into (train, test)."""
@@ -364,7 +362,7 @@ def split_dataset(
     return make(train_idx), make(test_idx)
 
 
-def stratified_subset(ds: RawDataset, size: int, seed: int) -> RawDataset:
+def _stratified_subset(ds: RawDataset, size: int, seed: int) -> RawDataset:
     """A seeded class-balanced subset of ``size`` samples."""
     if not 0 < size <= len(ds):
         raise ConfigError(f"subset size must lie in [1, {len(ds)}], got {size}")
@@ -382,9 +380,9 @@ def encode_dataset(ds: RawDataset, spec: EncodingSpec) -> EncodedDataset:
     if spec.scheme == "numeric":
         if spec.ranges is None:
             raise ConfigError("numeric coding needs fitted attribute ranges")
-        delays, fired = encode_numeric(ds.features, spec.ranges, spec.params)
+        delays, fired = _encode_numeric(ds.features, spec.ranges, spec.params)
     elif spec.scheme == "one_to_one":
-        delays, fired = encode_pixels_1to1(ds.features, spec.params, spec.p_max)
+        delays, fired = _encode_pixels_1to1(ds.features, spec.params, spec.p_max)
     else:
-        delays, fired = encode_conv_like(ds.features, spec.params)
+        delays, fired = _encode_conv_like(ds.features, spec.params)
     return EncodedDataset(delays=delays, fired=fired, labels=ds.labels.copy())

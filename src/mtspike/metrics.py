@@ -39,7 +39,6 @@ __all__ = [
     "evaluate",
     "dataset_spike_count",
     "energy",
-    "summarize",
 ]
 
 
@@ -314,7 +313,7 @@ def energy(total_spikes: int, alpha: float = 1.0) -> float:
     return alpha * total_spikes
 
 
-def summarize(
+def _summarize(
     net: Network,
     data: EncodedDataset,
     scheme: TargetScheme,

@@ -21,22 +21,21 @@ from .datasets import (
     EncodedDataset,
     EncodingSpec,
     RawDataset,
+    _split_dataset,
+    _stratified_subset,
     encode_dataset,
     load_iris,
     load_mnist_idx,
-    split_dataset,
-    stratified_subset,
 )
 from .errors import ConfigError, DataError
 from .learning import EpochStats, train
-from .metrics import RunMetrics, summarize
+from .metrics import RunMetrics, _summarize
 from .model_io import ModelFile
 from .network import init_network
 from .readout import TargetScheme
 
 __all__ = [
     "RunResult",
-    "load_raw",
     "prepare_data",
     "execute_run",
 ]
@@ -77,12 +76,12 @@ def _resolve_mnist_paths(directory) -> dict[str, Path]:
     return found
 
 
-def load_raw(cfg: RunConfig) -> tuple[RawDataset, RawDataset]:
+def _load_raw(cfg: RunConfig) -> tuple[RawDataset, RawDataset]:
     """Load and split the configured dataset into raw (train, test)."""
     ds_cfg = cfg.dataset
     if ds_cfg.kind == "iris":
         full = load_iris(ds_cfg.path)
-        train_raw, test_raw = split_dataset(
+        train_raw, test_raw = _split_dataset(
             full, ds_cfg.train_fraction, ds_cfg.split_seed
         )
     else:
@@ -90,9 +89,9 @@ def load_raw(cfg: RunConfig) -> tuple[RawDataset, RawDataset]:
         train_raw = load_mnist_idx(paths["train_images"], paths["train_labels"])
         test_raw = load_mnist_idx(paths["test_images"], paths["test_labels"])
     if ds_cfg.train_subset is not None:
-        train_raw = stratified_subset(train_raw, ds_cfg.train_subset, ds_cfg.subset_seed)
+        train_raw = _stratified_subset(train_raw, ds_cfg.train_subset, ds_cfg.subset_seed)
     if ds_cfg.test_subset is not None:
-        test_raw = stratified_subset(test_raw, ds_cfg.test_subset, ds_cfg.subset_seed + 1)
+        test_raw = _stratified_subset(test_raw, ds_cfg.test_subset, ds_cfg.subset_seed + 1)
     return train_raw, test_raw
 
 
@@ -118,7 +117,7 @@ def prepare_data(cfg: RunConfig) -> tuple[EncodedDataset, EncodedDataset, Encodi
     (the one that belongs in the model file).  Raises before any training
     if the coding width disagrees with the first network layer.
     """
-    train_raw, test_raw = load_raw(cfg)
+    train_raw, test_raw = _load_raw(cfg)
     spec = _fit_coding(cfg.coding, train_raw)
     train_enc = encode_dataset(train_raw, spec)
     test_enc = encode_dataset(test_raw, spec)
@@ -145,7 +144,7 @@ def execute_run(cfg: RunConfig) -> RunResult:
     net, history = train(
         net, train_enc, cfg.scheme, cfg.train, eval_data=test_enc, rng=rng
     )
-    metrics = summarize(net, test_enc, cfg.scheme, cfg.alpha)
+    metrics = _summarize(net, test_enc, cfg.scheme, cfg.alpha)
     provenance = {
         "run": cfg.name,
         "seed": cfg.train.seed,

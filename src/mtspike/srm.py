@@ -48,7 +48,7 @@ once.  The key is content, not identity (arrays are mutable and ids are
 reused): an edit in place, a recycled address or another grid recomputes the
 stage; a rejected drive is never kept.
 
-``voltage_trace`` evaluates each span on the grid points ``0, dt, ...,
+``_voltage_trace`` evaluates each span on the grid points ``0, dt, ...,
 end`` it covers: O(F log F + T) work for F inputs and T grid points instead
 of O(F T), in slices of ``_TRACE_SLICE`` points written straight into the
 result, so its temporaries stay small beside the grid.
@@ -75,9 +75,9 @@ import numpy as np
 from .coding import DelayVector
 from .errors import ConfigError
 
-__all__ = ["SrmParams", "voltage_trace", "threshold_crossing"]
+__all__ = ["SrmParams", "threshold_crossing"]
 
-# grid points that voltage_trace evaluates, and srm-demo formats, at a time
+# grid points that _voltage_trace evaluates, and srm-demo formats, at a time
 _TRACE_SLICE = 1 << 16
 
 # ``_drive``'s last result: ((delays bytes, fired bytes, dt, horizon), stage),
@@ -189,7 +189,7 @@ def _spans(delays: np.ndarray, fired: np.ndarray, weights: np.ndarray, params: S
     return scale, [*spans, (onset, decay, rise)] if onsets else []
 
 
-def voltage_trace(
+def _voltage_trace(
     inputs: DelayVector, weights: np.ndarray, params: SrmParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Membrane potential on the simulation grid.
@@ -243,10 +243,10 @@ def threshold_crossing(
     threshold unless the inputs at ``d0`` sum to a negative weight, which
     takes the potential below 0 at once.  Inputs before 0 act, but the
     crossing is not earlier than 0, and it is 0 when the potential at 0
-    reaches threshold.  Inputs are checked as in :func:`voltage_trace`, but
+    reaches threshold.  Inputs are checked as in :func:`_voltage_trace`, but
     not the potential's range: past it the potential is +-inf, and +inf
     reaches threshold.  Four inputs at delay 2 with weight 1.7e308, which
-    ``voltage_trace`` refuses, cross one float after 2.
+    ``_voltage_trace`` refuses, cross one float after 2.
 
     On a span the potential has at most one extremum, at ``s* = tau_d tau_r
     / (tau_d - tau_r) ln(B tau_d / (A tau_r))`` after its onset, and only

@@ -4,7 +4,7 @@ This is the original loop that summed one difference-of-exponentials
 kernel per fired input over the whole grid, kept unchanged except for
 imports, with the single kernel it sums, ``psp_kernel``, on which the
 tests check the kernel's shape.  It costs O(inputs x grid points) and
-exists only so that tests can compare ``mtspike.srm.voltage_trace``
+exists only so that tests can compare ``mtspike.srm._voltage_trace``
 against it, and the continuous crossing against its grid points.
 """
 

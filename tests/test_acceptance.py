@@ -26,7 +26,7 @@ from mtspike.learning import TrainConfig, backward, output_residual, train
 from mtspike.metrics import dataset_spike_count, energy
 from mtspike.model_io import load_model, save_model
 from mtspike.network import forward_batch, init_network
-from mtspike.pipeline import execute_run, load_raw
+from mtspike.pipeline import _load_raw, execute_run
 from mtspike.readout import TargetScheme, read_class_batch, target_matrix
 from mtspike.srm import SrmParams, threshold_crossing
 from test_learning import finite_difference
@@ -207,7 +207,7 @@ def test_criterion_07_spike_budget_and_energy(digits_test):
         cfg = preset("mt10_mnist_noheu")
         cfg.dataset = replace(cfg.dataset, dir=str(data_dir),
                               test_subset=SUBSET_TEST)
-        _, raw = load_raw(cfg)
+        _, raw = _load_raw(cfg)
         source = f"real test subset ({len(raw)} images)"
     else:
         raw = digits_test

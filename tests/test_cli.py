@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from mtspike import cli, pipeline, srm
-from mtspike.coding import CodingParams, DelayVector, encode_numeric
+from mtspike.coding import CodingParams, DelayVector, _encode_numeric
 from mtspike.config import load_config
 from mtspike.datasets import save_mnist_idx
 from mtspike.model_io import load_model
-from mtspike.pipeline import execute_run, load_raw
+from mtspike.pipeline import _load_raw, execute_run
 
 from conftest import REPO_ROOT, make_digits
 from test_model_io import rewrite_header
@@ -183,12 +183,12 @@ def test_encode_prints_a_negative_zero_delay_as_zero(tmp_path, capsys):
 
     write(range(30))  # each row's attributes name the row
     cfg = write_iris_config(tmp_path, csv)
-    _, test = load_raw(load_config(cfg))  # the split follows the labels only
+    _, test = _load_raw(load_config(cfg))  # the split follows the labels only
     held_out = set(test.features[:, 0].astype(int).tolist())
     first = min(set(range(30)) - held_out)
     # training rows span 0..10; held-out rows sit 0.1% of that past the top
     write([10.01 if i in held_out else 0.0 if i == first else 10.0 for i in range(30)])
-    assert encode_numeric([[10.01] * 4], [[0.0, 10.0]] * 4, CodingParams())[0].tobytes() \
+    assert _encode_numeric([[10.01] * 4], [[0.0, 10.0]] * 4, CodingParams())[0].tobytes() \
         == np.full((1, 4), -0.0).tobytes()
     rc, _, _ = run_cli(capsys, "encode", "--config", str(cfg),
                        "--split", "test", "--out", str(tmp_path))
@@ -231,13 +231,13 @@ def test_srm_demo_prints_trace_and_crossing(capsys):
 
 
 def test_srm_demo_computes_the_trace_once(monkeypatch, capsys):
-    original, calls = srm.voltage_trace, []
+    original, calls = srm._voltage_trace, []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(srm, "voltage_trace", counting)
+    monkeypatch.setattr(srm, "_voltage_trace", counting)
     assert cli.main(["srm-demo"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("# crossing,")
     assert len(calls) == 1
@@ -282,7 +282,7 @@ def test_srm_demo_formats_a_grid_of_several_slices_point_for_point(monkeypatch, 
     params = srm.SrmParams(tau_decay=4.0, tau_rise=1.0, v_threshold=1.0, dt=0.01,
                            horizon=64.0)
     inputs, weights = DelayVector(np.array([0.0, 2.0]), np.ones(2, bool)), np.array([1.5, 1.5])
-    times, voltage = srm.voltage_trace(inputs, weights, params)
+    times, voltage = srm._voltage_trace(inputs, weights, params)
     crossing = srm.threshold_crossing(inputs, weights, params)
     want = "".join(["t,v\n", *(f"{t:.6g},{v:.8g}\n" for t, v in zip(times, voltage)),
                     f"# crossing,{crossing:.6g}\n"])

@@ -15,9 +15,9 @@ from mtspike.coding import (
     _BLOCK,
     CodingParams,
     DelayVector,
-    encode_conv_like,
-    encode_numeric,
-    encode_pixels_1to1,
+    _encode_conv_like,
+    _encode_numeric,
+    _encode_pixels_1to1,
 )
 from mtspike.datasets import EncodingSpec
 from mtspike.errors import ConfigError, DataError
@@ -82,16 +82,16 @@ def test_delay_vector_shape_mismatch():
 
 def test_numeric_known_values():
     p = CodingParams()
-    delays, _ = encode_numeric(np.array([2.5])[None], np.array([[0.0, 10.0]]), p)
+    delays, _ = _encode_numeric(np.array([2.5])[None], np.array([[0.0, 10.0]]), p)
     assert delays[0].tolist() == [12.0]
-    delays, _ = encode_numeric(np.array([2.5])[None], np.array([[0.0, 5.0]]), p)
+    delays, _ = _encode_numeric(np.array([2.5])[None], np.array([[0.0, 5.0]]), p)
     assert delays[0].tolist() == [8.0]
 
 
 def test_numeric_endpoints_and_all_fire():
     p = CodingParams()
     values = np.array([0.0, 5.0])[None]
-    delays, fired = encode_numeric(values, np.array([[0.0, 5.0]] * 2), p)
+    delays, fired = _encode_numeric(values, np.array([[0.0, 5.0]] * 2), p)
     assert delays[0].tolist() == [16.0, 0.0]  # weakest late, strongest early
     assert fired.all()
     assert fired.sum() == 2
@@ -101,27 +101,27 @@ def test_numeric_rounds_half_to_even():
     p = CodingParams()
     ranges = np.array([[0.0, 1.0]] * 2)
     # 16 * (1 - v) lands on 12.5 and 11.5; both round to the even 12
-    delays, _ = encode_numeric(np.array([0.21875, 0.28125])[None], ranges, p)
+    delays, _ = _encode_numeric(np.array([0.21875, 0.28125])[None], ranges, p)
     assert delays[0].tolist() == [12.0, 12.0]
 
 
 def test_numeric_out_of_range_clamps():
     p = CodingParams()
     ranges = np.array([[0.0, 5.0]] * 2)
-    delays, _ = encode_numeric(np.array([-3.0, 9.0])[None], ranges, p)
+    delays, _ = _encode_numeric(np.array([-3.0, 9.0])[None], ranges, p)
     assert delays[0].tolist() == [16.0, 0.0]
 
 
 def test_numeric_validation():
     p = CodingParams()
     with pytest.raises(ConfigError, match="ranges"):
-        encode_numeric(np.array([1.0, 2.0])[None], np.array([[0.0, 1.0]]), p)
+        _encode_numeric(np.array([1.0, 2.0])[None], np.array([[0.0, 1.0]]), p)
     with pytest.raises(ConfigError, match="degenerate"):
-        encode_numeric(np.array([1.0])[None], np.array([[2.0, 2.0]]), p)
+        _encode_numeric(np.array([1.0])[None], np.array([[2.0, 2.0]]), p)
     with pytest.raises(DataError, match="finite"):
-        encode_numeric(np.array([np.nan])[None], np.array([[0.0, 1.0]]), p)
+        _encode_numeric(np.array([np.nan])[None], np.array([[0.0, 1.0]]), p)
     with pytest.raises(DataError, match="rows"):
-        encode_numeric(np.array([1.0]), np.array([[0.0, 1.0]]), p)
+        _encode_numeric(np.array([1.0]), np.array([[0.0, 1.0]]), p)
 
 
 @given(
@@ -131,7 +131,7 @@ def test_numeric_validation():
 @settings(max_examples=60)
 def test_numeric_delays_stay_on_grid(value, unit):
     p = CodingParams(window=16.0, unit=unit)
-    delays, _ = encode_numeric(np.array([value])[None], np.array([[0.0, 1.0]]), p)
+    delays, _ = _encode_numeric(np.array([value])[None], np.array([[0.0, 1.0]]), p)
     d = delays[0, 0]
     assert 0.0 <= d <= p.window
     assert d / p.unit == round(d / p.unit)
@@ -144,7 +144,7 @@ def test_numeric_larger_value_never_fires_later(values):
     p = CodingParams()
     vals = np.array(sorted(values))
     ranges = np.array([[0.0, 1.0]] * len(vals))
-    delays, _ = encode_numeric(vals[None], ranges, p)
+    delays, _ = _encode_numeric(vals[None], ranges, p)
     assert np.all(np.diff(delays[0]) <= 0)
 
 
@@ -154,14 +154,14 @@ def test_numeric_larger_value_never_fires_later(values):
 def test_pixels_known_values():
     img = np.zeros((2, 2))
     img[0, 0], img[0, 1], img[1, 0] = 128.0, 255.0, 1.0
-    delays, fired = encode_pixels_1to1(img[None], CodingParams())
+    delays, fired = _encode_pixels_1to1(img[None], CodingParams())
     assert delays[0].tolist() == [8.0, 0.0, 16.0, 16.0]
     assert fired[0].tolist() == [True, True, True, False]
     assert fired.sum() == 3
 
 
 def test_zero_pixel_emits_no_spike_but_keeps_window_delay():
-    delays, fired = encode_pixels_1to1(np.zeros((3, 3))[None], CodingParams())
+    delays, fired = _encode_pixels_1to1(np.zeros((3, 3))[None], CodingParams())
     assert fired.sum() == 0
     assert np.all(delays == 16.0)
     assert delays.shape == (1, 9)
@@ -169,24 +169,24 @@ def test_zero_pixel_emits_no_spike_but_keeps_window_delay():
 
 def test_pixels_row_major_order():
     img = np.array([[255.0, 0.0], [0.0, 255.0]])
-    _, fired = encode_pixels_1to1(img[None], CodingParams())
+    _, fired = _encode_pixels_1to1(img[None], CodingParams())
     assert fired[0].tolist() == [True, False, False, True]
 
 
 def test_pixels_validation():
     with pytest.raises(ConfigError):
-        encode_pixels_1to1(np.zeros((2, 2))[None], CodingParams(), p_max=0.0)
+        _encode_pixels_1to1(np.zeros((2, 2))[None], CodingParams(), p_max=0.0)
     with pytest.raises(DataError, match="square"):
-        encode_pixels_1to1(np.zeros((2, 3))[None], CodingParams())
+        _encode_pixels_1to1(np.zeros((2, 3))[None], CodingParams())
     with pytest.raises(DataError, match="square"):
-        encode_pixels_1to1(np.zeros(4)[None], CodingParams())
+        _encode_pixels_1to1(np.zeros(4)[None], CodingParams())
 
 
 @given(st.integers(min_value=0, max_value=255))
 @settings(max_examples=60)
 def test_pixel_delay_bounds(intensity):
     img = np.full((1, 1), float(intensity))
-    delays, fired = encode_pixels_1to1(img[None], CodingParams())
+    delays, fired = _encode_pixels_1to1(img[None], CodingParams())
     assert 0.0 <= delays[0, 0] <= 16.0
     assert fired[0, 0] == (intensity > 0)
 
@@ -200,7 +200,7 @@ def test_p_max_must_be_finite_and_positive(p_max):
         EncodingSpec(scheme="one_to_one", p_max=p_max)
     for images in (np.full((1, 4, 4), 200, dtype=np.uint8), np.full((1, 4, 4), 200.0)):
         with pytest.raises(ConfigError, match="p_max"):
-            encode_pixels_1to1(images, CodingParams(), p_max)
+            _encode_pixels_1to1(images, CodingParams(), p_max)
 
 
 @pytest.mark.parametrize("dtype", ["uint8", "float64"])
@@ -208,7 +208,7 @@ def test_tiny_p_max_fires_every_lit_pixel_at_once_without_warnings(dtype):
     """intensity / p_max overflows to inf: the formula's limit, delay 0."""
     images = EVERY_BYTE.astype(dtype)
     with np.errstate(all="raise"):
-        delays, fired = encode_pixels_1to1(images, CodingParams(), p_max=1e-310)
+        delays, fired = _encode_pixels_1to1(images, CodingParams(), p_max=1e-310)
     assert delays[0, 0] == 16.0 and not fired[0, 0]
     assert np.all(delays[0, 1:] == 0.0) and np.all(fired[0, 1:])
 
@@ -220,15 +220,15 @@ def test_conv_handcrafted_zero_counts():
     """A bright 4x4 corner: each kernel position's delay counts its dark cells."""
     img = np.zeros((8, 8))
     img[:4, :4] = 255.0
-    delays, fired = encode_conv_like(img[None], CodingParams(kernel=4, stride=2))
+    delays, fired = _encode_conv_like(img[None], CodingParams(kernel=4, stride=2))
     assert delays[0].tolist() == [0.0, 8.0, 16.0, 8.0, 12.0, 16.0, 16.0, 16.0, 16.0]
     assert fired.all()
 
 
 def test_conv_all_bright_and_all_dark():
     p = CodingParams(kernel=4, stride=2)
-    assert np.all(encode_conv_like(np.full((8, 8), 255.0)[None], p)[0] == 0.0)
-    delays, fired = encode_conv_like(np.zeros((8, 8))[None], p)
+    assert np.all(_encode_conv_like(np.full((8, 8), 255.0)[None], p)[0] == 0.0)
+    delays, fired = _encode_conv_like(np.zeros((8, 8))[None], p)
     assert np.all(delays == 16.0)
     assert fired.all()  # conv neurons always fire
 
@@ -236,14 +236,14 @@ def test_conv_all_bright_and_all_dark():
 def test_conv_binarize_threshold_is_inclusive():
     p = CodingParams(kernel=4, stride=4)
     img = np.full((4, 4), 128.0)  # exactly at the default threshold
-    assert encode_conv_like(img[None], p)[0][0].tolist() == [0.0]
+    assert _encode_conv_like(img[None], p)[0][0].tolist() == [0.0]
     img = np.full((4, 4), 127.0)
-    assert encode_conv_like(img[None], p)[0][0].tolist() == [16.0]
+    assert _encode_conv_like(img[None], p)[0][0].tolist() == [16.0]
 
 
 def test_conv_mnist_geometry():
     p = CodingParams(kernel=4, stride=2)
-    delays, _ = encode_conv_like(np.zeros((28, 28))[None], p)
+    delays, _ = _encode_conv_like(np.zeros((28, 28))[None], p)
     assert delays.shape == (1, 169)
 
 
@@ -252,16 +252,16 @@ def test_conv_ignores_trailing_remainder():
     p = CodingParams(window=4.0, unit=1.0, kernel=2, stride=2)
     img = np.zeros((5, 5))
     img[:, 4] = 255.0  # bright strip the grid never reaches
-    delays, _ = encode_conv_like(img[None], p)
+    delays, _ = _encode_conv_like(img[None], p)
     assert delays.shape[1] == _neuron_count(5, 2, 2) == 4
     assert np.all(delays == 4.0)
 
 
 def test_conv_requires_kernel_and_fitting_image():
     with pytest.raises(ConfigError, match="kernel"):
-        encode_conv_like(np.zeros((8, 8))[None], CodingParams())
+        _encode_conv_like(np.zeros((8, 8))[None], CodingParams())
     with pytest.raises(ConfigError, match="exceeds"):
-        encode_conv_like(np.zeros((3, 3))[None], CodingParams(kernel=4, stride=2))
+        _encode_conv_like(np.zeros((3, 3))[None], CodingParams(kernel=4, stride=2))
 
 
 @pytest.mark.parametrize(
@@ -290,7 +290,7 @@ def test_neuron_count_validation():
 def test_conv_output_matches_neuron_count_and_grid(side, stride, seed):
     p = CodingParams(kernel=4, stride=stride)
     img = np.random.default_rng(seed).integers(0, 256, (side, side)).astype(float)
-    delays, _ = encode_conv_like(img[None], p)
+    delays, _ = _encode_conv_like(img[None], p)
     assert delays.shape[1] == _neuron_count(side, 4, stride)
     assert np.all((delays >= 0.0) & (delays <= p.window))
     # zero counts are integers, so delays sit on the unit grid
@@ -393,10 +393,10 @@ def test_image_encoders_match_reference_bytes(kernel, side, stride, unit, thresh
     p = CodingParams(window=unit * kernel * kernel, unit=unit, kernel=kernel,
                      stride=stride, binarize_threshold=threshold)
     images = _image_stack(np.random.default_rng(seed), n, side, dtype)
-    _assert_byte_equal(encode_conv_like(images, p),
+    _assert_byte_equal(_encode_conv_like(images, p),
                        ref.encode_each(ref.encode_conv_like, images, p),
                        _conv_narrow(p))
-    _assert_byte_equal(encode_pixels_1to1(images, p, p_max),
+    _assert_byte_equal(_encode_pixels_1to1(images, p, p_max),
                        ref.encode_each(ref.encode_pixels_1to1, images, p, p_max),
                        dtype == "uint8" and _pixel_narrow(p, p_max))
 
@@ -422,7 +422,7 @@ def test_conv_integer_stacks_match_reference_bytes(dtype, threshold):
     for stack in (images, images[::-2, :, ::-1]):
         for stride in (1, 3):
             p = CodingParams(kernel=4, stride=stride, binarize_threshold=threshold)
-            got = encode_conv_like(stack, p)
+            got = _encode_conv_like(stack, p)
             _assert_byte_equal(got, ref.encode_each(ref.encode_conv_like, stack, p),
                                narrow=True)
             if dtype == "int8" and threshold > 127:
@@ -440,19 +440,19 @@ def test_every_intensity_encodes_as_its_float(p_max, params):
     bytes 101-103 round to -0.0."""
     narrow = params.unit >= 1 and p_max != 100.0
     assert narrow == _pixel_narrow(params, p_max)
-    _assert_byte_equal(encode_pixels_1to1(EVERY_BYTE, params, p_max),
-                       encode_pixels_1to1(EVERY_BYTE.astype(np.float64), params, p_max),
+    _assert_byte_equal(_encode_pixels_1to1(EVERY_BYTE, params, p_max),
+                       _encode_pixels_1to1(EVERY_BYTE.astype(np.float64), params, p_max),
                        narrow)
 
 
 def test_strided_and_empty_byte_stacks_encode_as_floats():
     images = _image_stack(np.random.default_rng(5), 2 * _BLOCK + 3, 28, "uint8")
     view = images[::2, :, ::-1]
-    _assert_byte_equal(encode_pixels_1to1(view, CodingParams()),
-                       encode_pixels_1to1(view.astype(np.float64), CodingParams()), True)
+    _assert_byte_equal(_encode_pixels_1to1(view, CodingParams()),
+                       _encode_pixels_1to1(view.astype(np.float64), CodingParams()), True)
     empty = np.zeros((0, 28, 28), dtype=np.uint8)
-    _assert_byte_equal(encode_pixels_1to1(empty, CodingParams()),
-                       encode_pixels_1to1(empty.astype(np.float64), CodingParams()), True)
+    _assert_byte_equal(_encode_pixels_1to1(empty, CodingParams()),
+                       _encode_pixels_1to1(empty.astype(np.float64), CodingParams()), True)
 
 
 @pytest.mark.parametrize("kernel", [15, 16, 17, 28])
@@ -465,7 +465,7 @@ def test_conv_counts_past_one_byte_match_reference(kernel, fill):
               "random": _image_stack(rng, 3, 28, "uint8")}[fill]
     for stride in (1, 2, kernel + 1):
         p = CodingParams(window=kernel * kernel, kernel=kernel, stride=stride)
-        delays, _ = encode_conv_like(images, p)
+        delays, _ = _encode_conv_like(images, p)
         _assert_byte_equal((delays,), ref.encode_each(ref.encode_conv_like, images, p),
                            narrow=kernel == 15)
         if fill != "random":
@@ -479,7 +479,7 @@ def test_conv_peak_allocation_stays_near_its_result():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        delays, fired = encode_conv_like(images, p)
+        delays, fired = _encode_conv_like(images, p)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -496,7 +496,7 @@ def test_pixels_peak_allocation_stays_near_its_result():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        delays, fired = encode_pixels_1to1(images, CodingParams())
+        delays, fired = _encode_pixels_1to1(images, CodingParams())
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -522,7 +522,7 @@ def test_numeric_encoder_matches_reference_bytes(n, attributes, unit, resolution
     values[0] = lo
     ranges = np.stack([lo, hi], axis=1)
     p = CodingParams(window=unit * resolution, unit=unit)
-    _assert_byte_equal(encode_numeric(values, ranges, p),
+    _assert_byte_equal(_encode_numeric(values, ranges, p),
                        ref.encode_each(ref.encode_numeric, values, ranges, p))
 
 
@@ -546,4 +546,4 @@ def test_batch_encoders_raise_the_reference_errors(encoder, stack, args, error):
     with pytest.raises(error):
         getattr(ref, encoder)(stack[0], *args)
     with pytest.raises(error):
-        getattr(coding, encoder)(stack, *args)
+        getattr(coding, "_" + encoder)(stack, *args)

@@ -16,12 +16,12 @@ from mtspike.datasets import (
     EncodedDataset,
     EncodingSpec,
     RawDataset,
+    _split_dataset,
+    _stratified_subset,
     encode_dataset,
     load_iris,
     load_mnist_idx,
     save_mnist_idx,
-    split_dataset,
-    stratified_subset,
 )
 from mtspike.errors import ConfigError, DataError
 
@@ -121,7 +121,7 @@ def test_raw_dataset_validation():
 
 def test_split_is_stratified_and_disjoint(iris_path):
     ds = load_iris(iris_path)
-    train, test = split_dataset(ds, 0.8, seed=0)
+    train, test = _split_dataset(ds, 0.8, seed=0)
     assert np.bincount(train.labels).tolist() == [40, 40, 40]
     assert np.bincount(test.labels).tolist() == [10, 10, 10]
     joined = np.concatenate([train.features, test.features])
@@ -133,9 +133,9 @@ def test_split_is_stratified_and_disjoint(iris_path):
 
 def test_split_determinism(iris_path):
     ds = load_iris(iris_path)
-    a_train, _ = split_dataset(ds, 0.8, seed=3)
-    b_train, _ = split_dataset(ds, 0.8, seed=3)
-    c_train, _ = split_dataset(ds, 0.8, seed=4)
+    a_train, _ = _split_dataset(ds, 0.8, seed=3)
+    b_train, _ = _split_dataset(ds, 0.8, seed=3)
+    c_train, _ = _split_dataset(ds, 0.8, seed=4)
     assert np.array_equal(a_train.features, b_train.features)
     assert not np.array_equal(a_train.features, c_train.features)
 
@@ -143,34 +143,34 @@ def test_split_determinism(iris_path):
 def test_split_validation():
     ds = RawDataset(features=np.zeros((4, 2)), labels=np.array([0, 0, 1, 1]))
     with pytest.raises(ConfigError):
-        split_dataset(ds, 1.0, seed=0)
+        _split_dataset(ds, 1.0, seed=0)
     with pytest.raises(ConfigError):
-        split_dataset(ds, 0.0, seed=0)
+        _split_dataset(ds, 0.0, seed=0)
     tiny = RawDataset(features=np.zeros((1, 2)), labels=np.array([0]))
     with pytest.raises(ConfigError):
-        split_dataset(tiny, 0.5, seed=0)
+        _split_dataset(tiny, 0.5, seed=0)
 
 
 def test_stratified_subset_quotas():
     labels = np.array([0] * 50 + [1] * 50 + [2] * 50)
     ds = RawDataset(features=np.arange(150, dtype=float).reshape(150, 1),
                     labels=labels)
-    sub = stratified_subset(ds, 10, seed=0)
+    sub = _stratified_subset(ds, 10, seed=0)
     # 10/3 per class floors to 3 each; the leftover slot goes to class 0
     assert np.bincount(sub.labels).tolist() == [4, 3, 3]
-    again = stratified_subset(ds, 10, seed=0)
+    again = _stratified_subset(ds, 10, seed=0)
     assert np.array_equal(sub.features, again.features)
-    assert stratified_subset(ds, 150, seed=0) is ds
+    assert _stratified_subset(ds, 150, seed=0) is ds
     with pytest.raises(ConfigError):
-        stratified_subset(ds, 0, seed=0)
+        _stratified_subset(ds, 0, seed=0)
     with pytest.raises(ConfigError):
-        stratified_subset(ds, 151, seed=0)
+        _stratified_subset(ds, 151, seed=0)
 
 
 def test_subset_of_unbalanced_data_respects_proportions():
     labels = np.array([0] * 90 + [1] * 10)
     ds = RawDataset(features=np.zeros((100, 1)), labels=labels)
-    sub = stratified_subset(ds, 20, seed=1)
+    sub = _stratified_subset(ds, 20, seed=1)
     assert np.bincount(sub.labels).tolist() == [18, 2]
 
 

@@ -21,11 +21,11 @@ from mtspike.datasets import EncodedDataset, RawDataset, encode_dataset
 from mtspike.errors import ConfigError, StructureError
 from mtspike.metrics import (
     PREDICT_BLOCK,
+    _summarize,
     dataset_spike_count,
     energy,
     evaluate,
     predict,
-    summarize,
 )
 from mtspike.network import Network, forward_batch, init_network
 from mtspike.readout import TargetScheme, read_class_batch
@@ -500,7 +500,7 @@ def test_summarize_bundles_everything():
     delays = np.array([[1.0, 5.0, 5.0], [5.0, 1.0, 5.0]])
     data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
                           labels=np.array([0, 1]))
-    result = summarize(net, data, MULTI3, alpha=2.0)
+    result = _summarize(net, data, MULTI3, alpha=2.0)
     assert result.test_accuracy == 1.0
     assert result.total_spikes == 2 * (3 + 3)
     assert result.energy == 2.0 * result.total_spikes

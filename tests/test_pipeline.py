@@ -14,9 +14,9 @@ from mtspike.errors import ConfigError, DataError, DivergenceError
 from mtspike.model_io import save_model
 from mtspike.pipeline import (
     _fit_coding,
+    _load_raw,
     _resolve_mnist_paths,
     execute_run,
-    load_raw,
     prepare_data,
 )
 
@@ -85,7 +85,7 @@ def test_load_raw_applies_subsets(idx_dir):
     cfg = mnist_config(idx_dir, [169, 10], epochs=1)
     cfg.dataset.train_subset = 100
     cfg.dataset.test_subset = 40
-    train_raw, test_raw = load_raw(cfg)
+    train_raw, test_raw = _load_raw(cfg)
     assert len(train_raw) == 100
     assert len(test_raw) == 40
     assert np.bincount(train_raw.labels).tolist() == [10] * 10

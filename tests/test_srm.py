@@ -22,8 +22,8 @@ from mtspike.errors import ConfigError
 from mtspike.network import forward_batch, init_network
 from mtspike.srm import (
     SrmParams,
+    _voltage_trace,
     threshold_crossing,
-    voltage_trace,
 )
 
 P = SrmParams()
@@ -121,24 +121,24 @@ def test_kernel_peak_time_matches_calculus():
 
 
 def test_voltage_trace_is_weighted_kernel_sum():
-    times, v = voltage_trace(inputs([0.0, 2.0]), np.array([1.0, 0.5]), P)
+    times, v = _voltage_trace(inputs([0.0, 2.0]), np.array([1.0, 0.5]), P)
     assert times[0] == 0.0 and times[-1] == pytest.approx(P.horizon)
     expected = psp_kernel(times, 0.0, P) + 0.5 * psp_kernel(times, 2.0, P)
     assert np.allclose(v, expected)
 
 
 def test_unfired_inputs_contribute_nothing():
-    _, with_all = voltage_trace(inputs([0.0, 1.0]), np.array([1.0, 5.0]), P)
-    _, gated = voltage_trace(inputs([0.0, 1.0], fired=[True, False]),
+    _, with_all = _voltage_trace(inputs([0.0, 1.0]), np.array([1.0, 5.0]), P)
+    _, gated = _voltage_trace(inputs([0.0, 1.0], fired=[True, False]),
                              np.array([1.0, 5.0]), P)
-    _, alone = voltage_trace(inputs([0.0]), np.array([1.0]), P)
+    _, alone = _voltage_trace(inputs([0.0]), np.array([1.0]), P)
     assert np.allclose(gated, alone[: len(gated)])
     assert not np.allclose(with_all, gated)
 
 
 def test_voltage_trace_weight_shape_check():
     with pytest.raises(ConfigError):
-        voltage_trace(inputs([0.0, 1.0]), np.array([1.0]), P)
+        _voltage_trace(inputs([0.0, 1.0]), np.array([1.0]), P)
 
 
 def test_threshold_crossing_against_fine_grid():
@@ -150,7 +150,7 @@ def test_threshold_crossing_against_fine_grid():
     reference = threshold_crossing(drive, weights, fine)
     assert crossing == pytest.approx(reference, abs=2 * P.dt)
     # no grid point before the crossing reaches threshold
-    times, v = voltage_trace(drive, weights, P)
+    times, v = _voltage_trace(drive, weights, P)
     before = v[(times > 0.0) & (times < crossing)]
     assert np.all(before < P.v_threshold)
 
@@ -175,7 +175,7 @@ def test_crossing_candidates_start_after_first_spike():
         (inputs([0.5, 3.0], fired=[False, True]), [1.0, 1.0], 3.0, 301 * zero.dt),  # unfired
         (inputs([64.0, 80.0]), [1.0, 1.0], None, None),  # only spikes at or past the end
     ]:
-        times, v = voltage_trace(drive, np.array(weights), zero)
+        times, v = _voltage_trace(drive, np.array(weights), zero)
         qualifying = np.nonzero((times > drive.delays[drive.fired].min()) & (v >= 0.0))[0]
         assert (float(times[qualifying[0]]) if qualifying.size else None) == first
         crossing = threshold_crossing(drive, np.array(weights), zero)
@@ -186,7 +186,8 @@ def test_crossing_candidates_start_after_first_spike():
     drive, weights = inputs([1.0, 2.0]), np.array([-1.0, 2.0])
     crossing = threshold_crossing(drive, weights, zero)
     assert 2.0 < crossing < 3.0
-    _assert_crossing_fits(crossing, drive, weights, zero, *voltage_trace(drive, weights, zero), 0.0)
+    _assert_crossing_fits(crossing, drive, weights, zero,
+                          *_voltage_trace(drive, weights, zero), 0.0)
     # before 0 the crossing waits for 0, and starts there if the potential reaches
     negative = SrmParams(v_threshold=-0.1)
     assert threshold_crossing(inputs([-1.0]), np.array([1.0]), negative) == 0.0
@@ -226,15 +227,15 @@ def test_non_finite_fired_inputs_raise(delay, weight):
     drive = inputs([0.0, delay])
     weights = np.array([1.5, weight])
     with pytest.raises(ConfigError, match="finite"):
-        voltage_trace(drive, weights, P)
+        _voltage_trace(drive, weights, P)
     with pytest.raises(ConfigError, match="finite"):
         threshold_crossing(drive, weights, P)
 
 
 def test_unfired_inputs_may_carry_any_delay():
     drive = inputs([0.0, np.nan], fired=[True, False])
-    _, v = voltage_trace(drive, np.array([1.5, 1.0]), P)
-    _, alone = voltage_trace(inputs([0.0]), np.array([1.5]), P)
+    _, v = _voltage_trace(drive, np.array([1.5, 1.0]), P)
+    _, alone = _voltage_trace(inputs([0.0]), np.array([1.5]), P)
     assert np.array_equal(v, alone)
 
 
@@ -286,7 +287,7 @@ def test_closed_form_trace_matches_the_per_input_sum(
         fired[pairs[1]] = fired[pairs[0]] = True
     drive = inputs(delays, fired)
 
-    times, v = voltage_trace(drive, weights, params)
+    times, v = _voltage_trace(drive, weights, params)
     ref_times, v_ref = reference.voltage_trace(drive, weights, params)
     assert np.array_equal(times, ref_times)
     assert np.all(np.isfinite(v))
@@ -311,7 +312,7 @@ def test_trace_of_many_slices_stays_near_its_result(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        times, v = voltage_trace(drive, weights, params)
+        times, v = _voltage_trace(drive, weights, params)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -321,7 +322,7 @@ def test_trace_of_many_slices_stays_near_its_result(monkeypatch):
     assert np.array_equal(times, ref_times)
     assert np.max(np.abs(v - v_ref)) <= 1e-9 * (1.0 + np.abs(weights).sum())
     monkeypatch.setattr(srm, "_TRACE_SLICE", len(times))
-    assert v.tobytes() == voltage_trace(drive, weights, params)[1].tobytes()
+    assert v.tobytes() == _voltage_trace(drive, weights, params)[1].tobytes()
 
 
 def test_crossing_memory_is_bounded_by_fan_in():
@@ -368,7 +369,7 @@ def test_crossing_at_a_segment_peak_matches_the_trace(drive, weights, params, k,
     s_star = td * tr / (td - tr) * math.log(b * td / (a * tr))
     end = spans[k + 2][0] if k + 2 < len(spans) else params.horizon
     assert 0.0 < s_star < end - onset  # the peak lies inside the segment
-    times, v = voltage_trace(drive, weights, params)
+    times, v = _voltage_trace(drive, weights, params)
     if level == "closed_form":
         peak = scale * (a * math.exp(-s_star / td) - b * math.exp(-s_star / tr))
     else:
@@ -466,7 +467,7 @@ def test_benchmark_like_crossings_are_pinned():
 
 
 def _first_qualifying(drive, weights, params):
-    times, v = voltage_trace(drive, weights, params)
+    times, v = _voltage_trace(drive, weights, params)
     qualifying = np.nonzero((times > drive.delays[drive.fired].min())
                             & (v >= params.v_threshold))[0]
     return float(times[qualifying[0]]) if qualifying.size else None
@@ -487,7 +488,7 @@ def test_column_sweeps_match_the_trace():
     assert len(set(expected)) > 20
     crossings = [threshold_crossing(drive, w, P) for w in columns]
     for crossing, w in zip(crossings, columns):
-        _assert_crossing_fits(crossing, drive, w, P, *voltage_trace(drive, w, P), 1e-9)
+        _assert_crossing_fits(crossing, drive, w, P, *_voltage_trace(drive, w, P), 1e-9)
     assert [threshold_crossing(drive, w, P) for w in columns[::-1]] == crossings[::-1]
 
 
@@ -500,14 +501,14 @@ def _cold(drive, weights, params):
     threshold_crossing(_UNRELATED, np.ones(3), P)
     crossing = threshold_crossing(copy, weights, params)
     threshold_crossing(_UNRELATED, np.ones(3), P)
-    return crossing, voltage_trace(copy, weights, params)
+    return crossing, _voltage_trace(copy, weights, params)
 
 
 def _matches_cold(drive, weights, params):
     """Crossing and trace bytes of ``drive`` right after whatever calls came
     before; both must equal a cold call's."""
     crossing = threshold_crossing(drive, weights, params)
-    times, v = voltage_trace(drive, weights, params)
+    times, v = _voltage_trace(drive, weights, params)
     cold_crossing, (cold_times, cold_v) = _cold(drive, weights, params)
     assert crossing == cold_crossing
     assert np.array_equal(times, cold_times) and np.array_equal(v, cold_v)
@@ -552,7 +553,7 @@ def test_drive_errors_repeat_and_keep_their_order():
     is divided by a time constant."""
     bad = inputs([0.0, np.inf])
     for _ in range(2):
-        for simulate in (threshold_crossing, voltage_trace):
+        for simulate in (threshold_crossing, _voltage_trace):
             with pytest.raises(ConfigError, match="fired input delays must be finite"):
                 simulate(bad, np.array([1.0, 1.0]), P)
             with pytest.raises(ConfigError, match="SRM weights must be finite"):
@@ -573,11 +574,11 @@ def test_fired_delay_over_tau_rise_past_the_float_range_raises():
     the input at 1 alone."""
     fast = SrmParams(tau_rise=0.5)
     for _ in range(2):
-        for simulate in (threshold_crossing, voltage_trace):
+        for simulate in (threshold_crossing, _voltage_trace):
             with pytest.raises(ConfigError, match="fired delay / tau_rise must be finite"):
                 simulate(inputs([-1e308, 1.0]), np.array([0.5, 2.0]), fast)
     alone = threshold_crossing(inputs([1.0]), np.array([2.0]), fast)
-    _, alone_v = voltage_trace(inputs([1.0]), np.array([2.0]), fast)
+    _, alone_v = _voltage_trace(inputs([1.0]), np.array([2.0]), fast)
     assert alone is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -585,7 +586,7 @@ def test_fired_delay_over_tau_rise_past_the_float_range_raises():
                                 ([-1e308, 1.0, -1e308], [0.75, 2.0, -0.75])):
             for _ in range(2):
                 assert threshold_crossing(inputs(delays), np.array(weights), fast) == alone
-                _, v = voltage_trace(inputs(delays), np.array(weights), fast)
+                _, v = _voltage_trace(inputs(delays), np.array(weights), fast)
                 assert v.tobytes() == alone_v.tobytes()
 
 
@@ -614,9 +615,10 @@ def test_inputs_that_do_not_act_never_move_a_crossing(seed, idle_share, exponent
     zero[idle] = 0.0
     crossing = threshold_crossing(drive, zero, P)
     assert threshold_crossing(drive, huge, P) == crossing
-    assert voltage_trace(drive, huge, P)[1].tobytes() == voltage_trace(drive, zero, P)[1].tobytes()
+    assert (_voltage_trace(drive, huge, P)[1].tobytes()
+            == _voltage_trace(drive, zero, P)[1].tobytes())
     huge[np.flatnonzero(idle)[0]] = np.nan
-    for simulate in (threshold_crossing, voltage_trace):
+    for simulate in (threshold_crossing, _voltage_trace):
         with pytest.raises(ConfigError, match="SRM weights must be finite"):
             simulate(drive, huge, P)
 
@@ -656,10 +658,10 @@ def test_power_of_two_weights_scale_the_potential_exactly(
         delays[rng.random(fan_in) < 0.05] = steps * params.dt
         drive = inputs(delays, rng.random(fan_in) < rng.uniform(0.2, 1.0))
         weights = rng.normal(rng.uniform(-0.5, 1.0), rng.uniform(0.01, 3.0), fan_in)
-    times, v = voltage_trace(drive, weights, params)
+    times, v = _voltage_trace(drive, weights, params)
     crossing = threshold_crossing(drive, weights, params)
     for power in (2.0 ** k, 2.0 ** -k):
-        scaled_times, scaled_v = voltage_trace(drive, weights * power, params)
+        scaled_times, scaled_v = _voltage_trace(drive, weights * power, params)
         assert scaled_times.tobytes() == times.tobytes()
         assert scaled_v.tobytes() == (v * power).tobytes()
         if threshold * power / power == threshold:  # the scaled threshold is exact
@@ -676,4 +678,4 @@ def test_crossing_past_the_float_range_warns_nothing():
         warnings.simplefilter("error")
         assert threshold_crossing(drive, weights, P) == math.nextafter(2.0, math.inf)
         with pytest.raises(ConfigError, match="exceeds the float range"):
-            voltage_trace(drive, weights, P)
+            _voltage_trace(drive, weights, P)
