@@ -52,6 +52,11 @@ def _setup_logging():
         log.warning("unknown MTSPIKE_LOG level %r, using warning", name)
 
 
+def _shown(text: str) -> str:
+    """``text`` for a terminal line: a NUL would make grep read the line as binary."""
+    return text.replace("\0", "\\0")
+
+
 def _resolve_config(args):
     from .config import load_config, preset
 
@@ -102,7 +107,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         cfg.train = replace(cfg.train, epochs=args.epochs)
 
-    print(f"run: {cfg.name}")
+    print(f"run: {_shown(cfg.name)}")
     print(f"layers: {'-'.join(str(s) for s in cfg.layer_sizes)}")
     print(f"weights: {_weight_count(cfg.layer_sizes)}")
     sys.stdout.flush()
@@ -151,7 +156,7 @@ def cmd_eval(args) -> int:
          for i, row in enumerate(result.confusion.tolist())),
     ))
 
-    print(f"run: {cfg.name} ({args.split} split, {len(encoded)} samples)")
+    print(f"run: {_shown(cfg.name)} ({args.split} split, {len(encoded)} samples)")
     print(f"accuracy: {result.test_accuracy:.6f}")
     print(f"total_spikes: {result.total_spikes}")
     print(f"mean_spikes_per_inference: {result.total_spikes / len(encoded):.2f}")
@@ -211,6 +216,8 @@ def _parse_floats(text: str, flag: str):
 
 
 def cmd_srm_demo(args) -> int:
+    from dataclasses import fields
+
     import numpy as np
 
     from .coding import DelayVector
@@ -228,13 +235,8 @@ def cmd_srm_demo(args) -> int:
     if weights.shape != delays.shape or fired.shape != delays.shape:
         raise ConfigError("--delays, --weights, and --fired must have equal lengths")
 
-    params = SrmParams(
-        tau_decay=args.tau_decay,
-        tau_rise=args.tau_rise,
-        v_threshold=args.threshold,
-        dt=args.dt,
-        horizon=args.horizon,
-    )
+    params = SrmParams(**{f.name: getattr(args, f.name) for f in fields(SrmParams)
+                          if hasattr(args, f.name)})
     inputs = DelayVector(delays=delays, fired=fired)
     times, voltage = _voltage_trace(inputs, weights, params)
     crossing = threshold_crossing(inputs, weights, params)
@@ -309,17 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_encode.set_defaults(func=cmd_encode)
 
+    # SRM flags left out are left out of SrmParams too, which holds their defaults
     p_srm = sub.add_parser(
         "srm-demo", help="print a reference SRM voltage trace and its crossing time",
+        argument_default=argparse.SUPPRESS,
     )
     p_srm.add_argument("--delays", default="0,2", help="input spike delays, comma-separated")
     p_srm.add_argument("--weights", default="1.0,0.8", help="synaptic weights, comma-separated")
     p_srm.add_argument("--fired", default=None, help="0/1 spike-presence flags (default: all 1)")
-    p_srm.add_argument("--tau-decay", type=float, default=4.0, dest="tau_decay")
-    p_srm.add_argument("--tau-rise", type=float, default=1.0, dest="tau_rise")
-    p_srm.add_argument("--threshold", type=float, default=1.0)
-    p_srm.add_argument("--dt", type=float, default=0.01)
-    p_srm.add_argument("--horizon", type=float, default=64.0)
+    p_srm.add_argument("--tau-decay", type=float)
+    p_srm.add_argument("--tau-rise", type=float)
+    p_srm.add_argument("--threshold", type=float, dest="v_threshold", metavar="THRESHOLD")
+    p_srm.add_argument("--dt", type=float)
+    p_srm.add_argument("--horizon", type=float)
     p_srm.add_argument("--out", metavar="PATH", default=None, help="write CSV here instead of stdout")
     p_srm.set_defaults(func=cmd_srm_demo)
 
@@ -340,8 +344,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except MTSpikeError as exc:
         log.debug("command failed", exc_info=True)
-        message = str(exc).replace("\0", "\\0")  # a NUL would make grep read the line as binary
-        print(f"mtspike: error [{exc.code}] {message}", file=sys.stderr)
+        print(f"mtspike: error [{exc.code}] {_shown(str(exc))}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("mtspike: error [E_INTERRUPTED] interrupted", file=sys.stderr)

@@ -3,7 +3,7 @@
 Every input neuron emits at most one spike; the stimulus is carried by the
 spike's delay on a grid of ``resolution`` slots of width ``unit`` spanning the
 encoding window.  Strong stimuli fire early (delay 0), weak stimuli late
-(delay up to the full window).  Three encoders are provided, each taking a
+(delay up to the full window).  Three private encoders, each taking a
 whole dataset at once and returning ``(delays, fired)``: an (N, M) delay
 matrix and an (N, M) bool mask, one row per sample.  An image encoder
 writes uint8 delays when every entry of its float64 delay table (the

@@ -4,9 +4,11 @@ Everything is batch-major, one row per sample.  The learning signal is the
 per-neuron delay residual ``actual - target`` (:func:`output_residual`);
 :func:`backward` turns it into weight gradients in one of two modes:
 
-* ``paper`` — hidden deltas are plain weighted sums of downstream deltas.
-  The omitted fan-in factor is absorbable into the learning rate, and
-  gradients also pass through clipped neurons.  Default for training.
+* ``paper`` — hidden deltas are plain weighted sums of downstream deltas,
+  also through clipped neurons: layer ``l``'s gradient is the
+  straight-through one (Bengio et al. 2013; the special ReLU's derivative
+  taken as 1) times ``prod(layer_sizes[l + 1:-1])``, the fan-ins after it,
+  so 500x for W0 of 169-500-10 and 1x for W1.  Default for training.
 * ``exact`` — the strict chain rule, including the fan-in average and the
   special ReLU's derivative (0 at and below the kink) at every layer.
   This is the mode the finite-difference check validates.

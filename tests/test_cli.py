@@ -1,5 +1,6 @@
 """Command-line behaviour: output contracts, files written, error lines."""
 
+import dataclasses
 import gzip
 import json
 import logging
@@ -276,6 +277,19 @@ def test_srm_demo_csv_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_srm_demo_without_srm_flags_simulates_srm_params(capsys):
+    """``SrmParams`` alone holds the SRM defaults: no SRM flag prints the
+    bytes of its five values given as flags."""
+    defaults = dataclasses.asdict(srm.SrmParams())
+    flags = {"--tau-decay": "tau_decay", "--tau-rise": "tau_rise",
+             "--threshold": "v_threshold", "--dt": "dt", "--horizon": "horizon"}
+    assert sorted(flags.values()) == sorted(defaults)
+    argv = [arg for flag, field in flags.items() for arg in (flag, repr(defaults[field]))]
+    rc, given, _ = run_cli(capsys, "srm-demo", *argv)
+    assert rc == 0
+    assert run_cli(capsys, "srm-demo") == (0, given, "")
+
+
 def test_srm_demo_formats_a_grid_of_several_slices_point_for_point(monkeypatch, capsys):
     """A 6,401-point grid evaluated and printed in slices of 1,000 points
     (the last one short) prints each point as one whole-grid slice gives it."""
@@ -431,6 +445,20 @@ def test_nul_in_a_path_error_line(tmp_path, iris_path, capsys, case, code):
     assert rc == 2
     assert err.strip().startswith(f"mtspike: error [{code}] ")
     assert "a\\0b" in err and "\0" not in err
+
+
+@pytest.mark.parametrize("outputs, rc", [(True, 0), (False, 2)],
+                         ids=["explicit-outputs", "default-outputs"])
+def test_run_line_prints_a_nul_in_the_name_as_backslash_zero(tmp_path, iris_path, capsys,
+                                                              outputs, rc):
+    """The ``run:`` line escapes a NUL as the error line does, whether the
+    run trains or its default model path, which holds the name, fails."""
+    section = {"output": {"model": str(tmp_path / "m.mtspike"),
+                          "metrics": str(tmp_path / "m.csv")}} if outputs else {}
+    cfg = write_iris_config(tmp_path, iris_path, name="a\0b", train={"epochs": 1}, **section)
+    got, out, _ = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert got == rc
+    assert "\0" not in out and out.splitlines()[0] == "run: a\\0b"
 
 
 @pytest.mark.parametrize("case, code", [

@@ -1,6 +1,7 @@
 """Temporal error backpropagation: residuals, gradients, batching, and training."""
 
 import copy
+import math
 import tracemalloc
 
 import _reference_train
@@ -224,6 +225,39 @@ def test_forward_and_backward_match_the_reference_bytes(sizes, batch, seed, wind
             assert got.tobytes() == want.tobytes(), mode
 
 
+@given(sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=5),
+       batch=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       window=st.just(0.0) | st.floats(min_value=1.0, max_value=32.0))
+@settings(max_examples=200, deadline=None)
+def test_paper_mode_is_the_straight_through_gradient_times_downstream_fan_ins(
+        sizes, batch, seed, window):
+    """Layer ``l``'s ``paper`` gradient is the chain-rule gradient with the
+    special ReLU's derivative taken as 1 (the straight-through estimator),
+    times the fan-ins of the layers after it, ``prod(layer_sizes[l + 1:-1])``.
+
+    Each entry agrees to 1e-12 of the same sum over the terms' absolute
+    values: the identity is exact, but the two orders of division round
+    apart, and a sum of terms that cancel magnifies that relative to itself.
+    """
+    rng = np.random.default_rng(seed)
+    net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
+    trace = forward_batch(net, rng.uniform(0.0, 16.0, (batch, sizes[0])))
+    delta = rng.uniform(-4.0, 4.0, (batch, sizes[-1]))
+    grads = backward(net, trace, delta, mode="paper")
+    # a neuron's pre-activation is the mean of its weighted input delays, so
+    # d net_j / d w_ij = delay_i / fan_in and d net_j / d delay_i = w_ij / fan_in;
+    # error is d loss / d pre-activation, which the ReLU passes unchanged
+    error = size = delta
+    for l in reversed(range(len(net.weights))):
+        scale = math.prod(sizes[l + 1:-1]) / sizes[l]
+        want = np.einsum("bi,bj->ij", trace.delays[l], error) * scale
+        bound = np.einsum("bi,bj->ij", np.abs(trace.delays[l]), np.abs(size)) * scale
+        assert np.all(np.abs(grads[l] - want) <= 1e-12 * bound), l
+        error = np.einsum("bj,ij->bi", error, net.weights[l]) / sizes[l]
+        size = np.einsum("bj,ij->bi", np.abs(size), np.abs(net.weights[l])) / sizes[l]
+
+
 def counting(monkeypatch, name, calls, record=None):
     """Replace ``learning.<name>`` with a wrapper that counts its calls."""
     original = getattr(learning, name)
@@ -274,6 +308,21 @@ def test_train_calls_each_traced_step_through_the_module(monkeypatch):
           rng=rng)
     assert calls == {"forward_batch": 3, "output_residual": 3, "read_class_batch": 3,
                      "backward": 3, "predict": 1}
+
+
+def test_train_without_a_generator_draws_from_the_config_seed():
+    """``rng`` omitted trains as ``default_rng(cfg.seed)`` does, and the
+    shuffles it draws matter: another seed moves the weights elsewhere."""
+    rng = np.random.default_rng(4)
+    data = encoded(rng.uniform(0, 16, (10, 4)), [0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
+    net = init_network([4, 5, 3], rng=rng, window=16.0)
+    cfg = TrainConfig(batch_size=4, epochs=3, seed=7)
+    runs = [train(copy.deepcopy(net), data, MULTI3, cfg, **given)
+            for given in ({}, {"rng": np.random.default_rng(7)}, {"rng": np.random.default_rng(8)})]
+    (omitted, omitted_history), (seeded, seeded_history), (other, _) = runs
+    assert [w.tobytes() for w in omitted.weights] == [w.tobytes() for w in seeded.weights]
+    assert omitted_history == seeded_history
+    assert [w.tobytes() for w in other.weights] != [w.tobytes() for w in seeded.weights]
 
 
 def test_zero_learning_rate_keeps_weights_bit_identical():

@@ -123,9 +123,9 @@ def _workflow_code(text: str) -> str:
     return "\n".join(line for line in commands if not line.lstrip().startswith("#"))
 
 
-def _is_read(module: str, export: str, reads, readme_code: str) -> bool:
+def _is_read(module: str, export: str, reads, outside_code: str) -> bool:
     return ((module, export) in reads
-            or re.search(rf"\b{re.escape(export)}\b", readme_code) is not None)
+            or re.search(rf"\b{re.escape(export)}\b", outside_code) is not None)
 
 
 # schema's one export: test_every_export_resolves wants every library module
@@ -162,8 +162,12 @@ def test_every_export_has_a_reader_outside_the_tests():
 
 def test_prose_is_no_reader_of_an_export():
     """The reader rule counts code, not words: README prose that says
-    "type-checked" does not read ``schema.checked``; code does."""
+    "type-checked", or a workflow's step name or comment, does not read
+    ``schema.checked``; code does."""
     prose = _markdown_code("Config values are type-checked, not coerced.")
+    steps = "      # checked\n      - name: checked\n        run: |\n          # checked\n"
+    assert not _is_read("schema", "checked", set(), _workflow_code(steps + "          ls\n"))
+    assert _is_read("schema", "checked", set(), _workflow_code(steps + "          checked\n"))
     assert not _is_read("schema", "checked", _code_reads("checked = 1\n"), prose)
     assert _is_read("schema", "checked", set(), _markdown_code("call `checked(v)`"))
     for source in ("from .schema import checked\n", "from mtspike import schema\nschema.checked\n"):
