@@ -141,6 +141,8 @@ def cmd_eval(args) -> int:
     from .model_io import load_model
 
     cfg = _resolve_config(args)
+    confusion_path = Path(args.out) / f"{cfg.name}_{args.split}_confusion.csv"
+    _check_writable(confusion_path)  # before any data is read, as in train
     model = load_model(args.model)
     train_raw, test_raw = pipeline._load_raw(cfg)
     raw = train_raw if args.split == "train" else test_raw
@@ -148,8 +150,6 @@ def cmd_eval(args) -> int:
     encoded = encode_dataset(raw, model.coding)
     result = _summarize(model.network, encoded, model.scheme, alpha=cfg.alpha)
 
-    out = Path(args.out)
-    confusion_path = out / f"{cfg.name}_{args.split}_confusion.csv"
     _write_lines(confusion_path, chain(
         [",".join(["true\\pred", *map(str, range(len(result.confusion)))]) + "\r\n"],
         (",".join(map(str, [i, *row])) + "\r\n"
@@ -172,6 +172,11 @@ def cmd_encode(args) -> int:
     from .datasets import encode_dataset
 
     cfg = _resolve_config(args)
+    out = Path(args.out)
+    delays_path = out / f"{cfg.name}_{args.split}_delays.csv"
+    histogram_path = out / f"{cfg.name}_{args.split}_histogram.csv"
+    for path in (delays_path, histogram_path):  # before any data is read, as in train
+        _check_writable(path)
     train_raw, test_raw = pipeline._load_raw(cfg)
     spec = pipeline._fit_coding(cfg.coding, train_raw)
     raw = train_raw if args.split == "train" else test_raw
@@ -182,10 +187,6 @@ def cmd_encode(args) -> int:
         counts = np.bincount(bins, minlength=resolution + 1)
     except MemoryError as exc:
         raise ConfigError(f"cannot allocate a {resolution + 1}-slot delay histogram") from exc
-
-    out = Path(args.out)
-    delays_path = out / f"{cfg.name}_{args.split}_delays.csv"
-    histogram_path = out / f"{cfg.name}_{args.split}_histogram.csv"
 
     width = encoded.delays.shape[1]
     rows = zip(encoded.labels.tolist(), encoded.delays.tolist(), encoded.fired.tolist())

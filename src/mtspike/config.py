@@ -162,8 +162,10 @@ _PRESETS = {
     "mt1_mnist": {**_MNIST, "layers": [169, 500, 1],
                   "readout": {"mode": "single_neuron", "num_classes": 10, "excitatory_offset": 1.0},
                   "train": {**_NOHEU, "gradient_mode": "exact"}},
-    "mt10_mnist_heu": {**_MNIST, "layers": [169, 500, 10], "readout": _MULTI10, "train": _HEU},
-    "mt10_mnist_noheu": {**_MNIST, "layers": [169, 500, 10], "readout": _MULTI10, "train": _NOHEU},
+    "mt10_mnist_heu": {**_MNIST, "layers": [169, 500, 10], "readout": _MULTI10,
+                       "train": {**_HEU, "numerics": "fast"}},
+    "mt10_mnist_noheu": {**_MNIST, "layers": [169, 500, 10], "readout": _MULTI10,
+                         "train": {**_NOHEU, "numerics": "fast"}},
     "slmt10_mnist_heu": {**_MNIST, "layers": [169, 10], "readout": _MULTI10, "train": _HEU},
     "slmt10_mnist_noheu": {**_MNIST, "layers": [169, 10], "readout": _MULTI10, "train": _NOHEU},
 }

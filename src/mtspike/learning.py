@@ -13,6 +13,16 @@ per-neuron delay residual ``actual - target`` (:func:`output_residual`);
   special ReLU's derivative (0 at and below the kink) at every layer.
   This is the mode the finite-difference check validates.
 
+``TrainConfig.numerics`` picks the arithmetic.  ``exact64`` (the default)
+trains the float64 weights in place, byte for byte as the reference trainer
+in the tests does.  ``fast`` (paper mode only) trains float32 working copies
+of the weights, written back into the float64 weights at every epoch's end.
+Their forward pass runs in float32, and :func:`backward` forms each paper
+gradient right to left, ``((d_lᵀ Δ) / n_l) · W_Lᵀ ⋯ W_{l+1}ᵀ`` (``d_l`` layer
+``l``'s input delays, ``Δ`` the output residual, ``n_l`` the fan-in), as
+paper mode's linearity allows: the fan-in divide and the step's scale then
+touch ``n_l x output_size`` entries instead of a whole weight matrix.
+
 The heuristic loss restricts output-layer learning to the "involved" neurons
 of each sample's class: walking a depth-first path through a binary decision
 tree over class labels visits exactly neurons ``0..class_index``, with the
@@ -23,6 +33,7 @@ synapses are updated, which reduces weight competition between classes.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -45,6 +56,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _GRADIENT_MODES = ("paper", "exact")
+_NUMERICS = ("exact64", "fast")
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,9 @@ class TrainConfig:
     rate the sum variant takes steps ``batch_size`` times larger, which
     destabilises deeper networks; the multilayer presets therefore use
     ``mean`` while single-layer ones keep ``sum``.
+
+    ``numerics`` is ``exact64`` or ``fast`` (float32 working weights, see
+    the module docstring); ``fast`` needs the ``paper`` gradient mode.
     """
 
     learning_rate: float = 0.01
@@ -68,6 +83,7 @@ class TrainConfig:
     update_gate: str = "always"
     batch_reduction: str = "sum"
     init_range: tuple[float, float] = (0.0, 1.0)
+    numerics: str = "exact64"
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -87,6 +103,10 @@ class TrainConfig:
         low, high = self.init_range
         if not (low < high and math.isfinite(high - low)):
             raise ConfigError("init_range must be an increasing pair of finite width")
+        if self.numerics not in _NUMERICS:
+            raise ConfigError(f"unknown numerics {self.numerics!r}")
+        if self.numerics == "fast" and self.gradient_mode != "paper":
+            raise ConfigError("numerics 'fast' needs the 'paper' gradient mode")
 
 
 @dataclass
@@ -125,7 +145,15 @@ def backward(
     ``delta`` is the ``(batch, output_size)`` output residual, usually from
     :func:`output_residual`; a zero entry sends no update to that neuron's
     synapses for that sample.  Returns one gradient per weight matrix,
-    summed over the batch, each a freshly allocated array.
+    summed over the batch, each a freshly allocated array in the dtype of
+    the weights, the trace and ``delta`` (all float64, or all float32).
+
+    Float64 weights propagate the deltas left to right, layer by layer.
+    Float32 weights in paper mode form each gradient right to left,
+    ``((d_lᵀ Δ) / n_l) · W_Lᵀ ⋯ W_{l+1}ᵀ``: the chain of transposed weights
+    has ``output_size`` rows, so for 169-500-10 at 32 rows this takes about
+    a third of the multiply-adds, and the fan-in divide covers a 169x10
+    matrix instead of a 169x500 one.
     """
     if mode not in _GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -142,6 +170,17 @@ def backward(
     if delta.shape != delays[-1].shape:
         raise StructureError("delta shape does not match the output layer")
     grads = [None] * depth
+    # 4-byte weights are float32 (a Network widens to float64); an itemsize
+    # reads faster than a dtype compare on the default path's small batches
+    if mode == "paper" and net.weights[0].itemsize == 4:
+        chain = None  # W_Lᵀ ⋯ W_{l+1}ᵀ, (output_size, layer_sizes[l + 1])
+        for l in reversed(range(depth)):
+            g = delays[l].T @ delta
+            g /= net.layer_sizes[l]
+            grads[l] = g if chain is None else g @ chain
+            if l > 0:
+                chain = net.weights[l].T if chain is None else chain @ net.weights[l].T
+        return grads
     if mode == "exact":  # the special ReLU's derivative, 0 at the kink
         delta = delta * (nets[-1] > 0)
     for l in reversed(range(depth)):
@@ -169,6 +208,13 @@ def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
         )
 
 
+def _float32_copy(net: Network) -> Network:
+    """``net`` with float32 copies of its weights, which ``Network()`` would widen."""
+    work = copy.copy(net)
+    work.weights = [w.astype(np.float32) for w in net.weights]
+    return work
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     net: Network,
@@ -190,7 +236,12 @@ def train(
     by ``metrics.predict`` (the path ``evaluate`` takes).  Fully
     deterministic for a fixed config seed (or caller-supplied generator).
     Each batch allocates its own trace and gradients, which are scaled and
-    subtracted from the weights in place.
+    subtracted from the weights in place.  Under ``cfg.numerics == "fast"``
+    those weights are float32 copies made at the start of the call and
+    written back into ``net.weights`` at each epoch's end, before that
+    epoch's evaluation; the step's scale then multiplies the residual
+    before :func:`backward` instead of the gradients after it.  A call of
+    ``k`` epochs thus writes the bytes of ``k`` one-epoch calls.
 
     Logs one warning at the end when every pre-activation of a layer in the
     last batch is <= 0: the special ReLU then clips the whole layer, and a
@@ -198,8 +249,10 @@ def train(
 
     Raises :class:`DivergenceError`, naming the epoch and batch, as soon as
     the epoch's running squared error or a batch's output delays (training
-    or evaluation) stop being finite; numpy's overflow warnings on the way
-    there are silenced.
+    or evaluation) stop being finite; under ``fast`` also, naming the epoch,
+    when a working weight has left float32's range by the epoch's end.
+    Under ``fast``, ``net.weights`` then hold the last completed epoch.
+    numpy's overflow warnings on the way there are silenced.
     Before the first epoch, and so before any weight moves, it raises
     :class:`ConfigError` for the heuristic loss without one output neuron
     per class; then, for the training set and then the evaluation set, the
@@ -218,6 +271,11 @@ def train(
 
     labels = data.labels
     targets = target_matrix(scheme)[labels]
+    fast = cfg.numerics == "fast"
+    work = net  # the network the batches step
+    if fast:
+        work = _float32_copy(net)
+        targets = targets.astype(np.float32)
     history: list[EpochStats] = []
     n = len(data)
     heuristic, mode = cfg.heuristic, cfg.gradient_mode
@@ -240,7 +298,7 @@ def train(
                 # free the last batch's trace and gradients before this batch
                 # allocates: held over, they add a weight matrix to peak memory
                 trace = grads = None
-                trace = forward_batch(net, data.delays[order[rows]])
+                trace = forward_batch(work, data.delays[order[rows]])
                 outputs = trace.outputs
                 batch_labels = epoch_labels[rows]
                 resid, terms = output_residual(
@@ -258,12 +316,20 @@ def train(
 
                 if gated:
                     resid = np.where(hits[:, np.newaxis], 0.0, resid)
-                grads = backward(net, trace, resid, mode=mode)
                 scale = cfg.learning_rate / len(batch_labels) if mean else cfg.learning_rate
-                for w, g in zip(net.weights, grads):
-                    g *= scale
+                grads = backward(work, trace, resid * scale if fast else resid, mode=mode)
+                for w, g in zip(work.weights, grads):
+                    if not fast:
+                        g *= scale
                     w -= g
 
+            if fast:
+                if not all(np.isfinite(w).all() for w in work.weights):
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch}: a weight left float32's range"
+                    )
+                for w, w32 in zip(net.weights, work.weights):
+                    w[...] = w32
             mse = squared_sum / term_count  # finite: term_count >= 1
             test_accuracy = None
             if eval_data is not None:

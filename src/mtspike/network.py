@@ -148,11 +148,13 @@ def _matrix_product(rows: int, w: np.ndarray):
 def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     """Propagate a ``(batch, input_size)`` delay matrix through every layer.
 
-    Every call allocates its own pre-activation and delay array per layer;
-    the returned trace's ``delays[0]`` is the input matrix, as float64 like
-    every array of the trace.
+    Every call allocates its own pre-activation and delay array per layer.
+    It computes in the dtype of ``net.weights``: float64 for any
+    :class:`Network`, float32 for the working copies ``learning.train``
+    steps under ``numerics: "fast"``.  Every array of the returned trace has
+    that dtype, ``delays[0]`` (the input matrix) included.
     """
-    x = np.asarray(delay_matrix, dtype=np.float64)
+    x = np.asarray(delay_matrix, dtype=net.weights[0].dtype)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
         raise StructureError(
             f"expected a (batch, {net.layer_sizes[0]}) delay matrix, "

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from mtspike import cli, pipeline, srm
+from mtspike import cli, datasets, metrics, pipeline, srm
 from mtspike.coding import CodingParams, DelayVector, _encode_numeric
 from mtspike.config import load_config
 from mtspike.datasets import save_mnist_idx
@@ -399,16 +399,21 @@ def test_encode_rejects_unbuildable_histogram(tmp_path, iris_path, capsys, windo
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "encode"])
-def test_out_that_is_a_file_error_line(tmp_path, iris_path, capsys, command):
+def test_out_that_is_a_file_error_line(tmp_path, iris_path, capsys, monkeypatch, command):
+    """An ``--out`` that is, or lies under, a regular file: each command
+    fails before it trains, evaluates or encodes."""
     cfg = write_iris_config(tmp_path, iris_path, train={"epochs": 1})
     assert run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))[0] == 0
-    blocker = tmp_path / "afile"
-    blocker.touch()
+    (tmp_path / "afile").touch()
+    for module, name in ((pipeline, "execute_run"), (metrics, "_summarize"),
+                         (datasets, "encode_dataset")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: pytest.fail(name))
     extra = ["--model", str(tmp_path / "cli_iris.mtspike")] if command == "eval" else []
-    rc, _, err = run_cli(capsys, command, "--config", str(cfg), *extra,
-                         "--out", str(blocker))
-    assert rc == 2
-    assert err.strip().startswith("mtspike: error [E_CONFIG]") and str(blocker) in err
+    for blocker in (tmp_path / "afile", tmp_path / "afile" / "sub"):
+        rc, _, err = run_cli(capsys, command, "--config", str(cfg), *extra,
+                             "--out", str(blocker))
+        assert rc == 2
+        assert err.strip().startswith("mtspike: error [E_CONFIG]") and str(blocker) in err
 
 
 @pytest.mark.parametrize("target", ["afile/x.csv", "."], ids=["under-a-file", "a-directory"])
@@ -663,7 +668,8 @@ def test_model_bytes_repeat_with_and_without_a_blas_thread_variable(tmp_path):
     ``OPENBLAS_NUM_THREADS=1``, because the CLI defaults to one BLAS thread.
     Without that default the first run uses every CPU and, on a host with
     2 or more, a 169x500 product rounds differently; on a 1-CPU host this
-    passes either way."""
+    passes either way.  The preset trains under ``numerics: "fast"``, so
+    this holds for its float32 products too."""
     data = tmp_path / "mnist"
     data.mkdir()
     for prefix, digits in (("train", make_digits(20, seed=7)), ("t10k", make_digits(5, seed=8))):

@@ -147,7 +147,7 @@ FULL_DOC = {
                 "excitatory_offset": 0.0, "inhibitory_offset": 4.0},
     "train": {"learning_rate": 0.01, "batch_size": 30, "epochs": 100, "seed": 0,
               "gradient_mode": "paper", "heuristic": False, "update_gate": "always",
-              "batch_reduction": "sum", "init_range": [0.0, 1.0]},
+              "batch_reduction": "sum", "init_range": [0.0, 1.0], "numerics": "exact64"},
     "alpha": 1.0,
     "output": {"model": "m.bin", "metrics": "m.csv"},
 }
@@ -249,6 +249,9 @@ def test_cross_field_validation():
     doc = minimal_dict(alpha=0.0)
     with pytest.raises(ConfigError, match="alpha"):
         config_from_dict(doc)
+    doc = minimal_dict(train={"numerics": "fast", "gradient_mode": "exact"})
+    with pytest.raises(ConfigError, match="'fast' needs the 'paper' gradient mode"):
+        config_from_dict(doc)
     with pytest.raises(ConfigError, match="root"):
         config_from_dict([1, 2, 3])
     # the JSON reader never yields NaN or infinity; the Python API can
@@ -345,6 +348,8 @@ def test_benchmark_preset_shapes():
     assert preset("slmt10_mnist_heu").layer_sizes == (169, 10)
     assert preset("mt10_mnist_heu").train.heuristic
     assert not preset("mt10_mnist_noheu").train.heuristic
+    fast = {name for name in _preset_names() if preset(name).train.numerics == "fast"}
+    assert fast == {"mt10_mnist_heu", "mt10_mnist_noheu"}
     conv = preset("mt1_mnist").coding.params
     assert (conv.kernel, conv.stride) == (4, 2)
 

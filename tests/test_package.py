@@ -123,9 +123,22 @@ def _workflow_code(text: str) -> str:
     return "\n".join(line for line in commands if not line.lstrip().startswith("#"))
 
 
-def _is_read(module: str, export: str, reads, outside_code: str) -> bool:
-    return ((module, export) in reads
-            or re.search(rf"\b{re.escape(export)}\b", outside_code) is not None)
+def _text_reads(code: str) -> set[tuple[str, str]]:
+    """The Python-shaped references of README or workflow ``code``:
+    ``module.name``, names imported from ``mtspike.module``, and calls
+    ``name(...)`` as ``("", name)``.  A CLI word such as ``mtspike train``
+    or ``--preset`` is none of these."""
+    reads = set(re.findall(r"\b(?=(\w+)\.(\w+))", code))
+    for module, names in re.findall(
+        r"\bfrom\s+mtspike\.(\w+)\s+import\s+(\w+(?:\s*,\s*\w+)*)", code
+    ):
+        reads.update((module, name) for name in re.split(r"\s*,\s*", names))
+    reads.update(("", name) for name in re.findall(r"\b(\w+)\(", code))
+    return reads
+
+
+def _is_read(module: str, export: str, reads) -> bool:
+    return (module, export) in reads or ("", export) in reads
 
 
 # schema's one export: test_every_export_resolves wants every library module
@@ -143,35 +156,49 @@ def test_every_export_has_a_reader_outside_the_tests():
     and a name read only by its sibling modules and the tests is private."""
     reads = set().union(*(_code_reads(path.read_text(encoding="utf-8"))
                           for path in (REPO_ROOT / "perfbench").rglob("*.py")))
-    reads = _defined_where(reads) | set().union(*map(_annotated, MODULES))
-    outside_code = "\n".join([
+    reads |= _text_reads("\n".join([
         _markdown_code((REPO_ROOT / "README.md").read_text(encoding="utf-8")),
         *(_workflow_code(path.read_text(encoding="utf-8"))
           for path in (REPO_ROOT / ".github" / "workflows").glob("*.yml")),
-    ])
+    ]))
+    reads = _defined_where(reads) | set().union(*map(_annotated, MODULES))
     unread = []
     for name in MODULES:
         module = importlib.import_module(f"mtspike.{name}")
         for export in getattr(module, "__all__", ()):
             value = getattr(module, export)
-            if not (_is_read(name, export, reads, outside_code)
+            if not (_is_read(name, export, reads)
                     or isinstance(value, type) and issubclass(value, MTSpikeError)):
                 unread.append(f"mtspike.{name}.{export}")
     assert sorted(unread) == sorted(_UNREAD_EXPORTS)
 
 
 def test_prose_is_no_reader_of_an_export():
-    """The reader rule counts code, not words: README prose that says
-    "type-checked", or a workflow's step name or comment, does not read
-    ``schema.checked``; code does."""
-    prose = _markdown_code("Config values are type-checked, not coerced.")
+    """The reader rule counts Python, not words: README prose that says
+    "type-checked", a workflow's step name or comment, or a CLI command such
+    as ``mtspike train --preset NAME`` does not read ``schema.checked``,
+    ``learning.train`` or ``config.preset``; code does."""
+    prose = _text_reads(_markdown_code("Config values are type-checked, not coerced."))
     steps = "      # checked\n      - name: checked\n        run: |\n          # checked\n"
-    assert not _is_read("schema", "checked", set(), _workflow_code(steps + "          ls\n"))
-    assert _is_read("schema", "checked", set(), _workflow_code(steps + "          checked\n"))
-    assert not _is_read("schema", "checked", _code_reads("checked = 1\n"), prose)
-    assert _is_read("schema", "checked", set(), _markdown_code("call `checked(v)`"))
+    assert not _is_read("schema", "checked", _text_reads(_workflow_code(steps + "          ls\n")))
+    for line in ("checked(v)", "python -c 'from mtspike.schema import checked'"):
+        code = _workflow_code(f"{steps}          {line}\n")
+        assert _is_read("schema", "checked", _text_reads(code)), line
+    assert not _is_read("schema", "checked", _code_reads("checked = 1\n") | prose)
+    assert _is_read("schema", "checked", _text_reads(_markdown_code("call `checked(v)`")))
     for source in ("from .schema import checked\n", "from mtspike import schema\nschema.checked\n"):
-        assert _is_read("schema", "checked", _code_reads(source), prose)
+        assert _is_read("schema", "checked", _code_reads(source) | prose)
+    commands = [
+        _markdown_code("Run `mtspike train --preset mt1_iris --out out/` first."),
+        _workflow_code("      - run: mtspike train --preset mt1_iris --epochs 5 --out x\n"),
+        _workflow_code("        run: |\n          mtspike eval --preset mt1_iris --model m\n"),
+    ]
+    for code in commands:
+        assert code.strip()
+        assert not _is_read("learning", "train", _text_reads(code)), code
+        assert not _is_read("config", "preset", _text_reads(code)), code
+    assert _is_read("learning", "train", _text_reads("learning.train(net, data, scheme, cfg)"))
+    assert _is_read("config", "preset", _text_reads("cfg = preset('mt1_iris')"))
 
 
 def test_unknown_name_raises_attribute_error():

@@ -11,7 +11,7 @@ import pytest
 from mtspike.config import config_from_dict, preset
 from mtspike.datasets import EncodingSpec, RawDataset
 from mtspike.errors import ConfigError, DataError, DivergenceError
-from mtspike.model_io import save_model
+from mtspike.model_io import load_model, save_model
 from mtspike.pipeline import (
     _fit_coding,
     _load_raw,
@@ -163,6 +163,22 @@ def test_hidden_layer_digits_run_learns(idx_dir):
     result = execute_run(cfg)
     assert result.metrics.test_accuracy >= 0.9
     assert result.history[-1].mse < 1.0
+
+
+def test_fast_run_writes_a_float64_model_with_the_same_provenance(idx_dir, tmp_path):
+    """``fast`` trains float32 copies but saves float64 weights, each exactly
+    a float32 value, under the provenance keys of an ``exact64`` run."""
+    models = {}
+    for numerics in ("exact64", "fast"):
+        model = execute_run(mnist_config(idx_dir, [169, 20, 10], epochs=2,
+                                         numerics=numerics)).model
+        save_model(model, tmp_path / numerics)
+        models[numerics] = model
+    weights = load_model(tmp_path / "fast").network.weights
+    assert all(w.dtype == np.float64 for w in weights)
+    assert all(np.array_equal(w.astype(np.float32), w) for w in weights)
+    assert models["fast"].provenance.keys() == models["exact64"].provenance.keys()
+    assert (tmp_path / "fast").read_bytes() != (tmp_path / "exact64").read_bytes()
 
 
 def test_multi_batch_divergence_raises_diverged(iris_path):
