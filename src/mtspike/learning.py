@@ -15,13 +15,17 @@ per-neuron delay residual ``actual - target`` (:func:`output_residual`);
 
 ``TrainConfig.numerics`` picks the arithmetic.  ``exact64`` (the default)
 trains the float64 weights in place, byte for byte as the reference trainer
-in the tests does.  ``fast`` (paper mode only) trains float32 working copies
-of the weights, written back into the float64 weights at every epoch's end.
-Their forward pass runs in float32, and :func:`backward` forms each paper
-gradient right to left, ``((d_lᵀ Δ) / n_l) · W_Lᵀ ⋯ W_{l+1}ᵀ`` (``d_l`` layer
-``l``'s input delays, ``Δ`` the output residual, ``n_l`` the fan-in), as
-paper mode's linearity allows: the fan-in divide and the step's scale then
-touch ``n_l x output_size`` entries instead of a whole weight matrix.
+in the tests does.  ``fast`` (paper mode only) trains float32 working
+weights, and float32 weights are the fan-in-prescaled working form
+``V_l = fl32(W_l / n_l)`` (``n_l`` the fan-in), the one ``metrics``' float32
+sweep runs on, so the forward pass divides nothing.  :func:`backward` forms
+each paper gradient in V-space right to left, ``((d_lᵀ Δ) · Π_{k>l} n_k /
+n_l²) · V_Lᵀ ⋯ V_{l+1}ᵀ`` (``d_l`` layer ``l``'s input delays, ``Δ`` the
+output residual), as paper mode's linearity allows: the scalar and the
+step's scale then touch ``n_l x output_size`` entries instead of a whole
+weight matrix.  At every epoch's end ``W_l = float64(V_l) · n_l``, computed
+in float64, is written back; that product is exact, so prescaling it again
+gives back ``V_l`` bit for bit.
 
 The heuristic loss restricts output-layer learning to the "involved" neurons
 of each sample's class: walking a depth-first path through a binary decision
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError, EvaluationError, StructureError
-from .metrics import _check_set, predict
+from .metrics import _check_set, _prescaled, predict
 from .network import ForwardTrace, Network, _matrix_product, forward_batch
 from .readout import TargetScheme, read_class_batch, target_matrix
 
@@ -149,11 +153,14 @@ def backward(
     the weights, the trace and ``delta`` (all float64, or all float32).
 
     Float64 weights propagate the deltas left to right, layer by layer.
-    Float32 weights in paper mode form each gradient right to left,
-    ``((d_lᵀ Δ) / n_l) · W_Lᵀ ⋯ W_{l+1}ᵀ``: the chain of transposed weights
-    has ``output_size`` rows, so for 169-500-10 at 32 rows this takes about
-    a third of the multiply-adds, and the fan-in divide covers a 169x10
-    matrix instead of a 169x500 one.
+    Float32 weights are the fan-in-prescaled working form ``V_l = fl32(W_l /
+    n_l)`` (paper mode only), and their gradients are the W-space ones
+    divided by ``n_l``, the steps that move ``V_l`` as the W-space steps move
+    ``W_l``: ``((d_lᵀ Δ) · Π_{k>l} n_k / n_l²) · V_Lᵀ ⋯ V_{l+1}ᵀ``, formed
+    right to left.  The chain of transposed weights has ``output_size``
+    rows, so for 169-500-10 at 32 rows this takes about a third of the
+    multiply-adds, and the scalar covers a 169x10 matrix instead of a
+    169x500 one.
     """
     if mode not in _GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -173,13 +180,17 @@ def backward(
     # 4-byte weights are float32 (a Network widens to float64); an itemsize
     # reads faster than a dtype compare on the default path's small batches
     if mode == "paper" and net.weights[0].itemsize == 4:
-        chain = None  # W_Lᵀ ⋯ W_{l+1}ᵀ, (output_size, layer_sizes[l + 1])
+        chain = None  # V_Lᵀ ⋯ V_{l+1}ᵀ, (output_size, layer_sizes[l + 1])
+        fan_ins = 1  # Π_{k>l} n_k
         for l in reversed(range(depth)):
+            n = net.layer_sizes[l]
             g = delays[l].T @ delta
-            g /= net.layer_sizes[l]
+            g *= fan_ins / (n * n)
             grads[l] = g if chain is None else g @ chain
             if l > 0:
-                chain = net.weights[l].T if chain is None else chain @ net.weights[l].T
+                v = net.weights[l].T  # the first factor contiguous: a faster product
+                chain = np.ascontiguousarray(v) if chain is None else chain @ v
+                fan_ins *= n
         return grads
     if mode == "exact":  # the special ReLU's derivative, 0 at the kink
         delta = delta * (nets[-1] > 0)
@@ -197,9 +208,10 @@ def backward(
     return grads
 
 
-def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
-    """Warn when a layer's every pre-activation in ``trace`` is clipped to zero."""
-    clipped = [l + 1 for l, z in enumerate(trace.nets) if not z.max() > 0.0]
+def _warn_if_collapsed(trace: ForwardTrace, window: float, epoch: int):
+    """Warn when a layer's every delay in ``trace`` is the ``window``: its every
+    pre-activation is clipped to zero (or too small to move the window)."""
+    clipped = [l for l, x in enumerate(trace.delays[1:], 1) if not x.max() > window]
     if clipped:
         log.warning(
             "epoch %d: every pre-activation of layer(s) %s in the last batch is <= 0, "
@@ -209,10 +221,39 @@ def _warn_if_collapsed(trace: ForwardTrace, epoch: int):
 
 
 def _float32_copy(net: Network) -> Network:
-    """``net`` with float32 copies of its weights, which ``Network()`` would widen."""
+    """``net`` with its prescaled float32 working weights, which ``Network()``
+    would widen (see the module docstring)."""
     work = copy.copy(net)
-    work.weights = [w.astype(np.float32) for w in net.weights]
+    work.weights = _prescaled(net)
     return work
+
+
+def _write_back(work: Network, net: Network):
+    """Write ``work``'s prescaled float32 weights ``V`` into ``net``'s float64
+    ones as ``W = float64(V) n``: exact, as the product needs 24 + log2(n)
+    of float64's 53 bits, so :func:`_float32_copy` of ``net`` gives back ``V``."""
+    for w, v in zip(net.weights, work.weights):
+        np.multiply(v, w.shape[0], out=w, dtype=np.float64)
+
+
+# Half float32's largest number: a float32 product or sum whose exact value
+# stays below it cannot overflow however it rounds.
+_FLOAT32_REACH = float(np.finfo(np.float32).max) / 2
+
+
+def _check_float32_reach(work: Network, x: np.ndarray):
+    """Raise ``ConfigError`` naming the first prescaled float32 weight matrix
+    of ``work`` that float32 cannot hold, or whose products and sums over
+    delays no larger in magnitude than ``x``'s could leave float32's range."""
+    reach = np.full(x.shape[1], max(-float(x.min()), float(x.max())))
+    for l, v in enumerate(work.weights):
+        reach = reach @ np.abs(v, dtype=np.float64) + work.window  # inf or NaN for an inf in v
+        if not reach.max() < _FLOAT32_REACH:
+            raise ConfigError(
+                f"numerics 'fast' cannot hold weight matrix {l}: its float32 values "
+                f"over the training delays could pass float32's range (about 3.4e38); "
+                f"use 'exact64'"
+            )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,15 +278,17 @@ def train(
     deterministic for a fixed config seed (or caller-supplied generator).
     Each batch allocates its own trace and gradients, which are scaled and
     subtracted from the weights in place.  Under ``cfg.numerics == "fast"``
-    those weights are float32 copies made at the start of the call and
-    written back into ``net.weights`` at each epoch's end, before that
-    epoch's evaluation; the step's scale then multiplies the residual
+    those weights are the prescaled float32 working form ``fl32(W / n)``,
+    made at the start of the call and written back exactly into
+    ``net.weights`` at each epoch's end, before that epoch's evaluation (see
+    the module docstring); the step's scale then multiplies the residual
     before :func:`backward` instead of the gradients after it.  A call of
     ``k`` epochs thus writes the bytes of ``k`` one-epoch calls.
 
-    Logs one warning at the end when every pre-activation of a layer in the
-    last batch is <= 0: the special ReLU then clips the whole layer, and a
-    run that "finishes" this way has collapsed.
+    Logs one warning at the end when every delay of a layer in the last
+    batch is the window, every pre-activation <= 0 (or too small to move
+    the window): the special ReLU then clips the whole layer, and a run
+    that "finishes" this way has collapsed.
 
     Raises :class:`DivergenceError`, naming the epoch and batch, as soon as
     the epoch's running squared error or a batch's output delays (training
@@ -257,25 +300,30 @@ def train(
     :class:`ConfigError` for the heuristic loss without one output neuron
     per class; then, for the training set and then the evaluation set, the
     errors of ``metrics._check_set`` (readout size, empty set, width,
-    labels) and :class:`DataError` for a non-finite delay.
+    labels) and :class:`DataError` for a non-finite delay; then, under
+    ``fast``, :class:`ConfigError` naming the first weight matrix whose
+    float32 values over the training delays could leave float32's range.
     """
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
     for name, ds in (("training", data), ("evaluation", eval_data)):
         if ds is not None:
             _check_set(net, ds, scheme, name)
-            if not np.isfinite(ds.delays).all():
+            # bool and integer delays cannot hold a non-finite value
+            if ds.delays.dtype.kind == "f" and not np.isfinite(ds.delays).all():
                 raise DataError(f"{name} delays must be finite")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
     labels = data.labels
-    targets = target_matrix(scheme)[labels]
+    table = target_matrix(scheme)
     fast = cfg.numerics == "fast"
     work = net  # the network the batches step
     if fast:
         work = _float32_copy(net)
-        targets = targets.astype(np.float32)
+        _check_float32_reach(work, data.delays)
+        table = table.astype(np.float32)
+    targets = table[labels]
     history: list[EpochStats] = []
     n = len(data)
     heuristic, mode = cfg.heuristic, cfg.gradient_mode
@@ -328,8 +376,7 @@ def train(
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}: a weight left float32's range"
                     )
-                for w, w32 in zip(net.weights, work.weights):
-                    w[...] = w32
+                _write_back(work, net)
             mse = squared_sum / term_count  # finite: term_count >= 1
             test_accuracy = None
             if eval_data is not None:
@@ -354,5 +401,5 @@ def train(
             f"training diverged at epoch {epoch}, batch {batch}: {exc}"
         ) from exc
     if history:  # at least one batch ran, so trace holds the last one
-        _warn_if_collapsed(trace, cfg.epochs)
+        _warn_if_collapsed(trace, net.window, cfg.epochs)
     return net, history

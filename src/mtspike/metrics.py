@@ -134,6 +134,12 @@ def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
     return second - best > _SAFETY * 2 * (bound + u * (bound + 2 * second))
 
 
+def _prescaled(net: Network) -> list[np.ndarray]:
+    """The fan-in-prescaled float32 weights ``fl32(W / n)``, which the sweep
+    and ``learning.train``'s ``fast`` steps run on."""
+    return [(w / w.shape[0]).astype(np.float32) for w in net.weights]
+
+
 def _float32_copy(net: Network, x: np.ndarray):
     """``(fan-in-prescaled float32 weights fl32(W / n), output bounds over
     x)``, or None when the bounds do not exist (see :func:`predict`)."""
@@ -142,7 +148,7 @@ def _float32_copy(net: Network, x: np.ndarray):
     bounds = _output_bounds(net, np.full(x.shape[1], magnitude))
     if bounds is None:
         return None
-    return [(w / w.shape[0]).astype(np.float32) for w in net.weights], bounds
+    return _prescaled(net), bounds
 
 
 def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:

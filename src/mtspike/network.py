@@ -112,7 +112,10 @@ class ForwardTrace:
 
     ``delays[0]`` is the ``(batch, input_size)`` input matrix; ``delays[l]``
     for ``l >= 1`` is the activated output of layer ``l`` and ``nets[l - 1]``
-    its pre-activation average, each ``(batch, layer_sizes[l])``.
+    its pre-activation average, each ``(batch, layer_sizes[l])``.  A float32
+    trace activates in place, so its ``nets[l - 1]`` is ``delays[l]``: only
+    ``learning.backward``'s exact mode reads pre-activations, and exact mode
+    is float64-only.
     """
 
     nets: list[np.ndarray] = field(default_factory=list)
@@ -148,11 +151,15 @@ def _matrix_product(rows: int, w: np.ndarray):
 def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     """Propagate a ``(batch, input_size)`` delay matrix through every layer.
 
-    Every call allocates its own pre-activation and delay array per layer.
-    It computes in the dtype of ``net.weights``: float64 for any
-    :class:`Network`, float32 for the working copies ``learning.train``
-    steps under ``numerics: "fast"``.  Every array of the returned trace has
-    that dtype, ``delays[0]`` (the input matrix) included.
+    Every call allocates its own arrays per layer.  It computes in the dtype
+    of ``net.weights``, and every array of the returned trace has that
+    dtype, ``delays[0]`` (the input matrix) included.  Float64 weights, those
+    of any :class:`Network`, take ``z = a W / n`` and keep ``z`` apart from
+    the activated ``max(z, 0) + window``.  Float32 weights are the
+    fan-in-prescaled working form ``fl32(W / n)`` that ``learning.train``
+    steps under ``numerics: "fast"``: each layer is the float32 sweep's
+    ``z = a V``, then ``max(z, 0) + window`` in ``z``'s buffer, so the
+    trace's ``nets`` alias its ``delays`` (see :class:`ForwardTrace`).
     """
     x = np.asarray(delay_matrix, dtype=net.weights[0].dtype)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
@@ -164,10 +171,13 @@ def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     delays = [x]
     for w in net.weights:
         z = _matrix_product(x.shape[0], w)(x, w)
-        z /= w.shape[0]
-        # the special ReLU, never in z's buffer: backward's exact mode reads
-        # z as the pre-activation
-        x = np.maximum(z, 0.0)
+        if w.itemsize == 4:  # prescaled float32 (see backward's same test)
+            x = np.maximum(z, 0.0, out=z)
+        else:
+            # the special ReLU, never in z's buffer: backward's exact mode
+            # reads z as the pre-activation
+            z /= w.shape[0]
+            x = np.maximum(z, 0.0)
         x += net.window
         nets.append(z)
         delays.append(x)

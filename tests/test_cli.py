@@ -546,6 +546,23 @@ def test_training_label_outside_the_readout_error_line(tmp_path, iris_path, caps
                            "the readout's 2 classes")
 
 
+@pytest.mark.parametrize("numerics", ["exact64", "fast"])
+def test_fast_weights_float32_cannot_hold_error_line(tmp_path, iris_path, capsys, numerics):
+    """Weights drawn from [1e38, 1e39] train in float64; under ``fast`` their
+    float32 products would overflow before any weight moved, which is bad
+    input (exit 2, E_CONFIG), not a divergence (E_DIVERGED) or exit 3."""
+    cfg = write_iris_config(tmp_path, iris_path, layers=[4, 5, 3], train={
+        "learning_rate": 0.01, "batch_size": 30, "epochs": 10, "seed": 0,
+        "init_range": [1e38, 1e39], "numerics": numerics})
+    rc, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    if numerics == "exact64":
+        assert rc == 0, err
+    else:
+        assert rc == 2
+        assert err.strip().startswith("mtspike: error [E_CONFIG] numerics 'fast' cannot "
+                                      "hold weight matrix 0: ")
+
+
 @pytest.mark.parametrize("overrides", [
     {"layers": [4, 1], "readout": {"mode": "single_neuron", "num_classes": 10**30,
                                    "excitatory_offset": 3.0}},

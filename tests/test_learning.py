@@ -8,13 +8,13 @@ import tracemalloc
 import _reference_train
 import numpy as np
 import pytest
-from conftest import make_digits
+from conftest import REPO_ROOT, make_digits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtspike import learning, metrics
 from mtspike.config import preset
-from mtspike.datasets import EncodedDataset, encode_dataset
+from mtspike.datasets import EncodedDataset, RawDataset, encode_dataset
 from mtspike.errors import ConfigError, DataError, DivergenceError, StructureError
 from mtspike.learning import (
     TrainConfig,
@@ -242,8 +242,10 @@ def test_paper_mode_is_the_straight_through_gradient_times_downstream_fan_ins(
     Each entry agrees to 1e-12 of the same sum over the terms' absolute
     values: the identity is exact, but the two orders of division round
     apart, and a sum of terms that cancel magnifies that relative to itself.
-    Float32 weights, which ``backward`` takes right to left, agree to 1e-5
-    with the sums over their own float32 trace.
+    Float32 weights are the prescaled ``V = fl32(W / n)``, which ``backward``
+    takes right to left, and their gradients are V-space steps: times ``n``
+    they agree to 1e-5 with the sums over their own float32 trace and the
+    weights ``W = V n``.
     """
     rng = np.random.default_rng(seed)
     net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
@@ -263,8 +265,11 @@ def test_paper_mode_is_the_straight_through_gradient_times_downstream_fan_ins(
             want = np.einsum("bi,bj->ij", layer, error) * scale
             bound = np.einsum("bi,bj->ij", np.abs(layer), np.abs(size)) * scale
             assert grads[l].dtype == dtype, l
-            assert np.all(np.abs(grads[l] - want) <= tolerance * bound), (l, dtype)
+            got = grads[l] * sizes[l] if dtype == np.float32 else grads[l]
+            assert np.all(np.abs(got - want) <= tolerance * bound), (l, dtype)
             w = net.weights[l].astype(np.float64)
+            if dtype == np.float32:
+                w *= sizes[l]
             error = np.einsum("bj,ij->bi", error, w) / sizes[l]
             size = np.einsum("bj,ij->bi", np.abs(size), np.abs(w)) / sizes[l]
 
@@ -554,9 +559,66 @@ def test_fast_numerics_train_close_to_exact64(sizes, classes, batch_size, full_b
     assert np.abs(fast - exact).max() <= 1e-4 * max(np.abs(exact).max(), 1.0)
 
 
+@pytest.mark.parametrize("layer", [0, 1])
+def test_fast_rejects_weights_float32_cannot_hold_before_any_step(layer):
+    """Weights near 1e38 in a 4-5-3 net: float64 trains them, but their
+    float32 products over delays up to 16 would overflow, so ``fast`` raises
+    ``ConfigError`` naming the matrix and leaves the network as it was."""
+    rng = np.random.default_rng(0)
+    net = init_network([4, 5, 3], rng=rng, init_range=(0.5, 1.0), window=16.0)
+    net.weights[layer] *= 1e38
+    data = encoded(rng.uniform(0.0, 16.0, (12, 4)), rng.integers(0, 3, 12))
+    cfg = TrainConfig(learning_rate=0.0, batch_size=4, epochs=1)
+    trained, _ = train(copy.deepcopy(net), data, MULTI3, cfg, rng=np.random.default_rng(0))
+    assert all(np.isfinite(w).all() for w in trained.weights)
+    before = [w.tobytes() for w in net.weights]
+    with pytest.raises(ConfigError, match=f"numerics 'fast' cannot hold weight matrix {layer}:"):
+        train(net, data, MULTI3, dataclasses.replace(cfg, numerics="fast"),
+              rng=np.random.default_rng(0))
+    assert [w.tobytes() for w in net.weights] == before
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 128, 150, 200])
+def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows):
+    """``forward_batch`` on the prescaled working copy of the stored
+    169-500-10 benchmark model gives the output bytes of ``metrics._sweep``
+    over one block of conv-coded digits: training and evaluation share one
+    float32 layer rule."""
+    with np.load(REPO_ROOT / "perfbench" / "mt10_weights.npz") as stored:
+        weights = [stored["w0"].astype(np.float64), stored["w1"].astype(np.float64)]
+    net = Network([169, 500, 10], weights, window=MNIST.coding.params.window)
+    digits = make_digits(20, seed=5)
+    x = encode_dataset(RawDataset(digits.features[:rows], digits.labels[:rows]),
+                       MNIST.coding).delays
+    work = learning._float32_copy(net)
+    outputs = forward_batch(work, x).outputs
+    assert outputs.dtype == np.float32 and outputs.shape == (rows, 10)
+    assert outputs.tobytes() == metrics._sweep(work.weights, net.window, [x]).tobytes()
+
+
+@given(sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=2, max_size=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(sizes=[169, 500, 10], seed=0)
+@settings(max_examples=50, deadline=None)
+def test_prescaled_copy_of_a_write_back_is_the_working_weights(sizes, seed):
+    """``W = float64(V) n`` is exact for every finite float32 ``V``
+    (subnormal, near float32's largest, -0.0) and any fan-in ``n``, so
+    prescaling the written-back weights gives ``V`` back bit for bit."""
+    rng = np.random.default_rng(seed)
+    net = init_network(sizes, rng=rng)
+    work = learning._float32_copy(net)
+    for v in work.weights:
+        bits = rng.integers(0, 2**32, v.shape, dtype=np.uint32).view(np.float32)
+        v[...] = np.where(np.isfinite(bits), bits, np.float32(0))
+    learning._write_back(work, net)
+    assert all(w.dtype == np.float64 for w in net.weights)
+    again = learning._float32_copy(net)
+    assert [v.tobytes() for v in again.weights] == [v.tobytes() for v in work.weights]
+
+
 def test_fast_epochs_one_call_at_a_time_write_the_same_weights():
-    """Each call starts from float32 copies of float64 weights written back
-    from float32, so the copies are exact and the calls do not drift."""
+    """Each call starts from prescaled float32 copies of float64 weights
+    written back exactly from them, so the calls do not drift."""
     data = digits(16, 5)
     cfg = TrainConfig(learning_rate=0.1, batch_size=32, batch_reduction="mean",
                       init_range=(-0.5, 0.5), numerics="fast", epochs=3)

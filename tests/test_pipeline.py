@@ -166,8 +166,9 @@ def test_hidden_layer_digits_run_learns(idx_dir):
 
 
 def test_fast_run_writes_a_float64_model_with_the_same_provenance(idx_dir, tmp_path):
-    """``fast`` trains float32 copies but saves float64 weights, each exactly
-    a float32 value, under the provenance keys of an ``exact64`` run."""
+    """``fast`` trains prescaled float32 weights ``fl32(W / n)`` but saves
+    float64 weights, each exactly its fan-in ``n`` times a float32 value,
+    under the provenance keys of an ``exact64`` run."""
     models = {}
     for numerics in ("exact64", "fast"):
         model = execute_run(mnist_config(idx_dir, [169, 20, 10], epochs=2,
@@ -176,7 +177,8 @@ def test_fast_run_writes_a_float64_model_with_the_same_provenance(idx_dir, tmp_p
         models[numerics] = model
     weights = load_model(tmp_path / "fast").network.weights
     assert all(w.dtype == np.float64 for w in weights)
-    assert all(np.array_equal(w.astype(np.float32), w) for w in weights)
+    assert all(np.array_equal((w / len(w)).astype(np.float32).astype(np.float64) * len(w), w)
+               for w in weights)
     assert models["fast"].provenance.keys() == models["exact64"].provenance.keys()
     assert (tmp_path / "fast").read_bytes() != (tmp_path / "exact64").read_bytes()
 
