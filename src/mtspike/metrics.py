@@ -8,9 +8,10 @@ whole-set array through memory.  A set of fewer than 256 rows makes exactly
 one ``forward_batch`` and one ``read_class_batch`` call; a larger set's
 outputs can differ from a single whole-set pass by one ulp, because BLAS
 rounds products of different row counts differently.  A larger set's
-blocks run first in one float32 sweep, on every usable CPU, and a class is
-taken from float32 only where a rounding-error bound proves that the
-float64 ``forward_batch`` blocks give the same one (see :func:`predict`).
+blocks run first in one float32 sweep, on every usable CPU, which skips
+the first-layer neurons that a bound proves silent on every row, and a
+class is taken from float32 only where a rounding-error bound proves that
+the float64 ``forward_batch`` blocks give the same one (see :func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -59,8 +60,12 @@ class RunMetrics:
 # ~57-65 ms in blocks of 128-192 rows, whose 500-wide hidden arrays stay in
 # the 2 MB L2 beside the 169x500 weights (224-320 rows: 4-7% slower); 200
 # rows took 5-10% longer as 128 + 72 rows than as one pass.  The float32
-# sweep (half the bytes per block) read within noise from 128 to 512 rows
-# per block, 5-10% slower at 64 and 15-25% slower as one pass.
+# sweep on one thread (medians of 12 interleaved rounds of 10k rows): with
+# all 500 hidden columns, 192-512 rows per block read 2-8% faster than 128,
+# 64 rows 9% slower and one pass 42% slower; with the 77 columns left once
+# 423 silent neurons are skipped (~4.5 ms at 128 rows against ~24 ms for
+# all 500), 256-512 rows read 13-19% faster, 64 rows 12% slower and one
+# pass 22% slower.
 PREDICT_BLOCK = 128
 
 # Threads that sweep float32 blocks: the caller and _WORKERS - 1 helpers (_sweep).
@@ -85,7 +90,8 @@ _UNIT = np.array([[float(f.eps) / 2] for f in _FLOATS])
 _TINY = np.array([[float(f.tiny)] for f in _FLOATS])
 _LIMIT = np.array([float(f.max) / 4 for f in _FLOATS])
 # Covers the bounds' own float64 rounding: each is a few thousand operations
-# on non-negative numbers, a relative error below 2**-40.
+# on non-negative numbers, a relative error below 2**-40 (_silent's sums of
+# n <= 2**22 squares: below 2**-30).
 _SAFETY = 1.0 + 2.0 ** -20
 
 
@@ -140,32 +146,90 @@ def _prescaled(net: Network) -> list[np.ndarray]:
     return [(w / w.shape[0]).astype(np.float32) for w in net.weights]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN bound proves nothing
+def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Which columns ``j`` of the first weight matrix ``w`` have ``x_i . w_j <
+    0`` in exact arithmetic on every row ``x_i`` of ``x``, proved by a ball of
+    radius ``R`` around a centre ``c`` that holds every row: ``x_i . w_j <=
+    c . w_j + R |w_j|`` (see :func:`predict`).  The fan-in of ``w`` must
+    pass the check of ``_output_bounds``."""
+    n, step = len(w), 4 * PREDICT_BLOCK  # rows per float32 block of differences
+    centre = x[:PREDICT_BLOCK].mean(axis=0, dtype=np.float32)  # c: any vector would do
+    c = centre.astype(np.float64)
+    ahead = c @ w
+    if not (ahead < 0).any():
+        return np.zeros(w.shape[1], dtype=bool)
+    u, eta, eta64 = _UNIT[0, 0], _TINY[0, 0], _TINY[1, 0]
+    gamma, gamma64 = n * _UNIT[:, 0] / (1 - n * _UNIT[:, 0])
+    reach = math.sqrt(c @ c)
+    norms = np.sqrt(np.einsum("ij,ij->j", w, w) + n * eta64)
+    margin = gamma64 * reach * norms + 2 * n * eta64  # rounding of c . w_j
+    differences = np.empty((min(step, len(x)), n), np.float32)
+    centres = np.tile(centre, (len(differences), 1))  # faster than a broadcast
+
+    def largest(rows) -> float:  # float32 squared distance of the furthest row from c
+        d = differences[:len(rows)]
+        np.copyto(d, rows, casting="unsafe")
+        d -= centres[:len(d)]
+        return float(np.einsum("ij,ij->i", d, d).max())
+
+    def proved(square: float) -> np.ndarray:
+        inner = math.sqrt((square + n * eta) / ((1 - gamma) * (1 - u) ** 2))
+        radius = inner + (u * (inner + reach) + math.sqrt(n) * eta) / (1 - u)
+        bound = ahead + _SAFETY * (radius * norms + margin)
+        return (bound < 0) & np.isfinite(bound)
+
+    square = largest(x[:step])
+    if proved(square).any():  # the first block's radius decides whether the pass runs
+        square = np.max([square] + [largest(x[s:s + step]) for s in range(step, len(x), step)])
+    return proved(square)
+
+
 def _float32_copy(net: Network, x: np.ndarray):
-    """``(fan-in-prescaled float32 weights fl32(W / n), output bounds over
-    x)``, or None when the bounds do not exist (see :func:`predict`)."""
+    """``(the sweep's float32 weights, output bounds over x)``, or None when
+    the bounds do not exist (see :func:`predict`).  The weights are the
+    fan-in-prescaled ``fl32(W / n)``; with a hidden layer, the first
+    layer's neurons that :func:`_silent` proves silent on ``x`` leave its
+    columns, and their rows of the next matrix become one row, their
+    float32 sum, which the sweep multiplies by ``window``."""
     # one bound for every input column: half the time of per-column ones
     magnitude = max(-float(x.min()), float(x.max()))  # NaN if x holds one
     bounds = _output_bounds(net, np.full(x.shape[1], magnitude))
     if bounds is None:
         return None
-    return _prescaled(net), bounds
+    weights = _prescaled(net)
+    if len(weights) > 1:
+        silent = _silent(net.weights[0], x)
+        if silent.any():
+            live = ~silent
+            weights[:2] = [np.compress(live, weights[0], axis=1),
+                           np.vstack([weights[1][live], weights[1][silent].sum(axis=0)])]
+    return weights, bounds
 
 
 def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:
     """float32 outputs of every row of ``blocks`` through the prescaled
     ``weights``: per block and layer ``z = a v``, then ``max(z, 0) + window`` in
-    place.  The caller and up to ``_WORKERS - 1`` helpers, each with its own
-    hidden buffers, take the next unclaimed block and write its rows of the result."""
+    place.  A matrix with one row more than its layer has inputs holds the
+    folded neurons of ``_float32_copy``, which output ``window``: ``window``
+    times that row joins ``z`` before the ReLU.  The caller and up to
+    ``_WORKERS - 1`` helpers, each with its own hidden buffers, take the next
+    unclaimed block and write its rows of the result."""
     stops = np.cumsum([len(block) for block in blocks]).tolist()
     out = np.empty((stops[-1], weights[-1].shape[1]), np.float32)
     claims = iter([(a, out[stop - len(a):stop]) for a, stop in zip(blocks, stops)])  # shared
     most = max(map(len, blocks))
+    widths = [blocks[0].shape[1]] + [v.shape[1] for v in weights[:-1]]
+    layers = [(v[:n], v[n] * np.float32(window) if len(v) > n else None)
+              for v, n in zip(weights, widths)]
 
     def work():
         hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
         for a, rows in claims:
-            for v, z in zip(weights, [h[:len(a)] for h in hidden] + [rows]):
+            for (v, folded), z in zip(layers, [h[:len(a)] for h in hidden] + [rows]):
                 a = np.matmul(a, v, out=z, dtype=np.float32)  # casts the input block
+                if folded is not None:
+                    a += folded
                 np.maximum(a, 0, out=a)
                 a += window
 
@@ -211,7 +275,8 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     float64 ``forward_batch`` outputs, but most come from one float32
     sweep over every block (:func:`_sweep`, through the fan-in-prescaled
     weights ``fl32(W / n)`` on up to one thread per usable CPU, with the
-    same bytes at any thread count), certified by a rounding-error bound:
+    same bytes at any thread count, skipping the first-layer neurons proved
+    silent on the set), certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
       delays, or distances to the checkpoints) are further apart than
@@ -254,6 +319,35 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could reach a
     quarter of a format's largest number, or ``(n + 2) u > 1/4``, no value
     is certain to stay finite and every block runs in float64.
+
+    Before the sweep, ``_silent`` proves first-layer neurons of a net with
+    a hidden layer silent on the whole set: ``x_i . W_j < 0`` on every row,
+    so the neuron outputs exactly ``T``.  Take the centre ``c``, the float32
+    mean of the first block's rows, and a radius ``R >= |x_i - c|_2`` for
+    every row; then ``x_i . W_j <= c . W_j + R |W_j|_2`` (Cauchy-Schwarz).
+    ``c . W_j`` computed in float64 is off by at most ``gamma_n |c| |W_j| +
+    2 n eta`` in float64's ``u`` and ``eta``, and ``|W_j|`` comes from
+    ``sum_i W_ij^2 + n eta``.  ``R`` comes from the largest float32 sum
+    ``S`` of squared differences from ``c`` of the rows cast to float32,
+    512 rows at a time; in float32's ``u`` and ``eta``, the cast rows lie
+    within ``r = sqrt((S + n eta) / ((1 - gamma_n) (1 - u)^2))`` of ``c``,
+    and the cast moves a row by at most ``(u (r + |c|) + sqrt(n) eta) / (1
+    - u)``.  A neuron is silent when ``c . W_j`` plus ``1 + 2**-20`` times
+    the sum of ``R |W_j|`` and that margin is below 0.  When the first 512
+    rows' radius proves no neuron silent, the other rows are not read.
+
+    Silent neurons leave the sweep: the first product runs over the live
+    columns only, and the next matrix holds one more row, the float32 sum
+    of the silent neurons' ``k`` rows, which the sweep multiplies by
+    ``fl(T)`` and adds to each row's product.  The bound above still
+    holds.  Each silent output is ``fl(T)``, within ``u T`` of ``T`` and so
+    inside its column's ``e``.  In the next layer each term still sees at
+    most ``n + 2`` roundings: a silent term the 2 of its weight, at most
+    ``k - 1`` of the sum, one product and at most ``n - k`` additions that
+    join the live terms; a live term its weight's 2, one product and at
+    most ``n - k`` additions.  There are still at most ``2 n - 1`` products
+    and sums for the underflow term.  The float64 passes run on the whole
+    net.
 
     Before any ``forward_batch`` call, a readout whose ``output_size`` is
     not the net's last layer size or an empty ``data`` raises ``ConfigError``,

@@ -1,5 +1,7 @@
 """Accuracy, spike counting, and abstract energy."""
 
+import importlib.util
+import math
 import os
 import select
 import signal
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_digits
+from conftest import REPO_ROOT, make_digits
 from mtspike import metrics
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, RawDataset, encode_dataset
@@ -159,6 +161,13 @@ def _counted_forward(monkeypatch):
     return calls
 
 
+def _shift_columns_negative(net, rng):
+    """Push a random half of the first layer's columns below zero: on
+    non-negative delays those neurons are silent, and the sweep skips them."""
+    first = net.weights[0]
+    first[:, rng.random(first.shape[1]) < 0.5] -= 1.5
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     depth=st.integers(min_value=2, max_value=4),
@@ -169,28 +178,33 @@ def _counted_forward(monkeypatch):
     window=st.sampled_from([0.0, 0.5, 16.0, 1e38]),
     negative=st.booleans(),
     tie=st.sampled_from(["none", "exact", "ulp"]),
+    shift=st.booleans(),
 )
 @example(seed=0, depth=2, blocks=2, mode="multi_neuron", classes=3, power=0,
-         window=16.0, negative=False, tie="exact")
+         window=16.0, negative=False, tie="exact", shift=False)
 @example(seed=1, depth=3, blocks=3, mode="multi_neuron", classes=4, power=0,
-         window=0.0, negative=True, tie="ulp")
+         window=0.0, negative=True, tie="ulp", shift=False)
 @example(seed=2, depth=2, blocks=2, mode="single_neuron", classes=3, power=-40,
-         window=0.0, negative=False, tie="none")
+         window=0.0, negative=False, tie="none", shift=False)
 @example(seed=3, depth=4, blocks=2, mode="multi_neuron", classes=3, power=20,
-         window=16.0, negative=False, tie="none")
+         window=16.0, negative=False, tie="none", shift=False)
 # one class: a single score column, settled without comparing scores
 @example(seed=4, depth=3, blocks=2, mode="multi_neuron", classes=1, power=0,
-         window=16.0, negative=False, tie="exact")
+         window=16.0, negative=False, tie="exact", shift=False)
 @example(seed=5, depth=2, blocks=2, mode="single_neuron", classes=1, power=0,
-         window=0.5, negative=True, tie="none")
+         window=0.5, negative=True, tie="none", shift=False)
 # a one-layer net whose window lies past float32's range: no bound, float64 blocks
 @example(seed=6, depth=2, blocks=2, mode="multi_neuron", classes=3, power=0,
-         window=1e38, negative=False, tie="none")
+         window=1e38, negative=False, tie="none", shift=False)
+# 12 of the first layer's 27 neurons are silent on every row: the sweep skips them
+@example(seed=7, depth=3, blocks=3, mode="multi_neuron", classes=4, power=0,
+         window=16.0, negative=False, tie="ulp", shift=True)
 @settings(max_examples=80, deadline=None)
 def test_predict_classifies_like_the_blocked_float64_reference(
-        seed, depth, blocks, mode, classes, power, window, negative, tie):
+        seed, depth, blocks, mode, classes, power, window, negative, tie, shift):
     """Every class equals the float64 blocks' class, wherever float32
-    underflows, overflows or cannot separate two outputs.
+    underflows, overflows or cannot separate two outputs, and wherever the
+    sweep skips first-layer neurons that ``shift`` makes silent.
 
     In the multi-neuron regime, ``tie`` copies output column 0 into column
     1 ("exact"), or with each weight one float32 ulp up or down ("ulp"), so
@@ -202,6 +216,8 @@ def test_predict_classifies_like_the_blocked_float64_reference(
     rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
     sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [scheme.output_size]
     net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
+    if shift:
+        _shift_columns_negative(net, rng)
     for w in net.weights:
         w *= 10.0 ** power
     if mode == "multi_neuron" and tie != "none" and classes > 1:
@@ -226,25 +242,35 @@ def test_predict_classifies_like_the_blocked_float64_reference(
     powers=st.lists(st.integers(min_value=-45, max_value=40), min_size=3, max_size=3),
     window=st.sampled_from([0.0, 0.5, 16.0]),
     negative=st.booleans(),
+    shift=st.booleans(),
 )
 # |W| / n below float32's smallest normal: every prescaled weight underflows
 @example(seed=0, depth=3, blocks=2, outputs=3, powers=[-40, -40, -40], window=0.0,
-         negative=False)
+         negative=False, shift=False)
 # hidden delays near 1e13 through subnormal prescaled weights: their rounding
 # moves the outputs past every term of the bound but the underflow term
 @example(seed=1, depth=3, blocks=3, outputs=2, powers=[13, -43, 0], window=0.0,
-         negative=False)
+         negative=False, shift=False)
+# silent first-layer neurons, skipped by the sweep, beside subnormal prescaled
+# weights: 19 of 35 (seed 4) and the only one (seed 5, no live column)
+@example(seed=4, depth=3, blocks=2, outputs=3, powers=[0, -43, 0], window=16.0,
+         negative=False, shift=True)
+@example(seed=5, depth=3, blocks=2, outputs=3, powers=[0, -43, 0], window=16.0,
+         negative=False, shift=True)
 @settings(max_examples=80, deadline=None)
 def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
-        seed, depth, blocks, outputs, powers, window, negative):
+        seed, depth, blocks, outputs, powers, window, negative, shift):
     """Every output of the float32 sweep lies within ``bound32 + bound64``
     of the float64 ``forward_batch`` output of its row in the same block,
     the two passes ``predict``'s certificate compares; layer ``l``'s
-    weights are scaled by ``10 ** powers[l]``."""
+    weights are scaled by ``10 ** powers[l]``, and ``shift`` makes some
+    first-layer neurons silent, so that the sweep skips them."""
     rng = np.random.default_rng(seed)
     rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
     sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [outputs]
     net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
+    if shift:
+        _shift_columns_negative(net, rng)
     for w, power in zip(net.weights, powers):
         w *= 10.0 ** power
     low = -16.0 if negative else 0.0
@@ -257,6 +283,114 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
     assert swept.dtype == np.float32 and swept.shape == (rows, outputs)
     blocked = np.concatenate([forward_batch(net, block).outputs for block in split])
     assert (np.abs(swept.astype(np.float64) - blocked) <= bound32 + bound64).all()
+
+
+def _exact_signs(x, w):
+    """Signs of ``x @ w`` in exact arithmetic: every value scaled by one
+    power of two to a Python integer."""
+    def integers(a):
+        ratios = [v.as_integer_ratio() for v in a.ravel().tolist()]
+        scale = max((den for _, den in ratios), default=1)
+        return np.array([num * (scale // den) for num, den in ratios],
+                        dtype=object).reshape(a.shape)
+    return np.sign(integers(x) @ integers(w)).astype(int)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=5 * PREDICT_BLOCK),
+    inputs=st.integers(min_value=1, max_value=12),
+    hidden=st.integers(min_value=1, max_value=16),
+    case=st.sampled_from(["random", "shifted", "all", "none", "late", "tight", "unbounded"]),
+    delays=st.sampled_from(["float64", "negative", "uint8"]),
+)
+@example(seed=0, rows=5 * PREDICT_BLOCK, inputs=12, hidden=16, case="shifted", delays="uint8")
+@example(seed=1, rows=2 * PREDICT_BLOCK, inputs=3, hidden=4, case="all", delays="negative")
+@example(seed=2, rows=2 * PREDICT_BLOCK, inputs=5, hidden=6, case="unbounded", delays="float64")
+@example(seed=3, rows=4 * PREDICT_BLOCK + 1, inputs=4, hidden=5, case="late", delays="uint8")
+@example(seed=4, rows=2, inputs=7, hidden=3, case="tight", delays="float64")
+@settings(max_examples=60, deadline=None)
+def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, hidden,
+                                                           case, delays):
+    """A first-layer neuron that ``_silent`` marks has an exact
+    pre-activation below 0 on every row, over more than one 512-row block.
+    Rows close together with weights of the opposite sign prove every
+    neuron silent ("all"), unless a row after the first block is on the
+    other side ("late"); weights and delays of one sign prove none
+    ("none").  In "tight", the rows lie on the ball around their mean
+    and one of them makes neuron 0 fire by 1e-9 of ``|c . w_0|``, so a
+    radius short by more than that would mark it.  A set whose output
+    bounds do not exist (a second layer past float32's range) runs
+    float64 blocks and skips no neuron."""
+    rng = np.random.default_rng(seed)
+    sign = -1.0 if delays == "negative" else 1.0
+    if case == "all":  # rows within one unit of 8 * sign, weights of the other sign
+        x = 8.0 * sign + rng.uniform(0.0, 1.0, (rows, inputs))
+        w = -sign * rng.uniform(0.5, 1.0, (inputs, hidden))
+    elif case == "none":  # delays and weights of one sign: no product is below 0
+        x = sign * rng.uniform(0.0, 16.0, (rows, inputs))
+        w = sign * rng.uniform(0.0, 1.0, (inputs, hidden))
+    elif case == "late":  # as "all", but the last row, past the first block, fires them all
+        rows = max(rows, 4 * PREDICT_BLOCK + 1)
+        x = 8.0 * sign + rng.uniform(0.0, 1.0, (rows, inputs))
+        x[-1] *= -1.0
+        w = -sign * rng.uniform(0.5, 1.0, (inputs, hidden))
+    elif case == "tight":  # rows c +- t w_0 / |w_0|, c a float32 mean: max x . w_0 = 1e-9 |c . w_0|
+        c = (rng.uniform(0.0, 16.0, inputs) * sign).astype(np.float32).astype(np.float64)
+        w = rng.uniform(-1.0, 1.0, (inputs, hidden))
+        w[:, c @ w > 0] *= -1.0
+        norm = math.sqrt(w[:, 0] @ w[:, 0])
+        step = -(c @ w[:, 0]) / norm * (1.0 + 1e-9) * w[:, 0] / norm
+        x = c + np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)[:, None] * step
+    else:
+        x = rng.uniform(-16.0 if delays == "negative" else 0.0, 16.0, (rows, inputs))
+        w = rng.uniform(-1.0, 1.0, (inputs, hidden))
+        if case == "shifted":
+            w[:, rng.random(hidden) < 0.5] -= 1.5
+    if delays == "uint8" and case not in ("late", "tight"):  # those need fractions or signs
+        x = np.rint(x).astype(np.uint8)
+    if case == "unbounded":
+        rows = max(rows, 2 * PREDICT_BLOCK)
+        x = np.resize(x, (rows, inputs))
+        w[:, : hidden // 2 + 1] -= 1.5
+        net = Network([inputs, hidden, 3], [w, np.full((hidden, 3), 1e38)])
+        data = class0(x)
+        assert metrics._float32_copy(net, x) is None
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_silent", lambda *args: calls.append(args))
+            assert predict(net, data, MULTI3).tolist() == _reference_predict.predict(
+                net, data, MULTI3).tolist()
+        assert calls == []
+        return
+    silent = metrics._silent(w, x)
+    assert silent.dtype == bool and silent.shape == (hidden,)
+    assert (_exact_signs(x, w[:, silent]) < 0).all()
+    if case == "all":
+        assert silent.all()
+    if case in ("none", "late"):
+        assert not silent.any()
+
+
+def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits():
+    """The stored 169-500-10 benchmark model clips most of its hidden
+    neurons to the window: on the 10k conv-coded ``digits_infer`` images
+    at least 400 of 500 are proved silent, and the skipping sweep gives
+    every row the float64 blocks' class."""
+    spec = importlib.util.spec_from_file_location("perfbench_digits",
+                                                  REPO_ROOT / "perfbench" / "digits.py")
+    digits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digits)
+    cfg = preset("mt10_mnist_noheu")
+    with np.load(REPO_ROOT / "perfbench" / "mt10_weights.npz") as stored:
+        weights = [stored["w0"].astype(np.float64), stored["w1"].astype(np.float64)]
+    net = Network(list(cfg.layer_sizes), weights, window=cfg.coding.params.window)
+    data = encode_dataset(RawDataset(*digits.make_digits(1000, [0, 2])), cfg.coding)
+    assert metrics._silent(net.weights[0], data.delays).sum() >= 400
+    sweep_weights, _ = metrics._float32_copy(net, data.delays)
+    assert sweep_weights[0].shape[1] <= 100
+    assert predict(net, data, cfg.scheme).tolist() == _reference_predict.predict(
+        net, data, cfg.scheme).tolist()
 
 
 def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
