@@ -16,16 +16,21 @@ per-neuron delay residual ``actual - target`` (:func:`output_residual`);
 ``TrainConfig.numerics`` picks the arithmetic.  ``exact64`` (the default)
 trains the float64 weights in place, byte for byte as the reference trainer
 in the tests does.  ``fast`` (paper mode only) trains float32 working
-weights, and float32 weights are the fan-in-prescaled working form
-``V_l = fl32(W_l / n_l)`` (``n_l`` the fan-in), the one ``metrics``' float32
-sweep runs on, so the forward pass divides nothing.  :func:`backward` forms
-each paper gradient in V-space right to left, ``((d_lᵀ Δ) · Π_{k>l} n_k /
-n_l²) · V_Lᵀ ⋯ V_{l+1}ᵀ`` (``d_l`` layer ``l``'s input delays, ``Δ`` the
-output residual), as paper mode's linearity allows: the scalar and the
-step's scale then touch ``n_l x output_size`` entries instead of a whole
-weight matrix.  At every epoch's end ``W_l = float64(V_l) · n_l``, computed
-in float64, is written back; that product is exact, so prescaling it again
-gives back ``V_l`` bit for bit.
+weights, and float32 weights, in every module, are this working form ``V_l
+= fl32(W_l / n_l)`` (``n_l`` the fan-in, ``network._prescaled``), which
+``network._forward32``, the one float32 layer rule, runs for both
+``forward_batch`` and ``metrics``' float32 sweep, dividing nothing.
+:func:`backward` forms each paper gradient in V-space, the W-space one
+divided by ``n_l`` (the step that moves ``V_l`` as the W-space step moves
+``W_l``), right to left: ``((d_lᵀ Δ) · Π_{k>l} n_k / n_l²) · V_Lᵀ ⋯
+V_{l+1}ᵀ`` (``d_l`` layer ``l``'s input delays, ``Δ`` the output residual),
+as paper mode's linearity allows.  The chain of transposed weights has
+``output_size`` rows, so for 169-500-10 at 32 rows this takes about a third
+of the multiply-adds, and the scalar and the step's scale cover ``n_l x
+output_size`` entries instead of a whole weight matrix.  At every epoch's
+end ``W_l = float64(V_l) · n_l``, computed in float64, is written back
+(``network._write_back``); the product needs 24 + log2(n_l) of float64's 53
+bits, so it is exact, and prescaling it again gives back ``V_l`` bit for bit.
 
 The heuristic loss restricts output-layer learning to the "involved" neurons
 of each sample's class: walking a depth-first path through a binary decision
@@ -37,7 +42,6 @@ synapses are updated, which reduces weight competition between classes.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -45,8 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DivergenceError, EvaluationError, StructureError
-from .metrics import _check_set, _prescaled, predict
-from .network import ForwardTrace, Network, _matrix_product, forward_batch
+from .metrics import _check_set, _output_bounds, predict
+from .network import (ForwardTrace, Network, _float32_copy, _matrix_product, _write_back,
+                      forward_batch)
 from .readout import TargetScheme, read_class_batch, target_matrix
 
 __all__ = [
@@ -153,14 +158,8 @@ def backward(
     the weights, the trace and ``delta`` (all float64, or all float32).
 
     Float64 weights propagate the deltas left to right, layer by layer.
-    Float32 weights are the fan-in-prescaled working form ``V_l = fl32(W_l /
-    n_l)`` (paper mode only), and their gradients are the W-space ones
-    divided by ``n_l``, the steps that move ``V_l`` as the W-space steps move
-    ``W_l``: ``((d_lᵀ Δ) · Π_{k>l} n_k / n_l²) · V_Lᵀ ⋯ V_{l+1}ᵀ``, formed
-    right to left.  The chain of transposed weights has ``output_size``
-    rows, so for 169-500-10 at 32 rows this takes about a third of the
-    multiply-adds, and the scalar covers a 169x10 matrix instead of a
-    169x500 one.
+    Float32 weights are the working form ``V`` of the module docstring (paper
+    mode only), whose V-space gradients are formed right to left.
     """
     if mode not in _GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -220,42 +219,6 @@ def _warn_if_collapsed(trace: ForwardTrace, window: float, epoch: int):
         )
 
 
-def _float32_copy(net: Network) -> Network:
-    """``net`` with its prescaled float32 working weights, which ``Network()``
-    would widen (see the module docstring)."""
-    work = copy.copy(net)
-    work.weights = _prescaled(net)
-    return work
-
-
-def _write_back(work: Network, net: Network):
-    """Write ``work``'s prescaled float32 weights ``V`` into ``net``'s float64
-    ones as ``W = float64(V) n``: exact, as the product needs 24 + log2(n)
-    of float64's 53 bits, so :func:`_float32_copy` of ``net`` gives back ``V``."""
-    for w, v in zip(net.weights, work.weights):
-        np.multiply(v, w.shape[0], out=w, dtype=np.float64)
-
-
-# Half float32's largest number: a float32 product or sum whose exact value
-# stays below it cannot overflow however it rounds.
-_FLOAT32_REACH = float(np.finfo(np.float32).max) / 2
-
-
-def _check_float32_reach(work: Network, x: np.ndarray):
-    """Raise ``ConfigError`` naming the first prescaled float32 weight matrix
-    of ``work`` that float32 cannot hold, or whose products and sums over
-    delays no larger in magnitude than ``x``'s could leave float32's range."""
-    reach = np.full(x.shape[1], max(-float(x.min()), float(x.max())))
-    for l, v in enumerate(work.weights):
-        reach = reach @ np.abs(v, dtype=np.float64) + work.window  # inf or NaN for an inf in v
-        if not reach.max() < _FLOAT32_REACH:
-            raise ConfigError(
-                f"numerics 'fast' cannot hold weight matrix {l}: its float32 values "
-                f"over the training delays could pass float32's range (about 3.4e38); "
-                f"use 'exact64'"
-            )
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     net: Network,
@@ -278,12 +241,12 @@ def train(
     deterministic for a fixed config seed (or caller-supplied generator).
     Each batch allocates its own trace and gradients, which are scaled and
     subtracted from the weights in place.  Under ``cfg.numerics == "fast"``
-    those weights are the prescaled float32 working form ``fl32(W / n)``,
-    made at the start of the call and written back exactly into
-    ``net.weights`` at each epoch's end, before that epoch's evaluation (see
-    the module docstring); the step's scale then multiplies the residual
-    before :func:`backward` instead of the gradients after it.  A call of
-    ``k`` epochs thus writes the bytes of ``k`` one-epoch calls.
+    those weights are the working form ``V`` of the module docstring, made
+    at the start of the call and written back into ``net.weights`` at each
+    epoch's end, before that epoch's evaluation; the step's scale then
+    multiplies the residual before :func:`backward` instead of the gradients
+    after it.  A call of ``k`` epochs thus writes the bytes of ``k``
+    one-epoch calls.
 
     Logs one warning at the end when every delay of a layer in the last
     batch is the window, every pre-activation <= 0 (or too small to move
@@ -301,8 +264,8 @@ def train(
     per class; then, for the training set and then the evaluation set, the
     errors of ``metrics._check_set`` (readout size, empty set, width,
     labels) and :class:`DataError` for a non-finite delay; then, under
-    ``fast``, :class:`ConfigError` naming the first weight matrix whose
-    float32 values over the training delays could leave float32's range.
+    ``fast``, :class:`ConfigError` naming the first weight matrix that
+    ``metrics._output_bounds`` cannot certify over the training delays.
     """
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
@@ -320,8 +283,14 @@ def train(
     fast = cfg.numerics == "fast"
     work = net  # the network the batches step
     if fast:
+        bounds = _output_bounds(net, data.delays)
+        if isinstance(bounds, int):
+            raise ConfigError(
+                f"numerics 'fast' cannot hold weight matrix {bounds}: its float32 values "
+                f"over the training delays are not certain to stay within float32's range "
+                f"(about 3.4e38); use 'exact64'"
+            )
         work = _float32_copy(net)
-        _check_float32_reach(work, data.delays)
         table = table.astype(np.float32)
     targets = table[labels]
     history: list[EpochStats] = []

@@ -8,10 +8,11 @@ whole-set array through memory.  A set of fewer than 256 rows makes exactly
 one ``forward_batch`` and one ``read_class_batch`` call; a larger set's
 outputs can differ from a single whole-set pass by one ulp, because BLAS
 rounds products of different row counts differently.  A larger set's
-blocks run first in one float32 sweep, on every usable CPU, which skips
-the first-layer neurons that a bound proves silent on every row, and a
-class is taken from float32 only where a rounding-error bound proves that
-the float64 ``forward_batch`` blocks give the same one (see :func:`predict`).
+blocks run first in one float32 sweep, on every usable CPU, which folds
+the first-layer neurons that a bound proves silent on every row into one,
+and a class is taken from float32 only where a rounding-error bound proves
+that the float64 ``forward_batch`` blocks give the same one (see
+:func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -31,7 +32,7 @@ import numpy as np
 
 from .datasets import EncodedDataset
 from .errors import ConfigError, StructureError
-from .network import Network, forward_batch
+from .network import Network, _forward32, _prescaled, forward_batch
 from .readout import TargetScheme, _scores, read_class_batch
 
 __all__ = [
@@ -95,18 +96,20 @@ _LIMIT = np.array([float(f.max) / 4 for f in _FLOATS])
 _SAFETY = 1.0 + 2.0 ** -20
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN bound returns None
-def _output_bounds(net: Network, magnitude: np.ndarray) -> np.ndarray | None:
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN fails the range checks
+def _output_bounds(net: Network, x: np.ndarray) -> np.ndarray | int:
     """Bounds on how far any output of a float32 and of a float64 pass of
-    ``net`` lies from its exact value, for inputs with ``|x[:, i]| <=
-    magnitude[i]``: ``[bound32, bound64]``, or None when a value of either
-    pass could leave its format's range (see :func:`predict`)."""
-    m = magnitude  # bound on |a|, the exact inputs of the layer
+    ``net`` lies from its exact value, for inputs no larger in magnitude
+    than the largest of ``x``: ``[bound32, bound64]``, or the index of the
+    first weight matrix over which a value of either pass could leave its
+    format's range (see :func:`predict`)."""
+    # one bound for every input column: half the time of per-column ones
+    m = np.full(x.shape[1], max(-float(x.min()), float(x.max())))  # NaN if x holds one
     e = _UNIT * m + _TINY  # bound on |a^ - a|, per format: input rounding
-    for w in net.weights:
+    for l, w in enumerate(net.weights):  # m bounds |a|, the exact inputs of layer l
         n = w.shape[0]
         if not (n + 2) * _UNIT[0, 0] <= 0.25:
-            return None
+            return l
         gamma = (n + 2) * _UNIT / (1 - (n + 2) * _UNIT)
         w_abs = np.abs(w)
         reach, spread = m @ w_abs, e @ w_abs
@@ -114,14 +117,14 @@ def _output_bounds(net: Network, magnitude: np.ndarray) -> np.ndarray | None:
         big = reach + spread  # (m + e) |W|, bounds every partial sum of a^ W^
         if not ((inputs.max(axis=1) < _LIMIT).all() and (big.max(axis=1) < _LIMIT).all()
                 and col.max() < _LIMIT[0]):
-            return None
+            return l
         z = reach / n
         error_z = ((spread + gamma * big) / n
                    + 2 * _TINY * (2 * n + col / n + inputs.sum(axis=1, keepdims=True)))
         e = error_z + 2 * _UNIT * (z + error_z + net.window) + _TINY
         m = z + net.window
     if not ((m + e).max(axis=1) < _LIMIT).all():
-        return None
+        return len(net.weights) - 1
     return _SAFETY * e.max(axis=1)
 
 
@@ -138,12 +141,6 @@ def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
         best = np.minimum(best, column)
     u = _UNIT[1, 0]
     return second - best > _SAFETY * 2 * (bound + u * (bound + 2 * second))
-
-
-def _prescaled(net: Network) -> list[np.ndarray]:
-    """The fan-in-prescaled float32 weights ``fl32(W / n)``, which the sweep
-    and ``learning.train``'s ``fast`` steps run on."""
-    return [(w / w.shape[0]).astype(np.float32) for w in net.weights]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or NaN bound proves nothing
@@ -185,53 +182,40 @@ def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return proved(square)
 
 
-def _float32_copy(net: Network, x: np.ndarray):
+def _folded(net: Network, x: np.ndarray):
     """``(the sweep's float32 weights, output bounds over x)``, or None when
     the bounds do not exist (see :func:`predict`).  The weights are the
-    fan-in-prescaled ``fl32(W / n)``; with a hidden layer, the first
-    layer's neurons that :func:`_silent` proves silent on ``x`` leave its
-    columns, and their rows of the next matrix become one row, their
-    float32 sum, which the sweep multiplies by ``window``."""
-    # one bound for every input column: half the time of per-column ones
-    magnitude = max(-float(x.min()), float(x.max()))  # NaN if x holds one
-    bounds = _output_bounds(net, np.full(x.shape[1], magnitude))
-    if bounds is None:
+    prescaled ``fl32(W / n)`` of an ordinary network: with a hidden layer,
+    the first layer's neurons that :func:`_silent` proves silent on ``x``
+    become one neuron with zero incoming weights, whose outgoing row is the
+    float32 sum of theirs."""
+    bounds = _output_bounds(net, x)
+    if isinstance(bounds, int):
         return None
     weights = _prescaled(net)
     if len(weights) > 1:
         silent = _silent(net.weights[0], x)
         if silent.any():
             live = ~silent
-            weights[:2] = [np.compress(live, weights[0], axis=1),
+            weights[:2] = [np.pad(np.compress(live, weights[0], axis=1), ((0, 0), (0, 1))),
                            np.vstack([weights[1][live], weights[1][silent].sum(axis=0)])]
     return weights, bounds
 
 
 def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:
     """float32 outputs of every row of ``blocks`` through the prescaled
-    ``weights``: per block and layer ``z = a v``, then ``max(z, 0) + window`` in
-    place.  A matrix with one row more than its layer has inputs holds the
-    folded neurons of ``_float32_copy``, which output ``window``: ``window``
-    times that row joins ``z`` before the ReLU.  The caller and up to
-    ``_WORKERS - 1`` helpers, each with its own hidden buffers, take the next
-    unclaimed block and write its rows of the result."""
+    ``weights``, block by block through ``network._forward32``.  The caller
+    and up to ``_WORKERS - 1`` helpers, each with its own hidden buffers,
+    take the next unclaimed block and write its rows of the result."""
     stops = np.cumsum([len(block) for block in blocks]).tolist()
     out = np.empty((stops[-1], weights[-1].shape[1]), np.float32)
     claims = iter([(a, out[stop - len(a):stop]) for a, stop in zip(blocks, stops)])  # shared
     most = max(map(len, blocks))
-    widths = [blocks[0].shape[1]] + [v.shape[1] for v in weights[:-1]]
-    layers = [(v[:n], v[n] * np.float32(window) if len(v) > n else None)
-              for v, n in zip(weights, widths)]
 
     def work():
         hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
         for a, rows in claims:
-            for (v, folded), z in zip(layers, [h[:len(a)] for h in hidden] + [rows]):
-                a = np.matmul(a, v, out=z, dtype=np.float32)  # casts the input block
-                if folded is not None:
-                    a += folded
-                np.maximum(a, 0, out=a)
-                a += window
+            _forward32(weights, window, a, [h[:len(a)] for h in hidden] + [rows])
 
     helpers = [_pool.submit(work) for _ in range(min(_WORKERS, len(blocks)) - 1)]
     try:
@@ -275,8 +259,8 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     float64 ``forward_batch`` outputs, but most come from one float32
     sweep over every block (:func:`_sweep`, through the fan-in-prescaled
     weights ``fl32(W / n)`` on up to one thread per usable CPU, with the
-    same bytes at any thread count, skipping the first-layer neurons proved
-    silent on the set), certified by a rounding-error bound:
+    same bytes at any thread count, folding the first-layer neurons proved
+    silent on the set into one), certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
       delays, or distances to the checkpoints) are further apart than
@@ -336,18 +320,18 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     the sum of ``R |W_j|`` and that margin is below 0.  When the first 512
     rows' radius proves no neuron silent, the other rows are not read.
 
-    Silent neurons leave the sweep: the first product runs over the live
-    columns only, and the next matrix holds one more row, the float32 sum
-    of the silent neurons' ``k`` rows, which the sweep multiplies by
-    ``fl(T)`` and adds to each row's product.  The bound above still
-    holds.  Each silent output is ``fl(T)``, within ``u T`` of ``T`` and so
-    inside its column's ``e``.  In the next layer each term still sees at
-    most ``n + 2`` roundings: a silent term the 2 of its weight, at most
-    ``k - 1`` of the sum, one product and at most ``n - k`` additions that
-    join the live terms; a live term its weight's 2, one product and at
-    most ``n - k`` additions.  There are still at most ``2 n - 1`` products
-    and sums for the underflow term.  The float64 passes run on the whole
-    net.
+    The sweep runs an ordinary network in which the ``k`` silent neurons
+    become one neuron with zero incoming weights, which outputs exactly
+    ``fl(T)``, and whose outgoing row is the float32 sum of their ``k`` rows
+    of the next matrix.  The bound above still holds.  Each silent output
+    is ``fl(T)``, within ``u T`` of ``T`` and so inside its column's ``e``.
+    Each next-layer dot product now has ``n - k + 1`` terms, and every term
+    still sees at most ``n + 2`` roundings: the folded term the 2 of each
+    weight, at most ``k - 1`` of the sum, one product and at most ``n - k``
+    additions; a live term its weight's 2, one product and at most ``n -
+    k`` additions.  There are still at most ``2 n - 1`` products and sums
+    for the underflow term, so ``gamma_{n+2}`` and every class are
+    unchanged.  The float64 passes run on the whole net.
 
     Before any ``forward_batch`` call, a readout whose ``output_size`` is
     not the net's last layer size or an empty ``data`` raises ``ConfigError``,
@@ -359,7 +343,7 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     if len(x) < 2 * PREDICT_BLOCK:
         return read_class_batch(scheme, forward_batch(net, x).outputs)
     blocks = np.array_split(x, len(x) // PREDICT_BLOCK)
-    single = _float32_copy(net, x)
+    single = _folded(net, x)
     if single is None:
         return np.concatenate([read_class_batch(scheme, forward_batch(net, block).outputs)
                                for block in blocks])

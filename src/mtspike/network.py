@@ -19,11 +19,12 @@ window of 0 gives the plain rule.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ConfigError, StructureError
 
 __all__ = [
     "Network",
@@ -97,12 +98,16 @@ def init_network(
     init_range: tuple[float, float] = (0.0, 1.0),
     window: float = 0.0,
 ) -> Network:
-    """Build a network with uniformly random weights drawn from ``init_range``."""
+    """Build a network with uniformly random weights drawn from ``init_range``;
+    ``ConfigError`` names the layer sizes when the weights cannot be allocated."""
     low, high = init_range
-    weights = [
-        rng.uniform(low, high, size=(layer_sizes[l], layer_sizes[l + 1]))
-        for l in range(len(layer_sizes) - 1)
-    ]
+    try:
+        weights = [
+            rng.uniform(low, high, size=(layer_sizes[l], layer_sizes[l + 1]))
+            for l in range(len(layer_sizes) - 1)
+        ]
+    except MemoryError as exc:
+        raise ConfigError(f"cannot allocate the weights of layers {list(layer_sizes)}") from exc
     return Network(layer_sizes=list(layer_sizes), weights=weights, window=window)
 
 
@@ -113,7 +118,8 @@ class ForwardTrace:
     ``delays[0]`` is the ``(batch, input_size)`` input matrix; ``delays[l]``
     for ``l >= 1`` is the activated output of layer ``l`` and ``nets[l - 1]``
     its pre-activation average, each ``(batch, layer_sizes[l])``.  A float32
-    trace activates in place, so its ``nets[l - 1]`` is ``delays[l]``: only
+    trace, of the working weights ``V`` of ``learning``'s module docstring,
+    activates in place, so its ``nets[l - 1]`` is ``delays[l]``: only
     ``learning.backward``'s exact mode reads pre-activations, and exact mode
     is float64-only.
     """
@@ -155,11 +161,9 @@ def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
     of ``net.weights``, and every array of the returned trace has that
     dtype, ``delays[0]`` (the input matrix) included.  Float64 weights, those
     of any :class:`Network`, take ``z = a W / n`` and keep ``z`` apart from
-    the activated ``max(z, 0) + window``.  Float32 weights are the
-    fan-in-prescaled working form ``fl32(W / n)`` that ``learning.train``
-    steps under ``numerics: "fast"``: each layer is the float32 sweep's
-    ``z = a V``, then ``max(z, 0) + window`` in ``z``'s buffer, so the
-    trace's ``nets`` alias its ``delays`` (see :class:`ForwardTrace`).
+    the activated ``max(z, 0) + window``.  Float32 weights are the working
+    form ``V`` of ``learning``'s module docstring, which :func:`_forward32`
+    runs, so the trace's ``nets`` alias its ``delays``.
     """
     x = np.asarray(delay_matrix, dtype=net.weights[0].dtype)
     if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
@@ -167,18 +171,55 @@ def forward_batch(net: Network, delay_matrix: np.ndarray) -> ForwardTrace:
             f"expected a (batch, {net.layer_sizes[0]}) delay matrix, "
             f"got shape {x.shape}"
         )
+    if x.itemsize == 4:  # prescaled float32 (see backward's same test)
+        layers = _forward32(net.weights, net.window, x)
+        return ForwardTrace(nets=layers, delays=[x, *layers])
     nets: list[np.ndarray] = []
     delays = [x]
     for w in net.weights:
         z = _matrix_product(x.shape[0], w)(x, w)
-        if w.itemsize == 4:  # prescaled float32 (see backward's same test)
-            x = np.maximum(z, 0.0, out=z)
-        else:
-            # the special ReLU, never in z's buffer: backward's exact mode
-            # reads z as the pre-activation
-            z /= w.shape[0]
-            x = np.maximum(z, 0.0)
+        # the special ReLU, never in z's buffer: backward's exact mode reads
+        # z as the pre-activation
+        z /= w.shape[0]
+        x = np.maximum(z, 0.0)
         x += net.window
         nets.append(z)
         delays.append(x)
     return ForwardTrace(nets=nets, delays=delays)
+
+
+def _prescaled(net: Network) -> list[np.ndarray]:
+    """The float32 working weights ``V = fl32(W / n)`` of ``net`` (see
+    ``learning``'s module docstring)."""
+    return [(w / w.shape[0]).astype(np.float32) for w in net.weights]
+
+
+def _float32_copy(net: Network) -> Network:
+    """``net`` with its working weights :func:`_prescaled`, which
+    ``Network()`` would widen."""
+    work = copy.copy(net)
+    work.weights = _prescaled(net)
+    return work
+
+
+def _write_back(work: Network, net: Network):
+    """Write ``work``'s working weights ``V`` into ``net``'s float64 ones,
+    exactly, as ``W = float64(V) n`` (see ``learning``'s module docstring)."""
+    for w, v in zip(net.weights, work.weights):
+        np.multiply(v, w.shape[0], out=w, dtype=np.float64)
+
+
+def _forward32(weights: list[np.ndarray], window: float, x: np.ndarray,
+               outs: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Every layer's float32 outputs for the rows ``x``, of any real dtype,
+    through the working weights ``weights``: per layer ``z = a V``, then
+    ``max(z, 0) + window`` in ``z``'s buffer, ``outs[l]`` when given.  The
+    one float32 layer rule: ``forward_batch`` and ``metrics``' sweep both
+    run it."""
+    layers = []
+    for l, v in enumerate(weights):
+        x = np.matmul(x, v, out=None if outs is None else outs[l], dtype=np.float32)
+        np.maximum(x, 0, out=x)
+        x += window
+        layers.append(x)
+    return layers

@@ -74,12 +74,15 @@ class TargetScheme:
 
 
 def target_matrix(scheme: TargetScheme) -> np.ndarray:
-    """Target delay of every output neuron, ``(num_classes, output_size)``, row per class."""
+    """Target delay of every output neuron, ``(num_classes, output_size)``, row per
+    class; ``ConfigError`` names the class count when it cannot be allocated."""
     if scheme.mode == "single_neuron":
         return scheme.checkpoints[:, np.newaxis]
-    targets = np.full(
-        (scheme.num_classes, scheme.num_classes), scheme.window + scheme.inhibitory_offset
-    )
+    k = scheme.num_classes
+    try:
+        targets = np.full((k, k), scheme.window + scheme.inhibitory_offset)
+    except MemoryError as exc:
+        raise ConfigError(f"cannot allocate the {k}x{k} target matrix of {k} classes") from exc
     np.fill_diagonal(targets, scheme.window + scheme.excitatory_offset)
     return targets
 

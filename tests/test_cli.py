@@ -4,6 +4,7 @@ import dataclasses
 import gzip
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -577,6 +578,50 @@ def test_unbuildable_sizes_error_line(tmp_path, iris_path, capsys, overrides):
     assert rc == 2
     assert err.strip().startswith("mtspike: error [E_CONFIG]")
     assert out == ""
+
+
+class _FullMachine:
+    """A generator whose ``uniform`` fails, as on a machine without the
+    memory, for more than 10**8 values, and that otherwise acts as ``rng``."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def uniform(self, low, high, size):
+        if math.prod(size) > 10**8:
+            raise MemoryError(f"Unable to allocate an array with shape {size}")
+        return self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"layers": [4, 10**9, 3]}, "the weights of layers [4, 1000000000, 3]"),
+    ({"layers": [4, 60000], "readout": {"mode": "multi_neuron", "num_classes": 60000,
+                                        "excitatory_offset": 0.0, "inhibitory_offset": 4.0}},
+     "the 60000x60000 target matrix of 60000 classes"),
+], ids=["hidden-layer", "num_classes"])
+def test_unallocatable_sizes_error_line(tmp_path, iris_path, capsys, monkeypatch, overrides,
+                                        message):
+    """Sizes numpy can address but the machine cannot allocate, 29.8 GiB of
+    weights or 28.8 GB of targets, are config errors naming the sizes, not
+    internal ones.  The allocations fail here as a full machine's would,
+    without being tried: an overcommitting host may grant such a request
+    and then kill the process."""
+    default_rng, full = np.random.default_rng, np.full
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: _FullMachine(default_rng(*a)))
+
+    def no_room(shape, *args, **kwargs):
+        if math.prod(shape) > 10**8:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", no_room)
+    cfg = write_iris_config(tmp_path, iris_path, **overrides)
+    rc, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip() == f"mtspike: error [E_CONFIG] cannot allocate {message}"
 
 
 def test_malformed_model_header_error_line(tmp_path, iris_path, capsys):

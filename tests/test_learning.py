@@ -12,7 +12,7 @@ from conftest import REPO_ROOT, make_digits
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtspike import learning, metrics
+from mtspike import learning, metrics, network
 from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, RawDataset, encode_dataset
 from mtspike.errors import ConfigError, DataError, DivergenceError, StructureError
@@ -251,7 +251,7 @@ def test_paper_mode_is_the_straight_through_gradient_times_downstream_fan_ins(
     net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
     delays = rng.uniform(0.0, 16.0, (batch, sizes[0]))
     delta = rng.uniform(-4.0, 4.0, (batch, sizes[-1]))
-    for net, tolerance in ((net, 1e-12), (learning._float32_copy(net), 1e-5)):
+    for net, tolerance in ((net, 1e-12), (network._float32_copy(net), 1e-5)):
         dtype = net.weights[0].dtype
         trace = forward_batch(net, delays)
         grads = backward(net, trace, delta.astype(dtype), mode="paper")
@@ -578,22 +578,80 @@ def test_fast_rejects_weights_float32_cannot_hold_before_any_step(layer):
     assert [w.tobytes() for w in net.weights] == before
 
 
+@pytest.mark.parametrize("layer", [0, 1])
+def test_fast_refuses_values_past_a_quarter_of_float32s_range(layer):
+    """Positive weights in a 4-5-3 net whose layer ``layer`` reaches 0.3 of
+    float32's largest number on the largest delays: float32 would hold it
+    and ``exact64`` trains, but ``fast``'s range certificate,
+    ``metrics._output_bounds``, stops at a quarter of the range, so it
+    raises ``ConfigError`` naming the matrix before any step."""
+    rng = np.random.default_rng(1)
+    net = init_network([4, 5, 3], rng=rng, init_range=(0.5, 1.0), window=16.0)
+    data = encoded(rng.uniform(0.0, 16.0, (12, 4)), rng.integers(0, 3, 12))
+    top = np.full((1, 4), 16.0)  # the largest delays: with positive weights, the largest outputs
+    net.weights[layer] *= 0.3 * float(np.finfo(np.float32).max) / (
+        forward_batch(net, top).delays[layer + 1].max() - 16.0)
+    reach = forward_batch(net, top).delays[layer + 1].max()
+    assert np.finfo(np.float32).max / 4 < reach < np.finfo(np.float32).max / 2
+    cfg = TrainConfig(learning_rate=0.0, batch_size=4, epochs=1)
+    trained, _ = train(copy.deepcopy(net), data, MULTI3, cfg, rng=np.random.default_rng(0))
+    assert all(np.isfinite(w).all() for w in trained.weights)
+    with pytest.raises(ConfigError, match=f"numerics 'fast' cannot hold weight matrix {layer}:"):
+        train(net, data, MULTI3, dataclasses.replace(cfg, numerics="fast"),
+              rng=np.random.default_rng(0))
+
+
+def _same_bytes_per_row(net, x, split, workers, monkeypatch):
+    """Assert that ``metrics._sweep`` over the blocks ``split`` of ``x``,
+    with ``workers`` workers, gives each row the output bytes of
+    ``forward_batch`` on its block through ``net``'s working copy."""
+    work = network._float32_copy(net)
+    blocks = np.split(x, split)
+    expected = np.concatenate([forward_batch(work, block).outputs for block in blocks])
+    assert expected.dtype == np.float32 and expected.shape == (len(x), net.layer_sizes[-1])
+    monkeypatch.setattr(metrics, "_WORKERS", workers)
+    assert metrics._sweep(work.weights, net.window, blocks).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("rows", [1, 7, 32, 128, 150, 200])
-def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows):
+def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows, monkeypatch):
     """``forward_batch`` on the prescaled working copy of the stored
     169-500-10 benchmark model gives the output bytes of ``metrics._sweep``
-    over one block of conv-coded digits: training and evaluation share one
-    float32 layer rule."""
+    over conv-coded digits cut into one to three blocks, swept by as many
+    workers: training and evaluation share one float32 layer rule."""
     with np.load(REPO_ROOT / "perfbench" / "mt10_weights.npz") as stored:
         weights = [stored["w0"].astype(np.float64), stored["w1"].astype(np.float64)]
     net = Network([169, 500, 10], weights, window=MNIST.coding.params.window)
     digits = make_digits(20, seed=5)
     x = encode_dataset(RawDataset(digits.features[:rows], digits.labels[:rows]),
                        MNIST.coding).delays
-    work = learning._float32_copy(net)
-    outputs = forward_batch(work, x).outputs
-    assert outputs.dtype == np.float32 and outputs.shape == (rows, 10)
-    assert outputs.tobytes() == metrics._sweep(work.weights, net.window, [x]).tobytes()
+    for blocks in range(1, min(rows, 3) + 1):
+        _same_bytes_per_row(net, x, [rows * b // blocks for b in range(1, blocks)], blocks,
+                            monkeypatch)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       depth=st.integers(min_value=1, max_value=4),
+       rows=st.integers(min_value=1, max_value=4 * PREDICT_BLOCK),
+       cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
+       delays=st.sampled_from(["float64", "negative", "uint8"]),
+       window=st.sampled_from([0.0, 16.0]),
+       workers=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_float32_sweep_gives_each_row_the_bytes_of_its_blocks_forward(
+        seed, depth, rows, cuts, delays, window, workers):
+    """Over random 1-4-layer nets and any split of up to 512 rows into
+    blocks, ``metrics._sweep`` through the working weights gives each row
+    the bytes ``forward_batch`` gives it in its block, with 1-3 workers."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(n) for n in rng.integers(1, 40, depth + 1)]
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
+    x = rng.uniform(-16.0 if delays == "negative" else 0.0, 16.0, (rows, sizes[0]))
+    if delays == "uint8":
+        x = np.rint(x).astype(np.uint8)
+    with pytest.MonkeyPatch.context() as patch:
+        split = sorted({int(c * rows) for c in cuts} - {0, rows})
+        _same_bytes_per_row(net, x, split, workers, patch)
 
 
 @given(sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=2, max_size=4),
@@ -606,13 +664,13 @@ def test_prescaled_copy_of_a_write_back_is_the_working_weights(sizes, seed):
     prescaling the written-back weights gives ``V`` back bit for bit."""
     rng = np.random.default_rng(seed)
     net = init_network(sizes, rng=rng)
-    work = learning._float32_copy(net)
+    work = network._float32_copy(net)
     for v in work.weights:
         bits = rng.integers(0, 2**32, v.shape, dtype=np.uint32).view(np.float32)
         v[...] = np.where(np.isfinite(bits), bits, np.float32(0))
-    learning._write_back(work, net)
+    network._write_back(work, net)
     assert all(w.dtype == np.float64 for w in net.weights)
-    again = learning._float32_copy(net)
+    again = network._float32_copy(net)
     assert [v.tobytes() for v in again.weights] == [v.tobytes() for v in work.weights]
 
 

@@ -275,7 +275,7 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
         w *= 10.0 ** power
     low = -16.0 if negative else 0.0
     x = rng.uniform(low, 16.0, (rows, sizes[0]))
-    single = metrics._float32_copy(net, x)
+    single = metrics._folded(net, x)
     assume(single is not None)
     weights, (bound32, bound64) = single
     split = np.array_split(x, rows // PREDICT_BLOCK)
@@ -355,7 +355,7 @@ def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, h
         w[:, : hidden // 2 + 1] -= 1.5
         net = Network([inputs, hidden, 3], [w, np.full((hidden, 3), 1e38)])
         data = class0(x)
-        assert metrics._float32_copy(net, x) is None
+        assert metrics._folded(net, x) is None
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "_silent", lambda *args: calls.append(args))
@@ -387,7 +387,7 @@ def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits():
     net = Network(list(cfg.layer_sizes), weights, window=cfg.coding.params.window)
     data = encode_dataset(RawDataset(*digits.make_digits(1000, [0, 2])), cfg.coding)
     assert metrics._silent(net.weights[0], data.delays).sum() >= 400
-    sweep_weights, _ = metrics._float32_copy(net, data.delays)
+    sweep_weights, _ = metrics._folded(net, data.delays)
     assert sweep_weights[0].shape[1] <= 100
     assert predict(net, data, cfg.scheme).tolist() == _reference_predict.predict(
         net, data, cfg.scheme).tolist()
@@ -452,7 +452,7 @@ def test_predict_gives_the_same_classes_at_any_worker_count(seed, depth, blocks,
     the float64 reference with 1, 2 and 3 workers."""
     net, data, scheme = _random_set(seed, blocks, depth, mode, classes)
     expected = _reference_predict.predict(net, data, scheme).tolist()
-    weights, _ = metrics._float32_copy(net, data.delays)
+    weights, _ = metrics._folded(net, data.delays)
     split = np.array_split(data.delays, len(data) // PREDICT_BLOCK)
     swept = set()
     with pytest.MonkeyPatch.context() as patch:
@@ -468,7 +468,7 @@ def test_eight_threads_switching_every_microsecond_sweep_each_block_once(monkeyp
     lost or swept into the wrong rows would leave other bytes behind."""
     net, _, _ = _random_set(seed=3, blocks=40)
     x = np.random.default_rng(3).uniform(0.0, 16.0, (40 * PREDICT_BLOCK, net.layer_sizes[0]))
-    weights, _ = metrics._float32_copy(net, x)
+    weights, _ = metrics._folded(net, x)
     split = np.array_split(x, 40)
     monkeypatch.setattr(metrics, "_WORKERS", 1)
     serial = metrics._sweep(weights, net.window, split).tobytes()

@@ -9,9 +9,10 @@ Both revisions are checked out as fresh local clones (``bench.checkout``).
 Each pair runs ``perfbench/run.py`` once on each side, the parent first in
 odd pairs and the child first in even ones.  For every end-to-end metric
 of ``BENCHMARK.json`` it then prints one line: the median of the per-pair
-child/parent ratios, each side's median and quartiles, and in how many
-pairs the child was better (by the metric's ``better``; ties count for
-neither side).  Exits 1 when a run fails its checks.
+child/parent ratios, each side's median and quartiles, in how many pairs
+the child was better (by the metric's ``better``; ties count for neither
+side), and a verdict (:func:`verdict`).  Exits 1 when a run fails its
+checks.
 """
 
 from __future__ import annotations
@@ -30,6 +31,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(parent: list[float], child: list[float], wins: int, metric: dict) -> str:
+    """``better`` when the child won at least 9 in 10 pairs and its median
+    beats the parent's by more than the parent's quartile spread;
+    otherwise ``unresolved`` when that spread is wider than the metric's
+    relative ``bound``, ``worse`` when the child's median is worse than the
+    parent's by more than the bound, and ``within bound`` when it is not."""
+    (p1, p2, p3), c2 = quartiles(parent), statistics.median(child)
+    gain = c2 - p2 if metric["better"] == "higher" else p2 - c2
+    allowed = metric["bound"] * abs(p2)
+    if 10 * wins >= 9 * len(parent) and gain > p3 - p1:
+        return "better"
+    if p3 - p1 > allowed:
+        return "unresolved"
+    return "worse" if -gain > allowed else "within bound"
 
 
 def main(argv=None) -> int:
@@ -70,7 +87,8 @@ def main(argv=None) -> int:
         (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(child)
         print(f"{name}: ratio {ratio} child/parent; parent {p2:.6g} "
               f"(quartiles {p1:.6g}-{p3:.6g}), child {c2:.6g} ({c1:.6g}-{c3:.6g}), "
-              f"{metric['better']} is better, child better in {wins}/{args.pairs}")
+              f"{metric['better']} is better, child better in {wins}/{args.pairs}: "
+              f"{verdict(parent, child, wins, metric)}")
     return 0
 
 
