@@ -93,6 +93,11 @@ class RunConfig:
                 f"layers {list(self.layer_sizes)} need more float64 weights "
                 f"than numpy can address"
             )
+        if self.scheme.window != self.coding.params.window:
+            raise ConfigError(
+                f"readout window {self.scheme.window!r} differs from coding window "
+                f"{self.coding.params.window!r}; the targets start at the coding window"
+            )
         if self.scheme.output_size != self.layer_sizes[-1]:
             raise ConfigError(
                 f"readout produces {self.scheme.output_size} output delays but "

@@ -157,9 +157,12 @@ def backward(
     summed over the batch, each a freshly allocated array in the dtype of
     the weights, the trace and ``delta`` (all float64, or all float32).
 
-    Float64 weights propagate the deltas left to right, layer by layer.
-    Float32 weights are the working form ``V`` of the module docstring (paper
-    mode only), whose V-space gradients are formed right to left.
+    The weights' dtype alone picks the rule.  Float64 weights propagate the
+    deltas left to right, layer by layer.  Float32 weights are the working
+    form ``V`` of the module docstring, whose V-space gradients are formed
+    right to left; their trace keeps no pre-activations, so with
+    ``mode="exact"`` they raise :class:`ConfigError`, as ``TrainConfig``
+    does for ``numerics="fast"``.
     """
     if mode not in _GRADIENT_MODES:
         raise ConfigError(f"unknown gradient mode {mode!r}")
@@ -178,7 +181,9 @@ def backward(
     grads = [None] * depth
     # 4-byte weights are float32 (a Network widens to float64); an itemsize
     # reads faster than a dtype compare on the default path's small batches
-    if mode == "paper" and net.weights[0].itemsize == 4:
+    if net.weights[0].itemsize == 4:
+        if mode != "paper":
+            raise ConfigError("float32 working weights need the 'paper' gradient mode")
         chain = None  # V_Lᵀ ⋯ V_{l+1}ᵀ, (output_size, layer_sizes[l + 1])
         fan_ins = 1  # Π_{k>l} n_k
         for l in reversed(range(depth)):

@@ -66,7 +66,8 @@ def _header_bytes(model: ModelFile) -> bytes:
 def _check_consistent(model: ModelFile, path):
     """The parts fit together as every run makes them: the readout fits the
     output layer, a numeric coding has one range with max above min per input
-    neuron, and the network responds one coding window after its input."""
+    neuron, the network responds one coding window after its input, and the
+    readout's targets start at that window."""
     sizes, coding, scheme = model.network.layer_sizes, model.coding, model.scheme
     if scheme.output_size != sizes[-1]:
         raise ModelIOError(
@@ -85,11 +86,12 @@ def _check_consistent(model: ModelFile, path):
         if not np.all(hi > lo):
             raise ModelIOError(f"{path}: degenerate range for attribute "
                                f"{int(np.argmin(hi - lo))}: max must exceed min")
-    if model.network.window != coding.params.window:
-        raise ModelIOError(
-            f"{path}: network window {model.network.window!r} differs from "
-            f"coding window {coding.params.window!r}"
-        )
+    for name, window in (("network", model.network.window), ("readout", scheme.window)):
+        if window != coding.params.window:
+            raise ModelIOError(
+                f"{path}: {name} window {window!r} differs from "
+                f"coding window {coding.params.window!r}"
+            )
 
 
 def save_model(model: ModelFile, path):
@@ -113,8 +115,8 @@ def load_model(path) -> ModelFile:
     malformed or inconsistent header (a missing or unknown field or one of
     the wrong JSON type; invalid network, coding or readout; a readout or
     numeric coding that does not fit the layer sizes; numeric coding without
-    ranges or with a range whose max does not exceed its min; a network
-    window that differs from the coding window), or a payload whose length
+    ranges or with a range whose max does not exceed its min; a network or
+    readout window that differs from the coding window), or a payload whose length
     does not match the declared layer sizes exactly.
     """
     with _reported(ModelIOError, "read model from", path), open(path, "rb") as fh:

@@ -7,6 +7,9 @@ With one output neuron per class, the class's neuron gets the short
 (excitatory) target and all others the longer inhibitory one, and readout
 picks the neuron that fires earliest.  All targets sit at or beyond the
 encoding window, and ties always break toward the lowest class index.
+The scheme's ``window`` is that encoding window: every spike past the
+input fires at or after it, so a target below it is out of reach, and a
+run config and a model file both refuse any other value.
 Readout is batch-major: :func:`read_class_batch` classifies a
 ``(batch, output_size)`` matrix, one row per sample.
 """

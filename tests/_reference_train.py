@@ -1,4 +1,4 @@
-"""Allocating reference trainer: the workspace trainer must match it bit for bit.
+"""Allocating reference trainers: the package's trainer must match them bit for bit.
 
 These are the original ``forward_batch``, ``backward``, ``_read_classes`` and
 ``train``, kept unchanged except for imports; the batch generator, the special
@@ -7,6 +7,14 @@ below.
 Every layer array, gradient and weight step is a fresh allocation here;
 tests train this and ``mtspike.learning.train`` from the same generator and
 compare the weights and the epoch history byte for byte.
+
+``train_fast`` is the same for ``numerics="fast"`` in paper mode, with
+``forward32`` and ``backward32``: float32 working weights ``V = fl32(W / n)``,
+the layer rule ``z = a V`` then ``max(z, 0) + window``, V-space gradients
+formed right to left with the step's scale applied to the residual, a
+finiteness check on the working weights at each epoch's end, and the exact
+write-back ``W = float64(V) n`` before the epoch's evaluation.  Its products
+have the package's shapes and operand layouts, so their bytes can agree.
 """
 
 import logging
@@ -217,4 +225,105 @@ def train(
                 stats.train_accuracy,
                 "" if test_accuracy is None else f" test_acc={test_accuracy:.4f}",
             )
+    return net, history
+
+
+def forward32(weights: list[np.ndarray], window: float, delay_matrix: np.ndarray) -> ForwardTrace:
+    """Propagate a delay matrix through the float32 working weights ``V``; a
+    float32 trace keeps no pre-activations apart, so ``nets`` are the delays."""
+    x = np.asarray(delay_matrix, dtype=np.float32)
+    delays = [x]
+    for v in weights:
+        x = np.maximum(x @ v, 0) + window
+        delays.append(x)
+    return ForwardTrace(nets=delays[1:], delays=delays)
+
+
+def backward32(weights: list[np.ndarray], trace: ForwardTrace,
+               delta: np.ndarray) -> list[np.ndarray]:
+    """Paper-mode V-space gradients, right to left:
+    ``((d_l^T delta) * prod(n_k, k > l) / n_l^2) @ V_L^T ... V_{l+1}^T``."""
+    sizes = [trace.delays[0].shape[1]] + [v.shape[1] for v in weights]
+    grads: list[np.ndarray] = [np.empty(0)] * len(weights)
+    chain = None
+    fan_ins = 1
+    for l in reversed(range(len(weights))):
+        n = sizes[l]
+        g = trace.delays[l].T @ delta * (fan_ins / (n * n))
+        grads[l] = g if chain is None else g @ chain
+        if l > 0:
+            # the first factor copied contiguous, as the package's product takes it
+            chain = np.ascontiguousarray(weights[l].T) if chain is None \
+                else chain @ weights[l].T
+            fan_ins *= n
+    return grads
+
+
+def train_fast(
+    net: Network,
+    data,
+    scheme: TargetScheme,
+    cfg: TrainConfig,
+    eval_data=None,
+    rng: np.random.Generator | None = None,
+) -> tuple[Network, list[EpochStats]]:
+    """:func:`train` under ``numerics="fast"`` (paper mode only); the float64
+    weights of ``net`` are replaced by the written-back ones at each epoch's end."""
+    if cfg.gradient_mode != "paper":
+        raise ConfigError("numerics 'fast' needs the 'paper' gradient mode")
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    labels = data.labels
+    targets = target_matrix(scheme).astype(np.float32)[labels]
+    work = [(w / w.shape[0]).astype(np.float32) for w in net.weights]
+    history: list[EpochStats] = []
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            squared_sum = 0.0
+            term_count = 0
+            hit_count = 0
+            for batch, idx in enumerate(batch_indices(len(data), cfg.batch_size, rng), 1):
+                trace = forward32(work, net.window, data.delays[idx])
+                batch_labels = labels[idx]
+                resid, terms = output_residual(
+                    trace.outputs, targets[idx], batch_labels, cfg.heuristic
+                )
+                squared = float(np.sum(resid * resid))
+                if not math.isfinite(squared_sum + squared):
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch}, batch {batch}: "
+                        f"squared error is non-finite"
+                    )
+                squared_sum += squared
+                term_count += terms
+                predicted = _read_classes(scheme, trace.outputs, epoch, batch)
+                hits = predicted == batch_labels
+                hit_count += int(hits.sum())
+
+                if cfg.update_gate == "on_misclassification":
+                    resid = np.where(hits[:, np.newaxis], 0.0, resid)
+                scale = cfg.learning_rate
+                if cfg.batch_reduction == "mean":
+                    scale /= len(idx)
+                grads = backward32(work, trace, resid * scale)
+                work = [v - g for v, g in zip(work, grads)]
+
+            if not all(np.isfinite(v).all() for v in work):
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}: a weight left float32's range"
+                )
+            net.weights = [v.astype(np.float64) * v.shape[0] for v in work]
+            mse = squared_sum / term_count
+            test_accuracy = None
+            if eval_data is not None:
+                outputs = forward_batch(net, eval_data.delays).outputs
+                predictions = _read_classes(scheme, outputs, epoch, batch)
+                test_accuracy = float(np.mean(predictions == eval_data.labels))
+            history.append(EpochStats(
+                epoch=epoch,
+                mse=mse,
+                train_accuracy=hit_count / len(data),
+                test_accuracy=test_accuracy,
+            ))
     return net, history

@@ -547,6 +547,19 @@ def test_training_label_outside_the_readout_error_line(tmp_path, iris_path, caps
                            "the readout's 2 classes")
 
 
+def test_readout_window_other_than_the_coding_window_error_line(tmp_path, capsys):
+    """Refused as the config is read: the dataset path names no file, and
+    the error is still the window's, and no model file is written."""
+    cfg = write_iris_config(tmp_path, tmp_path / "absent.csv", readout={
+        "mode": "multi_neuron", "num_classes": 3, "window": 5.0,
+        "excitatory_offset": 0.0, "inhibitory_offset": 4.0})
+    rc, out, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.strip() == ("mtspike: error [E_CONFIG] readout window 5.0 differs from "
+                           "coding window 16.0; the targets start at the coding window")
+    assert out == "" and not list(tmp_path.glob("*.mtspike"))
+
+
 @pytest.mark.parametrize("numerics", ["exact64", "fast"])
 def test_fast_weights_float32_cannot_hold_error_line(tmp_path, iris_path, capsys, numerics):
     """Weights drawn from [1e38, 1e39] train in float64; under ``fast`` their

@@ -57,7 +57,28 @@ def test_readout_window_defaults_to_coding_window():
     doc = minimal_dict(coding={"scheme": "numeric", "window": 8.0, "unit": 1.0})
     assert config_from_dict(doc).scheme.window == 8.0
     doc["readout"]["window"] = 12.0
-    assert config_from_dict(doc).scheme.window == 12.0
+    with pytest.raises(ConfigError, match=r"readout window 12\.0 differs from coding "
+                                          r"window 8\.0") as err:
+        config_from_dict(doc)
+    assert err.value.code == "E_CONFIG"
+
+
+@pytest.mark.parametrize("name", _preset_names())
+def test_a_run_has_one_window(name):
+    """Targets below the coding window are unreachable (every spike past the
+    input fires at or after it), so a preset-derived or Python-built run whose
+    readout window is anything else is refused, naming both windows."""
+    cfg = preset(name)
+    window = cfg.coding.params.window
+    assert cfg.scheme.window == window
+    for other in (0.0, window / 2, window + 1.0):
+        scheme = dataclasses.replace(cfg.scheme, window=other)
+        match = rf"readout window {other!r} differs from coding window {window!r}"
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(cfg, scheme=scheme)
+        with pytest.raises(ConfigError, match=match):
+            RunConfig(name="built", dataset=cfg.dataset, coding=cfg.coding,
+                      layer_sizes=cfg.layer_sizes, scheme=scheme)
 
 
 def test_train_section_and_output_paths():

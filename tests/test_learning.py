@@ -228,6 +228,33 @@ def test_forward_and_backward_match_the_reference_bytes(sizes, batch, seed, wind
             assert got.tobytes() == want.tobytes(), mode
 
 
+@given(sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=4),
+       batch=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       window=st.sampled_from([0.0, 16.0]))
+@settings(max_examples=40, deadline=None)
+def test_float32_weights_take_the_paper_rule_only(sizes, batch, seed, window):
+    """The weights' dtype picks the rule: float32 working weights give the
+    reference's V-space bytes in paper mode and raise ``ConfigError`` in
+    exact mode, whose special-ReLU mask their trace cannot hold (its
+    ``nets`` are the activated delays)."""
+    rng = np.random.default_rng(seed)
+    work = network._float32_copy(
+        init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window))
+    delays = rng.uniform(0.0, 16.0, (batch, sizes[0]))
+    delta = rng.uniform(-4.0, 4.0, (batch, sizes[-1])).astype(np.float32)
+    trace = forward_batch(work, delays)
+    ref = _reference_train.forward32(work.weights, window, delays)
+    for got, want in zip(trace.delays, ref.delays, strict=True):
+        assert got.tobytes() == want.tobytes()
+    grads = backward(work, trace, delta, mode="paper")
+    ref_grads = _reference_train.backward32(work.weights, ref, delta)
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    with pytest.raises(ConfigError, match="float32 working weights need the 'paper'"):
+        backward(work, trace, delta, mode="exact")
+
+
 @given(sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=5),
        batch=st.integers(min_value=1, max_value=6),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -827,6 +854,27 @@ def test_training_matches_the_allocating_reference_bit_for_bit(case):
         assert type(stats.train_accuracy) is float
         assert stats.test_accuracy is None if eval_data is None \
             else type(stats.test_accuracy) is float
+
+
+@pytest.mark.parametrize("case", sorted(
+    name for name, case in REFERENCE_CASES.items()
+    if case[-1].get("gradient_mode", "paper") == "paper"))
+def test_fast_training_matches_the_allocating_float32_reference_bit_for_bit(case):
+    """``numerics="fast"`` writes the float32 reference trainer's weights and
+    epoch history byte for byte: the prescale, the layer rule, the V-space
+    gradients and their products' layouts, and the exact write-back."""
+    sizes, scheme, make_train, make_eval, fields = REFERENCE_CASES[case]
+    data, eval_data = make_train(), make_eval()
+    cfg = TrainConfig(epochs=3, numerics="fast", **fields)
+    runs = []
+    for trainer in (train, _reference_train.train_fast):
+        rng = np.random.default_rng(11)
+        net = init_network(sizes, rng=rng, window=16.0)
+        runs.append(trainer(net, data, scheme, cfg, eval_data=eval_data, rng=rng))
+    (net, history), (ref_net, ref_history) = runs
+    for w, ref in zip(net.weights, ref_net.weights, strict=True):
+        assert w.dtype == np.float64 and w.tobytes() == ref.tobytes()
+    assert history == ref_history
 
 
 def test_byte_delays_train_like_their_float64_copy():

@@ -206,6 +206,8 @@ def single_output_model():
     (lambda h: h["coding"].update(binarize_threshold=300.0), "binarize_threshold"),
     (lambda h: h["scheme"].update(excitatory_offset="3"), "missing or malformed"),
     (lambda h: h.update(window=3.0), "network window 3.0 differs from coding window 16.0"),
+    (lambda h: h["scheme"].update(window=5.0),
+     "readout window 5.0 differs from coding window 16.0"),
     (lambda h: h.update(layer_sizez=[1]), "unknown model header key\\(s\\): layer_sizez"),
     (lambda h: h["coding"].update(ranges=None), "numeric coding has no attribute ranges"),
     (lambda h: h["coding"].update(ranges=[[0.0, 8.0], [2.0, 2.0], [0.0, 8.0], [5.0, 1.0]]),
@@ -214,7 +216,7 @@ def single_output_model():
         "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
         "p_max-negative", "p_max-zero",
         "stride-infinite", "binarize_threshold-above-255", "excitatory_offset-string",
-        "window-not-coding-window", "unknown-key", "coding-ranges-null",
+        "window-not-coding-window", "readout-window-not-coding-window", "unknown-key", "coding-ranges-null",
         "coding-ranges-degenerate"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
@@ -299,6 +301,18 @@ def test_save_refuses_a_window_other_than_the_coding_window(tmp_path):
     model = sample_model()
     model.network.window = 3.0
     with pytest.raises(ModelIOError, match="differs from coding window") as err:
+        save_model(model, tmp_path / "m")
+    assert err.value.code == "E_MODEL"
+    assert not (tmp_path / "m").exists()
+
+
+def test_save_refuses_a_readout_window_other_than_the_coding_window(tmp_path):
+    """Targets below the coding window are unreachable, so such a model would
+    load as one that can only score chance."""
+    model = sample_model()
+    model.scheme = dataclasses.replace(model.scheme, window=3.0)
+    with pytest.raises(ModelIOError,
+                       match="readout window 3.0 differs from coding window 16.0") as err:
         save_model(model, tmp_path / "m")
     assert err.value.code == "E_MODEL"
     assert not (tmp_path / "m").exists()
