@@ -116,8 +116,8 @@ def load_model(path) -> ModelFile:
     the wrong JSON type; invalid network, coding or readout; a readout or
     numeric coding that does not fit the layer sizes; numeric coding without
     ranges or with a range whose max does not exceed its min; a network or
-    readout window that differs from the coding window), or a payload whose length
-    does not match the declared layer sizes exactly.
+    readout window that differs from the coding window), or a payload whose
+    length does not match the declared layer sizes exactly.
     """
     with _reported(ModelIOError, "read model from", path), open(path, "rb") as fh:
         raw = fh.read()

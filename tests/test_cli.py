@@ -548,8 +548,8 @@ def test_training_label_outside_the_readout_error_line(tmp_path, iris_path, caps
 
 
 def test_readout_window_other_than_the_coding_window_error_line(tmp_path, capsys):
-    """Refused as the config is read: the dataset path names no file, and
-    the error is still the window's, and no model file is written."""
+    """Refused as the config is read, before any data: the dataset path
+    names no file, yet the error is the window's, and no model is written."""
     cfg = write_iris_config(tmp_path, tmp_path / "absent.csv", readout={
         "mode": "multi_neuron", "num_classes": 3, "window": 5.0,
         "excitatory_offset": 0.0, "inhibitory_offset": 4.0})

@@ -211,7 +211,11 @@ def test_forward_and_backward_match_the_reference_bytes(sizes, batch, seed, wind
     """Small products through ``np.dot`` give the reference's ``@`` bytes.
 
     Widths and batch rows down to 1 reach the one-row and one-column products,
-    where BLAS may take another kernel than for the presets' shapes.
+    where BLAS may take another kernel than for the presets' shapes.  The
+    weights' dtype picks the rule: float32 working weights give the float32
+    reference's V-space bytes in paper mode and raise ``ConfigError`` in
+    exact mode, whose special-ReLU mask their trace cannot hold (its
+    ``nets`` are the activated delays).
     """
     rng = np.random.default_rng(seed)
     net = init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window)
@@ -227,22 +231,8 @@ def test_forward_and_backward_match_the_reference_bytes(sizes, batch, seed, wind
         for got, want in zip(grads, ref_grads, strict=True):
             assert got.tobytes() == want.tobytes(), mode
 
-
-@given(sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=4),
-       batch=st.integers(min_value=1, max_value=40),
-       seed=st.integers(min_value=0, max_value=2**32 - 1),
-       window=st.sampled_from([0.0, 16.0]))
-@settings(max_examples=40, deadline=None)
-def test_float32_weights_take_the_paper_rule_only(sizes, batch, seed, window):
-    """The weights' dtype picks the rule: float32 working weights give the
-    reference's V-space bytes in paper mode and raise ``ConfigError`` in
-    exact mode, whose special-ReLU mask their trace cannot hold (its
-    ``nets`` are the activated delays)."""
-    rng = np.random.default_rng(seed)
-    work = network._float32_copy(
-        init_network(sizes, rng=rng, init_range=(-1.0, 1.0), window=window))
-    delays = rng.uniform(0.0, 16.0, (batch, sizes[0]))
-    delta = rng.uniform(-4.0, 4.0, (batch, sizes[-1])).astype(np.float32)
+    work = network._float32_copy(net)
+    delta = delta.astype(np.float32)
     trace = forward_batch(work, delays)
     ref = _reference_train.forward32(work.weights, window, delays)
     for got, want in zip(trace.delays, ref.delays, strict=True):

@@ -216,8 +216,8 @@ def single_output_model():
         "coding-ranges", "layer_sizes-infinite", "num_classes-infinite", "p_max-string",
         "p_max-negative", "p_max-zero",
         "stride-infinite", "binarize_threshold-above-255", "excitatory_offset-string",
-        "window-not-coding-window", "readout-window-not-coding-window", "unknown-key", "coding-ranges-null",
-        "coding-ranges-degenerate"])
+        "window-not-coding-window", "readout-window-not-coding-window", "unknown-key",
+        "coding-ranges-null", "coding-ranges-degenerate"])
 def test_load_rejects_inconsistent_headers_as_model_errors(tmp_path, mutate, match):
     path = tmp_path / "m"
     save_model(single_output_model(), path)
