@@ -1,18 +1,17 @@
 """Prediction, accuracy, confusion matrices, spike counting, and energy accounting.
 
 :func:`predict` is the one evaluation path: :func:`evaluate` and
-``learning.train``'s per-epoch test accuracy both classify through it.  It
-runs a set in consecutive blocks of 128 to 255 rows, so each block's hidden
-arrays stay in cache between the layer steps instead of streaming a
-whole-set array through memory.  A set of fewer than 256 rows makes exactly
-one ``forward_batch`` and one ``read_class_batch`` call; a larger set's
-outputs can differ from a single whole-set pass by one ulp, because BLAS
-rounds products of different row counts differently.  A larger set's
-blocks run first in one float32 sweep, on every usable CPU, which folds
-the first-layer neurons that a bound proves silent on every row into one,
-and a class is taken from float32 only where a rounding-error bound proves
-that the float64 ``forward_batch`` blocks give the same one (see
-:func:`predict`).
+``learning.train``'s per-epoch test accuracy both classify through it.  A
+set of fewer than 256 rows makes exactly one ``forward_batch`` and one
+``read_class_batch`` call.  A larger set runs first in one float32 sweep,
+in consecutive slices of about 512 rows on every usable CPU, which folds
+the first-layer neurons that a bound proves silent on every row into one.
+A class is taken from float32 only where a rounding-error bound proves
+that the float64 reference gives the same one: ``forward_batch`` on
+consecutive blocks of 128 to 255 rows, whose hidden arrays stay in cache
+between the layer steps, and whose outputs can differ from a single
+whole-set pass by one ulp, because BLAS rounds products of different row
+counts differently (see :func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -54,22 +53,26 @@ class RunMetrics:
     energy: float
 
 
-# Fewest rows per block in ``predict``: a set of n rows runs as
-# n // PREDICT_BLOCK near-equal blocks, so one of fewer than two blocks is a
-# single pass.  Stored 169-500-10 model, conv-coded digits, 2-vCPU x86-64,
+# Fewest rows per block of ``predict``'s float64 passes: a set of n rows runs
+# as n // PREDICT_BLOCK near-equal blocks, so one of fewer than two blocks is
+# a single pass.  Stored 169-500-10 model, conv-coded digits, 2-vCPU x86-64,
 # numpy 2.4, one BLAS thread: 10k float64 rows took ~94 ms in one pass and
 # ~57-65 ms in blocks of 128-192 rows, whose 500-wide hidden arrays stay in
 # the 2 MB L2 beside the 169x500 weights (224-320 rows: 4-7% slower); 200
-# rows took 5-10% longer as 128 + 72 rows than as one pass.  The float32
-# sweep on one thread (medians of 12 interleaved rounds of 10k rows): with
-# all 500 hidden columns, 192-512 rows per block read 2-8% faster than 128,
-# 64 rows 9% slower and one pass 42% slower; with the 77 columns left once
-# 423 silent neurons are skipped (~4.5 ms at 128 rows against ~24 ms for
-# all 500), 256-512 rows read 13-19% faster, 64 rows 12% slower and one
-# pass 22% slower.
+# rows took 5-10% longer as 128 + 72 rows than as one pass.
 PREDICT_BLOCK = 128
 
-# Threads that sweep float32 blocks: the caller and _WORKERS - 1 helpers (_sweep).
+# Rows per slice of every float32 pass over a set: ``predict``'s sweep runs
+# n rows as max(min(4, n // PREDICT_BLOCK), ceil(n / _SLICE)) near-equal
+# slices, a count that only n sets, so a 256-row set still has a slice for
+# a second thread.  Same machine, one thread, the 10k digits (medians of 30
+# interleaved rounds): with the 80 columns left once 421 silent neurons are
+# folded (4.7 ms at 128 rows), 384-1,024 rows took 33-39% less time, 64
+# rows 25% more and one pass 30% less; with all 500 columns (8 rounds),
+# 192-1,024 rows took 10-24% less than 128.
+_SLICE = 512
+
+# Threads that sweep float32 slices: the caller and _WORKERS - 1 helpers (_sweep).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -150,7 +153,7 @@ def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     radius ``R`` around a centre ``c`` that holds every row: ``x_i . w_j <=
     c . w_j + R |w_j|`` (see :func:`predict`).  The fan-in of ``w`` must
     pass the check of ``_output_bounds``."""
-    n, step = len(w), 4 * PREDICT_BLOCK  # rows per float32 block of differences
+    n, step = len(w), _SLICE  # rows per float32 slice of differences
     centre = x[:PREDICT_BLOCK].mean(axis=0, dtype=np.float32)  # c: any vector would do
     c = centre.astype(np.float64)
     ahead = c @ w
@@ -202,25 +205,30 @@ def _folded(net: Network, x: np.ndarray):
     return weights, bounds
 
 
-def _sweep(weights: list[np.ndarray], window: float, blocks: list[np.ndarray]) -> np.ndarray:
-    """float32 outputs of every row of ``blocks`` through the prescaled
-    ``weights``, block by block through ``network._forward32``.  The caller
-    and up to ``_WORKERS - 1`` helpers, each with its own hidden buffers,
-    take the next unclaimed block and write its rows of the result."""
-    stops = np.cumsum([len(block) for block in blocks]).tolist()
-    out = np.empty((stops[-1], weights[-1].shape[1]), np.float32)
-    claims = iter([(a, out[stop - len(a):stop]) for a, stop in zip(blocks, stops)])  # shared
-    most = max(map(len, blocks))
+def _edges(n: int, k: int) -> list[int]:
+    """The ``k + 1`` edges of ``np.array_split``'s ``k`` near-equal runs of ``n`` rows."""
+    return [i * (n // k) + min(i, n % k) for i in range(k + 1)]
+
+
+def _sweep(weights: list[np.ndarray], window: float, x: np.ndarray,
+           edges: list[int]) -> np.ndarray:
+    """float32 outputs of the rows ``x`` through the prescaled ``weights``,
+    each slice between two ``edges`` in one ``network._forward32`` call.  The
+    caller and up to ``_WORKERS - 1`` helpers, each with its own hidden
+    buffers, take the next unclaimed slice and write its rows of the result."""
+    out = np.empty((len(x), weights[-1].shape[1]), np.float32)
+    claims = iter(list(zip(edges, edges[1:])))  # shared
+    most = max(b - a for a, b in zip(edges, edges[1:]))
 
     def work():
         hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
-        for a, rows in claims:
-            _forward32(weights, window, a, [h[:len(a)] for h in hidden] + [rows])
+        for a, b in claims:
+            _forward32(weights, window, x[a:b], [h[:b - a] for h in hidden] + [out[a:b]])
 
-    helpers = [_pool.submit(work) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    helpers = [_pool.submit(work) for _ in range(min(_WORKERS, len(edges) - 1) - 1)]
     try:
         work()
-    finally:  # a helper that has not started would find no block left
+    finally:  # a helper that has not started would find no slice left
         for helper in helpers:
             helper.cancel() or helper.result()
     return out
@@ -251,15 +259,17 @@ def _check_set(net: Network, data: EncodedDataset, scheme: TargetScheme, name: s
 
 
 def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndarray:
-    """One class per row of ``data.delays``, read out block by block.
+    """One class per row of ``data.delays``.
 
     A set of fewer than ``2 * PREDICT_BLOCK`` rows makes one float64
-    ``forward_batch`` call.  A larger set runs as near-equal blocks, and
-    each row's class equals that of ``read_class_batch`` on its block's
-    float64 ``forward_batch`` outputs, but most come from one float32
-    sweep over every block (:func:`_sweep`, through the fan-in-prescaled
-    weights ``fl32(W / n)`` on up to one thread per usable CPU, with the
-    same bytes at any thread count, folding the first-layer neurons proved
+    ``forward_batch`` call.  A larger set's reference is its near-equal
+    blocks of ``PREDICT_BLOCK`` to ``2 * PREDICT_BLOCK - 1`` rows: each
+    row's class equals that of ``read_class_batch`` on its block's float64
+    ``forward_batch`` outputs.  Most classes come from one float32 sweep
+    instead (:func:`_sweep`, through the fan-in-prescaled weights ``fl32(W
+    / n)`` in near-equal slices of at most ``_SLICE`` rows, no fewer than
+    ``min(4, blocks)``, on up to one thread per usable CPU, with the same
+    bytes at any thread count, folding the first-layer neurons proved
     silent on the set into one), certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
@@ -269,8 +279,9 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
       places between them.
     * The other rows of the set run through float64 in one call; their
       outputs lie within twice the float64 bound of the block pass's.
-    * If one of them is still that close to a tie, its whole block runs
-      through ``forward_batch`` in float64 and ``read_class_batch``.
+    * If one of them is still that close to a tie, its whole reference
+      block, not its slice, runs through ``forward_batch`` in float64 and
+      ``read_class_batch``.
 
     The bound, with ``u`` the unit roundoff of the format and ``eta`` its
     smallest normal number, per output column of each layer ``z = a W / n``,
@@ -339,25 +350,27 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     outputs in any block raise ``EvaluationError``.
     """
     _check_shape(net, data, scheme, "evaluation")
-    x = data.delays
-    if len(x) < 2 * PREDICT_BLOCK:
+    x, n = data.delays, len(data.delays)
+    if n < 2 * PREDICT_BLOCK:
         return read_class_batch(scheme, forward_batch(net, x).outputs)
-    blocks = np.array_split(x, len(x) // PREDICT_BLOCK)
     single = _folded(net, x)
     if single is None:
-        return np.concatenate([read_class_batch(scheme, forward_batch(net, block).outputs)
-                               for block in blocks])
+        edges = _edges(n, n // PREDICT_BLOCK)
+        return np.concatenate([read_class_batch(scheme, forward_batch(net, x[a:b]).outputs)
+                               for a, b in zip(edges, edges[1:])])
     weights, (bound32, bound64) = single
-    scores = _scores(scheme, _sweep(weights, net.window, blocks).astype(np.float64))
+    slices = _edges(n, max(min(4, n // PREDICT_BLOCK), -(-n // _SLICE)))
+    scores = _scores(scheme, _sweep(weights, net.window, x, slices).astype(np.float64))
     classes = scores.argmin(axis=1)
     unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))
     if len(unsure):
         scores = _scores(scheme, forward_batch(net, x[unsure]).outputs)
         classes[unsure] = scores.argmin(axis=1)
-        ends = np.cumsum([len(block) for block in blocks])
-        for b in np.unique(ends.searchsorted(unsure[~_settled(scores, 2 * bound64)], "right")):
-            classes[ends[b] - len(blocks[b]):ends[b]] = read_class_batch(
-                scheme, forward_batch(net, blocks[b]).outputs)
+        tied = unsure[~_settled(scores, 2 * bound64)]
+        edges = _edges(n, n // PREDICT_BLOCK) if len(tied) else []  # the reference's blocks
+        for b in np.unique(np.searchsorted(edges, tied, "right")):
+            rows = slice(edges[b - 1], edges[b])
+            classes[rows] = read_class_batch(scheme, forward_batch(net, x[rows]).outputs)
     return classes
 
 

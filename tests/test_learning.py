@@ -619,15 +619,15 @@ def test_fast_refuses_values_past_a_quarter_of_float32s_range(layer):
 
 
 def _same_bytes_per_row(net, x, split, workers, monkeypatch):
-    """Assert that ``metrics._sweep`` over the blocks ``split`` of ``x``,
-    with ``workers`` workers, gives each row the output bytes of
-    ``forward_batch`` on its block through ``net``'s working copy."""
+    """Assert that ``metrics._sweep`` over ``x`` sliced at the rows
+    ``split``, with ``workers`` workers, gives each row the output bytes of
+    ``forward_batch`` on its slice through ``net``'s working copy."""
     work = network._float32_copy(net)
-    blocks = np.split(x, split)
-    expected = np.concatenate([forward_batch(work, block).outputs for block in blocks])
+    expected = np.concatenate([forward_batch(work, block).outputs for block in np.split(x, split)])
     assert expected.dtype == np.float32 and expected.shape == (len(x), net.layer_sizes[-1])
     monkeypatch.setattr(metrics, "_WORKERS", workers)
-    assert metrics._sweep(work.weights, net.window, blocks).tobytes() == expected.tobytes()
+    edges = [0, *split, len(x)]
+    assert metrics._sweep(work.weights, net.window, x, edges).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 7, 32, 128, 150, 200])

@@ -161,6 +161,20 @@ def _counted_forward(monkeypatch):
     return calls
 
 
+def _recorded_sweeps(monkeypatch):
+    """Record ``(edges, output bytes)`` of every ``metrics._sweep`` call."""
+    sweeps = []
+    sweep = metrics._sweep
+
+    def recorded(weights, window, x, edges):
+        out = sweep(weights, window, x, edges)
+        sweeps.append((tuple(edges), out.tobytes()))
+        return out
+
+    monkeypatch.setattr(metrics, "_sweep", recorded)
+    return sweeps
+
+
 def _shift_columns_negative(net, rng):
     """Push a random half of the first layer's columns below zero: on
     non-negative delays those neurons are silent, and the sweep skips them."""
@@ -260,9 +274,10 @@ def test_predict_classifies_like_the_blocked_float64_reference(
 @settings(max_examples=80, deadline=None)
 def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
         seed, depth, blocks, outputs, powers, window, negative, shift):
-    """Every output of the float32 sweep lies within ``bound32 + bound64``
-    of the float64 ``forward_batch`` output of its row in the same block,
-    the two passes ``predict``'s certificate compares; layer ``l``'s
+    """Every output of the float32 sweep, in slices of up to ``_SLICE``
+    rows, lies within ``bound32 + bound64`` of the float64
+    ``forward_batch`` output of its row in its reference block, the two
+    passes ``predict``'s certificate compares; layer ``l``'s
     weights are scaled by ``10 ** powers[l]``, and ``shift`` makes some
     first-layer neurons silent, so that the sweep skips them."""
     rng = np.random.default_rng(seed)
@@ -278,10 +293,11 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
     single = metrics._folded(net, x)
     assume(single is not None)
     weights, (bound32, bound64) = single
-    split = np.array_split(x, rows // PREDICT_BLOCK)
-    swept = metrics._sweep(weights, net.window, split)
+    slices = metrics._edges(rows, -(-rows // metrics._SLICE))
+    swept = metrics._sweep(weights, net.window, x, slices)
     assert swept.dtype == np.float32 and swept.shape == (rows, outputs)
-    blocked = np.concatenate([forward_batch(net, block).outputs for block in split])
+    blocked = np.concatenate([forward_batch(net, block).outputs
+                              for block in np.array_split(x, rows // PREDICT_BLOCK)])
     assert (np.abs(swept.astype(np.float64) - blocked) <= bound32 + bound64).all()
 
 
@@ -416,6 +432,33 @@ def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
     assert calls == [(np.float64, 1), (np.float64, PREDICT_BLOCK)]
 
 
+def test_a_tie_reruns_its_reference_block_not_its_sweep_slice(monkeypatch):
+    """In a 2,000-row set the sweep's 500-row slices cut across the
+    reference's 133-134-row blocks: a tie in row 1000, which sweeps in
+    rows 1000-1499, re-runs alone and then in its reference block, rows
+    936-1068, and takes the reference's class."""
+    rows, tie = 2000, 1000
+    delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
+    delays[:, 2] += np.arange(rows) / rows  # distinct rows; all but the tie are class 0
+    delays[tie] = [5.0, 1.0, 1.0]
+    data = class0(delays)
+    sweeps = _recorded_sweeps(monkeypatch)
+    inputs = []
+    forward = metrics.forward_batch
+    monkeypatch.setattr(metrics, "forward_batch",
+                        lambda net, x: inputs.append(np.array(x)) or forward(net, x))
+    classes = predict(identity_net(3), data, MULTI3)
+    block = next(b for b in np.array_split(np.arange(rows), rows // PREDICT_BLOCK) if tie in b)
+    edges = sweeps[0][0]
+    piece = next(range(a, b) for a, b in zip(edges, edges[1:]) if a <= tie < b)
+    assert (block[0], block[-1] + 1) == (936, 1069) and (piece.start, piece.stop) == (1000, 1500)
+    assert [x.dtype for x in inputs] == [np.float64, np.float64]
+    assert inputs[0].tolist() == [delays[tie].tolist()]
+    assert inputs[1].tolist() == delays[block].tolist()
+    assert classes.tolist() == _reference_predict.predict(identity_net(3), data, MULTI3).tolist()
+    assert classes[tie] == 1 and (np.delete(classes, tie) == 0).all()
+
+
 def test_predict_runs_float64_blocks_when_float32_could_overflow(monkeypatch):
     net = identity_net(3)
     net.weights[0] *= 1e38  # |W| within float32, its products are not
@@ -452,33 +495,60 @@ def test_predict_gives_the_same_classes_at_any_worker_count(seed, depth, blocks,
     the float64 reference with 1, 2 and 3 workers."""
     net, data, scheme = _random_set(seed, blocks, depth, mode, classes)
     expected = _reference_predict.predict(net, data, scheme).tolist()
-    weights, _ = metrics._folded(net, data.delays)
-    split = np.array_split(data.delays, len(data) // PREDICT_BLOCK)
-    swept = set()
     with pytest.MonkeyPatch.context() as patch:
+        sweeps = _recorded_sweeps(patch)
         for workers in (1, 2, 3):
             patch.setattr(metrics, "_WORKERS", workers)
             assert predict(net, data, scheme).tolist() == expected
-            swept.add(metrics._sweep(weights, net.window, split).tobytes())
-    assert len(swept) == 1
+    assert len(sweeps) == 3 and len(set(sweeps)) == 1
+
+
+@pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK, 2 * PREDICT_BLOCK + 1, 4 * PREDICT_BLOCK + 1,
+                                  2000, 40 * PREDICT_BLOCK + 3])
+def test_predict_slices_a_set_by_its_row_count_alone(rows, monkeypatch):
+    """``predict``'s sweep covers every row exactly once, in contiguous
+    slices of at most ``_SLICE`` rows and no fewer than ``min(4, blocks)``:
+    at 1, 2 and 8 workers it cuts the same slices and gives the same bytes
+    and classes, and a ``2 * PREDICT_BLOCK``-row set has a slice for a
+    second thread."""
+    rng = np.random.default_rng(rows)
+    net = init_network([12, 20, 3], rng=rng, init_range=(-0.5, 1.0))
+    delays = rng.uniform(0.0, 16.0, (rows, 12))
+    data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
+                          labels=rng.integers(0, 3, rows))
+    expected = _reference_predict.predict(net, data, MULTI3).tolist()
+    sweeps = _recorded_sweeps(monkeypatch)
+    monkeypatch.setattr(metrics, "_pool", ThreadPoolExecutor(7))  # 7 helpers for 8 workers
+    try:
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(metrics, "_WORKERS", workers)
+            assert predict(net, data, MULTI3).tolist() == expected
+    finally:
+        metrics._pool.shutdown()
+    assert len(sweeps) == 3 and len(set(sweeps)) == 1
+    edges = sweeps[0][0]
+    sizes = np.diff(edges)
+    assert edges[0] == 0 and edges[-1] == rows and (sizes > 0).all()
+    assert min(4, rows // PREDICT_BLOCK) <= len(sizes) and sizes.max() <= metrics._SLICE
+    assert len(sizes) >= 2
 
 
 def test_eight_threads_switching_every_microsecond_sweep_each_block_once(monkeypatch):
-    """More workers than cores, with a shortened switch interval: a block
+    """More workers than cores, with a shortened switch interval: a slice
     lost or swept into the wrong rows would leave other bytes behind."""
     net, _, _ = _random_set(seed=3, blocks=40)
     x = np.random.default_rng(3).uniform(0.0, 16.0, (40 * PREDICT_BLOCK, net.layer_sizes[0]))
     weights, _ = metrics._folded(net, x)
-    split = np.array_split(x, 40)
+    edges = metrics._edges(len(x), 40)
     monkeypatch.setattr(metrics, "_WORKERS", 1)
-    serial = metrics._sweep(weights, net.window, split).tobytes()
+    serial = metrics._sweep(weights, net.window, x, edges).tobytes()
     monkeypatch.setattr(metrics, "_WORKERS", 8)
     monkeypatch.setattr(metrics, "_pool", ThreadPoolExecutor(7))  # 7 helpers for this test
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert metrics._sweep(weights, net.window, split).tobytes() == serial
+            assert metrics._sweep(weights, net.window, x, edges).tobytes() == serial
     finally:
         sys.setswitchinterval(interval)
         metrics._pool.shutdown()
