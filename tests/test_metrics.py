@@ -412,7 +412,11 @@ def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits():
 def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
     """A settled set makes no ``forward_batch`` call (its float32 sweep is
     not one); its unsettled rows add one float64 call, and a row that
-    float64 cannot settle either adds its block's float64 call."""
+    float64 cannot settle either adds its reference block's float64 call.
+    In a 2,000-row set the sweep's 500-row slices cut across the
+    reference's 133-134-row blocks: a tie in row 1000, which sweeps in rows
+    1000-1499, re-runs alone and then in its block, rows 936-1068, and
+    takes the reference's class."""
     net = identity_net(3)  # outputs equal inputs
     clear = np.tile([1.0, 5.0, 5.0], (2 * PREDICT_BLOCK, 1))
     calls = _counted_forward(monkeypatch)
@@ -431,31 +435,23 @@ def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
     assert predict(net, class0(tied), MULTI3).tolist() == [0] * (len(tied) - 1) + [1]
     assert calls == [(np.float64, 1), (np.float64, PREDICT_BLOCK)]
 
-
-def test_a_tie_reruns_its_reference_block_not_its_sweep_slice(monkeypatch):
-    """In a 2,000-row set the sweep's 500-row slices cut across the
-    reference's 133-134-row blocks: a tie in row 1000, which sweeps in
-    rows 1000-1499, re-runs alone and then in its reference block, rows
-    936-1068, and takes the reference's class."""
     rows, tie = 2000, 1000
-    delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
-    delays[:, 2] += np.arange(rows) / rows  # distinct rows; all but the tie are class 0
-    delays[tie] = [5.0, 1.0, 1.0]
-    data = class0(delays)
+    apart = np.tile([1.0, 5.0, 5.0], (rows, 1))
+    apart[:, 2] += np.arange(rows) / rows  # distinct rows; all but the tie are class 0
+    apart[tie] = [5.0, 1.0, 1.0]
     sweeps = _recorded_sweeps(monkeypatch)
     inputs = []
-    forward = metrics.forward_batch
     monkeypatch.setattr(metrics, "forward_batch",
-                        lambda net, x: inputs.append(np.array(x)) or forward(net, x))
-    classes = predict(identity_net(3), data, MULTI3)
+                        lambda net, x: inputs.append(np.array(x)) or forward_batch(net, x))
+    classes = predict(net, class0(apart), MULTI3)
     block = next(b for b in np.array_split(np.arange(rows), rows // PREDICT_BLOCK) if tie in b)
     edges = sweeps[0][0]
-    piece = next(range(a, b) for a, b in zip(edges, edges[1:]) if a <= tie < b)
-    assert (block[0], block[-1] + 1) == (936, 1069) and (piece.start, piece.stop) == (1000, 1500)
+    piece = next((a, b) for a, b in zip(edges, edges[1:]) if a <= tie < b)
+    assert (block[0], block[-1] + 1) == (936, 1069) and piece == (1000, 1500)
     assert [x.dtype for x in inputs] == [np.float64, np.float64]
-    assert inputs[0].tolist() == [delays[tie].tolist()]
-    assert inputs[1].tolist() == delays[block].tolist()
-    assert classes.tolist() == _reference_predict.predict(identity_net(3), data, MULTI3).tolist()
+    assert inputs[0].tolist() == [apart[tie].tolist()]
+    assert inputs[1].tolist() == apart[block].tolist()
+    assert classes.tolist() == _reference_predict.predict(net, class0(apart), MULTI3).tolist()
     assert classes[tie] == 1 and (np.delete(classes, tie) == 0).all()
 
 
