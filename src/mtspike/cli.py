@@ -12,7 +12,7 @@ Numeric imports happen inside the command handlers: loading numpy and the
 numeric modules up front would at least double the start-up time of
 ``--help`` and of usage errors.  Model bytes repeat for the same numpy/BLAS
 build and thread count, so :func:`main` sets each BLAS thread variable left
-unset to 1 before numpy loads; ``metrics.predict`` still uses every CPU.
+unset to 1 before numpy loads.
 """
 
 from __future__ import annotations

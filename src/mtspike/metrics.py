@@ -4,8 +4,8 @@
 ``learning.train``'s per-epoch test accuracy both classify through it.  A
 set of fewer than 256 rows makes exactly one ``forward_batch`` and one
 ``read_class_batch`` call.  A larger set runs first in one float32 sweep,
-in consecutive slices of about 512 rows on every usable CPU, which folds
-the first-layer neurons that a bound proves silent on every row into one.
+in consecutive slices of about 512 rows, which folds the first-layer
+neurons that a bound proves silent on every row into one.
 A class is taken from float32 only where a rounding-error bound proves
 that the float64 reference gives the same one: ``forward_batch`` on
 consecutive blocks of 128 to 255 rows, whose hidden arrays stay in cache
@@ -23,8 +23,6 @@ and independent of the physical per-spike cost.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,28 +61,12 @@ class RunMetrics:
 PREDICT_BLOCK = 128
 
 # Rows per slice of every float32 pass over a set: ``predict``'s sweep runs
-# n rows as max(min(4, n // PREDICT_BLOCK), ceil(n / _SLICE)) near-equal
-# slices, a count that only n sets, so a 256-row set still has a slice for
-# a second thread.  Same machine, one thread, the 10k digits (medians of 30
-# interleaved rounds): with the 80 columns left once 421 silent neurons are
-# folded (4.7 ms at 128 rows), 384-1,024 rows took 33-39% less time, 64
-# rows 25% more and one pass 30% less; with all 500 columns (8 rounds),
-# 192-1,024 rows took 10-24% less than 128.
+# n rows as ceil(n / _SLICE) near-equal slices.  Same machine, one thread,
+# the 10k digits (medians of 30 interleaved rounds): with the 80 columns
+# left once 421 silent neurons are folded (4.7 ms at 128 rows), 384-1,024
+# rows took 33-39% less time, 64 rows 25% more and one pass 30% less; with
+# all 500 columns (8 rounds), 192-1,024 rows took 10-24% less than 128.
 _SLICE = 512
-
-# Threads that sweep float32 slices: the caller and _WORKERS - 1 helpers (_sweep).
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _new_pool():  # an executor starts no thread until the first submit
-    global _pool
-    _pool = ThreadPoolExecutor(_WORKERS - 1 or 1, thread_name_prefix="mtspike-sweep")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 # Unit roundoff u and smallest normal number eta as columns, and a quarter
@@ -213,24 +195,13 @@ def _edges(n: int, k: int) -> list[int]:
 def _sweep(weights: list[np.ndarray], window: float, x: np.ndarray,
            edges: list[int]) -> np.ndarray:
     """float32 outputs of the rows ``x`` through the prescaled ``weights``,
-    each slice between two ``edges`` in one ``network._forward32`` call.  The
-    caller and up to ``_WORKERS - 1`` helpers, each with its own hidden
-    buffers, take the next unclaimed slice and write its rows of the result."""
+    each slice between two ``edges`` in one ``network._forward32`` call into
+    one set of hidden buffers."""
     out = np.empty((len(x), weights[-1].shape[1]), np.float32)
-    claims = iter(list(zip(edges, edges[1:])))  # shared
     most = max(b - a for a, b in zip(edges, edges[1:]))
-
-    def work():
-        hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
-        for a, b in claims:
-            _forward32(weights, window, x[a:b], [h[:b - a] for h in hidden] + [out[a:b]])
-
-    helpers = [_pool.submit(work) for _ in range(min(_WORKERS, len(edges) - 1) - 1)]
-    try:
-        work()
-    finally:  # a helper that has not started would find no slice left
-        for helper in helpers:
-            helper.cancel() or helper.result()
+    hidden = [np.empty((most, v.shape[1]), np.float32) for v in weights[:-1]]
+    for a, b in zip(edges, edges[1:]):
+        _forward32(weights, window, x[a:b], [h[:b - a] for h in hidden] + [out[a:b]])
     return out
 
 
@@ -267,10 +238,9 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     row's class equals that of ``read_class_batch`` on its block's float64
     ``forward_batch`` outputs.  Most classes come from one float32 sweep
     instead (:func:`_sweep`, through the fan-in-prescaled weights ``fl32(W
-    / n)`` in near-equal slices of at most ``_SLICE`` rows, no fewer than
-    ``min(4, blocks)``, on up to one thread per usable CPU, with the same
-    bytes at any thread count, folding the first-layer neurons proved
-    silent on the set into one), certified by a rounding-error bound:
+    / n)`` in ``ceil(n / _SLICE)`` near-equal slices, a count that only the
+    row count sets, folding the first-layer neurons proved silent on the set
+    into one), certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
       delays, or distances to the checkpoints) are further apart than
@@ -359,7 +329,7 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
         return np.concatenate([read_class_batch(scheme, forward_batch(net, x[a:b]).outputs)
                                for a, b in zip(edges, edges[1:])])
     weights, (bound32, bound64) = single
-    slices = _edges(n, max(min(4, n // PREDICT_BLOCK), -(-n // _SLICE)))
+    slices = _edges(n, -(-n // _SLICE))
     scores = _scores(scheme, _sweep(weights, net.window, x, slices).astype(np.float64))
     classes = scores.argmin(axis=1)
     unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))

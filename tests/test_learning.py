@@ -372,7 +372,7 @@ def test_zero_learning_rate_keeps_weights_bit_identical():
 
 def test_zero_epochs_returns_empty_history():
     rng = np.random.default_rng(2)
-    net = init_network([4, 3], rng=rng)
+    net = init_network([4, 3], rng=rng, window=16.0)
     before = [w.copy() for w in net.weights]
     data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
     _, history = train(net, data, MULTI3, TrainConfig(epochs=0), rng=rng)
@@ -400,7 +400,7 @@ def test_mean_reduction_scales_the_sum_step():
 
 def test_train_input_validation():
     rng = np.random.default_rng(0)
-    net = init_network([4, 3], rng=rng)
+    net = init_network([4, 3], rng=rng, window=16.0)
     data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
     with pytest.raises(ConfigError, match="empty"):
         train(net, encoded(np.zeros((0, 4)), []), MULTI3, TrainConfig())
@@ -431,7 +431,7 @@ def test_train_rejects_non_finite_delays_before_the_first_epoch(monkeypatch, bad
     output layer, in either set, raises before any weight moves; all but the
     delays raise from ``metrics.evaluate`` too, before any row is classified."""
     rng = np.random.default_rng(0)
-    net = init_network([4, 3], rng=rng)
+    net = init_network([4, 3], rng=rng, window=16.0)
     data = encoded(rng.uniform(0, 16, (3, 4)), [0, 1, 2])
     name = "training" if where == "data" else "evaluation"
     broken, scheme = data, MULTI3
@@ -468,9 +468,25 @@ def test_train_rejects_non_finite_delays_before_the_first_epoch(monkeypatch, bad
 
 def test_train_rejects_labels_outside_the_readout():
     rng = np.random.default_rng(0)
-    net = init_network([4, 3], rng=rng)
+    net = init_network([4, 3], rng=rng, window=16.0)
     with pytest.raises(ConfigError, match="label 3 is outside the readout's 3 classes"):
         train(net, encoded(np.zeros((3, 4)), [0, 1, 3]), MULTI3, TrainConfig())
+
+
+def test_train_rejects_a_readout_window_other_than_the_nets_before_any_step():
+    """``slmt3_iris``'s 4-3 net has the coding window 16; a readout of
+    window 5 would put every target out of reach, so ``train`` refuses it
+    with ``RunConfig``'s message and leaves the weights as they were."""
+    cfg = preset("slmt3_iris")
+    rng = np.random.default_rng(0)
+    net = init_network(cfg.layer_sizes, rng=rng, init_range=cfg.train.init_range,
+                       window=cfg.coding.params.window)
+    before = copy.deepcopy(net.weights)
+    data = encoded(rng.uniform(0, 16, (6, 4)), [0, 1, 2] * 2)
+    scheme = dataclasses.replace(cfg.scheme, window=5.0)
+    with pytest.raises(ConfigError, match="readout window 5.0 differs from coding window 16.0"):
+        train(net, data, scheme, cfg.train, eval_data=data, rng=rng)
+    assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in before]
 
 
 def test_divergence_raises_instead_of_looping():
@@ -618,24 +634,23 @@ def test_fast_refuses_values_past_a_quarter_of_float32s_range(layer):
               rng=np.random.default_rng(0))
 
 
-def _same_bytes_per_row(net, x, split, workers, monkeypatch):
+def _same_bytes_per_row(net, x, split):
     """Assert that ``metrics._sweep`` over ``x`` sliced at the rows
-    ``split``, with ``workers`` workers, gives each row the output bytes of
-    ``forward_batch`` on its slice through ``net``'s working copy."""
+    ``split`` gives each row the output bytes of ``forward_batch`` on its
+    slice through ``net``'s working copy."""
     work = network._float32_copy(net)
     expected = np.concatenate([forward_batch(work, block).outputs for block in np.split(x, split)])
     assert expected.dtype == np.float32 and expected.shape == (len(x), net.layer_sizes[-1])
-    monkeypatch.setattr(metrics, "_WORKERS", workers)
     edges = [0, *split, len(x)]
     assert metrics._sweep(work.weights, net.window, x, edges).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 7, 32, 128, 150, 200])
-def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows, monkeypatch):
+def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows):
     """``forward_batch`` on the prescaled working copy of the stored
     169-500-10 benchmark model gives the output bytes of ``metrics._sweep``
-    over conv-coded digits cut into one to three blocks, swept by as many
-    workers: training and evaluation share one float32 layer rule."""
+    over conv-coded digits cut into one to three blocks: training and
+    evaluation share one float32 layer rule."""
     with np.load(REPO_ROOT / "perfbench" / "mt10_weights.npz") as stored:
         weights = [stored["w0"].astype(np.float64), stored["w1"].astype(np.float64)]
     net = Network([169, 500, 10], weights, window=MNIST.coding.params.window)
@@ -643,8 +658,7 @@ def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows, monkeypatch):
     x = encode_dataset(RawDataset(digits.features[:rows], digits.labels[:rows]),
                        MNIST.coding).delays
     for blocks in range(1, min(rows, 3) + 1):
-        _same_bytes_per_row(net, x, [rows * b // blocks for b in range(1, blocks)], blocks,
-                            monkeypatch)
+        _same_bytes_per_row(net, x, [rows * b // blocks for b in range(1, blocks)])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),
@@ -652,23 +666,20 @@ def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows, monkeypatch):
        rows=st.integers(min_value=1, max_value=4 * PREDICT_BLOCK),
        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
        delays=st.sampled_from(["float64", "negative", "uint8"]),
-       window=st.sampled_from([0.0, 16.0]),
-       workers=st.integers(min_value=1, max_value=3))
+       window=st.sampled_from([0.0, 16.0]))
 @settings(max_examples=60, deadline=None)
 def test_float32_sweep_gives_each_row_the_bytes_of_its_blocks_forward(
-        seed, depth, rows, cuts, delays, window, workers):
+        seed, depth, rows, cuts, delays, window):
     """Over random 1-4-layer nets and any split of up to 512 rows into
     blocks, ``metrics._sweep`` through the working weights gives each row
-    the bytes ``forward_batch`` gives it in its block, with 1-3 workers."""
+    the bytes ``forward_batch`` gives it in its block."""
     rng = np.random.default_rng(seed)
     sizes = [int(n) for n in rng.integers(1, 40, depth + 1)]
     net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
     x = rng.uniform(-16.0 if delays == "negative" else 0.0, 16.0, (rows, sizes[0]))
     if delays == "uint8":
         x = np.rint(x).astype(np.uint8)
-    with pytest.MonkeyPatch.context() as patch:
-        split = sorted({int(c * rows) for c in cuts} - {0, rows})
-        _same_bytes_per_row(net, x, split, workers, patch)
+    _same_bytes_per_row(net, x, sorted({int(c * rows) for c in cuts} - {0, rows}))
 
 
 @given(sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=2, max_size=4),

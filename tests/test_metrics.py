@@ -2,13 +2,6 @@
 
 import importlib.util
 import math
-import os
-import select
-import signal
-import sys
-import threading
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import _reference_predict
 import numpy as np
@@ -477,97 +470,37 @@ def _random_set(seed, blocks, depth=3, mode="multi_neuron", classes=3):
     return net, data, scheme
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    depth=st.integers(min_value=2, max_value=4),
-    blocks=st.integers(min_value=2, max_value=9),
-    mode=st.sampled_from(sorted(SCHEMES)),
-    classes=st.integers(min_value=1, max_value=6),
-)
-@settings(max_examples=30, deadline=None)
-def test_predict_gives_the_same_classes_at_any_worker_count(seed, depth, blocks, mode, classes):
-    """The caller and the pool's helpers take the sweep's blocks in any
-    order, yet the sweep's outputs keep their bytes and the classes equal
-    the float64 reference with 1, 2 and 3 workers."""
-    net, data, scheme = _random_set(seed, blocks, depth, mode, classes)
-    expected = _reference_predict.predict(net, data, scheme).tolist()
-    with pytest.MonkeyPatch.context() as patch:
-        sweeps = _recorded_sweeps(patch)
-        for workers in (1, 2, 3):
-            patch.setattr(metrics, "_WORKERS", workers)
-            assert predict(net, data, scheme).tolist() == expected
-    assert len(sweeps) == 3 and len(set(sweeps)) == 1
-
-
 @pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK, 2 * PREDICT_BLOCK + 1, 4 * PREDICT_BLOCK + 1,
                                   2000, 40 * PREDICT_BLOCK + 3])
 def test_predict_slices_a_set_by_its_row_count_alone(rows, monkeypatch):
-    """``predict``'s sweep covers every row exactly once, in contiguous
-    slices of at most ``_SLICE`` rows and no fewer than ``min(4, blocks)``:
-    at 1, 2 and 8 workers it cuts the same slices and gives the same bytes
-    and classes, and a ``2 * PREDICT_BLOCK``-row set has a slice for a
-    second thread."""
+    """``predict``'s sweep covers every row exactly once, in
+    ``ceil(rows / _SLICE)`` contiguous slices of at most ``_SLICE`` rows,
+    and its classes equal the float64 reference's."""
     rng = np.random.default_rng(rows)
     net = init_network([12, 20, 3], rng=rng, init_range=(-0.5, 1.0))
     delays = rng.uniform(0.0, 16.0, (rows, 12))
     data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
                           labels=rng.integers(0, 3, rows))
-    expected = _reference_predict.predict(net, data, MULTI3).tolist()
     sweeps = _recorded_sweeps(monkeypatch)
-    monkeypatch.setattr(metrics, "_pool", ThreadPoolExecutor(7))  # 7 helpers for 8 workers
-    try:
-        for workers in (1, 2, 8):
-            monkeypatch.setattr(metrics, "_WORKERS", workers)
-            assert predict(net, data, MULTI3).tolist() == expected
-    finally:
-        metrics._pool.shutdown()
-    assert len(sweeps) == 3 and len(set(sweeps)) == 1
+    assert predict(net, data, MULTI3).tolist() == _reference_predict.predict(
+        net, data, MULTI3).tolist()
+    assert len(sweeps) == 1
     edges = sweeps[0][0]
     sizes = np.diff(edges)
     assert edges[0] == 0 and edges[-1] == rows and (sizes > 0).all()
-    assert min(4, rows // PREDICT_BLOCK) <= len(sizes) and sizes.max() <= metrics._SLICE
-    assert len(sizes) >= 2
+    assert len(sizes) == math.ceil(rows / metrics._SLICE) and sizes.max() <= metrics._SLICE
 
 
-def test_eight_threads_switching_every_microsecond_sweep_each_block_once(monkeypatch):
-    """More workers than cores, with a shortened switch interval: a slice
-    lost or swept into the wrong rows would leave other bytes behind."""
-    net, _, _ = _random_set(seed=3, blocks=40)
-    x = np.random.default_rng(3).uniform(0.0, 16.0, (40 * PREDICT_BLOCK, net.layer_sizes[0]))
-    weights, _ = metrics._folded(net, x)
-    edges = metrics._edges(len(x), 40)
-    monkeypatch.setattr(metrics, "_WORKERS", 1)
-    serial = metrics._sweep(weights, net.window, x, edges).tobytes()
-    monkeypatch.setattr(metrics, "_WORKERS", 8)
-    monkeypatch.setattr(metrics, "_pool", ThreadPoolExecutor(7))  # 7 helpers for this test
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert metrics._sweep(weights, net.window, x, edges).tobytes() == serial
-    finally:
-        sys.setswitchinterval(interval)
-        metrics._pool.shutdown()
-
-
-@pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_a_block_that_raises_leaves_predict_and_the_pool_keeps_working(monkeypatch, failing):
-    """A ``MemoryError`` in one block's float32 product, on the calling
-    thread or on a helper, propagates out of ``predict`` once every other
-    block is done; the next call uses the same pool and gets every class."""
+def test_a_slice_that_raises_leaves_predict_and_the_next_call_gets_every_class(monkeypatch):
+    """A ``MemoryError`` in one slice's float32 product propagates out of
+    ``predict``; the next call gets every class."""
     net, data, scheme = _random_set(seed=11, blocks=6)
     expected = _reference_predict.predict(net, data, scheme).tolist()
-    monkeypatch.setattr(metrics, "_WORKERS", 2)
-    pool = metrics._pool
-    failed = threading.Event()
     matmul = np.matmul
 
     def flaky(a, v, **kwargs):
         if kwargs.get("dtype") == np.float32:
-            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
-                failed.set()
-                raise MemoryError("no room for a block")
-            failed.wait(10)  # let the failing thread take a block first
+            raise MemoryError("no room for a block")
         return matmul(a, v, **kwargs)
 
     monkeypatch.setattr(np, "matmul", flaky)
@@ -575,52 +508,6 @@ def test_a_block_that_raises_leaves_predict_and_the_pool_keeps_working(monkeypat
         predict(net, data, scheme)
     monkeypatch.setattr(np, "matmul", matmul)
     assert predict(net, data, scheme).tolist() == expected
-    assert metrics._pool is pool
-
-
-def test_small_sets_and_one_cpu_never_submit_to_the_pool(monkeypatch):
-    """Below ``2 * PREDICT_BLOCK`` rows there is no sweep, and with one
-    usable CPU the caller sweeps every block itself."""
-    class NoPool:
-        def submit(self, *args):
-            raise AssertionError("a helper was asked for")
-
-    monkeypatch.setattr(metrics, "_pool", NoPool())
-    net, data, scheme = _random_set(seed=5, blocks=8)
-    rows = slice(2 * PREDICT_BLOCK - 1)
-    small = EncodedDataset(data.delays[rows], data.fired[rows], data.labels[rows])
-    for workers, subset in ((2, small), (1, data)):
-        monkeypatch.setattr(metrics, "_WORKERS", workers)
-        assert predict(net, subset, scheme).tolist() == _reference_predict.predict(
-            net, subset, scheme).tolist()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_sweeps_on_its_own_helper(monkeypatch):
-    """A forked child has none of its parent's threads, the pool's helper
-    included; the fork hook gives it a new pool, so its sweep starts a
-    helper of its own and gets the parent's classes."""
-    net, data, scheme = _random_set(seed=13, blocks=4)
-    monkeypatch.setattr(metrics, "_WORKERS", 2)
-    classes = predict(net, data, scheme).tolist()  # starts the parent's helper
-    read, write = os.pipe()
-    with warnings.catch_warnings():  # Python 3.12+ warns on a fork with threads running
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:  # the child reports two flags and never returns into pytest
-        try:
-            same = predict(net, data, scheme).tolist() == classes
-            swept = any(t.name.startswith("mtspike-sweep") for t in threading.enumerate())
-            os.write(write, bytes([same, swept]))
-        finally:
-            os._exit(0)
-    os.close(write)
-    if not select.select([read], [], [], 60)[0]:  # a hung child reports nothing
-        os.kill(pid, signal.SIGKILL)
-    flags = os.read(read, 2)
-    os.close(read)
-    os.waitpid(pid, 0)
-    assert flags == bytes([True, True]), "child: [same classes, sweep thread]"
 
 
 @pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK + 44],
