@@ -266,18 +266,15 @@ def train(
     numpy's overflow warnings on the way there are silenced.
     Before the first epoch, and so before any weight moves, it raises
     :class:`ConfigError` for the heuristic loss without one output neuron
-    per class, then for a readout window other than ``net.window``; then,
-    for the training set and then the evaluation set, the errors of
-    ``metrics._check_set`` (readout size, empty set, width, labels) and
+    per class; then, for the training set and then the evaluation set, the
+    errors of ``metrics._check_set`` (readout window other than
+    ``net.window``, readout size, empty set, width, labels) and
     :class:`DataError` for a non-finite delay; then, under ``fast``,
     :class:`ConfigError` naming the first weight matrix that
     ``metrics._output_bounds`` cannot certify over the training delays.
     """
     if cfg.heuristic and scheme.mode != "multi_neuron":
         raise ConfigError("the heuristic loss requires one output neuron per class")
-    if scheme.window != net.window:
-        raise ConfigError(f"readout window {scheme.window!r} differs from coding window "
-                          f"{net.window!r}; the targets start at the coding window")
     for name, ds in (("training", data), ("evaluation", eval_data)):
         if ds is not None:
             _check_set(net, ds, scheme, name)

@@ -3,15 +3,14 @@
 :func:`predict` is the one evaluation path: :func:`evaluate` and
 ``learning.train``'s per-epoch test accuracy both classify through it.  A
 set of fewer than 256 rows makes exactly one ``forward_batch`` and one
-``read_class_batch`` call.  A larger set runs first in one float32 sweep,
-in consecutive slices of about 512 rows, which folds the first-layer
-neurons that a bound proves silent on every row into one.
-A class is taken from float32 only where a rounding-error bound proves
-that the float64 reference gives the same one: ``forward_batch`` on
-consecutive blocks of 128 to 255 rows, whose hidden arrays stay in cache
-between the layer steps, and whose outputs can differ from a single
-whole-set pass by one ulp, because BLAS rounds products of different row
-counts differently (see :func:`predict`).
+``read_class_batch`` call.  A larger set is cut once, into consecutive
+slices of about 512 rows, and runs first in one float32 sweep over them,
+which folds the first-layer neurons that a bound proves silent on every
+row into one.  A class is taken from float32 only where a rounding-error
+bound proves that the float64 reference gives the same one:
+``forward_batch`` on the same slices, whose outputs can differ from a
+single whole-set pass by one ulp, because BLAS rounds products of
+different row counts differently (see :func:`predict`).
 
 Spike counts follow the single-spike discipline: every fired input entry is
 one spike, and every hidden and output neuron emits exactly one spike per
@@ -51,21 +50,17 @@ class RunMetrics:
     energy: float
 
 
-# Fewest rows per block of ``predict``'s float64 passes: a set of n rows runs
-# as n // PREDICT_BLOCK near-equal blocks, so one of fewer than two blocks is
-# a single pass.  Stored 169-500-10 model, conv-coded digits, 2-vCPU x86-64,
-# numpy 2.4, one BLAS thread: 10k float64 rows took ~94 ms in one pass and
-# ~57-65 ms in blocks of 128-192 rows, whose 500-wide hidden arrays stay in
-# the 2 MB L2 beside the 169x500 weights (224-320 rows: 4-7% slower); 200
-# rows took 5-10% longer as 128 + 72 rows than as one pass.
-PREDICT_BLOCK = 128
-
-# Rows per slice of every float32 pass over a set: ``predict``'s sweep runs
-# n rows as ceil(n / _SLICE) near-equal slices.  Same machine, one thread,
-# the 10k digits (medians of 30 interleaved rounds): with the 80 columns
-# left once 421 silent neurons are folded (4.7 ms at 128 rows), 384-1,024
-# rows took 33-39% less time, 64 rows 25% more and one pass 30% less; with
-# all 500 columns (8 rounds), 192-1,024 rows took 10-24% less than 128.
+# Rows per slice, the one partition of a set in ``predict``: n rows run as
+# ceil(n / _SLICE) near-equal slices, through the float32 sweep and through
+# every float64 pass of the reference.  Stored 169-500-10 model, conv-coded
+# digits, 2-vCPU x86-64, numpy 2.4, one BLAS thread, the 10k digits (medians
+# of 30 interleaved rounds): with the 80 columns left once 421 silent neurons
+# are folded (4.7 ms at 128 rows), 384-1,024 rows took 33-39% less time, 64
+# rows 25% more and one pass 30% less; with all 500 columns (8 rounds),
+# 192-1,024 rows took 10-24% less than 128.  A set of fewer than
+# _SLICE // 2 rows runs as one float64 pass: with its bounds and silence
+# proof, the sweep took 4% more time than that pass at 200 rows, 10% less at
+# 224 and 13% less at 256 (medians of 200 interleaved rounds).
 _SLICE = 512
 
 
@@ -136,7 +131,10 @@ def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     c . w_j + R |w_j|`` (see :func:`predict`).  The fan-in of ``w`` must
     pass the check of ``_output_bounds``."""
     n, step = len(w), _SLICE  # rows per float32 slice of differences
-    centre = x[:PREDICT_BLOCK].mean(axis=0, dtype=np.float32)  # c: any vector would do
+    # c: any vector would do.  The first 128 rows, not a slice: on the 10k
+    # digits a 512-row mean proved 423 neurons silent, not 421, but made
+    # predict 7.5% slower.
+    centre = x[:128].mean(axis=0, dtype=np.float32)
     c = centre.astype(np.float64)
     ahead = c @ w
     if not (ahead < 0).any():
@@ -162,7 +160,7 @@ def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (bound < 0) & np.isfinite(bound)
 
     square = largest(x[:step])
-    if proved(square).any():  # the first block's radius decides whether the pass runs
+    if proved(square).any():  # the first slice's radius decides whether the pass runs
         square = np.max([square] + [largest(x[s:s + step]) for s in range(step, len(x), step)])
     return proved(square)
 
@@ -207,6 +205,9 @@ def _sweep(weights: list[np.ndarray], window: float, x: np.ndarray,
 
 def _check_shape(net: Network, data: EncodedDataset, scheme: TargetScheme, name: str):
     """The O(1) checks of :func:`_check_set`, which :func:`predict` runs on every call."""
+    if scheme.window != net.window:
+        raise ConfigError(f"readout window {scheme.window!r} differs from coding window "
+                          f"{net.window!r}; the targets start at the coding window")
     if scheme.output_size != net.layer_sizes[-1]:
         raise ConfigError(f"readout expects {scheme.output_size} output neurons, "
                           f"network has {net.layer_sizes[-1]}")
@@ -219,8 +220,9 @@ def _check_shape(net: Network, data: EncodedDataset, scheme: TargetScheme, name:
 
 def _check_set(net: Network, data: EncodedDataset, scheme: TargetScheme, name: str):
     """Whether the ``name`` set ``data`` fits ``net`` and ``scheme``; raises, in
-    this order, ``ConfigError`` when the readout's output size is not the net's
-    last layer size and for an empty set, ``StructureError`` for a width other
+    this order, ``ConfigError`` for a readout window other than ``net.window``,
+    when the readout's output size is not the net's last layer size and for an
+    empty set, ``StructureError`` for a width other
     than the input layer's, and ``ConfigError`` for a label at or past
     ``scheme.num_classes``.  It reads the labels, never the delays."""
     _check_shape(net, data, scheme, name)
@@ -232,15 +234,15 @@ def _check_set(net: Network, data: EncodedDataset, scheme: TargetScheme, name: s
 def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndarray:
     """One class per row of ``data.delays``.
 
-    A set of fewer than ``2 * PREDICT_BLOCK`` rows makes one float64
-    ``forward_batch`` call.  A larger set's reference is its near-equal
-    blocks of ``PREDICT_BLOCK`` to ``2 * PREDICT_BLOCK - 1`` rows: each
-    row's class equals that of ``read_class_batch`` on its block's float64
-    ``forward_batch`` outputs.  Most classes come from one float32 sweep
-    instead (:func:`_sweep`, through the fan-in-prescaled weights ``fl32(W
-    / n)`` in ``ceil(n / _SLICE)`` near-equal slices, a count that only the
-    row count sets, folding the first-layer neurons proved silent on the set
-    into one), certified by a rounding-error bound:
+    A set of fewer than ``_SLICE // 2`` rows makes one float64
+    ``forward_batch`` call.  A larger set is cut once, into ``ceil(n /
+    _SLICE)`` near-equal slices, a count that only the row count sets.  Its
+    reference is each slice's float64 pass: every row's class equals that
+    of ``read_class_batch`` on its slice's ``forward_batch`` outputs.  Most
+    classes come from one float32 sweep over the same slices instead
+    (:func:`_sweep`, through the fan-in-prescaled weights ``fl32(W / n)``,
+    folding the first-layer neurons proved silent on the set into one),
+    certified by a rounding-error bound:
 
     * A row takes its float32 class when its two best scores (output
       delays, or distances to the checkpoints) are further apart than
@@ -248,10 +250,9 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
       lie within their bound of the exact outputs, so no score can swap
       places between them.
     * The other rows of the set run through float64 in one call; their
-      outputs lie within twice the float64 bound of the block pass's.
-    * If one of them is still that close to a tie, its whole reference
-      block, not its slice, runs through ``forward_batch`` in float64 and
-      ``read_class_batch``.
+      outputs lie within twice the float64 bound of the slice pass's.
+    * If one of them is still that close to a tie, its whole slice runs
+      through ``forward_batch`` in float64 and ``read_class_batch``.
 
     The bound, with ``u`` the unit roundoff of the format and ``eta`` its
     smallest normal number, per output column of each layer ``z = a W / n``,
@@ -283,12 +284,12 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     score's float64 subtraction of a checkpoint adds ``u`` times the score.
     When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could reach a
     quarter of a format's largest number, or ``(n + 2) u > 1/4``, no value
-    is certain to stay finite and every block runs in float64.
+    is certain to stay finite and every slice runs in float64.
 
     Before the sweep, ``_silent`` proves first-layer neurons of a net with
     a hidden layer silent on the whole set: ``x_i . W_j < 0`` on every row,
     so the neuron outputs exactly ``T``.  Take the centre ``c``, the float32
-    mean of the first block's rows, and a radius ``R >= |x_i - c|_2`` for
+    mean of the first 128 rows, and a radius ``R >= |x_i - c|_2`` for
     every row; then ``x_i . W_j <= c . W_j + R |W_j|_2`` (Cauchy-Schwarz).
     ``c . W_j`` computed in float64 is off by at most ``gamma_n |c| |W_j| +
     2 n eta`` in float64's ``u`` and ``eta``, and ``|W_j|`` comes from
@@ -314,30 +315,30 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     for the underflow term, so ``gamma_{n+2}`` and every class are
     unchanged.  The float64 passes run on the whole net.
 
-    Before any ``forward_batch`` call, a readout whose ``output_size`` is
-    not the net's last layer size or an empty ``data`` raises ``ConfigError``,
-    a width other than the input layer's ``StructureError``.  Non-finite
-    outputs in any block raise ``EvaluationError``.
+    Before any ``forward_batch`` call, a readout whose ``window`` is not
+    ``net.window`` or whose ``output_size`` is not the net's last layer size,
+    or an empty ``data``, raises ``ConfigError``, a width other than the
+    input layer's ``StructureError``.  Non-finite outputs in any slice raise
+    ``EvaluationError``.
     """
     _check_shape(net, data, scheme, "evaluation")
     x, n = data.delays, len(data.delays)
-    if n < 2 * PREDICT_BLOCK:
+    if n < _SLICE // 2:
         return read_class_batch(scheme, forward_batch(net, x).outputs)
+    edges = _edges(n, -(-n // _SLICE))
     single = _folded(net, x)
-    if single is None:
-        edges = _edges(n, n // PREDICT_BLOCK)
-        return np.concatenate([read_class_batch(scheme, forward_batch(net, x[a:b]).outputs)
-                               for a, b in zip(edges, edges[1:])])
-    weights, (bound32, bound64) = single
-    slices = _edges(n, -(-n // _SLICE))
-    scores = _scores(scheme, _sweep(weights, net.window, x, slices).astype(np.float64))
-    classes = scores.argmin(axis=1)
-    unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))
-    if len(unsure):
-        scores = _scores(scheme, forward_batch(net, x[unsure]).outputs)
-        classes[unsure] = scores.argmin(axis=1)
-        tied = unsure[~_settled(scores, 2 * bound64)]
-        edges = _edges(n, n // PREDICT_BLOCK) if len(tied) else []  # the reference's blocks
+    if single is None:  # no bound: every slice runs in float64
+        classes, tied = np.empty(n, np.intp), np.array(edges[:-1])
+    else:
+        weights, (bound32, bound64) = single
+        scores = _scores(scheme, _sweep(weights, net.window, x, edges).astype(np.float64))
+        classes = scores.argmin(axis=1)
+        tied = unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))
+        if len(unsure):
+            scores = _scores(scheme, forward_batch(net, x[unsure]).outputs)
+            classes[unsure] = scores.argmin(axis=1)
+            tied = unsure[~_settled(scores, 2 * bound64)]
+    if len(tied):
         for b in np.unique(np.searchsorted(edges, tied, "right")):
             rows = slice(edges[b - 1], edges[b])
             classes[rows] = read_class_batch(scheme, forward_batch(net, x[rows]).outputs)

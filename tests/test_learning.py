@@ -22,7 +22,7 @@ from mtspike.learning import (
     output_residual,
     train,
 )
-from mtspike.metrics import PREDICT_BLOCK, predict
+from mtspike.metrics import _SLICE, predict
 from mtspike.network import Network, forward_batch, init_network
 from mtspike.readout import TargetScheme
 
@@ -512,15 +512,16 @@ def test_divergence_hidden_by_the_heuristic_mask_still_raises():
 
 
 def test_divergence_in_the_last_eval_block_names_the_epoch():
-    """Every evaluation block is checked, not only the first ones."""
+    """Every evaluation slice is checked, not only the first ones: the 5
+    overflowing rows lie in the last of three."""
     w = np.ones((2, 3))
     w[:, 2] = 1e308
     net = Network(layer_sizes=[2, 3], weights=[w], window=16.0)
-    rows = 3 * PREDICT_BLOCK + 5
+    rows = 2 * _SLICE + 5
     delays = np.zeros((rows, 2))
     delays[-5:] = 16.0  # 16 * 1e308 overflows, 0 * 1e308 does not
     eval_data = encoded(delays, [0] * rows)
-    predict(net, encoded(delays[:-5], [0] * (rows - 5)), MULTI3)  # finite blocks
+    predict(net, encoded(delays[:-5], [0] * (rows - 5)), MULTI3)  # finite slices
     cfg = TrainConfig(learning_rate=0.0, batch_size=1, epochs=2)
     with pytest.raises(DivergenceError, match="epoch 1, batch 1: output delays"):
         train(net, encoded([[0.0, 0.0]], [0]), MULTI3, cfg, eval_data=eval_data,
@@ -663,7 +664,7 @@ def test_fast_forward_runs_the_float32_sweeps_arithmetic(rows):
 
 @given(seed=st.integers(min_value=0, max_value=2**31),
        depth=st.integers(min_value=1, max_value=4),
-       rows=st.integers(min_value=1, max_value=4 * PREDICT_BLOCK),
+       rows=st.integers(min_value=1, max_value=_SLICE),
        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
        delays=st.sampled_from(["float64", "negative", "uint8"]),
        window=st.sampled_from([0.0, 16.0]))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+from dataclasses import replace
 
 import _reference_predict
 import numpy as np
@@ -15,7 +16,7 @@ from mtspike.config import preset
 from mtspike.datasets import EncodedDataset, RawDataset, encode_dataset
 from mtspike.errors import ConfigError, StructureError
 from mtspike.metrics import (
-    PREDICT_BLOCK,
+    _SLICE,
     _summarize,
     dataset_spike_count,
     energy,
@@ -27,11 +28,18 @@ from mtspike.readout import TargetScheme, read_class_batch
 
 MULTI3 = TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
                       excitatory_offset=0.0, inhibitory_offset=4.0)
+HALF = _SLICE // 2  # the fewest rows that predict sweeps in float32
 
 
 def identity_net(n):
-    """n inputs to n outputs, each output echoing one scaled input."""
-    return Network(layer_sizes=[n, n], weights=[np.eye(n) * n])
+    """n inputs to n outputs in the readouts' window of 16, each output
+    echoing one scaled input 16 later."""
+    return Network(layer_sizes=[n, n], weights=[np.eye(n) * n], window=16.0)
+
+
+def _rows(rng, halves):
+    """``halves`` times ``HALF`` rows, plus fewer than ``HALF`` more."""
+    return halves * HALF + int(rng.integers(0, HALF))
 
 
 def test_evaluate_accuracy_and_confusion():
@@ -51,7 +59,7 @@ def test_evaluate_accuracy_and_confusion():
 
 
 def test_evaluate_rejects_a_bad_label_in_the_last_block_only(monkeypatch):
-    rows = 3 * PREDICT_BLOCK + 5
+    rows = 2 * _SLICE + 5
     delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
     labels = np.zeros(rows, dtype=int)
     labels[-1] = 3
@@ -64,25 +72,28 @@ def test_evaluate_rejects_a_bad_label_in_the_last_block_only(monkeypatch):
 
 
 SCHEMES = {
-    "multi_neuron": lambda classes: TargetScheme(
-        mode="multi_neuron", window=16.0, num_classes=classes,
+    "multi_neuron": lambda classes, window=16.0: TargetScheme(
+        mode="multi_neuron", window=window, num_classes=classes,
         excitatory_offset=0.0, inhibitory_offset=4.0),
-    "single_neuron": lambda classes: TargetScheme(
-        mode="single_neuron", window=16.0, num_classes=classes, excitatory_offset=3.0),
+    "single_neuron": lambda classes, window=16.0: TargetScheme(
+        mode="single_neuron", window=window, num_classes=classes, excitatory_offset=3.0),
 }
 
 
 @pytest.mark.parametrize("call", [predict, evaluate])
-@pytest.mark.parametrize("misfit", ["multi_neuron", "single_neuron", "wide"])
+@pytest.mark.parametrize("misfit", ["multi_neuron", "single_neuron", "wide", "window"])
 def test_a_set_that_does_not_fit_raises_before_any_forward_pass(monkeypatch, call, misfit):
     """A readout narrower than the 3-neuron output layer, a one-neuron
-    readout of 3 classes, or rows wider than the input layer: the block path's
-    float32 bound and ``readout._scores`` never see them."""
-    delays = (5.0 - 4.0 * np.eye(3))[np.arange(2 * PREDICT_BLOCK + 1) % 3]  # classes 0, 1, 2
+    readout of 3 classes, rows wider than the input layer, or a readout
+    window other than the net's: the sweep path's float32 bound and
+    ``readout._scores`` never see them."""
+    delays = (5.0 - 4.0 * np.eye(3))[np.arange(HALF + 1) % 3]  # classes 0, 1, 2
     scheme, error, match = {
         "multi_neuron": (SCHEMES["multi_neuron"](2), ConfigError, "readout expects 2 output"),
         "single_neuron": (SCHEMES["single_neuron"](3), ConfigError, "readout expects 1 output"),
         "wide": (MULTI3, StructureError, "input width 4 does not match input layer size 3"),
+        "window": (replace(MULTI3, window=8.0), ConfigError,
+                   "readout window 8.0 differs from coding window 16.0"),
     }[misfit]
     if misfit == "wide":
         delays = np.hstack([delays, delays[:, :1]])
@@ -96,20 +107,20 @@ def test_a_set_that_does_not_fit_raises_before_any_forward_pass(monkeypatch, cal
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     depth=st.integers(min_value=2, max_value=4),
-    rows=st.sampled_from([1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1,
-                          2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK, 3 * PREDICT_BLOCK + 5]),
+    rows=st.sampled_from([1, HALF - 1, HALF, _SLICE - 1, _SLICE, _SLICE + 1]),
     mode=st.sampled_from(sorted(SCHEMES)),
     classes=st.integers(min_value=1, max_value=6),
 )
-@example(seed=0, depth=2, rows=2 * PREDICT_BLOCK, mode="multi_neuron", classes=1)
-@example(seed=1, depth=3, rows=3 * PREDICT_BLOCK + 5, mode="single_neuron", classes=1)
+@example(seed=0, depth=2, rows=HALF, mode="multi_neuron", classes=1)
+@example(seed=1, depth=3, rows=_SLICE + 1, mode="single_neuron", classes=1)
 @settings(max_examples=60, deadline=None)
 def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
-    """Blocked prediction classifies like one ``forward_batch`` over the set.
+    """Sliced prediction classifies like one ``forward_batch`` over the set.
 
-    Larger sets may round each output by an ulp, which can only flip a row
-    whose two best scores (delays, or distances to the checkpoints) nearly
-    tie; below two blocks, the calls are the same and so is every class.
+    Sets of more than one slice may round each output by an ulp, which can
+    only flip a row whose two best scores (delays, or distances to the
+    checkpoints) nearly tie; up to one slice, the reference's call is the
+    same and so is every class.
     """
     rng = np.random.default_rng(seed)
     scheme = SCHEMES[mode](classes)
@@ -122,7 +133,7 @@ def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
     outputs = forward_batch(net, delays).outputs
     whole = read_class_batch(scheme, outputs)
     assert predicted.shape == (rows,)
-    if rows < 2 * PREDICT_BLOCK:
+    if rows <= _SLICE:
         assert predicted.tolist() == whole.tolist()
         return
     if classes == 1:  # one score per row: nothing to tie
@@ -199,7 +210,7 @@ def _shift_columns_negative(net, rng):
          window=16.0, negative=False, tie="exact", shift=False)
 @example(seed=5, depth=2, blocks=2, mode="single_neuron", classes=1, power=0,
          window=0.5, negative=True, tie="none", shift=False)
-# a one-layer net whose window lies past float32's range: no bound, float64 blocks
+# a one-layer net whose window lies past float32's range: no bound, float64 slices
 @example(seed=6, depth=2, blocks=2, mode="multi_neuron", classes=3, power=0,
          window=1e38, negative=False, tie="none", shift=False)
 # 12 of the first layer's 27 neurons are silent on every row: the sweep skips them
@@ -208,7 +219,8 @@ def _shift_columns_negative(net, rng):
 @settings(max_examples=80, deadline=None)
 def test_predict_classifies_like_the_blocked_float64_reference(
         seed, depth, blocks, mode, classes, power, window, negative, tie, shift):
-    """Every class equals the float64 blocks' class, wherever float32
+    """Every class equals the float64 slices' class, for ``blocks`` times
+    ``HALF`` rows and fewer than ``HALF`` more, wherever float32
     underflows, overflows or cannot separate two outputs, and wherever the
     sweep skips first-layer neurons that ``shift`` makes silent.
 
@@ -218,8 +230,8 @@ def test_predict_classifies_like_the_blocked_float64_reference(
     class there is no second column to tie.
     """
     rng = np.random.default_rng(seed)
-    scheme = SCHEMES[mode](classes)
-    rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
+    scheme = SCHEMES[mode](classes, window)
+    rows = _rows(rng, blocks)
     sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [scheme.output_size]
     net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
     if shift:
@@ -258,7 +270,7 @@ def test_predict_classifies_like_the_blocked_float64_reference(
 @example(seed=1, depth=3, blocks=3, outputs=2, powers=[13, -43, 0], window=0.0,
          negative=False, shift=False)
 # silent first-layer neurons, skipped by the sweep, beside subnormal prescaled
-# weights: 19 of 35 (seed 4) and the only one (seed 5, no live column)
+# weights: 17 of 35 (seed 4) and the only one (seed 5, no live column)
 @example(seed=4, depth=3, blocks=2, outputs=3, powers=[0, -43, 0], window=16.0,
          negative=False, shift=True)
 @example(seed=5, depth=3, blocks=2, outputs=3, powers=[0, -43, 0], window=16.0,
@@ -268,12 +280,12 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
         seed, depth, blocks, outputs, powers, window, negative, shift):
     """Every output of the float32 sweep, in slices of up to ``_SLICE``
     rows, lies within ``bound32 + bound64`` of the float64
-    ``forward_batch`` output of its row in its reference block, the two
-    passes ``predict``'s certificate compares; layer ``l``'s
+    ``forward_batch`` output of its row in its slice, the two passes
+    ``predict``'s certificate compares; layer ``l``'s
     weights are scaled by ``10 ** powers[l]``, and ``shift`` makes some
     first-layer neurons silent, so that the sweep skips them."""
     rng = np.random.default_rng(seed)
-    rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
+    rows = _rows(rng, blocks)
     sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [outputs]
     net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
     if shift:
@@ -288,8 +300,8 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
     slices = metrics._edges(rows, -(-rows // metrics._SLICE))
     swept = metrics._sweep(weights, net.window, x, slices)
     assert swept.dtype == np.float32 and swept.shape == (rows, outputs)
-    blocked = np.concatenate([forward_batch(net, block).outputs
-                              for block in np.array_split(x, rows // PREDICT_BLOCK)])
+    blocked = np.concatenate([forward_batch(net, x[a:b]).outputs
+                              for a, b in zip(slices, slices[1:])])
     assert (np.abs(swept.astype(np.float64) - blocked) <= bound32 + bound64).all()
 
 
@@ -306,30 +318,30 @@ def _exact_signs(x, w):
 
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
-    rows=st.integers(min_value=1, max_value=5 * PREDICT_BLOCK),
+    rows=st.integers(min_value=1, max_value=_SLICE + HALF),
     inputs=st.integers(min_value=1, max_value=12),
     hidden=st.integers(min_value=1, max_value=16),
     case=st.sampled_from(["random", "shifted", "all", "none", "late", "tight", "unbounded"]),
     delays=st.sampled_from(["float64", "negative", "uint8"]),
 )
-@example(seed=0, rows=5 * PREDICT_BLOCK, inputs=12, hidden=16, case="shifted", delays="uint8")
-@example(seed=1, rows=2 * PREDICT_BLOCK, inputs=3, hidden=4, case="all", delays="negative")
-@example(seed=2, rows=2 * PREDICT_BLOCK, inputs=5, hidden=6, case="unbounded", delays="float64")
-@example(seed=3, rows=4 * PREDICT_BLOCK + 1, inputs=4, hidden=5, case="late", delays="uint8")
+@example(seed=0, rows=_SLICE + HALF, inputs=12, hidden=16, case="shifted", delays="uint8")
+@example(seed=1, rows=HALF, inputs=3, hidden=4, case="all", delays="negative")
+@example(seed=2, rows=HALF, inputs=5, hidden=6, case="unbounded", delays="float64")
+@example(seed=3, rows=_SLICE + 1, inputs=4, hidden=5, case="late", delays="uint8")
 @example(seed=4, rows=2, inputs=7, hidden=3, case="tight", delays="float64")
 @settings(max_examples=60, deadline=None)
 def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, hidden,
                                                            case, delays):
     """A first-layer neuron that ``_silent`` marks has an exact
-    pre-activation below 0 on every row, over more than one 512-row block.
+    pre-activation below 0 on every row, over more than one 512-row slice.
     Rows close together with weights of the opposite sign prove every
-    neuron silent ("all"), unless a row after the first block is on the
+    neuron silent ("all"), unless a row after the first slice is on the
     other side ("late"); weights and delays of one sign prove none
     ("none").  In "tight", the rows lie on the ball around their mean
     and one of them makes neuron 0 fire by 1e-9 of ``|c . w_0|``, so a
     radius short by more than that would mark it.  A set whose output
     bounds do not exist (a second layer past float32's range) runs
-    float64 blocks and skips no neuron."""
+    float64 slices and skips no neuron."""
     rng = np.random.default_rng(seed)
     sign = -1.0 if delays == "negative" else 1.0
     if case == "all":  # rows within one unit of 8 * sign, weights of the other sign
@@ -338,8 +350,8 @@ def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, h
     elif case == "none":  # delays and weights of one sign: no product is below 0
         x = sign * rng.uniform(0.0, 16.0, (rows, inputs))
         w = sign * rng.uniform(0.0, 1.0, (inputs, hidden))
-    elif case == "late":  # as "all", but the last row, past the first block, fires them all
-        rows = max(rows, 4 * PREDICT_BLOCK + 1)
+    elif case == "late":  # as "all", but the last row, past the first slice, fires them all
+        rows = max(rows, _SLICE + 1)
         x = 8.0 * sign + rng.uniform(0.0, 1.0, (rows, inputs))
         x[-1] *= -1.0
         w = -sign * rng.uniform(0.5, 1.0, (inputs, hidden))
@@ -358,10 +370,10 @@ def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, h
     if delays == "uint8" and case not in ("late", "tight"):  # those need fractions or signs
         x = np.rint(x).astype(np.uint8)
     if case == "unbounded":
-        rows = max(rows, 2 * PREDICT_BLOCK)
+        rows = max(rows, HALF)
         x = np.resize(x, (rows, inputs))
         w[:, : hidden // 2 + 1] -= 1.5
-        net = Network([inputs, hidden, 3], [w, np.full((hidden, 3), 1e38)])
+        net = Network([inputs, hidden, 3], [w, np.full((hidden, 3), 1e38)], window=16.0)
         data = class0(x)
         assert metrics._folded(net, x) is None
         calls = []
@@ -380,11 +392,12 @@ def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, h
         assert not silent.any()
 
 
-def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits():
+def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits(monkeypatch):
     """The stored 169-500-10 benchmark model clips most of its hidden
     neurons to the window: on the 10k conv-coded ``digits_infer`` images
-    at least 400 of 500 are proved silent, and the skipping sweep gives
-    every row the float64 blocks' class."""
+    at least 400 of 500 are proved silent, and the skipping sweep settles
+    every row without a float64 ``forward_batch`` call and gives it the
+    float64 slices' class."""
     spec = importlib.util.spec_from_file_location("perfbench_digits",
                                                   REPO_ROOT / "perfbench" / "digits.py")
     digits = importlib.util.module_from_spec(spec)
@@ -397,20 +410,21 @@ def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits():
     assert metrics._silent(net.weights[0], data.delays).sum() >= 400
     sweep_weights, _ = metrics._folded(net, data.delays)
     assert sweep_weights[0].shape[1] <= 100
-    assert predict(net, data, cfg.scheme).tolist() == _reference_predict.predict(
-        net, data, cfg.scheme).tolist()
+    calls = _counted_forward(monkeypatch)
+    classes = predict(net, data, cfg.scheme)
+    assert calls == []
+    assert classes.tolist() == _reference_predict.predict(net, data, cfg.scheme).tolist()
 
 
 def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
     """A settled set makes no ``forward_batch`` call (its float32 sweep is
     not one); its unsettled rows add one float64 call, and a row that
-    float64 cannot settle either adds its reference block's float64 call.
-    In a 2,000-row set the sweep's 500-row slices cut across the
-    reference's 133-134-row blocks: a tie in row 1000, which sweeps in rows
-    1000-1499, re-runs alone and then in its block, rows 936-1068, and
-    takes the reference's class."""
-    net = identity_net(3)  # outputs equal inputs
-    clear = np.tile([1.0, 5.0, 5.0], (2 * PREDICT_BLOCK, 1))
+    float64 cannot settle either adds its slice's float64 call.  In a
+    2,000-row set of four 500-row slices, a tie in row 1000 re-runs alone
+    and then in its slice, rows 1000-1499, and takes the reference's
+    class."""
+    net = identity_net(3)  # outputs equal inputs plus 16
+    clear = np.tile([1.0, 5.0, 5.0], (HALF, 1))
     calls = _counted_forward(monkeypatch)
     assert predict(net, class0(clear), MULTI3).tolist() == [0] * len(clear)
     assert calls == []
@@ -425,7 +439,7 @@ def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
     tied[-1] = [5.0, 1.0, 1.0]
     calls.clear()
     assert predict(net, class0(tied), MULTI3).tolist() == [0] * (len(tied) - 1) + [1]
-    assert calls == [(np.float64, 1), (np.float64, PREDICT_BLOCK)]
+    assert calls == [(np.float64, 1), (np.float64, HALF)]  # one slice: the whole set
 
     rows, tie = 2000, 1000
     apart = np.tile([1.0, 5.0, 5.0], (rows, 1))
@@ -436,47 +450,46 @@ def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
     monkeypatch.setattr(metrics, "forward_batch",
                         lambda net, x: inputs.append(np.array(x)) or forward_batch(net, x))
     classes = predict(net, class0(apart), MULTI3)
-    block = next(b for b in np.array_split(np.arange(rows), rows // PREDICT_BLOCK) if tie in b)
-    edges = sweeps[0]
-    piece = next((a, b) for a, b in zip(edges, edges[1:]) if a <= tie < b)
-    assert (block[0], block[-1] + 1) == (936, 1069) and piece == (1000, 1500)
+    assert sweeps == [(0, 500, 1000, 1500, 2000)]
     assert [x.dtype for x in inputs] == [np.float64, np.float64]
     assert inputs[0].tolist() == [apart[tie].tolist()]
-    assert inputs[1].tolist() == apart[block].tolist()
+    assert inputs[1].tolist() == apart[1000:1500].tolist()
     assert classes.tolist() == _reference_predict.predict(net, class0(apart), MULTI3).tolist()
     assert classes[tie] == 1 and (np.delete(classes, tie) == 0).all()
 
 
 def test_predict_runs_float64_blocks_when_float32_could_overflow(monkeypatch):
+    """Without a bound every slice, 342 + 342 + 341 of 1,025 rows, runs in float64."""
     net = identity_net(3)
     net.weights[0] *= 1e38  # |W| within float32, its products are not
-    delays = np.tile([1.0, 5.0, 5.0], (2 * PREDICT_BLOCK, 1))
+    delays = np.tile([1.0, 5.0, 5.0], (2 * _SLICE + 1, 1))
     calls = _counted_forward(monkeypatch)
+    sweeps = _recorded_sweeps(monkeypatch)
     assert predict(net, class0(delays), MULTI3).tolist() == [0] * len(delays)
-    assert calls == [(np.float64, PREDICT_BLOCK)] * 2
+    assert calls == [(np.float64, 342), (np.float64, 342), (np.float64, 341)]
+    assert sweeps == []
 
 
 def _random_set(seed, blocks, depth=3, mode="multi_neuron", classes=3):
-    """A random net, a set of ``blocks`` blocks of rows for it and a readout."""
+    """A random net, a set of ``_rows(rng, blocks)`` rows for it and a readout."""
     rng = np.random.default_rng(seed)
     scheme = SCHEMES[mode](classes)
-    rows = blocks * PREDICT_BLOCK + int(rng.integers(0, PREDICT_BLOCK))
+    rows = _rows(rng, blocks)
     sizes = [int(n) for n in rng.integers(1, 40, depth - 1)] + [scheme.output_size]
-    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0))
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=16.0)
     delays = rng.uniform(0.0, 16.0, (rows, sizes[0]))
     data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
                           labels=rng.integers(0, classes, rows))
     return net, data, scheme
 
 
-@pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK, 2 * PREDICT_BLOCK + 1, 4 * PREDICT_BLOCK + 1,
-                                  2000, 40 * PREDICT_BLOCK + 3])
+@pytest.mark.parametrize("rows", [HALF, HALF + 1, _SLICE + 1, 2000, 10 * _SLICE + 3])
 def test_predict_slices_a_set_by_its_row_count_alone(rows, monkeypatch):
     """``predict``'s sweep covers every row exactly once, in
     ``ceil(rows / _SLICE)`` contiguous slices of at most ``_SLICE`` rows,
     and its classes equal the float64 reference's."""
     rng = np.random.default_rng(rows)
-    net = init_network([12, 20, 3], rng=rng, init_range=(-0.5, 1.0))
+    net = init_network([12, 20, 3], rng=rng, init_range=(-0.5, 1.0), window=16.0)
     delays = rng.uniform(0.0, 16.0, (rows, 12))
     data = EncodedDataset(delays=delays, fired=np.ones_like(delays, bool),
                           labels=rng.integers(0, 3, rows))
@@ -493,7 +506,7 @@ def test_predict_slices_a_set_by_its_row_count_alone(rows, monkeypatch):
 def test_a_slice_that_raises_leaves_predict_and_the_next_call_gets_every_class(monkeypatch):
     """A ``MemoryError`` in one slice's float32 product propagates out of
     ``predict``; the next call gets every class."""
-    net, data, scheme = _random_set(seed=11, blocks=6)
+    net, data, scheme = _random_set(seed=11, blocks=3)
     expected = _reference_predict.predict(net, data, scheme).tolist()
     matmul = np.matmul
 
@@ -509,7 +522,7 @@ def test_a_slice_that_raises_leaves_predict_and_the_next_call_gets_every_class(m
     assert predict(net, data, scheme).tolist() == expected
 
 
-@pytest.mark.parametrize("rows", [2 * PREDICT_BLOCK - 1, 2 * PREDICT_BLOCK + 44],
+@pytest.mark.parametrize("rows", [HALF - 1, HALF + 44],
                          ids=["float64-pass", "float32-pass"])
 def test_byte_delays_classify_like_their_float64_copy(rows):
     """Conv-coded digits hold their delays in bytes: both of predict's
@@ -522,7 +535,7 @@ def test_byte_delays_classify_like_their_float64_copy(rows):
     copy = EncodedDataset(data.delays.astype(np.float64), data.fired, data.labels)
     # one column per class, from the class's mean delays: several classes come out
     means = [copy.delays[copy.labels == c].mean(axis=0) for c in range(10)]
-    net = Network([169, 10], [16.0 - np.stack(means, axis=1)])
+    net = Network([169, 10], [16.0 - np.stack(means, axis=1)], window=16.0)
     classes = predict(net, data, cfg.scheme)
     assert len(set(classes.tolist())) > 1
     assert classes.tolist() == predict(net, copy, cfg.scheme).tolist()
