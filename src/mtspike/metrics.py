@@ -333,15 +333,15 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
         weights, (bound32, bound64) = single
         scores = _scores(scheme, _sweep(weights, net.window, x, edges).astype(np.float64))
         classes = scores.argmin(axis=1)
-        tied = unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))
-        if len(unsure):
-            scores = _scores(scheme, forward_batch(net, x[unsure]).outputs)
-            classes[unsure] = scores.argmin(axis=1)
-            tied = unsure[~_settled(scores, 2 * bound64)]
-    if len(tied):
-        for b in np.unique(np.searchsorted(edges, tied, "right")):
-            rows = slice(edges[b - 1], edges[b])
-            classes[rows] = read_class_batch(scheme, forward_batch(net, x[rows]).outputs)
+        unsure = np.flatnonzero(~_settled(scores, bound32 + bound64))
+        if not len(unsure):
+            return classes
+        scores = _scores(scheme, forward_batch(net, x[unsure]).outputs)
+        classes[unsure] = scores.argmin(axis=1)
+        tied = unsure[~_settled(scores, 2 * bound64)]
+    for b in np.unique(np.searchsorted(edges, tied, "right")):
+        rows = slice(edges[b - 1], edges[b])
+        classes[rows] = read_class_batch(scheme, forward_batch(net, x[rows]).outputs)
     return classes
 
 
