@@ -524,9 +524,10 @@ def test_a_slice_that_raises_leaves_predict_and_the_next_call_gets_every_class(m
 
 @pytest.mark.parametrize("rows", [HALF - 1, HALF + 44],
                          ids=["float64-pass", "float32-pass"])
-def test_byte_delays_classify_like_their_float64_copy(rows):
+def test_byte_delays_classify_like_their_float64_copy(rows, monkeypatch):
     """Conv-coded digits hold their delays in bytes: both of predict's
-    passes give them the classes of the float64 copy."""
+    passes give them the classes of the float64 copy.  The last row count
+    below ``HALF`` takes one float64 pass, with no sweep."""
     cfg = preset("mt10_mnist_noheu")
     digits = make_digits(30, seed=3)
     data = encode_dataset(RawDataset(digits.features[:rows], digits.labels[:rows]),
@@ -536,7 +537,9 @@ def test_byte_delays_classify_like_their_float64_copy(rows):
     # one column per class, from the class's mean delays: several classes come out
     means = [copy.delays[copy.labels == c].mean(axis=0) for c in range(10)]
     net = Network([169, 10], [16.0 - np.stack(means, axis=1)], window=16.0)
+    sweeps = _recorded_sweeps(monkeypatch)
     classes = predict(net, data, cfg.scheme)
+    assert len(sweeps) == (rows >= HALF)
     assert len(set(classes.tolist())) > 1
     assert classes.tolist() == predict(net, copy, cfg.scheme).tolist()
 
