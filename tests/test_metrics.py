@@ -297,7 +297,7 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
     single = metrics._folded(net, x)
     assume(single is not None)
     weights, (bound32, bound64) = single
-    slices = metrics._edges(rows, -(-rows // metrics._SLICE))
+    slices = metrics._edges(rows, -(-rows // _SLICE))
     swept = metrics._sweep(weights, net.window, x, slices)
     assert swept.dtype == np.float32 and swept.shape == (rows, outputs)
     blocked = np.concatenate([forward_batch(net, x[a:b]).outputs
@@ -500,7 +500,7 @@ def test_predict_slices_a_set_by_its_row_count_alone(rows, monkeypatch):
     edges = sweeps[0]
     sizes = np.diff(edges)
     assert edges[0] == 0 and edges[-1] == rows and (sizes > 0).all()
-    assert len(sizes) == math.ceil(rows / metrics._SLICE) and sizes.max() <= metrics._SLICE
+    assert len(sizes) == math.ceil(rows / _SLICE) and sizes.max() <= _SLICE
 
 
 def test_a_slice_that_raises_leaves_predict_and_the_next_call_gets_every_class(monkeypatch):
