@@ -2,7 +2,7 @@
 
 :func:`predict` is the one evaluation path: :func:`evaluate` and
 ``learning.train``'s per-epoch test accuracy both classify through it.  A
-set of fewer than 256 rows makes exactly one ``forward_batch`` and one
+set of fewer than 128 rows makes exactly one ``forward_batch`` and one
 ``read_class_batch`` call.  A larger set is cut once, into consecutive
 slices of about 512 rows, and runs first in one float32 sweep over them,
 which folds the first-layer neurons that a bound proves silent on every
@@ -58,9 +58,13 @@ class RunMetrics:
 # are folded (4.7 ms at 128 rows), 384-1,024 rows took 33-39% less time, 64
 # rows 25% more and one pass 30% less; with all 500 columns (8 rounds),
 # 192-1,024 rows took 10-24% less than 128.  A set of fewer than
-# _SLICE // 2 rows runs as one float64 pass: with its bounds and silence
-# proof, the sweep took 4% more time than that pass at 200 rows, 10% less at
-# 224 and 13% less at 256 (medians of 200 interleaved rounds).
+# _SLICE // 4 rows runs as one float64 pass: with its bounds and silence
+# proof, the sweep took 1.50x that pass's time at 64 rows, 1.06x at 128,
+# 0.95x at 144, 0.76x at 200 and 0.62x at 256 (medians of 80 interleaved
+# rounds), so the cut sits just below the crossover.  On a tiny net the
+# sweep costs several float64 passes (4-25-1 at 128 rows: 0.12 against 0.02
+# ms), but no CLI or benchmark path evaluates such a net on 128 rows or more:
+# iris has 150 rows, its test split 30.
 _SLICE = 512
 
 
@@ -70,9 +74,9 @@ _FLOATS = np.finfo(np.float32), np.finfo(np.float64)
 _UNIT = np.array([[float(f.eps) / 2] for f in _FLOATS])
 _TINY = np.array([[float(f.tiny)] for f in _FLOATS])
 _LIMIT = np.array([float(f.max) / 4 for f in _FLOATS])
-# Covers the bounds' own float64 rounding: each is a few thousand operations
-# on non-negative numbers, a relative error below 2**-40 (_silent's sums of
-# n <= 2**22 squares: below 2**-30).
+# Covers the bounds' own float64 rounding: every term is a sum or product of
+# non-negative numbers, within a relative (n + 16) u of exact per layer of
+# fan-in n <= 2**22, below 2**-30 (_silent's sums of n squares: the same).
 _SAFETY = 1.0 + 2.0 ** -20
 
 
@@ -83,29 +87,33 @@ def _output_bounds(net: Network, x: np.ndarray) -> np.ndarray | int:
     than the largest of ``x``: ``[bound32, bound64]``, or the index of the
     first weight matrix over which a value of either pass could leave its
     format's range (see :func:`predict`)."""
-    # one bound for every input column: half the time of per-column ones
-    m = np.full(x.shape[1], max(-float(x.min()), float(x.max())))  # NaN if x holds one
-    e = _UNIT * m + _TINY  # bound on |a^ - a|, per format: input rounding
-    for l, w in enumerate(net.weights):  # m bounds |a|, the exact inputs of layer l
+    (u32, u64), (eta32, eta64), t = _UNIT[:, 0].tolist(), _TINY[:, 0].tolist(), net.window
+    mx = max(-float(x.min()), float(x.max()))  # NaN if x holds one
+    # per input column: m >= |a|, e32 and e64 >= |a^ - a| (the inputs' rounding), 1
+    s = np.repeat([[mx], [u32 * mx + eta32], [u64 * mx + eta64], [1.0]], x.shape[1], axis=1)
+    for l, w in enumerate(net.weights):
         n = w.shape[0]
-        if not (n + 2) * _UNIT[0, 0] <= 0.25:
+        if not (n + 2) * u32 <= 0.25:
             return l
-        gamma = (n + 2) * _UNIT / (1 - (n + 2) * _UNIT)
-        w_abs = np.abs(w)
-        reach, spread = m @ w_abs, e @ w_abs
-        inputs, col = m + e, w_abs.sum(axis=0)
-        big = reach + spread  # (m + e) |W|, bounds every partial sum of a^ W^
-        if not ((inputs.max(axis=1) < _LIMIT).all() and (big.max(axis=1) < _LIMIT).all()
-                and col.max() < _LIMIT[0]):
+        r = s @ np.abs(w)  # m |W|, e32 |W|, e64 |W| and col = sum_i |W_ij|
+        inputs = s[1:3] + s[0]  # m + e; (m + e) |W| bounds every partial sum of a^ W^
+        if not ((np.maximum(inputs.max(axis=1), (r[1:3] + r[0]).max(axis=1)) < _LIMIT).all()
+                and r[3].max() < _LIMIT[0]):
             return l
-        z = reach / n
-        error_z = ((spread + gamma * big) / n
-                   + 2 * _TINY * (2 * n + col / n + inputs.sum(axis=1, keepdims=True)))
-        e = error_z + 2 * _UNIT * (z + error_z + net.window) + _TINY
-        m = z + net.window
-    if not ((m + e).max(axis=1) < _LIMIT).all():
+        # next m = m |W| / n + T, next e = error + 2 u (m |W| / n + error + T) + eta with
+        # error = (e |W| + gamma (m + e) |W| + 2 eta col) / n + 2 eta (2 n + sum (m + e)):
+        # a map of r with non-negative coefficients
+        rows, ends = [[1 / n, 0.0, 0.0, 0.0]], [t]
+        for f, uf, etaf, total in zip((1, 2), (u32, u64), (eta32, eta64),
+                                      inputs.sum(axis=1).tolist()):
+            g, grow = (n + 2) * uf / (1 - (n + 2) * uf), 1 + 2 * uf
+            rows.append([(grow * g + 2 * uf) / n, 0.0, 0.0, grow * 2 * etaf / n])
+            rows[f][f] = grow * (1 + g) / n
+            ends.append(grow * 2 * etaf * (2 * n + total) + 2 * uf * t + etaf)
+        s = np.array(rows + [[0.0] * 4]) @ r + np.array(ends + [1.0])[:, None]
+    if not ((s[1:3] + s[0]).max(axis=1) < _LIMIT).all():
         return len(net.weights) - 1
-    return _SAFETY * e.max(axis=1)
+    return _SAFETY * s[1:3].max(axis=1)
 
 
 def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
@@ -115,10 +123,13 @@ def _settled(scores: np.ndarray, bound: float) -> np.ndarray:
     """
     if scores.shape[1] < 2:
         return np.ones(len(scores), dtype=bool)
-    best = second = np.full(len(scores), np.inf)
-    for column in scores.T:  # 10k rows of 10: 2.5x faster than np.partition by rows
-        second = np.minimum(second, np.maximum(best, column))
-        best = np.minimum(best, column)
+    if len(scores) < _SLICE:  # 200 rows of 10: half the time of the loop below
+        best, second = np.sort(scores, axis=1)[:, :2].T
+    else:
+        best = second = np.full(len(scores), np.inf)
+        for column in scores.T:  # 10k rows of 10: 2.5x faster than np.partition by rows
+            second = np.minimum(second, np.maximum(best, column))
+            best = np.minimum(best, column)
     u = _UNIT[1, 0]
     return second - best > _SAFETY * 2 * (bound + u * (bound + 2 * second))
 
@@ -139,8 +150,8 @@ def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     ahead = c @ w
     if not (ahead < 0).any():
         return np.zeros(w.shape[1], dtype=bool)
-    u, eta, eta64 = _UNIT[0, 0], _TINY[0, 0], _TINY[1, 0]
-    gamma, gamma64 = n * _UNIT[:, 0] / (1 - n * _UNIT[:, 0])
+    (u, u64), (eta, eta64) = _UNIT[:, 0].tolist(), _TINY[:, 0].tolist()
+    gamma, gamma64 = n * u / (1 - n * u), n * u64 / (1 - n * u64)
     reach = math.sqrt(c @ c)
     norms = np.sqrt(np.einsum("ij,ij->j", w, w) + n * eta64)
     margin = gamma64 * reach * norms + 2 * n * eta64  # rounding of c . w_j
@@ -160,9 +171,10 @@ def _silent(w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (bound < 0) & np.isfinite(bound)
 
     square = largest(x[:step])
-    if proved(square).any():  # the first slice's radius decides whether the pass runs
-        square = np.max([square] + [largest(x[s:s + step]) for s in range(step, len(x), step)])
-    return proved(square)
+    silent = proved(square)
+    if len(x) > step and silent.any():  # the first slice's radius decides whether the pass runs
+        silent = proved(max([square] + [largest(x[s:s + step]) for s in range(step, len(x), step)]))
+    return silent
 
 
 def _folded(net: Network, x: np.ndarray):
@@ -175,14 +187,16 @@ def _folded(net: Network, x: np.ndarray):
     bounds = _output_bounds(net, x)
     if isinstance(bounds, int):
         return None
-    weights = _prescaled(net)
-    if len(weights) > 1:
-        silent = _silent(net.weights[0], x)
-        if silent.any():
-            live = ~silent
-            weights[:2] = [np.pad(np.compress(live, weights[0], axis=1), ((0, 0), (0, 1))),
-                           np.vstack([weights[1][live], weights[1][silent].sum(axis=0)])]
-    return weights, bounds
+    w = net.weights
+    if len(w) == 1 or not (silent := _silent(w[0], x)).any():
+        return _prescaled(net), bounds
+    live, n = np.flatnonzero(~silent), len(w[1])
+    first = np.zeros((len(w[0]), len(live) + 1), np.float32)  # the folded neuron's column is 0
+    np.divide(w[0][:, live], len(w[0]), out=first[:, :-1], casting="unsafe")
+    second = np.empty((len(live) + 1, w[1].shape[1]), np.float32)
+    np.divide(w[1][live], n, out=second[:-1], casting="unsafe")
+    second[-1] = (w[1][silent] / n).astype(np.float32).sum(axis=0)
+    return [first, second] + [(v / len(v)).astype(np.float32) for v in w[2:]], bounds
 
 
 def _edges(n: int, k: int) -> list[int]:
@@ -234,7 +248,7 @@ def _check_set(net: Network, data: EncodedDataset, scheme: TargetScheme, name: s
 def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndarray:
     """One class per row of ``data.delays``.
 
-    A set of fewer than ``_SLICE // 2`` rows makes one float64
+    A set of fewer than ``_SLICE // 4`` rows makes one float64
     ``forward_batch`` call.  A larger set is cut once, into ``ceil(n /
     _SLICE)`` near-equal slices, a count that only the row count sets.  Its
     reference is each slice's float64 pass: every row's class equals that
@@ -278,9 +292,13 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     the window ``T`` (itself rounded to the format) adds ``2 u (|z| +
     |z^_j - z_j| + T) + eta``; the next layer takes ``m = (m |W|) / n + T``
     and this error as its ``e``.  The bound is the largest ``e`` over the
-    output columns, computed once per call in float64 with a relative
-    margin of ``2**-20`` for its own rounding; it holds for any summation
-    order, so the sweep need not repeat ``forward_batch``'s steps.  A
+    output columns, computed once per call in float64: one product of the
+    rows ``m``, ``e`` (per format) and 1 with ``|W|`` gives ``m |W|``, ``e
+    |W|`` and the column sums, and the next layer's rows are a map of those
+    with non-negative coefficients.  Every term is a sum or product of
+    non-negative numbers, so a relative margin of ``2**-20`` covers the
+    bound's own rounding.  It holds for any summation order, so the sweep
+    need not repeat ``forward_batch``'s steps.  A
     score's float64 subtraction of a checkpoint adds ``u`` times the score.
     When ``(m + e) |W|``, ``|W|`` or a layer's ``m + e`` could reach a
     quarter of a format's largest number, or ``(n + 2) u > 1/4``, no value
@@ -323,7 +341,7 @@ def predict(net: Network, data: EncodedDataset, scheme: TargetScheme) -> np.ndar
     """
     _check_shape(net, data, scheme, "evaluation")
     x, n = data.delays, len(data.delays)
-    if n < _SLICE // 2:
+    if n < _SLICE // 4:
         return read_class_batch(scheme, forward_batch(net, x).outputs)
     edges = _edges(n, -(-n // _SLICE))
     single = _folded(net, x)

@@ -5,12 +5,14 @@ import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtspike import datasets
 from mtspike.coding import CodingParams
 from mtspike.datasets import (
     EncodedDataset,
@@ -256,6 +258,19 @@ def test_idx_load_allocates_one_image_file(tmp_path):
         tracemalloc.stop()
     size = (tmp_path / "img").stat().st_size
     assert peak <= 1.1 * size, (peak, size)
+    assert np.array_equal(ds.features, images) and ds.features.flags.writeable
+
+
+def test_idx_load_reads_a_file_that_shrank_after_its_size_was_taken(tmp_path, monkeypatch):
+    """A file shorter than ``os.fstat`` said when its buffer was sized loads
+    as the bytes it holds: the buffer's unread tail is not part of it."""
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, (3, 4, 4)).astype(np.uint8)
+    save_mnist_idx(images, rng.integers(0, 10, 3), tmp_path / "img", tmp_path / "lbl")
+    fstat = datasets.os.fstat
+    monkeypatch.setattr(datasets.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 64))
+    ds = load_mnist_idx(tmp_path / "img", tmp_path / "lbl")
     assert np.array_equal(ds.features, images) and ds.features.flags.writeable
 
 

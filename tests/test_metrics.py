@@ -3,7 +3,9 @@
 import importlib.util
 import math
 from dataclasses import replace
+from fractions import Fraction
 
+import _reference_exact
 import _reference_predict
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from mtspike.readout import TargetScheme, read_class_batch
 
 MULTI3 = TargetScheme(mode="multi_neuron", window=16.0, num_classes=3,
                       excitatory_offset=0.0, inhibitory_offset=4.0)
-HALF = _SLICE // 2  # the fewest rows that predict sweeps in float32
+FEWEST = _SLICE // 4  # the fewest rows that predict sweeps in float32
+HALF = _SLICE // 2
 
 
 def identity_net(n):
@@ -87,7 +90,7 @@ def test_a_set_that_does_not_fit_raises_before_any_forward_pass(monkeypatch, cal
     readout of 3 classes, rows wider than the input layer, or a readout
     window other than the net's: the sweep path's float32 bound and
     ``readout._scores`` never see them."""
-    delays = (5.0 - 4.0 * np.eye(3))[np.arange(HALF + 1) % 3]  # classes 0, 1, 2
+    delays = (5.0 - 4.0 * np.eye(3))[np.arange(FEWEST + 1) % 3]  # classes 0, 1, 2
     scheme, error, match = {
         "multi_neuron": (SCHEMES["multi_neuron"](2), ConfigError, "readout expects 2 output"),
         "single_neuron": (SCHEMES["single_neuron"](3), ConfigError, "readout expects 1 output"),
@@ -107,11 +110,11 @@ def test_a_set_that_does_not_fit_raises_before_any_forward_pass(monkeypatch, cal
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     depth=st.integers(min_value=2, max_value=4),
-    rows=st.sampled_from([1, HALF - 1, HALF, _SLICE - 1, _SLICE, _SLICE + 1]),
+    rows=st.sampled_from([1, FEWEST - 1, FEWEST, _SLICE - 1, _SLICE, _SLICE + 1]),
     mode=st.sampled_from(sorted(SCHEMES)),
     classes=st.integers(min_value=1, max_value=6),
 )
-@example(seed=0, depth=2, rows=HALF, mode="multi_neuron", classes=1)
+@example(seed=0, depth=2, rows=FEWEST, mode="multi_neuron", classes=1)
 @example(seed=1, depth=3, rows=_SLICE + 1, mode="single_neuron", classes=1)
 @settings(max_examples=60, deadline=None)
 def test_predict_matches_one_whole_set_pass(seed, depth, rows, mode, classes):
@@ -305,6 +308,91 @@ def test_float32_sweep_lies_within_the_bounds_of_the_float64_blocks(
     assert (np.abs(swept.astype(np.float64) - blocked) <= bound32 + bound64).all()
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4),
+    rows=st.integers(min_value=1, max_value=40),
+    powers=st.lists(st.integers(min_value=-45, max_value=40), min_size=3, max_size=3),
+    scale=st.integers(min_value=-40, max_value=30),
+    window=st.sampled_from([0.0, 0.5, 16.0]),
+    delays=st.sampled_from(["float64", "negative", "uint8"]),
+    shift=st.booleans(),
+)
+# 3 of the first layer's 6 neurons folded into one
+@example(seed=0, sizes=[5, 6, 3], rows=40, powers=[0, 0, 0], scale=0, window=16.0,
+         delays="float64", shift=True)
+# subnormal prescaled weights after a fold, and byte delays
+@example(seed=1, sizes=[8, 8, 4, 2], rows=33, powers=[0, -43, 0], scale=0, window=0.0,
+         delays="uint8", shift=True)
+# subnormal float32 delays into large weights
+@example(seed=2, sizes=[4, 3], rows=7, powers=[30, 0, 0], scale=-40, window=0.5,
+         delays="negative", shift=False)
+# hidden delays near 1e13 through subnormal prescaled weights: only the
+# underflow term of the bound covers their rounding
+@example(seed=1, sizes=[8, 8, 2], rows=40, powers=[13, -43, 0], scale=0, window=0.0,
+         delays="float64", shift=False)
+@settings(max_examples=60, deadline=None)
+def test_each_pass_lies_within_its_own_bound_of_the_exact_outputs(
+        seed, sizes, rows, powers, scale, window, delays, shift):
+    """Every float32 output of the sweep through ``_folded``'s network lies
+    within ``bound32`` of the unfolded net's exact output
+    (``_reference_exact``), and every float64 ``forward_batch`` output
+    within ``bound64`` of it: each bound alone, against exact arithmetic.
+    Layer ``l``'s weights are scaled by ``10 ** powers[l]`` and float
+    delays by ``10 ** scale``; ``shift`` makes some first-layer neurons
+    silent, so that the sweep folds them."""
+    rng = np.random.default_rng(seed)
+    net = init_network(sizes, rng=rng, init_range=(-0.5, 1.0), window=window)
+    if shift:
+        _shift_columns_negative(net, rng)
+    for w, power in zip(net.weights, powers):
+        w *= 10.0 ** power
+    if delays == "uint8":
+        x = rng.integers(0, 256, (rows, sizes[0])).astype(np.uint8)
+    else:
+        x = rng.uniform(-16.0 if delays == "negative" else 0.0, 16.0, (rows, sizes[0]))
+        x *= 10.0 ** scale
+    single = metrics._folded(net, x)
+    assume(single is not None)
+    weights, bounds = single
+    exact = _reference_exact.forward(net, x)
+    swept = metrics._sweep(weights, net.window, x, [0, rows])
+    for outputs, bound in ((swept, bounds[0]), (forward_batch(net, x).outputs, bounds[1])):
+        for row, want in zip(outputs.tolist(), exact):
+            assert all(abs(Fraction(v) - e) <= Fraction(float(bound)) for v, e in zip(row, want))
+
+
+_QUARTER = float(np.finfo(np.float32).max) / 4  # float32's range check
+_WIDE = 2**22 - 1  # (n + 2) u > 1/4 in float32: views of one value, no memory
+_TRIPS = {  # (check, weight matrix): (weights, window, rows) where only that check fails
+    ("fan-in", 0): ([np.broadcast_to(1.0, (_WIDE, 1))], 0.0, np.broadcast_to(1.0, (1, _WIDE))),
+    ("inputs", 0): ([np.ones((3, 2)), np.ones((2, 2))], 0.0, np.full((4, 3), 1e38)),
+    ("inputs", 1): ([np.ones((3, 2)), np.ones((2, 2))], 1e38, np.ones((4, 3))),
+    ("partial sums", 0): ([np.full((3, 2), 1e10), np.ones((2, 2))], 0.0, np.full((4, 3), 1e30)),
+    ("partial sums", 1): ([np.full((3, 2), 1e30), np.full((2, 2), 1e10)], 0.0, np.ones((4, 3))),
+    ("column sums", 0): ([np.full((3, 2), 1e38), np.ones((2, 2))], 0.0, np.full((4, 3), 1e-10)),
+    ("column sums", 1): ([np.ones((3, 2)), np.full((2, 2), 1e38)], 0.0, np.full((4, 3), 1e-10)),
+    ("outputs", 0): ([np.ones((3, 2))], 1e38, np.ones((4, 3))),
+    ("outputs", 1): ([np.ones((3, 1)), np.ones((1, 2))], 0.9 * _QUARTER, np.ones((4, 3))),
+    # float32's partial sums reach only 1.25 f / 500 here (f its largest
+    # number), but the check takes the float64 pass's (ROADMAP item 19(a))
+    ("partial sums, 500-3 at f / 6400", 0): (
+        [np.full((500, 3), float(np.finfo(np.float32).max) / 6400)], 0.0, np.full((4, 500), 16.0)),
+}
+
+
+@pytest.mark.parametrize("check, layer", sorted(_TRIPS))
+def test_each_range_check_names_the_weight_matrix_where_it_trips(check, layer):
+    """``_output_bounds`` returns the index of the weight matrix over which
+    a value could leave float32's range: the fan-in's ``(n + 2) u``, the
+    inputs ``m + e``, the partial sums ``(m + e) |W|``, the column sums of
+    ``|W|`` and, after the last matrix, the outputs ``m + e``."""
+    weights, window, x = _TRIPS[check, layer]
+    sizes = [len(weights[0])] + [w.shape[1] for w in weights]
+    bounds = metrics._output_bounds(Network(sizes, weights, window=window), x)
+    assert isinstance(bounds, int) and bounds == layer
+
+
 def _exact_signs(x, w):
     """Signs of ``x @ w`` in exact arithmetic: every value scaled by one
     power of two to a Python integer."""
@@ -370,7 +458,7 @@ def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, h
     if delays == "uint8" and case not in ("late", "tight"):  # those need fractions or signs
         x = np.rint(x).astype(np.uint8)
     if case == "unbounded":
-        rows = max(rows, HALF)
+        rows = max(rows, FEWEST)
         x = np.resize(x, (rows, inputs))
         w[:, : hidden // 2 + 1] -= 1.5
         net = Network([inputs, hidden, 3], [w, np.full((hidden, 3), 1e38)], window=16.0)
@@ -392,12 +480,9 @@ def test_every_neuron_proved_silent_is_silent_on_every_row(seed, rows, inputs, h
         assert not silent.any()
 
 
-def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits(monkeypatch):
-    """The stored 169-500-10 benchmark model clips most of its hidden
-    neurons to the window: on the 10k conv-coded ``digits_infer`` images
-    at least 400 of 500 are proved silent, and the skipping sweep settles
-    every row without a float64 ``forward_batch`` call and gives it the
-    float64 slices' class."""
+def _stored_model(per_class, seed):
+    """The stored 169-500-10 benchmark model, its preset, and ``per_class``
+    conv-coded benchmark digits of each class drawn with ``seed``."""
     spec = importlib.util.spec_from_file_location("perfbench_digits",
                                                   REPO_ROOT / "perfbench" / "digits.py")
     digits = importlib.util.module_from_spec(spec)
@@ -406,7 +491,16 @@ def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits(monk
     with np.load(REPO_ROOT / "perfbench" / "mt10_weights.npz") as stored:
         weights = [stored["w0"].astype(np.float64), stored["w1"].astype(np.float64)]
     net = Network(list(cfg.layer_sizes), weights, window=cfg.coding.params.window)
-    data = encode_dataset(RawDataset(*digits.make_digits(1000, [0, 2])), cfg.coding)
+    return net, cfg, encode_dataset(RawDataset(*digits.make_digits(per_class, seed)), cfg.coding)
+
+
+def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits(monkeypatch):
+    """The stored 169-500-10 benchmark model clips most of its hidden
+    neurons to the window: on the 10k conv-coded ``digits_infer`` images
+    at least 400 of 500 are proved silent, and the skipping sweep settles
+    every row without a float64 ``forward_batch`` call and gives it the
+    float64 slices' class."""
+    net, cfg, data = _stored_model(1000, [0, 2])
     assert metrics._silent(net.weights[0], data.delays).sum() >= 400
     sweep_weights, _ = metrics._folded(net, data.delays)
     assert sweep_weights[0].shape[1] <= 100
@@ -414,6 +508,33 @@ def test_the_stored_model_skips_most_hidden_neurons_on_the_benchmark_digits(monk
     classes = predict(net, data, cfg.scheme)
     assert calls == []
     assert classes.tolist() == _reference_predict.predict(net, data, cfg.scheme).tolist()
+
+
+def test_the_stored_model_sweeps_the_srm_pool_without_a_float64_pass(monkeypatch):
+    """The 200-row image pool of the ``srm_fidelity`` benchmark, above the
+    cut, runs as one float32 sweep over one slice, which settles every row
+    with the float64 pass's class: no ``forward_batch`` call."""
+    net, cfg, data = _stored_model(20, [0, 3])
+    assert len(data) == 200
+    calls = _counted_forward(monkeypatch)
+    sweeps = _recorded_sweeps(monkeypatch)
+    classes = predict(net, data, cfg.scheme)
+    assert sweeps == [(0, 200)] and calls == []
+    assert classes.tolist() == read_class_batch(cfg.scheme, forward_batch(net, data.delays).outputs).tolist()
+
+
+@pytest.mark.parametrize("rows", [FEWEST - 1, FEWEST])
+def test_predict_sweeps_from_the_cut_and_passes_float64_below_it(rows, monkeypatch):
+    """127 rows make one float64 ``forward_batch`` call over the whole set
+    and no sweep; 128 rows one sweep and no float64 call."""
+    calls = _counted_forward(monkeypatch)
+    sweeps = _recorded_sweeps(monkeypatch)
+    delays = np.tile([1.0, 5.0, 5.0], (rows, 1))
+    assert predict(identity_net(3), class0(delays), MULTI3).tolist() == [0] * rows
+    if rows < FEWEST:
+        assert calls == [(np.float64, rows)] and sweeps == []
+    else:
+        assert calls == [] and sweeps == [(0, rows)]
 
 
 def test_predict_reruns_only_what_float32_cannot_settle(monkeypatch):
@@ -483,7 +604,8 @@ def _random_set(seed, blocks, depth=3, mode="multi_neuron", classes=3):
     return net, data, scheme
 
 
-@pytest.mark.parametrize("rows", [HALF, HALF + 1, _SLICE + 1, 2000, 10 * _SLICE + 3])
+@pytest.mark.parametrize("rows", [FEWEST, FEWEST + 1, HALF, HALF + 1, _SLICE + 1, 2000,
+                                  10 * _SLICE + 3])
 def test_predict_slices_a_set_by_its_row_count_alone(rows, monkeypatch):
     """``predict``'s sweep covers every row exactly once, in
     ``ceil(rows / _SLICE)`` contiguous slices of at most ``_SLICE`` rows,
@@ -522,12 +644,12 @@ def test_a_slice_that_raises_leaves_predict_and_the_next_call_gets_every_class(m
     assert predict(net, data, scheme).tolist() == expected
 
 
-@pytest.mark.parametrize("rows", [HALF - 1, HALF + 44],
+@pytest.mark.parametrize("rows", [FEWEST - 1, FEWEST + 44],
                          ids=["float64-pass", "float32-pass"])
 def test_byte_delays_classify_like_their_float64_copy(rows, monkeypatch):
     """Conv-coded digits hold their delays in bytes: both of predict's
     passes give them the classes of the float64 copy.  The last row count
-    below ``HALF`` takes one float64 pass, with no sweep."""
+    below ``FEWEST`` takes one float64 pass, with no sweep."""
     cfg = preset("mt10_mnist_noheu")
     digits = make_digits(30, seed=3)
     data = encode_dataset(RawDataset(digits.features[:rows], digits.labels[:rows]),
@@ -539,7 +661,7 @@ def test_byte_delays_classify_like_their_float64_copy(rows, monkeypatch):
     net = Network([169, 10], [16.0 - np.stack(means, axis=1)], window=16.0)
     sweeps = _recorded_sweeps(monkeypatch)
     classes = predict(net, data, cfg.scheme)
-    assert len(sweeps) == (rows >= HALF)
+    assert len(sweeps) == (rows >= FEWEST)
     assert len(set(classes.tolist())) > 1
     assert classes.tolist() == predict(net, copy, cfg.scheme).tolist()
 
