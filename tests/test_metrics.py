@@ -364,10 +364,10 @@ def test_each_pass_lies_within_its_own_bound_of_the_exact_outputs(
 
 _QUARTER = float(np.finfo(np.float32).max) / 4  # float32's range check
 _WIDE = 2**22 - 1  # (n + 2) u > 1/4 in float32: views of one value, no memory
-_TRIPS = {  # (check, weight matrix): (weights, window, rows) where only that check fails
+_TRIPS = {  # (check, weight matrix): (weights, window, rows) on which that check fails first
     ("fan-in", 0): ([np.broadcast_to(1.0, (_WIDE, 1))], 0.0, np.broadcast_to(1.0, (1, _WIDE))),
-    ("inputs", 0): ([np.ones((3, 2)), np.ones((2, 2))], 0.0, np.full((4, 3), 1e38)),
-    ("inputs", 1): ([np.ones((3, 2)), np.ones((2, 2))], 1e38, np.ones((4, 3))),
+    ("inputs", 0): ([np.full((3, 2), 0.1), np.ones((2, 2))], 0.0, np.full((4, 3), 1e38)),
+    ("inputs", 1): ([np.ones((3, 2)), np.full((2, 2), 0.1)], 1e38, np.ones((4, 3))),
     ("partial sums", 0): ([np.full((3, 2), 1e10), np.ones((2, 2))], 0.0, np.full((4, 3), 1e30)),
     ("partial sums", 1): ([np.full((3, 2), 1e30), np.full((2, 2), 1e10)], 0.0, np.ones((4, 3))),
     ("column sums", 0): ([np.full((3, 2), 1e38), np.ones((2, 2))], 0.0, np.full((4, 3), 1e-10)),
